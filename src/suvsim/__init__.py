@@ -17,21 +17,7 @@ from .config import (
     make_config,
     parse_config_file,
 )
-from .dynamics import (
-    PhysicsParams,
-    QubitState,
-    Scheme,
-    TrajectoryConfig,
-    sse_energy_correction,
-    sse_step,
-    suv_generator,
-    suv_step,
-    unnormalized_suv_step,
-    white_ito_step,
-    white_strat_step,
-    z_step_colored,
-    z_step_white,
-)
+from .dynamics import PhysicsParams, Scheme, TrajectoryConfig
 from .engine import EnsembleResult, derive_stream, simulate_ensemble
 from .errors import (
     ConfigError,
@@ -42,33 +28,14 @@ from .errors import (
     SimulationError,
     StateCorruptionError,
 )
-from .master import (
-    STEADY_SECOND_MOMENT,
-    DensityMatrix2,
-    effective_diffusion,
-    gksl_residual,
-    gksl_solution,
-    nonlinearity_coefficient,
-)
-from .noise import (
-    NoiseKind,
-    NoiseModel,
-    NoiseState,
-    autocorrelation,
-    ou_step,
-    sample_steady_state,
-    sbm_step,
-    simulate_paths,
-    steady_samples,
-    wiener_increment,
-)
+from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
+from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
 from .observables import (
     CollapseStats,
     CompensatedAccumulator,
     EnsembleSummary,
     born_deviation,
     collapse_statistics,
-    density_matrix,
     ks_distance,
     quadratic_variation,
 )
@@ -79,43 +46,24 @@ __all__ = [
     # noise
     "NoiseKind",
     "NoiseModel",
-    "NoiseState",
-    "wiener_increment",
-    "ou_step",
-    "sbm_step",
-    "sample_steady_state",
     "steady_samples",
     "autocorrelation",
     "simulate_paths",
     # dynamics
-    "QubitState",
     "PhysicsParams",
     "Scheme",
     "TrajectoryConfig",
-    "suv_generator",
-    "suv_step",
-    "unnormalized_suv_step",
-    "sse_step",
-    "white_strat_step",
-    "white_ito_step",
-    "z_step_colored",
-    "z_step_white",
-    "sse_energy_correction",
     # observables
     "CompensatedAccumulator",
     "EnsembleSummary",
     "CollapseStats",
     "quadratic_variation",
-    "density_matrix",
     "collapse_statistics",
     "ks_distance",
     "born_deviation",
     # master-equation reference
-    "DensityMatrix2",
     "STEADY_SECOND_MOMENT",
     "effective_diffusion",
-    "nonlinearity_coefficient",
-    "gksl_solution",
     "gksl_residual",
     # engine
     "derive_stream",

@@ -223,10 +223,11 @@ def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryCon
     replace the corresponding experiment-level value; runners use them to
     span parameter grids and companion schemes under one master seed.
 
-    The derived couplings are filled in here: D = G sqrt(tau) and the
-    white-noise diffusion constant Deff from the steady-state variance of
-    the selected noise kind. Schemes driven directly by a Wiener process
-    with strength Deff require an evolving noise kind to define it.
+    The white-noise diffusion constant Deff is derived here from the
+    steady-state variance of the selected noise kind. Schemes driven
+    directly by a Wiener process with strength Deff require an evolving
+    noise kind to define it. The scheme/noise pairing itself is checked by
+    TrajectoryConfig.
     """
     get = lambda name, default: overrides.get(name, default)  # noqa: E731
     J = float(get("J", cfg.J))
@@ -246,14 +247,8 @@ def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryCon
             f"scheme {scheme.value!r} needs an evolving noise kind (ou or sbm) to "
             f"define its diffusion strength, got {kind.value!r}"
         )
-    if scheme.uses_colored_noise and kind is NoiseKind.NONE:
-        raise ConfigError(
-            f"scheme {scheme.value!r} is driven by a colored field and needs a "
-            "noise process, got kind 'none'"
-        )
     deff = effective_diffusion(G, tau, kind) if kind.is_evolving else 0.0
-    D = G * math.sqrt(tau) if kind is not NoiseKind.NONE else 0.0
-    params = PhysicsParams(J=J, G=G, gamma=gamma, D=D, Deff=deff)
+    params = PhysicsParams(J=J, G=G, gamma=gamma, Deff=deff)
     noise_model = NoiseModel(kind=kind, tau=tau)
     return TrajectoryConfig(
         params=params, noise=noise_model, dt=dt, T=T, z0=z0, scheme=scheme, seed=seed

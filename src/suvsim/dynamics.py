@@ -34,6 +34,9 @@ predictor and corrector); Ito dynamics with Euler-Maruyama. Normalized
 schemes renormalize after every step; the correction is a pure rescaling
 and does not affect observables. Pointer states |0> and |1> are exact
 fixed points of every scheme for every noise value.
+
+The step kernels below act on arrays with one entry per trajectory; the
+ensemble engine is their only caller.
 """
 from __future__ import annotations
 
@@ -45,64 +48,21 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, IntegratorInstabilityError, InvalidParameterError
-from .noise import NoiseKind, NoiseModel, wiener_increment
+from .noise import NoiseKind, NoiseModel
 
-__all__ = [
-    "QubitState",
-    "PhysicsParams",
-    "Scheme",
-    "TrajectoryConfig",
-    "suv_generator",
-    "suv_step",
-    "unnormalized_suv_step",
-    "sse_step",
-    "white_strat_step",
-    "white_ito_step",
-    "z_step_colored",
-    "z_step_white",
-    "sse_energy_correction",
-]
+__all__ = ["PhysicsParams", "Scheme", "TrajectoryConfig"]
 
 # Normalized states must satisfy |a^2 + b^2 - 1| below this bound after every
 # step; a larger defect after renormalization means the state degenerated.
 NORM_ENFORCED_TOL = 1e-9
-# Looser guard on *inputs* to normalized steppers: one step of drift cannot
-# legitimately move the norm this far, so a violation is a caller bug.
-NORM_INPUT_TOL = 1e-6
 # Stability guard: dt times the fastest rate in the problem must stay small.
 STABILITY_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
-class QubitState:
-    """Real amplitude pair (a, b) on the pointer basis |0>, |1>."""
-
-    a: float
-    b: float
-
-    @classmethod
-    def from_z(cls, z0: float) -> "QubitState":
-        """Build the normalized state with z = |<0|psi>|^2 = z0 and positive amplitudes."""
-        if not 0.0 <= z0 <= 1.0:
-            raise InvalidParameterError(f"z0 must be in [0, 1], got {z0}")
-        return cls(a=math.sqrt(z0), b=math.sqrt(1.0 - z0))
-
-    @property
-    def z(self) -> float:
-        return self.a * self.a
-
-    @property
-    def offdiag(self) -> float:
-        return self.a * self.b
-
-    @property
-    def norm_defect(self) -> float:
-        return abs(self.a * self.a + self.b * self.b - 1.0)
-
-
-@dataclass(frozen=True)
 class PhysicsParams:
-    """Coupling constants of one trajectory, all in inverse-time units.
+    """Coupling constants of one trajectory, all in inverse-time units
+    (hbar = 1).
 
     Parameters
     ----------
@@ -112,27 +72,19 @@ class PhysicsParams:
         Noise coupling.
     gamma : float
         White-noise rate of the stochastic Schrodinger scheme.
-    D : float
-        Derived scale sqrt(G^2 tau) of the scalar colored z-equation.
     Deff : float
         Effective diffusion sqrt(2 G^2 tau E[xi^2]) of the white-noise
         limit; E[xi^2] is the steady second moment of the driving process.
-    hbar : float
-        Fixed to 1 by convention.
     """
 
     J: float
     G: float
     gamma: float = 0.0
-    D: float = 0.0
     Deff: float = 0.0
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         if self.gamma < 0:
             raise InvalidParameterError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.hbar != 1.0:
-            raise InvalidParameterError("hbar is fixed to 1 by convention")
 
 
 class Scheme(str, Enum):
@@ -187,6 +139,11 @@ class TrajectoryConfig:
             raise ConfigError(f"z0 must be in [0, 1], got {self.z0}")
         if not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.scheme.uses_colored_noise and self.noise.kind is NoiseKind.NONE:
+            raise ConfigError(
+                f"scheme {self.scheme.value!r} is driven by a colored field and needs a "
+                "noise process, got kind 'none'"
+            )
         p = self.params
         fastest = max(abs(p.J), abs(p.G), p.gamma, p.Deff * p.Deff)
         if self.dt * fastest >= STABILITY_LIMIT:
@@ -211,9 +168,8 @@ class TrajectoryConfig:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels. These operate on plain floats or numpy arrays of amplitudes
-# and are shared verbatim by the vectorized ensemble engine, so the scalar
-# public operations and batched runs use identical arithmetic.
+# Step kernels. Amplitudes, z, xi and dW are arrays with one entry per
+# trajectory; couplings and dt are scalars.
 
 
 def _suv_rate(a, b, xi, J, G):
@@ -243,7 +199,7 @@ def _unnormalized_heun(a, b, xi, dt, J, G):
 
 def _sse_em(a, b, dw, dt, gamma):
     m = a * a - b * b
-    root = math.sqrt(gamma) if np.isscalar(gamma) else np.sqrt(gamma)
+    root = math.sqrt(gamma)
     da = 0.5 * (-gamma * (1.0 - m) ** 2 * dt + 2.0 * root * (1.0 - m) * dw) * a
     db = 0.5 * (-gamma * (1.0 + m) ** 2 * dt - 2.0 * root * (1.0 + m) * dw) * b
     return a + da, b + db
@@ -285,17 +241,15 @@ def _white_ito_em(a, b, dw, dt, J, deff):
 
 
 def _z_colored_rate(z, xi, J, G):
-    # The scalar form dz = J_z dt + G_z xi dt / sqrt(tau) with
-    # J_z = 2 J z(1-z)(2z-1) and G_z = 2 D z(1-z): since D = G sqrt(tau),
-    # the 1/sqrt(tau) scaling cancels and only J and G enter.
+    # The z-image of the amplitude pair: dz/dt = 2 a da/dt with
+    # da/dt = (1/2)(1 - m)(J m + G xi) a, 1 - m = 2(1 - z) and m = 2z - 1.
     return 2.0 * z * (1.0 - z) * (J * (2.0 * z - 1.0) + G * xi)
 
 
 def _z_colored_heun(z, xi, dt, J, G):
     k1 = _z_colored_rate(z, xi, J, G)
     k2 = _z_colored_rate(z + dt * k1, xi, J, G)
-    out = z + 0.5 * dt * (k1 + k2)
-    return np.clip(out, 0.0, 1.0) if isinstance(out, np.ndarray) else min(1.0, max(0.0, out))
+    return np.clip(z + 0.5 * dt * (k1 + k2), 0.0, 1.0)
 
 
 def _z_white_heun(z, dw, dt, J, deff):
@@ -304,178 +258,23 @@ def _z_white_heun(z, dw, dt, J, deff):
     zp = z + f1 * dt + g1 * dw
     f2 = 2.0 * J * zp * (1.0 - zp) * (2.0 * zp - 1.0)
     g2 = 2.0 * deff * zp * (1.0 - zp)
-    out = z + 0.5 * dt * (f1 + f2) + 0.5 * dw * (g1 + g2)
-    return np.clip(out, 0.0, 1.0) if isinstance(out, np.ndarray) else min(1.0, max(0.0, out))
+    return np.clip(z + 0.5 * dt * (f1 + f2) + 0.5 * dw * (g1 + g2), 0.0, 1.0)
 
 
 def _renormalize(a, b):
     """Rescale amplitudes to unit norm, raising if the state degenerated."""
     nrm2 = a * a + b * b
-    if isinstance(nrm2, np.ndarray):
-        if not np.all(np.isfinite(nrm2)) or np.any(nrm2 <= 0.0):
-            raise IntegratorInstabilityError("non-finite or zero-norm state")
-        nrm = np.sqrt(nrm2)
-    else:
-        if not math.isfinite(nrm2) or nrm2 <= 0.0:
-            raise IntegratorInstabilityError("non-finite or zero-norm state")
-        nrm = math.sqrt(nrm2)
+    if not np.all(np.isfinite(nrm2)) or np.any(nrm2 <= 0.0):
+        bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
+        raise IntegratorInstabilityError("non-finite or zero-norm state", row=int(np.argmax(bad)))
+    nrm = np.sqrt(nrm2)
     a = a / nrm
     b = b / nrm
-    defect = np.max(np.abs(a * a + b * b - 1.0)) if isinstance(a, np.ndarray) else abs(a * a + b * b - 1.0)
-    if defect > NORM_ENFORCED_TOL:
+    defect = np.abs(a * a + b * b - 1.0)
+    worst = np.max(defect)
+    if worst > NORM_ENFORCED_TOL:
         raise IntegratorInstabilityError(
-            f"norm defect {defect:.3g} after renormalization exceeds {NORM_ENFORCED_TOL}"
+            f"norm defect {worst:.3g} after renormalization exceeds {NORM_ENFORCED_TOL}",
+            row=int(np.argmax(defect)),
         )
     return a, b
-
-
-def _require_normalized(state: QubitState) -> None:
-    if state.norm_defect > NORM_INPUT_TOL:
-        raise InvalidParameterError(
-            f"state norm defect {state.norm_defect:.3g} exceeds {NORM_INPUT_TOL}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Public operations.
-
-
-def suv_generator(state: QubitState, xi: float, params: PhysicsParams) -> np.ndarray:
-    """Norm-preserving reduction generator as a 2x2 real symmetric matrix.
-
-    Returns Gcal = (1/2)(sigma3 - m)(J m + G xi) with m = <sigma3> evaluated
-    on the input state. Gcal annihilates pointer states, and <Gcal> = 0 on
-    any state, which is what preserves the norm to first order.
-    """
-    m = state.a * state.a - state.b * state.b
-    coef = 0.5 * (params.J * m + params.G * xi)
-    return np.array([[coef * (1.0 - m), 0.0], [0.0, coef * (-1.0 - m)]])
-
-
-def suv_step(state: QubitState, xi: float, dt: float, params: PhysicsParams) -> QubitState:
-    """One Heun step of the colored-noise reduction dynamics, renormalized.
-
-    The field xi is held constant across the step (it is supplied per step
-    by the noise process). The amplitude increment is O(dt); before
-    renormalization the one-step norm defect is O(dt^2) because the
-    generator has zero expectation.
-    """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    _require_normalized(state)
-    a, b = _suv_heun(state.a, state.b, xi, dt, params.J, params.G)
-    a, b = _renormalize(a, b)
-    return QubitState(a=a, b=b)
-
-
-def unnormalized_suv_step(
-    state: QubitState, xi: float, dt: float, params: PhysicsParams
-) -> QubitState:
-    """One Heun step of d|psi> = Ghat|psi> dt with Ghat = (1/2) sigma3 (J m + G xi).
-
-    The norm is free to grow: over one step Delta(N) = 2 dt <psi|Ghat|psi>
-    up to O(dt^2), with the expectation taken in the unnormalized inner
-    product. The amplitude ratio a/b evolves as in the normalized scheme
-    because the normalization correction is proportional to the identity.
-    """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    a, b = _unnormalized_heun(state.a, state.b, xi, dt, params.J, params.G)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise IntegratorInstabilityError("unnormalized amplitudes overflowed")
-    return QubitState(a=a, b=b)
-
-
-def sse_step(state: QubitState, dt: float, gamma: float, rng) -> QubitState:
-    """One Euler-Maruyama step of the norm-preserving white-noise equation.
-
-    Ito step of
-        d|psi> = (1/2)[-gamma (sigma3 - m)^2 dt
-                       + 2 sqrt(gamma)(sigma3 - m) dW]|psi>,
-    followed by renormalization. The diagonal z is a martingale, so the
-    ensemble mean of z stays at its initial value.
-    """
-    if gamma < 0:
-        raise InvalidParameterError(f"gamma must be nonnegative, got {gamma}")
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    _require_normalized(state)
-    dw = wiener_increment(dt, rng)
-    a, b = _sse_em(state.a, state.b, dw, dt, gamma)
-    a, b = _renormalize(a, b)
-    return QubitState(a=a, b=b)
-
-
-def white_strat_step(state: QubitState, dt: float, params: PhysicsParams, rng) -> QubitState:
-    """One Heun step of the Stratonovich white-noise limit, renormalized.
-
-    Integrates d|psi> = (J/2) m (sigma3 - m)|psi> dt
-    + (Deff/2)(sigma3 - m)|psi> o dW with the same Wiener increment in
-    predictor and corrector, which converges to the Stratonovich solution
-    for this single-channel noise.
-    """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    _require_normalized(state)
-    dw = wiener_increment(dt, rng)
-    a, b = _white_strat_heun(state.a, state.b, dw, dt, params.J, params.Deff)
-    a, b = _renormalize(a, b)
-    return QubitState(a=a, b=b)
-
-
-def white_ito_step(state: QubitState, dt: float, params: PhysicsParams, rng) -> QubitState:
-    """One Euler-Maruyama step of the Ito form of the white-noise limit.
-
-    Identical in law to the Stratonovich scheme; the conversion drift
-    Cs = (Deff^2/4)[(1/2)(sigma3 - m)^2 - (1 - m^2)] is added explicitly.
-    Cs annihilates pointer states and reduces to a multiple of the identity
-    at m = 0.
-    """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    _require_normalized(state)
-    dw = wiener_increment(dt, rng)
-    a, b = _white_ito_em(state.a, state.b, dw, dt, params.J, params.Deff)
-    a, b = _renormalize(a, b)
-    return QubitState(a=a, b=b)
-
-
-def z_step_colored(z: float, xi: float, dt: float, params: PhysicsParams) -> float:
-    """One Heun step of the scalar colored z-equation, clamped to [0, 1].
-
-    dz/dt = 2 z (1 - z)[J (2z - 1) + G xi]. This is the exact z-track of
-    the two-component colored scheme, so both agree to O(dt^2) per step.
-    The endpoints z = 0 and z = 1 are fixed points.
-    """
-    if not 0.0 <= z <= 1.0:
-        raise InvalidParameterError(f"z must be in [0, 1], got {z}")
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    return float(_z_colored_heun(z, xi, dt, params.J, params.G))
-
-
-def z_step_white(z: float, dt: float, params: PhysicsParams, rng) -> float:
-    """One Heun (Stratonovich) step of the scalar white-noise z-equation.
-
-    dz = 2 J z (1 - z)(2z - 1) dt + 2 Deff z (1 - z) o dW, clamped to
-    [0, 1]; the endpoints are absorbing.
-    """
-    if not 0.0 <= z <= 1.0:
-        raise InvalidParameterError(f"z must be in [0, 1], got {z}")
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    dw = wiener_increment(dt, rng)
-    return float(_z_white_heun(z, dw, dt, params.J, params.Deff))
-
-
-def sse_energy_correction(state: QubitState, gamma: float) -> float:
-    """Magnitude gamma <(sigma3 - m)^2>/2 = gamma (1 - m^2)/2 of the
-    non-Hermitian drift of the white-noise scheme.
-
-    Zero exactly at pointer states and positive elsewhere; with H = 0 the
-    colored reduction dynamics has no such term.
-    """
-    if gamma < 0:
-        raise InvalidParameterError(f"gamma must be nonnegative, got {gamma}")
-    m = state.a * state.a - state.b * state.b
-    return 0.5 * gamma * (1.0 - m * m)

@@ -5,10 +5,13 @@ every per-trajectory quantity is a pure function of (master seed,
 trajectory index): each trajectory owns a private counter-based stream,
 and its draw order is fixed by scheme and noise kind:
 
-* colored schemes: one steady-state draw for the initial field value
-  (standard normal for OU kinds, uniform for SBM kinds), then one standard
-  normal per step for evolving kinds (frozen kinds draw nothing further);
+* colored schemes: the field draws of :func:`suvsim.noise._draw_field`, a
+  steady-state initial value (standard normal for OU kinds, uniform for SBM
+  kinds), then one standard normal per step for evolving kinds;
 * Wiener-driven schemes: one standard normal per step (scaled by sqrt(dt)).
+
+Each scheme is one entry of a (step, amplitude, observe) table, looked up
+once per chunk.
 
 Ensemble statistics are folded one trajectory at a time, in index order,
 with compensated summation. Together these make every output bitwise
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -35,7 +39,8 @@ from .dynamics import (
     _z_white_heun,
 )
 from .errors import IntegratorInstabilityError, InvalidParameterError
-from .noise import NoiseKind, _ou_coefficients, _ou_update, _sbm_update
+from .noise import NoiseKind, _draw_field, _ou_coefficients, _ou_update, _sbm_update
+from .noise import _stream_normals
 from .observables import CompensatedAccumulator, EnsembleSummary
 
 __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble"]
@@ -85,7 +90,6 @@ def simulate_ensemble(
     index_offset: int = 0,
     chunk_size: int | None = None,
     record_series: bool = True,
-    collect_qv: bool = True,
 ) -> EnsembleResult:
     """Run an ensemble of trajectories and reduce it deterministically.
 
@@ -108,8 +112,9 @@ def simulate_ensemble(
     record_series : bool
         Record time series (means, stderrs, quadratic variation). Off for
         distribution-only runs, which keeps just the final z values.
-    collect_qv : bool
-        Accumulate the quadratic-variation series (requires record_series).
+
+    An IntegratorInstabilityError names the trajectory index and the step
+    at which a state degenerated.
     """
     if n_traj < 1:
         raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
@@ -117,11 +122,6 @@ def simulate_ensemble(
         raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
     if index_offset < 0:
         raise InvalidParameterError(f"index_offset must be nonnegative, got {index_offset}")
-    if cfg.scheme.uses_colored_noise and cfg.noise.kind is NoiseKind.NONE:
-        raise InvalidParameterError(
-            f"scheme {cfg.scheme.value!r} is driven by a colored field and needs a "
-            "noise process, got kind 'none'"
-        )
 
     n_steps = cfg.n_steps
     record_at = np.zeros(n_steps + 1, dtype=bool)
@@ -132,13 +132,11 @@ def simulate_ensemble(
     times = out_idx * cfg.dt
     n_out = out_idx.size
 
-    collect_qv = collect_qv and record_series
     if record_series:
         acc_z = CompensatedAccumulator(n_out)
         acc_z2 = CompensatedAccumulator(n_out)
         acc_off = CompensatedAccumulator(n_out)
         acc_off2 = CompensatedAccumulator(n_out)
-    if collect_qv:
         acc_dq = CompensatedAccumulator(n_steps)
 
     final_z = np.empty(n_traj)
@@ -156,8 +154,8 @@ def simulate_ensemble(
             cfg,
             streams,
             record_at,
-            need_qv=collect_qv,
             need_xi=(n_traj == 1),
+            first_index=index_offset + start,
         )
         final_z[start : start + m] = fz
         if record_series:
@@ -165,7 +163,6 @@ def simulate_ensemble(
             acc_z2.add_rows(z_rows * z_rows)
             acc_off.add_rows(off_rows)
             acc_off2.add_rows(off_rows * off_rows)
-        if collect_qv:
             acc_dq.add_rows(dq_rows)
         if n_traj == 1 and record_series:
             single_z = z_rows[0].copy()
@@ -180,12 +177,8 @@ def simulate_ensemble(
             stderr_off = _stderr(acc_off.total, acc_off2.total, n_traj)
         else:
             stderr_z = stderr_off = None
-        if collect_qv:
-            step_means = np.maximum(acc_dq.total / n_traj, 0.0)
-            qv_all = np.cumsum(np.concatenate(([0.0], step_means)))
-            qv = qv_all[out_idx]
-        else:
-            qv = np.zeros(n_out)
+        step_means = np.maximum(acc_dq.total / n_traj, 0.0)
+        qv = np.cumsum(np.concatenate(([0.0], step_means)))[out_idx]
         summary = EnsembleSummary(
             times=times,
             mean_z=mean_z,
@@ -212,9 +205,76 @@ def _stderr(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(var / n)
 
 
-def _integrate_chunk(cfg, streams, record_at, need_qv, need_xi):
-    """Integrate one lockstep batch; returns per-trajectory series and finals."""
+# Scheme table: step(state, drive, dt, params) advances an (a, b) amplitude
+# pair, or z for scalar schemes, by one step driven by xi (colored schemes) or
+# dW; amplitude(state) feeds the quadratic variation; observe(state) returns
+# (z, offdiag). Steps look the kernels up in this module's globals per call.
+
+
+def _step_suv(s, xi, dt, p):
+    return _renormalize(*_suv_heun(*s, xi, dt, p.J, p.G))
+
+
+def _step_unnormalized(s, xi, dt, p):
+    a, b = _unnormalized_heun(*s, xi, dt, p.J, p.G)
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise IntegratorInstabilityError("unnormalized amplitudes overflowed", row=row)
+    return a, b
+
+
+def _step_sse(s, dw, dt, p):
+    return _renormalize(*_sse_em(*s, dw, dt, p.gamma))
+
+
+def _step_white_strat(s, dw, dt, p):
+    return _renormalize(*_white_strat_heun(*s, dw, dt, p.J, p.Deff))
+
+
+def _step_white_ito(s, dw, dt, p):
+    return _renormalize(*_white_ito_em(*s, dw, dt, p.J, p.Deff))
+
+
+def _step_z_colored(z, xi, dt, p):
+    return _z_colored_heun(z, xi, dt, p.J, p.G)
+
+
+def _step_z_white(z, dw, dt, p):
+    return _z_white_heun(z, dw, dt, p.J, p.Deff)
+
+
+def _observe_normalized(s):
+    a, b = s
+    return a * a, a * b
+
+
+def _observe_unnormalized(s):
+    a, b = s
+    nrm2 = a * a + b * b
+    return a * a / nrm2, a * b / nrm2
+
+
+def _observe_z(z):
+    return z, np.sqrt(z) * np.sqrt(1.0 - z)
+
+
+_first = itemgetter(0)
+_SCHEMES = {
+    Scheme.SUV_COLORED: (_step_suv, _first, _observe_normalized),
+    Scheme.UNNORMALIZED_SUV: (_step_unnormalized, _first, _observe_unnormalized),
+    Scheme.SSE: (_step_sse, _first, _observe_normalized),
+    Scheme.WHITE_STRAT: (_step_white_strat, _first, _observe_normalized),
+    Scheme.WHITE_ITO: (_step_white_ito, _first, _observe_normalized),
+    Scheme.Z_COLORED: (_step_z_colored, np.sqrt, _observe_z),
+    Scheme.Z_WHITE: (_step_z_white, np.sqrt, _observe_z),
+}
+
+
+def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
+    """Integrate one lockstep batch (row 0 has stream index first_index)."""
     scheme = cfg.scheme
+    step, amplitude, observe = _SCHEMES[scheme]
     p = cfg.params
     dt = cfg.dt
     n_steps = cfg.n_steps
@@ -223,106 +283,55 @@ def _integrate_chunk(cfg, streams, record_at, need_qv, need_xi):
     n_out = int(record_at.sum())
 
     colored = scheme.uses_colored_noise
-    kind = cfg.noise.kind
-    xi = normals = dws = None
+    xi = normals = dws = advance = None
     if colored:
-        xi = np.empty(m)
-        if kind.is_bounded:
-            for r, g in enumerate(streams):
-                xi[r] = g.uniform(-1.0, 1.0)
-        else:
-            for r, g in enumerate(streams):
-                xi[r] = g.standard_normal()
-        if kind.is_evolving:
-            normals = np.empty((m, n_steps))
-            for r, g in enumerate(streams):
-                normals[r] = g.standard_normal(n_steps)
-            if kind is NoiseKind.OU:
-                ou_decay, ou_sigma = _ou_coefficients(dt, cfg.noise.tau)
+        xi, normals = _draw_field(cfg.noise, streams, n_steps)
+        if cfg.noise.kind is NoiseKind.OU:
+            decay, sigma = _ou_coefficients(dt, cfg.noise.tau)
+            advance = lambda x, n: _ou_update(x, decay, sigma, n)  # noqa: E731
+        elif cfg.noise.kind is NoiseKind.SBM:
+            advance = lambda x, n: _sbm_update(x, dt, cfg.noise.tau, n)  # noqa: E731
     else:
-        dws = np.empty((m, n_steps))
-        for r, g in enumerate(streams):
-            dws[r] = g.standard_normal(n_steps)
+        dws = _stream_normals(streams, n_steps)
         dws *= math.sqrt(dt)
 
-    scalar = scheme.is_scalar
-    if scalar:
-        z = np.full(m, cfg.z0)
-        alpha = np.sqrt(z)
+    if scheme.is_scalar:
+        state = np.full(m, cfg.z0)
     else:
-        a = np.full(m, math.sqrt(cfg.z0))
-        b = np.full(m, math.sqrt(1.0 - cfg.z0))
+        state = (np.full(m, math.sqrt(cfg.z0)), np.full(m, math.sqrt(1.0 - cfg.z0)))
 
     z_rows = np.empty((m, n_out)) if record_series else None
     off_rows = np.empty((m, n_out)) if record_series else None
-    dq_rows = np.empty((m, n_steps)) if need_qv else None
+    dq_rows = np.empty((m, n_steps)) if record_series else None
     xi_rows = np.empty((m, n_out)) if (need_xi and colored and record_series) else None
 
-    unnormalized = scheme is Scheme.UNNORMALIZED_SUV
-
-    def observe(pos):
-        if scalar:
-            z_rows[:, pos] = z
-            off_rows[:, pos] = alpha * np.sqrt(1.0 - z)
-        elif unnormalized:
-            nrm2 = a * a + b * b
-            z_rows[:, pos] = a * a / nrm2
-            off_rows[:, pos] = a * b / nrm2
-        else:
-            z_rows[:, pos] = a * a
-            off_rows[:, pos] = a * b
+    def record(pos):
+        z_rows[:, pos], off_rows[:, pos] = observe(state)
         if xi_rows is not None:
             xi_rows[:, pos] = xi
 
     pos = 0
-    if record_series and record_at[0]:
-        observe(pos)
-        pos += 1
+    if record_series:  # the grid always starts at t = 0
+        alpha = amplitude(state)
+        record(0)
+        pos = 1
 
-    for k in range(n_steps):
-        if need_qv:
-            prev_alpha = alpha if scalar else a
-        if scheme is Scheme.SUV_COLORED:
-            a, b = _suv_heun(a, b, xi, dt, p.J, p.G)
-            a, b = _renormalize(a, b)
-        elif scheme is Scheme.UNNORMALIZED_SUV:
-            a, b = _unnormalized_heun(a, b, xi, dt, p.J, p.G)
-            if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-                raise IntegratorInstabilityError("unnormalized amplitudes overflowed")
-        elif scheme is Scheme.SSE:
-            a, b = _sse_em(a, b, dws[:, k], dt, p.gamma)
-            a, b = _renormalize(a, b)
-        elif scheme is Scheme.WHITE_STRAT:
-            a, b = _white_strat_heun(a, b, dws[:, k], dt, p.J, p.Deff)
-            a, b = _renormalize(a, b)
-        elif scheme is Scheme.WHITE_ITO:
-            a, b = _white_ito_em(a, b, dws[:, k], dt, p.J, p.Deff)
-            a, b = _renormalize(a, b)
-        elif scheme is Scheme.Z_COLORED:
-            z = _z_colored_heun(z, xi, dt, p.J, p.G)
-            alpha = np.sqrt(z)
-        else:
-            z = _z_white_heun(z, dws[:, k], dt, p.J, p.Deff)
-            alpha = np.sqrt(z)
+    try:
+        for k in range(n_steps):
+            state = step(state, xi if dws is None else dws[:, k], dt, p)
+            if advance is not None:
+                xi = advance(xi, normals[:, k])
+            if record_series:
+                new_alpha = amplitude(state)
+                delta = new_alpha - alpha
+                dq_rows[:, k] = delta * delta
+                alpha = new_alpha
+                if record_at[k + 1]:
+                    record(pos)
+                    pos += 1
+    except IntegratorInstabilityError as exc:
+        raise IntegratorInstabilityError(
+            f"trajectory {first_index + exc.row}, step {k + 1}: {exc}"
+        ) from exc
 
-        if colored and kind.is_evolving:
-            if kind is NoiseKind.OU:
-                xi = _ou_update(xi, ou_decay, ou_sigma, normals[:, k])
-            else:
-                xi = _sbm_update(xi, dt, cfg.noise.tau, normals[:, k])
-
-        if need_qv:
-            delta = (alpha if scalar else a) - prev_alpha
-            dq_rows[:, k] = delta * delta
-
-        if record_series and record_at[k + 1]:
-            observe(pos)
-            pos += 1
-
-    if scalar:
-        fz = z.copy()
-    elif unnormalized:
-        fz = a * a / (a * a + b * b)
-    else:
-        fz = a * a
-    return z_rows, off_rows, dq_rows, xi_rows, fz
+    return z_rows, off_rows, dq_rows, xi_rows, observe(state)[0]

@@ -18,7 +18,12 @@ class StateCorruptionError(SimulationError):
 
 
 class IntegratorInstabilityError(SimulationError):
-    """The integrator produced a non-finite or degenerate state."""
+    """The integrator produced a non-finite or degenerate state; ``row`` is
+    the offending trajectory's position in the batch the check saw."""
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class NotApplicableError(SimulationError):

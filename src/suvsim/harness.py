@@ -1,15 +1,17 @@
 """Top-level experiment orchestration.
 
 Runs a named experiment into its output directory and records a manifest
-of what was produced. The manifest is written atomically, last, so its
-presence marks a completed run; it contains only deterministic content
-(configuration echo, file checksums, package version), which keeps a
-rerun of the same configuration byte-identical across the whole output
-directory.
+of what was produced. Any previous manifest is removed before the run
+starts and the new one is written atomically, last, so its presence marks
+a completed run that wrote every file it lists. It contains only
+deterministic content (configuration echo, file checksums, package
+version), which keeps a rerun of the same configuration byte-identical
+across the whole output directory.
 """
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 
 from ._version import __version__
 from .config import ExperimentConfig
@@ -34,6 +36,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {outdir}: {exc}") from exc
+    manifest_path = os.path.join(outdir, MANIFEST_NAME)
+    with suppress(FileNotFoundError):
+        os.remove(manifest_path)
 
     files = RUNNERS[cfg.experiment](cfg, outdir)
     manifest = {
@@ -42,5 +47,5 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "config": cfg.to_flat_dict(),
         "files": {name: sha256_file(os.path.join(outdir, name)) for name in files},
     }
-    write_json_atomic(os.path.join(outdir, MANIFEST_NAME), manifest)
+    write_json_atomic(manifest_path, manifest)
     return manifest

@@ -1,5 +1,5 @@
 """Analytic ensemble-level references: the dephasing semigroup and the
-couplings that control linearity.
+effective diffusion constant of the white-noise limit.
 
 Averaging the white-noise trajectory dynamics over realizations gives, at
 the fluctuation-dissipation point J = Deff^2, the linear master equation
@@ -19,7 +19,6 @@ second moment of the driving process (1 for OU, 1/3 for SBM).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,45 +26,10 @@ from .errors import InvalidParameterError, NotApplicableError
 from .noise import NoiseKind, NoiseModel
 from .observables import EnsembleSummary
 
-__all__ = [
-    "DensityMatrix2",
-    "STEADY_SECOND_MOMENT",
-    "effective_diffusion",
-    "nonlinearity_coefficient",
-    "gksl_solution",
-    "gksl_residual",
-]
+__all__ = ["STEADY_SECOND_MOMENT", "effective_diffusion", "gksl_residual"]
 
 # Steady-state second moments E[xi^2] of the evolving noise processes.
 STEADY_SECOND_MOMENT = {NoiseKind.OU: 1.0, NoiseKind.SBM: 1.0 / 3.0}
-
-
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """Qubit density matrix with a real off-diagonal and unit trace.
-
-    Only rho00 and rho01 are stored; rho11 = 1 - rho00 by construction.
-    Positivity requires rho01^2 <= rho00 rho11, checked with a small
-    tolerance for inputs derived from ensemble means.
-    """
-
-    rho00: float
-    rho01: float
-
-    def __post_init__(self) -> None:
-        if not -1e-9 <= self.rho00 <= 1.0 + 1e-9:
-            raise InvalidParameterError(f"rho00 must be in [0, 1], got {self.rho00}")
-        object.__setattr__(self, "rho00", min(1.0, max(0.0, self.rho00)))
-        bound = self.rho00 * (1.0 - self.rho00)
-        if self.rho01 * self.rho01 > bound + 1e-12:
-            raise InvalidParameterError(
-                f"|rho01| = {abs(self.rho01):.6g} violates positivity "
-                f"(bound sqrt({bound:.6g}))"
-            )
-
-    @property
-    def rho11(self) -> float:
-        return 1.0 - self.rho00
 
 
 def effective_diffusion(G: float, tau: float, model: NoiseModel | NoiseKind) -> float:
@@ -86,34 +50,11 @@ def effective_diffusion(G: float, tau: float, model: NoiseModel | NoiseKind) -> 
     return math.sqrt(2.0 * G * G * tau * second_moment)
 
 
-def nonlinearity_coefficient(J: float, Deff: float) -> float:
-    """Coefficient J - Deff^2 of the nonlinear ensemble term.
-
-    Zero signals the fluctuation-dissipation condition under which the
-    ensemble evolves by the linear dephasing semigroup and collapse
-    fractions reproduce the initial weights.
-    """
-    return J - Deff * Deff
-
-
-def gksl_solution(rho0: DensityMatrix2, Deff: float, t: float) -> DensityMatrix2:
-    """Dephasing-channel solution at time t from the initial matrix rho0.
-
-    rho00(t) = rho00(0) and rho01(t) = rho01(0) exp(-Deff^2 t / 2).
-    """
-    if t < 0:
-        raise InvalidParameterError(f"t must be nonnegative, got {t}")
-    return DensityMatrix2(
-        rho00=rho0.rho00,
-        rho01=rho0.rho01 * math.exp(-0.5 * Deff * Deff * t),
-    )
-
-
 def gksl_residual(summary: EnsembleSummary, Deff: float) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise Monte Carlo minus analytic dephasing prediction.
 
     The analytic reference is propagated from the summary's t = 0 values:
-    constant mean_z and exponentially decaying mean_offdiag. Feeding a
+    constant mean_z and mean_offdiag decaying as exp(-Deff^2 t / 2). Feeding a
     summary built from the analytic solution itself returns exact zeros.
 
     Returns

@@ -20,10 +20,6 @@ frozen (constant-per-trajectory) variants of each:
 
 Initial values are drawn from the steady state unless an explicit sharp
 initial condition is supplied (relaxation tests only).
-
-Every stepper is a pure function of (state, parameters, rng draw); each
-trajectory owns a private random stream, so any number of trajectories can
-run concurrently with no shared mutable state.
 """
 from __future__ import annotations
 
@@ -35,18 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotApplicableError, StateCorruptionError
 
-__all__ = [
-    "NoiseKind",
-    "NoiseModel",
-    "NoiseState",
-    "wiener_increment",
-    "ou_step",
-    "sbm_step",
-    "sample_steady_state",
-    "steady_samples",
-    "autocorrelation",
-    "simulate_paths",
-]
+__all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation", "simulate_paths"]
 
 
 class NoiseKind(str, Enum):
@@ -96,29 +81,6 @@ class NoiseModel:
             )
 
 
-@dataclass(frozen=True)
-class NoiseState:
-    """Instantaneous value of the scalar stochastic field."""
-
-    xi: float
-    t: float = 0.0
-
-
-def wiener_increment(dt: float, rng) -> float:
-    """Draw a Wiener increment, a zero-mean Gaussian with variance dt.
-
-    Parameters
-    ----------
-    dt : float
-        Time step, positive.
-    rng : numpy.random.Generator
-        Source of standard normal draws.
-    """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    return math.sqrt(dt) * float(rng.standard_normal())
-
-
 def _ou_coefficients(dt: float, tau: float) -> tuple[float, float]:
     """Decay factor and innovation scale of the exact OU transition kernel."""
     decay = math.exp(-dt / tau)
@@ -137,58 +99,32 @@ def _sbm_update(xi, dt, tau, normals):
     return np.clip(xi_new, -1.0, 1.0)
 
 
-def ou_step(state: NoiseState, dt: float, tau: float, rng) -> NoiseState:
-    """Advance an OU field by dt with the exact Gaussian transition.
+def _stream_normals(streams, n_steps: int) -> np.ndarray:
+    """Standard normals, shape (len(streams), n_steps); row r is drawn from stream r."""
+    out = np.empty((len(streams), n_steps))
+    for r, g in enumerate(streams):
+        out[r] = g.standard_normal(n_steps)
+    return out
 
-    The update is xi' = xi e^(-dt/tau) + sqrt(1 - e^(-2 dt/tau)) n with n a
-    standard normal draw from ``rng``; the conditional law is exact for any
-    dt, so repeated steps sample the continuous-time process without bias.
+
+def _draw_field(model: NoiseModel, streams, n_steps: int, xi0=None):
+    """Initial values and per-step normals (None for frozen kinds) of one
+    field path per stream: each stream draws its steady-state value
+    (uniform on [-1, 1] for bounded kinds, N(0, 1) otherwise) unless a
+    sharp ``xi0`` replaces it, then ``n_steps`` normals if the kind evolves.
     """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be positive, got {tau}")
-    decay, sigma = _ou_coefficients(dt, tau)
-    xi = state.xi * decay + sigma * float(rng.standard_normal())
-    return NoiseState(xi=xi, t=state.t + dt)
-
-
-def sbm_step(state: NoiseState, dt: float, tau: float, rng) -> NoiseState:
-    """Advance an SBM field by dt with Euler-Maruyama, clamped to [-1, 1].
-
-    The Ito step is xi' = xi - xi dt/tau + sqrt((1 - xi^2)/tau) dW. The
-    diffusion coefficient vanishes at |xi| = 1, so the clamp only removes
-    rare discretization overshoot.
-    """
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    if not tau > 0:
-        raise InvalidParameterError(f"tau must be positive, got {tau}")
-    if abs(state.xi) > 1.0:
-        raise StateCorruptionError(f"SBM field out of range: xi = {state.xi}")
-    xi = float(_sbm_update(state.xi, dt, tau, float(rng.standard_normal())))
-    return NoiseState(xi=xi, t=state.t + dt)
-
-
-def sample_steady_state(model: NoiseModel, rng) -> NoiseState:
-    """Draw one value from the steady-state law of the given process.
-
-    OU-family kinds draw from N(0, 1); SBM-family kinds draw uniformly on
-    [-1, 1]. Frozen kinds use this single draw for the whole trajectory.
-    """
-    kind = model.kind
-    if kind in (NoiseKind.OU, NoiseKind.FROZEN_OU):
-        return NoiseState(xi=float(rng.standard_normal()), t=0.0)
-    if kind in (NoiseKind.SBM, NoiseKind.FROZEN_SBM):
-        return NoiseState(xi=float(rng.uniform(-1.0, 1.0)), t=0.0)
-    raise NotApplicableError(f"no steady state defined for noise kind {kind.value!r}")
+    if xi0 is None:
+        xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
+    else:
+        xi = np.broadcast_to(np.asarray(xi0, dtype=float), (len(streams),)).copy()
+    normals = _stream_normals(streams, n_steps) if model.kind.is_evolving else None
+    return xi, normals
 
 
 def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
     """Draw n independent steady-state values from one stream.
 
-    Distribution matches :func:`sample_steady_state`: N(0, 1) for OU-family
-    kinds, uniform on [-1, 1] for SBM-family kinds.
+    N(0, 1) for OU-family kinds, uniform on [-1, 1] for SBM-family kinds.
     """
     if n < 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
@@ -238,8 +174,9 @@ def autocorrelation(paths, lag: float, dt: float) -> float:
 def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None):
     """Generate noise paths, one per random stream.
 
-    Each path draws only from its own stream, in a fixed order (initial
-    value first, then one normal per step), so a path is a pure function of
+    Each path draws only from its own stream, in the order of
+    :func:`_draw_field` that the ensemble engine shares (initial value
+    first, then one normal per step), so a path is a pure function of
     (stream seed, model, dt, n_steps) regardless of how many other paths
     are generated alongside it.
 
@@ -272,22 +209,15 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
     if n == 0:
         raise InvalidParameterError("at least one random stream is required")
 
-    if xi0 is None:
-        xi = np.array([sample_steady_state(model, g).xi for g in streams])
-    else:
-        xi = np.broadcast_to(np.asarray(xi0, dtype=float), (n,)).copy()
-        if model.kind.is_bounded and np.any(np.abs(xi) > 1.0):
-            raise StateCorruptionError("SBM initial condition outside [-1, 1]")
+    if xi0 is not None and model.kind.is_bounded and np.any(np.abs(xi0) > 1.0):
+        raise StateCorruptionError("SBM initial condition outside [-1, 1]")
+    xi, normals = _draw_field(model, streams, n_steps, xi0)
 
     out = np.empty((n, n_steps + 1))
     out[:, 0] = xi
     if model.kind.is_frozen:
         out[:, 1:] = xi[:, None]
         return out
-
-    normals = np.empty((n, n_steps)) if n_steps else np.empty((n, 0))
-    for row, g in enumerate(streams):
-        normals[row] = g.standard_normal(n_steps)
 
     if model.kind is NoiseKind.OU:
         decay, sigma = _ou_coefficients(dt, model.tau)

@@ -1,5 +1,5 @@
-"""Ensemble statistics: quadratic variation, density-matrix elements,
-collapse counts, and distribution comparison.
+"""Ensemble statistics: compensated sums, quadratic variation, collapse
+counts, and distribution comparison.
 
 All reductions over trajectories run in trajectory-index order with
 Neumaier compensated summation, so results are bitwise independent of how
@@ -18,7 +18,6 @@ __all__ = [
     "EnsembleSummary",
     "CollapseStats",
     "quadratic_variation",
-    "density_matrix",
     "collapse_statistics",
     "ks_distance",
     "born_deviation",
@@ -156,26 +155,6 @@ def quadratic_variation(alpha_increments, initial: float = 0.0) -> np.ndarray:
     # so the cumulative series is nondecreasing.
     means = np.maximum(acc.total / arr.shape[0], 0.0)
     return np.cumsum(np.concatenate(([initial], means)))[1:]
-
-
-def density_matrix(a, b) -> tuple[float, float]:
-    """Ensemble density-matrix elements (E[a^2], E[a b]) at one time.
-
-    Parameters
-    ----------
-    a, b : array_like, shape (n_traj,)
-        Amplitudes of the ensemble states at a fixed time.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or a.shape != b.shape:
-        raise InvalidParameterError("a and b must be equal-length nonempty arrays")
-    acc_z = CompensatedAccumulator()
-    acc_off = CompensatedAccumulator()
-    acc_z.add_rows(a * a)
-    acc_off.add_rows(a * b)
-    n = a.size
-    return float(acc_z.total) / n, float(acc_off.total) / n
 
 
 def collapse_statistics(final_z, eps_collapse: float) -> CollapseStats:

@@ -1,8 +1,9 @@
-"""File output: CSV tables and atomic JSON documents.
+"""File output: CSV tables and JSON documents, all written atomically.
 
 Floats are written with repr (shortest round-trip form), so files are
 byte-identical across runs of the same configuration and parse back to
 the exact binary values. Missing optional values become empty fields.
+Files are written to a temporary sibling, then renamed into place.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import csv
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 
 from .observables import EnsembleSummary
 
@@ -39,8 +41,17 @@ def format_value(value) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def _atomic_open(path: str):
+    """Text handle on path + '.tmp', renamed over path once the block exits cleanly."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
 def _write_rows(path: str, header, rows) -> None:
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -71,11 +82,9 @@ def write_table_csv(path: str, header, rows) -> None:
 
 def write_json_atomic(path: str, obj) -> None:
     """Serialize obj as pretty JSON, atomically (write temp, then rename)."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def sha256_file(path: str) -> str:

@@ -14,7 +14,6 @@ from suvsim import (
     NoiseKind,
     NoiseModel,
     PhysicsParams,
-    QubitState,
     Scheme,
     TrajectoryConfig,
     autocorrelation,
@@ -29,9 +28,8 @@ from suvsim import (
     simulate_ensemble,
     simulate_paths,
     steady_samples,
-    suv_step,
-    unnormalized_suv_step,
 )
+from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun
 from suvsim.experiments import EPS_COLLAPSE, _steady_ks
 from suvsim.output import write_ensemble_csv
 
@@ -300,19 +298,22 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path):
     if not (same_files and same_bytes):
         failures.append("byte-identical rerun")
 
-    state = QubitState.from_z(0.6)
+    # Norm preservation and normalized/unnormalized consistency, on the
+    # step kernels with one trajectory (J = 2, G = 1).
+    a, b = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
     worst_defect = 0.0
     for _ in range(500):
-        state = suv_step(state, 0.8, 1e-3, PhysicsParams(J=2.0, G=1.0))
-        worst_defect = max(worst_defect, state.norm_defect)
+        a, b = _renormalize(*_suv_heun(a, b, 0.8, 1e-3, 2.0, 1.0))
+        worst_defect = max(worst_defect, abs(a[0] * a[0] + b[0] * b[0] - 1.0))
     if worst_defect > 1e-9:
         failures.append("norm preservation")
 
-    qn = qu = QubitState.from_z(0.6)
+    an = au = np.array([math.sqrt(0.6)])
+    bn = bu = np.array([math.sqrt(0.4)])
     for _ in range(1000):
-        qn = suv_step(qn, 0.5, 1e-3, PhysicsParams(J=2.0, G=1.0))
-        qu = unnormalized_suv_step(qu, 0.5, 1e-3, PhysicsParams(J=2.0, G=1.0))
-    if abs(qn.z - qu.a * qu.a / (qu.a * qu.a + qu.b * qu.b)) > 1e-7:
+        an, bn = _renormalize(*_suv_heun(an, bn, 0.5, 1e-3, 2.0, 1.0))
+        au, bu = _unnormalized_heun(au, bu, 0.5, 1e-3, 2.0, 1.0)
+    if abs(an[0] * an[0] - au[0] * au[0] / (au[0] * au[0] + bu[0] * bu[0])) > 1e-7:
         failures.append("normalized/unnormalized consistency")
 
     inc = np.random.default_rng(17).standard_normal((40, 24)) * 0.01

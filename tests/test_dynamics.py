@@ -1,4 +1,7 @@
-"""Tests of the trajectory steppers: fixed points, guards, cross-checks."""
+"""Tests of the step kernels and the trajectory configuration: fixed
+points, arithmetic, guards, cross-checks. Kernels act on arrays with one
+entry per trajectory; these tests use length-1 arrays."""
+import dataclasses
 import math
 
 import numpy as np
@@ -11,42 +14,37 @@ from suvsim import (
     NoiseKind,
     NoiseModel,
     PhysicsParams,
-    QubitState,
     Scheme,
     TrajectoryConfig,
-    sse_energy_correction,
-    sse_step,
-    suv_generator,
-    suv_step,
-    unnormalized_suv_step,
-    white_ito_step,
-    white_strat_step,
-    z_step_colored,
-    z_step_white,
+    simulate_ensemble,
+)
+from suvsim.dynamics import (
+    _renormalize,
+    _sse_em,
+    _suv_heun,
+    _suv_rate,
+    _unnormalized_heun,
+    _white_ito_em,
+    _white_strat_heun,
+    _z_colored_heun,
+    _z_white_heun,
 )
 
 P = PhysicsParams(J=2.0, G=1.0)
 
 
-def test_state_from_z_and_observables():
-    q = QubitState.from_z(0.6)
-    assert q.a == math.sqrt(0.6)
-    assert q.b == math.sqrt(0.4)
-    assert q.z == pytest.approx(0.6, abs=1e-15)
-    assert q.offdiag == math.sqrt(0.6) * math.sqrt(0.4)
-    assert abs(q.offdiag - math.sqrt(0.24)) < 1e-15
-    assert q.norm_defect < 1e-15
-    with pytest.raises(InvalidParameterError):
-        QubitState.from_z(1.2)
-    with pytest.raises(InvalidParameterError):
-        QubitState.from_z(-0.1)
+def _amps(z):
+    """Length-1 amplitude arrays of the normalized state with weight z on |0>."""
+    return np.array([math.sqrt(z)]), np.array([math.sqrt(1.0 - z)])
+
+
+def _suv(a, b, xi, dt, p=P):
+    return _renormalize(*_suv_heun(a, b, xi, dt, p.J, p.G))
 
 
 def test_physics_params_validation():
     with pytest.raises(InvalidParameterError):
         PhysicsParams(J=1.0, G=1.0, gamma=-0.5)
-    with pytest.raises(InvalidParameterError):
-        PhysicsParams(J=1.0, G=1.0, hbar=2.0)
 
 
 def test_scheme_properties_partition_schemes():
@@ -62,46 +60,50 @@ def test_generator_matrix_values_and_zero_expectation():
     # At z = 0.6, xi = 0.5, J = 2, G = 1: m = 0.2, J m + G xi = 0.9, so the
     # generator is diag(0.36, -0.54) and the amplitude drift is
     # 0.36 * sqrt(0.6) = 0.2788548009269340.
-    q = QubitState.from_z(0.6)
-    g = suv_generator(q, 0.5, P)
-    assert g.shape == (2, 2)
-    assert g[0, 1] == 0.0 and g[1, 0] == 0.0
-    assert g[0, 0] == pytest.approx(0.36, rel=1e-14)
-    assert g[1, 1] == pytest.approx(-0.54, rel=1e-14)
-    assert abs(g[0, 0] * q.a - 0.27885480092693403) < 5e-16
-    # <Gcal> = z g00 + (1 - z) g11 = 0: this is what preserves the norm.
-    assert abs(q.z * g[0, 0] + (1.0 - q.z) * g[1, 1]) < 1e-15
+    a, b = _amps(0.6)
+    ka, kb = _suv_rate(a, b, 0.5, P.J, P.G)
+    assert ka[0] == pytest.approx(0.36 * a[0], rel=1e-14)
+    assert kb[0] == pytest.approx(-0.54 * b[0], rel=1e-14)
+    assert abs(ka[0] - 0.27885480092693403) < 5e-16
+    # <Gcal> = a ka + b kb = 0: this is what preserves the norm.
+    assert abs(a[0] * ka[0] + b[0] * kb[0]) < 1e-15
 
 
-def test_pointer_states_are_fixed_points_of_every_scheme(stub_rng):
+def test_pointer_states_are_fixed_points_of_every_scheme():
+    dt = 1e-3
+    dw = math.sqrt(dt) * 1.3
+    deff = math.sqrt(2.0)
     for z0 in (0.0, 1.0):
-        q = QubitState.from_z(z0)
-        assert suv_step(q, 0.7, 1e-3, P).z == z0
-        assert sse_step(q, 1e-3, 0.5, stub_rng([1.3])).z == z0
-        pw = PhysicsParams(J=2.0, G=1.0, Deff=math.sqrt(2.0))
-        assert white_strat_step(q, 1e-3, pw, stub_rng([1.3])).z == z0
-        assert white_ito_step(q, 1e-3, pw, stub_rng([1.3])).z == z0
-        assert z_step_colored(z0, 0.7, 1e-3, P) == z0
-        assert z_step_white(z0, 1e-3, pw, stub_rng([1.3])) == z0
+        a, b = _amps(z0)
+        z = np.array([z0])
+        for out in (
+            _suv(a, b, 0.7, dt),
+            _renormalize(*_sse_em(a, b, dw, dt, 0.5)),
+            _renormalize(*_white_strat_heun(a, b, dw, dt, 2.0, deff)),
+            _renormalize(*_white_ito_em(a, b, dw, dt, 2.0, deff)),
+        ):
+            assert out[0][0] ** 2 == z0
+        assert _z_colored_heun(z, 0.7, dt, 2.0, 1.0)[0] == z0
+        assert _z_white_heun(z, dw, dt, 2.0, deff)[0] == z0
 
 
 def test_balanced_state_with_zero_field_is_stationary():
     # At z = 1/2, m = 0, so with xi = 0 the whole generator vanishes.
-    q = QubitState.from_z(0.5)
-    out = suv_step(q, 0.0, 1e-3, P)
-    assert out.z == q.z
+    a, b = _amps(0.5)
+    out_a, _ = _suv(a, b, 0.0, 1e-3)
+    assert out_a[0] * out_a[0] == a[0] * a[0]
 
 
 def test_suv_drift_direction_follows_field_sign():
-    q = QubitState.from_z(0.6)
-    up = suv_step(q, 0.0, 1e-3, P)  # J m > 0 pushes z up
-    assert up.z > q.z
-    down = suv_step(q, -3.0, 1e-3, P)  # strong negative field wins
-    assert down.z < q.z
+    a, b = _amps(0.6)
+    up, _ = _suv(a, b, 0.0, 1e-3)  # J m > 0 pushes z up
+    assert up[0] ** 2 > a[0] ** 2
+    down, _ = _suv(a, b, -3.0, 1e-3)  # strong negative field wins
+    assert down[0] ** 2 < a[0] ** 2
 
 
 def test_suv_step_matches_two_stage_heun_arithmetic():
-    q = QubitState.from_z(0.6)
+    a0, b0 = math.sqrt(0.6), math.sqrt(0.4)
     xi, dt, J, G = 0.5, 1e-3, 2.0, 1.0
 
     def rate(a, b):
@@ -109,106 +111,96 @@ def test_suv_step_matches_two_stage_heun_arithmetic():
         r = J * m + G * xi
         return 0.5 * (1.0 - m) * r * a, -0.5 * (1.0 + m) * r * b
 
-    ka, kb = rate(q.a, q.b)
-    ka2, kb2 = rate(q.a + dt * ka, q.b + dt * kb)
-    a = q.a + 0.5 * dt * (ka + ka2)
-    b = q.b + 0.5 * dt * (kb + kb2)
+    ka, kb = rate(a0, b0)
+    ka2, kb2 = rate(a0 + dt * ka, b0 + dt * kb)
+    a = a0 + 0.5 * dt * (ka + ka2)
+    b = b0 + 0.5 * dt * (kb + kb2)
     nrm = math.sqrt(a * a + b * b)
-    out = suv_step(q, xi, dt, P)
-    assert out.a == a / nrm and out.b == b / nrm
+    out_a, out_b = _suv(*_amps(0.6), xi, dt)
+    assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
 
 def test_suv_step_keeps_norm_tight_along_a_path():
-    q = QubitState.from_z(0.6)
+    a, b = _amps(0.6)
     for _ in range(2000):
-        q = suv_step(q, 0.8, 1e-3, P)
-    assert q.norm_defect <= 1e-9
-    assert 0.6 < q.z <= 1.0
+        a, b = _suv(a, b, 0.8, 1e-3)
+    assert abs(a[0] * a[0] + b[0] * b[0] - 1.0) <= 1e-9
+    assert 0.6 < a[0] * a[0] <= 1.0
 
 
-def test_suv_step_rejects_denormalized_input():
-    with pytest.raises(InvalidParameterError):
-        suv_step(QubitState(a=0.8, b=0.7), 0.0, 1e-3, P)
-    with pytest.raises(InvalidParameterError):
-        suv_step(QubitState.from_z(0.5), 0.0, 0.0, P)
-
-
-def test_sse_step_matches_euler_maruyama_arithmetic(stub_rng):
-    q = QubitState.from_z(0.6)
+def test_sse_step_matches_euler_maruyama_arithmetic():
+    a0, b0 = math.sqrt(0.6), math.sqrt(0.4)
     gamma, dt, draw = 0.5, 1e-3, 1.3
     dw = math.sqrt(dt) * draw
-    m = q.a * q.a - q.b * q.b
-    da = 0.5 * (-gamma * (1.0 - m) ** 2 * dt + 2.0 * math.sqrt(gamma) * (1.0 - m) * dw) * q.a
-    db = 0.5 * (-gamma * (1.0 + m) ** 2 * dt - 2.0 * math.sqrt(gamma) * (1.0 + m) * dw) * q.b
-    a, b = q.a + da, q.b + db
+    m = a0 * a0 - b0 * b0
+    da = 0.5 * (-gamma * (1.0 - m) ** 2 * dt + 2.0 * math.sqrt(gamma) * (1.0 - m) * dw) * a0
+    db = 0.5 * (-gamma * (1.0 + m) ** 2 * dt - 2.0 * math.sqrt(gamma) * (1.0 + m) * dw) * b0
+    a, b = a0 + da, b0 + db
     nrm = math.sqrt(a * a + b * b)
-    out = sse_step(q, dt, gamma, stub_rng([draw]))
-    assert out.a == a / nrm and out.b == b / nrm
-    with pytest.raises(InvalidParameterError):
-        sse_step(q, dt, -1.0, stub_rng([draw]))
+    out_a, out_b = _renormalize(*_sse_em(*_amps(0.6), np.array([dw]), dt, gamma))
+    assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
 
 def test_sse_z_is_statistically_a_martingale():
     # E[z_t] = z_0 for the norm-preserving white-noise scheme.
-    from suvsim import derive_stream
-
-    n, steps, dt = 2000, 200, 1e-3
-    finals = np.empty(n)
-    for i in range(n):
-        rng = derive_stream(61, i)
-        q = QubitState.from_z(0.6)
-        for _ in range(steps):
-            q = sse_step(q, dt, 0.5, rng)
-        finals[i] = q.z
+    n = 2000
+    cfg = TrajectoryConfig(
+        params=PhysicsParams(J=2.0, G=1.0, gamma=0.5),
+        noise=NoiseModel(kind=NoiseKind.NONE),
+        dt=1e-3,
+        T=0.2,
+        z0=0.6,
+        scheme=Scheme.SSE,
+        seed=61,
+    )
+    finals = simulate_ensemble(cfg, n, record_series=False).final_z
     se = finals.std(ddof=1) / math.sqrt(n)
     assert abs(finals.mean() - 0.6) < 3.0 * se
 
 
-def test_white_steps_match_their_kernels(stub_rng):
-    pw = PhysicsParams(J=2.0, G=1.0, Deff=math.sqrt(2.0))
-    q = QubitState.from_z(0.6)
+def test_white_steps_match_their_kernels():
+    J, deff = 2.0, math.sqrt(2.0)
+    a0, b0 = math.sqrt(0.6), math.sqrt(0.4)
     dt, draw = 1e-3, -0.7
     dw = math.sqrt(dt) * draw
 
-    m = q.a * q.a - q.b * q.b
-    fa = 0.5 * pw.J * m * (1.0 - m) * q.a
-    fb = -0.5 * pw.J * m * (1.0 + m) * q.b
-    ga = 0.5 * pw.Deff * (1.0 - m) * q.a
-    gb = -0.5 * pw.Deff * (1.0 + m) * q.b
-    ap = q.a + fa * dt + ga * dw
-    bp = q.b + fb * dt + gb * dw
+    m = a0 * a0 - b0 * b0
+    fa = 0.5 * J * m * (1.0 - m) * a0
+    fb = -0.5 * J * m * (1.0 + m) * b0
+    ga = 0.5 * deff * (1.0 - m) * a0
+    gb = -0.5 * deff * (1.0 + m) * b0
+    ap = a0 + fa * dt + ga * dw
+    bp = b0 + fb * dt + gb * dw
     mp = ap * ap - bp * bp
-    fa2 = 0.5 * pw.J * mp * (1.0 - mp) * ap
-    fb2 = -0.5 * pw.J * mp * (1.0 + mp) * bp
-    ga2 = 0.5 * pw.Deff * (1.0 - mp) * ap
-    gb2 = -0.5 * pw.Deff * (1.0 + mp) * bp
-    a = q.a + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2)
-    b = q.b + 0.5 * dt * (fb + fb2) + 0.5 * dw * (gb + gb2)
+    fa2 = 0.5 * J * mp * (1.0 - mp) * ap
+    fb2 = -0.5 * J * mp * (1.0 + mp) * bp
+    ga2 = 0.5 * deff * (1.0 - mp) * ap
+    gb2 = -0.5 * deff * (1.0 + mp) * bp
+    a = a0 + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2)
+    b = b0 + 0.5 * dt * (fb + fb2) + 0.5 * dw * (gb + gb2)
     nrm = math.sqrt(a * a + b * b)
-    out = white_strat_step(q, dt, pw, stub_rng([draw]))
-    assert out.a == a / nrm and out.b == b / nrm
+    out_a, out_b = _renormalize(*_white_strat_heun(*_amps(0.6), np.array([dw]), dt, J, deff))
+    assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
-    c = 0.25 * pw.Deff * pw.Deff
+    c = 0.25 * deff * deff
     var = 1.0 - m * m
-    ca = c * (0.5 * (1.0 - m) ** 2 - var) * q.a
-    cb = c * (0.5 * (1.0 + m) ** 2 - var) * q.b
-    ai = q.a + (fa + ca) * dt + ga * dw
-    bi = q.b + (fb + cb) * dt + gb * dw
+    ca = c * (0.5 * (1.0 - m) ** 2 - var) * a0
+    cb = c * (0.5 * (1.0 + m) ** 2 - var) * b0
+    ai = a0 + (fa + ca) * dt + ga * dw
+    bi = b0 + (fb + cb) * dt + gb * dw
     nrmi = math.sqrt(ai * ai + bi * bi)
-    outi = white_ito_step(q, dt, pw, stub_rng([draw]))
-    assert outi.a == ai / nrmi and outi.b == bi / nrmi
+    outi_a, outi_b = _renormalize(*_white_ito_em(*_amps(0.6), np.array([dw]), dt, J, deff))
+    assert outi_a[0] == ai / nrmi and outi_b[0] == bi / nrmi
 
 
-def test_ito_conversion_drift_is_identity_at_balanced_state(stub_rng):
+def test_ito_conversion_drift_is_identity_at_balanced_state():
     # At m = 0 the conversion drift Cs is proportional to the identity, so
     # after renormalization the Ito and Stratonovich one-steps agree up to
     # O(dt^1.5) corrector terms: the gap shrinks 8x when dt shrinks 4x.
-    pw = PhysicsParams(J=0.0, G=1.0, Deff=1.0)
-    q = QubitState.from_z(0.5)
-
     def gap(dt):
-        zs = white_strat_step(q, dt, pw, stub_rng([0.9])).z
-        zi = white_ito_step(q, dt, pw, stub_rng([0.9])).z
+        dw = np.array([math.sqrt(dt) * 0.9])
+        zs = _renormalize(*_white_strat_heun(*_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
+        zi = _renormalize(*_white_ito_em(*_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
         return abs(zs - zi)
 
     g1, g2 = gap(1e-4), gap(2.5e-5)
@@ -218,66 +210,82 @@ def test_ito_conversion_drift_is_identity_at_balanced_state(stub_rng):
 
 def test_unnormalized_norm_growth_tracks_generator_expectation():
     # Delta N = 2 dt <Ghat> + O(dt^2), with <Ghat> = (1/2)(J m + G xi) m.
-    q = QubitState.from_z(0.6)
+    a, b = _amps(0.6)
     dt, xi = 1e-4, 0.5
-    m = q.a * q.a - q.b * q.b
+    m = a[0] * a[0] - b[0] * b[0]
     ghat = 0.5 * (P.J * m + P.G * xi) * m
-    out = unnormalized_suv_step(q, xi, dt, P)
-    dn = out.a * out.a + out.b * out.b - 1.0
+    out_a, out_b = _unnormalized_heun(a, b, xi, dt, P.J, P.G)
+    dn = out_a[0] * out_a[0] + out_b[0] * out_b[0] - 1.0
     assert abs(dn - 2.0 * dt * ghat) < 2.0 * dt * dt
 
 
 def test_unnormalized_and_normalized_schemes_agree_after_projection():
     # The two schemes differ by a pure rescaling; projecting the
     # unnormalized state back to the sphere reproduces the normalized z.
-    qn = QubitState.from_z(0.6)
-    qu = QubitState.from_z(0.6)
+    an, bn = au, bu = _amps(0.6)
     for _ in range(1000):
-        qn = suv_step(qn, 0.5, 1e-3, P)
-        qu = unnormalized_suv_step(qu, 0.5, 1e-3, P)
-    norm2 = qu.a * qu.a + qu.b * qu.b
+        an, bn = _suv(an, bn, 0.5, 1e-3)
+        au, bu = _unnormalized_heun(au, bu, 0.5, 1e-3, P.J, P.G)
+    norm2 = au[0] * au[0] + bu[0] * bu[0]
     assert norm2 > 1.5  # the norm really grew
-    assert abs(qn.z - qu.a * qu.a / norm2) < 1e-7
+    assert abs(an[0] * an[0] - au[0] * au[0] / norm2) < 1e-7
 
 
 def test_unnormalized_step_flags_overflow():
-    q = QubitState(a=1e300, b=1e-300)
-    with pytest.raises(IntegratorInstabilityError):
-        unnormalized_suv_step(q, 700.0, 1e-1, PhysicsParams(J=0.0, G=1e8))
+    # With J = 9 the unnormalized norm grows like exp(J t / 2) until it
+    # overflows. The error names the failing trajectory by its stream index
+    # (row, chunk start and index_offset) and the step at which it failed.
+    cfg = TrajectoryConfig(
+        params=PhysicsParams(J=9.0, G=1.0),
+        noise=NoiseModel(kind=NoiseKind.FROZEN_OU),
+        dt=0.01,
+        T=200.0,
+        z0=0.6,
+        scheme=Scheme.UNNORMALIZED_SUV,
+        seed=2,
+    )
+    # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760.
+    short = dataclasses.replace(cfg, T=80.0)  # trajectory 0 survives this horizon
+    cases = [
+        (cfg, dict(n_traj=3), "trajectory 2, step 6760"),  # row 2 of one batch
+        (short, dict(n_traj=3, chunk_size=1), "trajectory 1, step 6927"),  # second batch
+        (cfg, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, kw, where in cases:
+            with pytest.raises(IntegratorInstabilityError) as info:
+                simulate_ensemble(c, **kw)
+            assert str(info.value) == f"{where}: unnormalized amplitudes overflowed"
 
 
 def test_scalar_z_track_matches_amplitude_dynamics():
     # dz/dt = 2 z (1-z)[J(2z-1) + G xi] is the exact z-image of the
     # amplitude pair; the two Heun discretizations agree to O(dt^2) per
     # step and stay within 1e-6 over a thousand steps.
-    q = QubitState.from_z(0.6)
-    z = 0.6
-    one_step = abs(suv_step(q, 0.5, 1e-3, P).z - z_step_colored(0.6, 0.5, 1e-3, P))
+    a, b = _amps(0.6)
+    z = np.array([0.6])
+    one_step = abs(_suv(a, b, 0.5, 1e-3)[0][0] ** 2 - _z_colored_heun(z, 0.5, 1e-3, P.J, P.G)[0])
     assert one_step < 1e-10
     for _ in range(1000):
-        q = suv_step(q, 0.5, 1e-3, P)
-        z = z_step_colored(z, 0.5, 1e-3, P)
-    assert abs(q.z - z) < 1e-6
+        a, b = _suv(a, b, 0.5, 1e-3)
+        z = _z_colored_heun(z, 0.5, 1e-3, P.J, P.G)
+    assert abs(a[0] * a[0] - z[0]) < 1e-6
 
 
-def test_scalar_steps_validate_inputs(stub_rng):
-    with pytest.raises(InvalidParameterError):
-        z_step_colored(1.3, 0.0, 1e-3, P)
-    with pytest.raises(InvalidParameterError):
-        z_step_colored(0.5, 0.0, 0.0, P)
-    pw = PhysicsParams(J=2.0, G=1.0, Deff=1.0)
-    with pytest.raises(InvalidParameterError):
-        z_step_white(-0.1, 1e-3, pw, stub_rng([0.0]))
-    out = z_step_white(0.5, 1e-3, pw, stub_rng([0.4]))
-    assert 0.0 <= out <= 1.0
-
-
-def test_sse_energy_correction_values():
-    assert sse_energy_correction(QubitState.from_z(0.6), 0.5) == 0.24
-    assert sse_energy_correction(QubitState.from_z(1.0), 0.5) == 0.0
-    assert sse_energy_correction(QubitState.from_z(0.5), 2.0) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(InvalidParameterError):
-        sse_energy_correction(QubitState.from_z(0.5), -1.0)
+def test_scalar_steps_validate_inputs():
+    # The z-track schemes take their inputs from TrajectoryConfig, which
+    # rejects a z0 outside [0, 1] and a nonpositive dt ...
+    for scheme in (Scheme.Z_COLORED, Scheme.Z_WHITE):
+        with pytest.raises(ConfigError):
+            _config(scheme=scheme, z0=1.3)
+        with pytest.raises(ConfigError):
+            _config(scheme=scheme, dt=0.0)
+    # ... and their kernels clamp an overshooting Heun step onto [0, 1].
+    z = np.array([0.9, 0.1])
+    assert np.array_equal(_z_colored_heun(z, np.array([500.0, -500.0]), 1e-2, 2.0, 1.0), [0.0, 1.0])
+    assert np.array_equal(_z_white_heun(z, np.array([10.0, -10.0]), 1e-3, 0.0, 1.0), [0.0, 1.0])
+    out = _z_white_heun(np.array([0.5]), np.array([math.sqrt(1e-3) * 0.4]), 1e-3, 2.0, 1.0)
+    assert 0.0 <= out[0] <= 1.0
 
 
 def _config(**kw):

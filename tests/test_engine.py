@@ -1,6 +1,6 @@
 """Tests of the vectorized ensemble engine: stream derivation, bitwise
-agreement with the public single-step operations, and determinism under
-chunking, offsets, and reruns."""
+agreement with a per-step replay through the step kernels, and determinism
+under chunking, offsets, and reruns."""
 import math
 
 import numpy as np
@@ -11,23 +11,23 @@ from suvsim import (
     NoiseKind,
     NoiseModel,
     PhysicsParams,
-    QubitState,
     Scheme,
     TrajectoryConfig,
     derive_stream,
-    ou_step,
     quadratic_variation,
-    sample_steady_state,
-    sbm_step,
     simulate_ensemble,
-    sse_step,
-    suv_step,
-    unnormalized_suv_step,
-    white_ito_step,
-    white_strat_step,
-    z_step_colored,
-    z_step_white,
 )
+from suvsim.dynamics import (
+    _renormalize,
+    _sse_em,
+    _suv_heun,
+    _unnormalized_heun,
+    _white_ito_em,
+    _white_strat_heun,
+    _z_colored_heun,
+    _z_white_heun,
+)
+from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
 def _cfg(scheme, kind=NoiseKind.OU, tau=1.0, seed=123, dt=1e-3, T=0.02, z0=0.6,
@@ -53,115 +53,98 @@ def test_derive_stream_is_deterministic_and_index_separated():
         derive_stream(0, -1)
 
 
-def _replay_colored(cfg, index, step):
-    """Drive the public scalar ops with the trajectory's own stream."""
+def _replay(cfg, index=0):
+    """Step trajectory ``index`` alone, drawing one scalar normal per step.
+
+    The engine draws each stream's normals as one block; this replay takes
+    them one at a time from the same stream (after the steady-state field
+    value of a colored scheme) and steps length-1 arrays through the
+    kernels. Returns the state after every step, initial state first, as
+    (a, b) or (z,) tuples, and the field value the next step would see.
+    """
     rng = derive_stream(cfg.seed, index)
-    noise = sample_steady_state(cfg.noise, rng)
-    state = QubitState.from_z(cfg.z0)
-    zs = [state.z]
+    p, dt, kind, tau = cfg.params, cfg.dt, cfg.noise.kind, cfg.noise.tau
+    step = {
+        Scheme.SUV_COLORED: lambda s, d: _renormalize(*_suv_heun(*s, d, dt, p.J, p.G)),
+        Scheme.UNNORMALIZED_SUV: lambda s, d: _unnormalized_heun(*s, d, dt, p.J, p.G),
+        Scheme.SSE: lambda s, d: _renormalize(*_sse_em(*s, d, dt, p.gamma)),
+        Scheme.WHITE_STRAT: lambda s, d: _renormalize(*_white_strat_heun(*s, d, dt, p.J, p.Deff)),
+        Scheme.WHITE_ITO: lambda s, d: _renormalize(*_white_ito_em(*s, d, dt, p.J, p.Deff)),
+        Scheme.Z_COLORED: lambda s, d: (_z_colored_heun(s[0], d, dt, p.J, p.G),),
+        Scheme.Z_WHITE: lambda s, d: (_z_white_heun(s[0], d, dt, p.J, p.Deff),),
+    }[cfg.scheme]
+    colored = cfg.scheme.uses_colored_noise
+    xi = None
+    if colored:
+        xi = np.array([rng.uniform(-1.0, 1.0) if kind.is_bounded else rng.standard_normal()])
+    if cfg.scheme.is_scalar:
+        state = (np.array([cfg.z0]),)
+    else:
+        state = (np.array([math.sqrt(cfg.z0)]), np.array([math.sqrt(1.0 - cfg.z0)]))
+    states, xis = [state], [xi]
     for _ in range(cfg.n_steps):
-        state = step(state, noise.xi, cfg.dt, cfg.params)
-        if cfg.noise.kind is NoiseKind.OU:
-            noise = ou_step(noise, cfg.dt, cfg.noise.tau, rng)
-        elif cfg.noise.kind is NoiseKind.SBM:
-            noise = sbm_step(noise, cfg.dt, cfg.noise.tau, rng)
-        zs.append(state.z)
-    return np.array(zs), state
+        if not colored:
+            state = step(state, math.sqrt(dt) * rng.standard_normal())
+        else:
+            state = step(state, xi)
+            if kind is NoiseKind.OU:
+                xi = _ou_update(xi, *_ou_coefficients(dt, tau), rng.standard_normal())
+            elif kind is NoiseKind.SBM:
+                xi = _sbm_update(xi, dt, tau, rng.standard_normal())
+        states.append(state)
+        xis.append(xi)
+    return states, xis
+
+
+def _z(scheme, state):
+    """Population z of a replayed state, computed as the engine observes it."""
+    if scheme.is_scalar:
+        return state[0][0]
+    a, b = state[0][0], state[1][0]
+    return a * a / (a * a + b * b) if scheme is Scheme.UNNORMALIZED_SUV else a * a
+
+
+def _assert_engine_matches_replay(cfg):
+    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
+    states, xis = _replay(cfg)
+    zs = np.array([_z(cfg.scheme, s) for s in states])
+    assert np.array_equal(res.single_z, zs)
+    assert res.final_z[0] == zs[-1]
+    if cfg.scheme.uses_colored_noise:
+        assert np.array_equal(res.single_xi, np.concatenate(xis))
+    else:
+        assert res.single_xi is None
+    return res
 
 
 def test_single_trajectory_matches_scalar_ops_colored_ou():
-    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU)
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    zs, state = _replay_colored(cfg, 0, suv_step)
-    assert np.array_equal(res.single_z, zs)
-    assert res.final_z[0] == state.z
+    _assert_engine_matches_replay(_cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU))
 
 
 def test_single_trajectory_matches_scalar_ops_colored_sbm():
-    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5)
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    zs, state = _replay_colored(cfg, 0, suv_step)
-    assert np.array_equal(res.single_z, zs)
-    assert res.final_z[0] == state.z
+    _assert_engine_matches_replay(_cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5))
 
 
 def test_single_trajectory_matches_scalar_ops_frozen():
-    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.FROZEN_SBM)
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    zs, state = _replay_colored(cfg, 0, suv_step)
-    assert np.array_equal(res.single_z, zs)
+    res = _assert_engine_matches_replay(_cfg(Scheme.SUV_COLORED, kind=NoiseKind.FROZEN_SBM))
     # The recorded field is the single frozen draw, constant in time.
     assert np.all(res.single_xi == res.single_xi[0])
     assert abs(res.single_xi[0]) <= 1.0
 
 
 def test_single_trajectory_matches_scalar_ops_unnormalized():
-    cfg = _cfg(Scheme.UNNORMALIZED_SUV, kind=NoiseKind.FROZEN_OU)
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    rng = derive_stream(cfg.seed, 0)
-    xi = sample_steady_state(cfg.noise, rng).xi
-    state = QubitState.from_z(cfg.z0)
-    zs = []
-    nrm2 = state.a * state.a + state.b * state.b
-    zs.append(state.a * state.a / nrm2)
-    for _ in range(cfg.n_steps):
-        state = unnormalized_suv_step(state, xi, cfg.dt, cfg.params)
-        nrm2 = state.a * state.a + state.b * state.b
-        zs.append(state.a * state.a / nrm2)
-    assert np.array_equal(res.single_z, np.array(zs))
-    assert res.final_z[0] == zs[-1]
-
-
-def _replay_wiener(cfg, index, step):
-    rng = derive_stream(cfg.seed, index)
-    state = QubitState.from_z(cfg.z0)
-    zs = [state.z]
-    for _ in range(cfg.n_steps):
-        state = step(state, cfg.dt, rng)
-        zs.append(state.z)
-    return np.array(zs), state
+    _assert_engine_matches_replay(_cfg(Scheme.UNNORMALIZED_SUV, kind=NoiseKind.FROZEN_OU))
 
 
 def test_single_trajectory_matches_scalar_ops_wiener():
-    cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE)
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    zs, state = _replay_wiener(cfg, 0, lambda s, dt, rng: sse_step(s, dt, cfg.params.gamma, rng))
-    assert np.array_equal(res.single_z, zs)
-    assert res.single_xi is None
-
-    for scheme, op in (
-        (Scheme.WHITE_STRAT, white_strat_step),
-        (Scheme.WHITE_ITO, white_ito_step),
-    ):
-        cfg = _cfg(scheme, kind=NoiseKind.NONE, Deff=math.sqrt(2.0))
-        res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-        zs, state = _replay_wiener(cfg, 0, lambda s, dt, rng: op(s, dt, cfg.params, rng))
-        assert np.array_equal(res.single_z, zs)
-        assert res.final_z[0] == state.z
+    _assert_engine_matches_replay(_cfg(Scheme.SSE, kind=NoiseKind.NONE))
+    for scheme in (Scheme.WHITE_STRAT, Scheme.WHITE_ITO):
+        _assert_engine_matches_replay(_cfg(scheme, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)))
 
 
 def test_single_trajectory_matches_scalar_ops_z_tracks():
-    cfg = _cfg(Scheme.Z_COLORED, kind=NoiseKind.OU)
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    rng = derive_stream(cfg.seed, 0)
-    noise = sample_steady_state(cfg.noise, rng)
-    z = cfg.z0
-    zs = [z]
-    for _ in range(cfg.n_steps):
-        z = z_step_colored(z, noise.xi, cfg.dt, cfg.params)
-        noise = ou_step(noise, cfg.dt, cfg.noise.tau, rng)
-        zs.append(z)
-    assert np.array_equal(res.single_z, np.array(zs))
-
-    cfg = _cfg(Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0))
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    rng = derive_stream(cfg.seed, 0)
-    z = cfg.z0
-    zs = [z]
-    for _ in range(cfg.n_steps):
-        z = z_step_white(z, cfg.dt, cfg.params, rng)
-        zs.append(z)
-    assert np.array_equal(res.single_z, np.array(zs))
+    _assert_engine_matches_replay(_cfg(Scheme.Z_COLORED, kind=NoiseKind.OU))
+    _assert_engine_matches_replay(_cfg(Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)))
 
 
 def test_chunk_size_does_not_change_any_output_bit():
@@ -210,22 +193,16 @@ def test_quadratic_variation_separates_smooth_from_rough_paths():
 
 
 def test_engine_qv_matches_observables_reconstruction():
-    # Rebuild every amplitude increment through the public ops and push
-    # them through quadratic_variation: the engine series must match
+    # Rebuild every amplitude increment through the per-step replay and
+    # push them through quadratic_variation: the engine series must match
     # bit for bit at the recorded grid points.
     cfg = _cfg(Scheme.SUV_COLORED, T=0.02, seed=9)
     n_traj, dec = 4, 7
     res = simulate_ensemble(cfg, n_traj=n_traj, decimation=dec)
     incs = np.empty((n_traj, cfg.n_steps))
     for i in range(n_traj):
-        rng = derive_stream(cfg.seed, i)
-        noise = sample_steady_state(cfg.noise, rng)
-        state = QubitState.from_z(cfg.z0)
-        for k in range(cfg.n_steps):
-            new = suv_step(state, noise.xi, cfg.dt, cfg.params)
-            noise = ou_step(noise, cfg.dt, cfg.noise.tau, rng)
-            incs[i, k] = new.a - state.a
-            state = new
+        a = np.array([s[0][0] for s in _replay(cfg, i)[0]])
+        incs[i] = np.diff(a)
     qv_full = np.concatenate(([0.0], quadratic_variation(incs)))
     out_idx = np.array([0, 7, 14, 20])
     assert np.array_equal(res.summary.qv, qv_full[out_idx])
@@ -262,9 +239,6 @@ def test_result_flags_and_minimal_outputs():
     bare = simulate_ensemble(cfg, n_traj=3, record_series=False)
     assert bare.summary is None and bare.single_z is None
     assert bare.final_z.shape == (3,)
-
-    no_qv = simulate_ensemble(cfg, n_traj=3, decimation=1, collect_qv=False)
-    assert np.all(no_qv.summary.qv == 0.0)
 
 
 def test_engine_input_guards():

@@ -3,6 +3,7 @@ the command-line entry point."""
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -10,11 +11,11 @@ from suvsim import (
     EXPERIMENT_DEFAULTS,
     ConfigError,
     Experiment,
-    InvalidParameterError,
     NoiseKind,
     NoiseModel,
     PhysicsParams,
     Scheme,
+    SimulationError,
     TrajectoryConfig,
     __version__,
     build_trajectory_config,
@@ -32,6 +33,7 @@ from suvsim.output import (
     sha256_file,
     write_ensemble_csv,
     write_json_atomic,
+    write_table_csv,
     write_trajectory_csv,
 )
 
@@ -119,7 +121,6 @@ def test_build_trajectory_config_fills_derived_couplings():
     cfg = make_config("fig1b")
     traj = build_trajectory_config(cfg)
     assert traj.params.Deff == math.sqrt(2.0)
-    assert traj.params.D == 1.0  # G sqrt(tau) = 10 * 0.1
     assert traj.scheme is Scheme.SUV_COLORED and traj.seed == cfg.master_seed
     override = build_trajectory_config(cfg, scheme=Scheme.SSE, seed=42, z0=0.25)
     assert override.scheme is Scheme.SSE
@@ -134,17 +135,19 @@ def test_build_trajectory_config_guards_scheme_noise_pairs():
 
 
 def test_engine_rejects_colored_scheme_without_noise_process():
-    cfg = TrajectoryConfig(
-        params=PhysicsParams(J=2.0, G=1.0),
-        noise=NoiseModel(kind=NoiseKind.NONE),
-        dt=1e-3,
-        T=0.01,
-        z0=0.6,
-        scheme=Scheme.SUV_COLORED,
-        seed=1,
-    )
-    with pytest.raises(InvalidParameterError):
-        simulate_ensemble(cfg, n_traj=1)
+    # The pairing is rejected where the engine's configuration is built,
+    # so no ensemble can start with it.
+    for scheme in (s for s in Scheme if s.uses_colored_noise):
+        with pytest.raises(ConfigError, match="driven by a colored field and needs a noise"):
+            TrajectoryConfig(
+                params=PhysicsParams(J=2.0, G=1.0),
+                noise=NoiseModel(kind=NoiseKind.NONE),
+                dt=1e-3,
+                T=0.01,
+                z0=0.6,
+                scheme=scheme,
+                seed=1,
+            )
 
 
 def test_format_value_round_trips_floats():
@@ -191,6 +194,21 @@ def test_trajectory_csv_leaves_field_column_empty_without_noise(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "z", "xi"]
     assert rows[1] == ["0.0", "0.6", ""]
+    assert not (tmp_path / "traj.csv.tmp").exists()
+
+
+def test_csv_write_replaces_the_file_only_when_complete(tmp_path):
+    path = tmp_path / "table.csv"
+    write_table_csv(str(path), ["x"], [[1.0], [2.0]])
+    before = path.read_bytes()
+
+    def failing_rows():
+        yield [3.0]
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError):
+        write_table_csv(str(path), ["x"], failing_rows())
+    assert path.read_bytes() == before
 
 
 def test_json_atomic_write_sorts_keys_and_cleans_up(tmp_path):
@@ -254,6 +272,40 @@ def test_every_experiment_preset_runs(tmp_path, experiment):
         path = tmp_path / name
         assert path.exists() and path.stat().st_size > 0
     assert (tmp_path / MANIFEST_NAME).exists()
+
+
+def test_failed_run_leaves_no_stale_manifest(tmp_path):
+    # A manifest vouches for the files next to it, so a run that fails
+    # after starting must not leave the previous run's manifest behind.
+    stale = tmp_path / MANIFEST_NAME
+    stale.write_text('{"files": {}}\n')
+    cfg = make_config("gksl-check", {"n_traj": 10, "T": 0.01}, output_dir=str(tmp_path),
+                      noise="frozen-ou")
+    with pytest.raises(ConfigError, match="evolving noise kind"):
+        run_experiment(cfg)
+    assert not stale.exists()
+
+
+def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):
+    # Every experiment x scheme x noise choice the command line accepts
+    # either runs or fails with a SimulationError naming the problem.
+    noises = [k.value for k in NoiseKind if k is not NoiseKind.NONE]
+    outcomes = {"ran": 0, "rejected": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # under-resolved tau warnings
+        for experiment in Experiment:
+            for scheme in Scheme:
+                for noise in noises:
+                    cfg = make_config(experiment, {"n_traj": 2, "T": 0.05},
+                                      output_dir=str(tmp_path), scheme=scheme.value, noise=noise)
+                    try:
+                        run_experiment(cfg)
+                    except SimulationError:
+                        outcomes["rejected"] += 1
+                        assert not (tmp_path / MANIFEST_NAME).exists()
+                    else:
+                        outcomes["ran"] += 1
+    assert outcomes == {"ran": 138, "rejected": 86}
 
 
 def test_single_trajectory_runs_dump_decimated_paths(tmp_path):

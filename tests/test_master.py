@@ -1,5 +1,5 @@
-"""Tests of the analytic ensemble references: dephasing channel, effective
-diffusion map, and the linearity coefficient."""
+"""Tests of the analytic ensemble references: the dephasing residual and
+the effective diffusion map."""
 import math
 
 import numpy as np
@@ -7,7 +7,6 @@ import pytest
 
 from suvsim import (
     STEADY_SECOND_MOMENT,
-    DensityMatrix2,
     EnsembleSummary,
     InvalidParameterError,
     NoiseKind,
@@ -15,21 +14,7 @@ from suvsim import (
     NotApplicableError,
     effective_diffusion,
     gksl_residual,
-    gksl_solution,
-    nonlinearity_coefficient,
 )
-
-
-def test_density_matrix_validation_and_clamping():
-    rho = DensityMatrix2(rho00=0.6, rho01=0.4)
-    assert rho.rho11 == pytest.approx(0.4, rel=1e-15)
-    # Values inside the round-off band clamp onto the physical boundary.
-    assert DensityMatrix2(rho00=1.0 + 1e-10, rho01=0.0).rho00 == 1.0
-    assert DensityMatrix2(rho00=-1e-10, rho01=0.0).rho00 == 0.0
-    with pytest.raises(InvalidParameterError):
-        DensityMatrix2(rho00=1.2, rho01=0.0)
-    with pytest.raises(InvalidParameterError):
-        DensityMatrix2(rho00=0.5, rho01=0.6)  # 0.36 > 0.25: not positive
 
 
 def test_steady_second_moments():
@@ -55,23 +40,6 @@ def test_effective_diffusion_guards():
         effective_diffusion(1.0, 1.0, NoiseKind.FROZEN_OU)
     with pytest.raises(NotApplicableError):
         effective_diffusion(1.0, 1.0, NoiseKind.NONE)
-
-
-def test_nonlinearity_coefficient_vanishes_at_balance():
-    assert nonlinearity_coefficient(4.0, 2.0) == 0.0
-    assert abs(nonlinearity_coefficient(2.0, math.sqrt(2.0))) < 1e-15
-    assert nonlinearity_coefficient(8.0, math.sqrt(2.0)) == pytest.approx(6.0, rel=1e-15)
-
-
-def test_gksl_solution_dephases_only_the_offdiagonal():
-    rho0 = DensityMatrix2(rho00=0.6, rho01=0.3)
-    same = gksl_solution(rho0, Deff=math.sqrt(2.0), t=0.0)
-    assert (same.rho00, same.rho01) == (rho0.rho00, rho0.rho01)
-    later = gksl_solution(rho0, Deff=math.sqrt(2.0), t=1.0)
-    assert later.rho00 == rho0.rho00
-    assert later.rho01 == pytest.approx(0.3 * math.exp(-1.0), rel=1e-14)
-    with pytest.raises(InvalidParameterError):
-        gksl_solution(rho0, Deff=1.0, t=-0.5)
 
 
 def test_gksl_residual_is_zero_on_the_analytic_solution():

@@ -8,18 +8,19 @@ from suvsim import (
     InvalidParameterError,
     NoiseKind,
     NoiseModel,
-    NoiseState,
     NotApplicableError,
+    PhysicsParams,
+    Scheme,
     StateCorruptionError,
+    TrajectoryConfig,
     autocorrelation,
     derive_stream,
-    ou_step,
-    sample_steady_state,
-    sbm_step,
+    simulate_ensemble,
     simulate_paths,
     steady_samples,
-    wiener_increment,
 )
+from suvsim.dynamics import _renormalize, _sse_em
+from suvsim.noise import _draw_field, _ou_coefficients, _ou_update, _sbm_update
 
 
 def test_noise_kind_properties_partition_all_kinds():
@@ -40,69 +41,89 @@ def test_noise_model_requires_positive_tau_for_evolving_kinds():
     NoiseModel(kind=NoiseKind.FROZEN_SBM, tau=0.0)
 
 
-def test_wiener_increment_scales_draw_by_sqrt_dt(stub_rng):
-    dw = wiener_increment(0.25, stub_rng([2.0]))
-    assert dw == 2.0 * math.sqrt(0.25)
-    with pytest.raises(InvalidParameterError):
-        wiener_increment(0.0, stub_rng([1.0]))
+def test_wiener_increment_scales_draw_by_sqrt_dt():
+    # A Wiener-driven scheme steps with dW = sqrt(dt) n, where n is the
+    # trajectory's next standard normal.
+    for dt in (0.25e-2, 1e-3):
+        cfg = TrajectoryConfig(
+            params=PhysicsParams(J=0.0, G=0.0, gamma=0.5),
+            noise=NoiseModel(kind=NoiseKind.NONE),
+            dt=dt,
+            T=dt,
+            z0=0.6,
+            scheme=Scheme.SSE,
+            seed=3,
+        )
+        dw = math.sqrt(dt) * derive_stream(3, 0).standard_normal()
+        amps = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
+        a, _ = _renormalize(*_sse_em(*amps, np.array([dw]), dt, 0.5))
+        assert simulate_ensemble(cfg, 1, record_series=False).final_z[0] == a[0] * a[0]
 
 
-def test_ou_step_decay_factor_at_one_correlation_time(stub_rng):
+def test_ou_step_decay_factor_at_one_correlation_time():
     # With a zero innovation the exact transition is a pure decay e^(-dt/tau);
     # at dt = tau the factor is e^(-1).
-    out = ou_step(NoiseState(xi=1.0), 1.0, 1.0, stub_rng([0.0]))
-    assert out.xi == 0.36787944117144233
-    assert out.t == 1.0
+    decay, sigma = _ou_coefficients(1.0, 1.0)
+    out = _ou_update(np.array([1.0]), decay, sigma, np.array([0.0]))
+    assert out[0] == 0.36787944117144233
 
 
-def test_ou_step_innovation_variance_completes_steady_state(stub_rng):
+def test_ou_step_innovation_variance_completes_steady_state():
     # xi' = xi e^(-dt/tau) + sqrt(1 - e^(-2 dt/tau)) n keeps Var = 1 in
     # steady state; check the innovation coefficient through a unit draw.
-    out = ou_step(NoiseState(xi=0.0), 0.5, 1.0, stub_rng([1.0]))
-    decay = math.exp(-0.5)
-    assert out.xi == pytest.approx(math.sqrt(1.0 - decay * decay), rel=1e-15)
+    decay, sigma = _ou_coefficients(0.5, 1.0)
+    out = _ou_update(np.array([0.0]), decay, sigma, np.array([1.0]))
+    assert decay == math.exp(-0.5)
+    assert out[0] == pytest.approx(math.sqrt(1.0 - decay * decay), rel=1e-15)
 
 
-def test_ou_step_rejects_bad_grid(stub_rng):
+def test_ou_step_rejects_bad_grid():
+    # An OU path needs a positive step and a positive correlation time.
     with pytest.raises(InvalidParameterError):
-        ou_step(NoiseState(xi=0.0), -0.1, 1.0, stub_rng([0.0]))
+        simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=1.0), 10, -0.1, [derive_stream(0, 0)])
     with pytest.raises(InvalidParameterError):
-        ou_step(NoiseState(xi=0.0), 0.1, 0.0, stub_rng([0.0]))
+        NoiseModel(kind=NoiseKind.OU, tau=0.0)
 
 
-def test_sbm_step_drift_only_moves_toward_zero(stub_rng):
-    out = sbm_step(NoiseState(xi=1.0), 1e-3, 1.0, stub_rng([0.0]))
-    assert out.xi == 0.999
+def test_sbm_step_drift_only_moves_toward_zero():
+    out = _sbm_update(np.array([1.0, -1.0]), 1e-3, 1.0, np.array([0.0, 0.0]))
+    assert np.array_equal(out, [0.999, -0.999])
 
 
-def test_sbm_step_clamps_discretization_overshoot(stub_rng):
+def test_sbm_step_clamps_discretization_overshoot():
     # A huge innovation near the boundary overshoots; the step must clamp.
-    out = sbm_step(NoiseState(xi=0.999), 1e-3, 1.0, stub_rng([50.0]))
-    assert out.xi == 1.0
-    out = sbm_step(NoiseState(xi=-0.999), 1e-3, 1.0, stub_rng([-50.0]))
-    assert out.xi == -1.0
+    out = _sbm_update(np.array([0.999, -0.999]), 1e-3, 1.0, np.array([50.0, -50.0]))
+    assert np.array_equal(out, [1.0, -1.0])
 
 
-def test_sbm_step_rejects_out_of_range_field(stub_rng):
-    with pytest.raises(StateCorruptionError):
-        sbm_step(NoiseState(xi=1.5), 1e-3, 1.0, stub_rng([0.0]))
+def test_sbm_step_rejects_out_of_range_field():
+    for xi0 in (1.5, -1.5):
+        with pytest.raises(StateCorruptionError):
+            simulate_paths(NoiseModel(kind=NoiseKind.SBM), 10, 1e-3, [derive_stream(0, 0)], xi0=xi0)
 
 
-def test_sbm_diffusion_vanishes_at_boundary(stub_rng):
+def test_sbm_diffusion_vanishes_at_boundary():
     # At |xi| = 1 the diffusion coefficient is zero, so even a large draw
     # only produces the deterministic drift.
-    out = sbm_step(NoiseState(xi=1.0), 1e-3, 1.0, stub_rng([50.0]))
-    assert out.xi == 0.999
+    out = _sbm_update(np.array([1.0]), 1e-3, 1.0, np.array([50.0]))
+    assert out[0] == 0.999
 
 
 def test_sample_steady_state_distributions():
-    rng = derive_stream(2024, 0)
-    xs = np.array(
-        [sample_steady_state(NoiseModel(kind=NoiseKind.SBM), rng).xi for _ in range(500)]
-    )
+    # Each stream's first draw is its path's steady-state initial value:
+    # uniform on [-1, 1] for SBM kinds, standard normal for OU kinds.
+    streams = [derive_stream(2024, i) for i in range(500)]
+    xs, normals = _draw_field(NoiseModel(kind=NoiseKind.FROZEN_SBM), streams, 10)
+    assert normals is None
     assert np.all(np.abs(xs) <= 1.0)
+    assert xs[7] == derive_stream(2024, 7).uniform(-1.0, 1.0)
+    streams = [derive_stream(5, i) for i in range(3)]
+    ou, normals = _draw_field(NoiseModel(kind=NoiseKind.OU), streams, 4)
+    fresh = derive_stream(5, 2)
+    assert ou[2] == fresh.standard_normal()
+    assert np.array_equal(normals[2], fresh.standard_normal(4))
     with pytest.raises(NotApplicableError):
-        sample_steady_state(NoiseModel(kind=NoiseKind.NONE), rng)
+        steady_samples(NoiseModel(kind=NoiseKind.NONE), 1, derive_stream(2024, 0))
 
 
 def test_steady_samples_moments_match_invariant_laws():

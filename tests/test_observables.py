@@ -1,7 +1,5 @@
 """Tests of ensemble statistics: compensated sums, quadratic variation,
-collapse classification, distribution distance, and density-matrix elements."""
-import math
-
+collapse classification, and distribution distance."""
 import numpy as np
 import pytest
 import scipy.stats
@@ -14,7 +12,6 @@ from suvsim import (
     InvalidParameterError,
     born_deviation,
     collapse_statistics,
-    density_matrix,
     ks_distance,
     quadratic_variation,
 )
@@ -146,18 +143,3 @@ def test_born_deviation_and_inconclusive_guard():
         born_deviation(CollapseStats(600, 390, 10), 0.6)
     with pytest.raises(InvalidParameterError):
         born_deviation(CollapseStats(600, 400, 0), 1.5)
-
-
-def test_density_matrix_of_pure_and_mixed_ensembles():
-    a0, b0 = math.sqrt(0.6), math.sqrt(0.4)
-    z, off = density_matrix(np.full(5, a0), np.full(5, b0))
-    assert z == pytest.approx(0.6, abs=1e-14)
-    assert off == pytest.approx(a0 * b0, abs=1e-14)
-    # A collapsed ensemble keeps the diagonal but loses the off-diagonal.
-    a = np.array([1.0, 1.0, 0.0, 0.0])
-    b = np.array([0.0, 0.0, 1.0, 1.0])
-    assert density_matrix(a, b) == (0.5, 0.0)
-    with pytest.raises(InvalidParameterError):
-        density_matrix([1.0], [0.0, 1.0])
-    with pytest.raises(InvalidParameterError):
-        density_matrix([], [])
