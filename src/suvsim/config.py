@@ -197,7 +197,8 @@ def _convert(key: str, text: str):
 def make_config(experiment, file_values: dict | None = None, **cli_overrides) -> ExperimentConfig:
     """Resolve an ExperimentConfig from defaults, file values, and overrides.
 
-    ``cli_overrides`` entries with value None are treated as absent.
+    ``cli_overrides`` entries with value None are treated as absent. A
+    noise or scheme the experiment cannot honour raises ConfigError.
     """
     if not isinstance(experiment, Experiment):
         try:
@@ -213,7 +214,28 @@ def make_config(experiment, file_values: dict | None = None, **cli_overrides) ->
             if key not in _ALL_KEYS:
                 raise ConfigError(f"unknown setting {key!r}")
             settings[key] = _convert(key, value) if isinstance(value, str) else value
+    _check_ignored_overrides(experiment, settings)
     return ExperimentConfig(experiment=experiment, **settings)
+
+
+def _check_ignored_overrides(experiment: Experiment, settings: dict) -> None:
+    """Reject a noise or scheme setting that the experiment cannot honour,
+    so no manifest records a setting the artifacts do not reflect."""
+    if experiment is Experiment.NOISE_VALIDATION:
+        defaults = EXPERIMENT_DEFAULTS[experiment]
+        changed = [k for k in ("scheme", "noise") if settings[k] != defaults[k]]
+        if changed:
+            given = ", ".join(f"--{k} {_ENUM_KEYS[k](settings[k]).value}" for k in changed)
+            raise ConfigError(
+                f"noise-validation always simulates both ou and sbm paths and runs "
+                f"no integration scheme, so it does not take --scheme or --noise "
+                f"(got {given})"
+            )
+    if experiment is Experiment.FIG1B and settings["noise"] == NoiseKind.SBM:
+        raise ConfigError(
+            "fig1b does not take --noise sbm: its companion ensemble already uses "
+            "sbm noise, and both would be written to fig1b_sbm.csv"
+        )
 
 
 def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryConfig:

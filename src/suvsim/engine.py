@@ -10,6 +10,12 @@ and its draw order is fixed by scheme and noise kind:
   kinds), then one standard normal per step for evolving kinds;
 * Wiener-driven schemes: one standard normal per step (scaled by sqrt(dt)).
 
+The per-step normals are drawn in time blocks of a few hundred steps as
+the step loop reaches them, so a chunk holds one (m, block) buffer rather
+than an (m, n_steps) matrix. A counter-based stream yields the same
+sequence however its draws are split into calls, so the block length
+changes no output bit.
+
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk.
 
@@ -45,7 +51,9 @@ from .observables import CompensatedAccumulator, EnsembleSummary
 
 __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble"]
 
-# Upper bound on elements of the per-chunk draw matrix; bounds peak memory.
+# Upper bound on elements of a chunk's (m, n_steps) matrix of squared
+# amplitude increments (dq_rows, kept by recorded runs for the quadratic
+# variation); bounds peak memory.
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 
 
@@ -216,7 +224,9 @@ def _step_suv(s, xi, dt, p):
 
 
 def _step_unnormalized(s, xi, dt, p):
-    a, b = _unnormalized_heun(*s, xi, dt, p.J, p.G)
+    # An overflow surfaces as the named error below, not as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = _unnormalized_heun(*s, xi, dt, p.J, p.G)
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -283,17 +293,19 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
     n_out = int(record_at.sum())
 
     colored = scheme.uses_colored_noise
-    xi = normals = dws = advance = None
+    xi = advance = None
     if colored:
-        xi, normals = _draw_field(cfg.noise, streams, n_steps)
+        xi, blocks = _draw_field(cfg.noise, streams, n_steps)
         if cfg.noise.kind is NoiseKind.OU:
             decay, sigma = _ou_coefficients(dt, cfg.noise.tau)
             advance = lambda x, n: _ou_update(x, decay, sigma, n)  # noqa: E731
         elif cfg.noise.kind is NoiseKind.SBM:
             advance = lambda x, n: _sbm_update(x, dt, cfg.noise.tau, n)  # noqa: E731
+        else:  # a frozen field draws nothing: one empty block spans every step
+            blocks = (np.empty((0, n_steps)),)
     else:
-        dws = _stream_normals(streams, n_steps)
-        dws *= math.sqrt(dt)
+        blocks = _stream_normals(streams, n_steps)
+        sqrt_dt = math.sqrt(dt)
 
     if scheme.is_scalar:
         state = np.full(m, cfg.z0)
@@ -316,19 +328,24 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
         record(0)
         pos = 1
 
+    k = 0  # global step index across blocks
     try:
-        for k in range(n_steps):
-            state = step(state, xi if dws is None else dws[:, k], dt, p)
-            if advance is not None:
-                xi = advance(xi, normals[:, k])
-            if record_series:
-                new_alpha = amplitude(state)
-                delta = new_alpha - alpha
-                dq_rows[:, k] = delta * delta
-                alpha = new_alpha
-                if record_at[k + 1]:
-                    record(pos)
-                    pos += 1
+        for block in blocks:
+            if not colored:
+                block *= sqrt_dt  # dW = sqrt(dt) n
+            for draws in block.T:
+                state = step(state, xi if colored else draws, dt, p)
+                if advance is not None:
+                    xi = advance(xi, draws)
+                if record_series:
+                    new_alpha = amplitude(state)
+                    delta = new_alpha - alpha
+                    dq_rows[:, k] = delta * delta
+                    alpha = new_alpha
+                    if record_at[k + 1]:
+                        record(pos)
+                        pos += 1
+                k += 1
     except IntegratorInstabilityError as exc:
         raise IntegratorInstabilityError(
             f"trajectory {first_index + exc.row}, step {k + 1}: {exc}"

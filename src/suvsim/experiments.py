@@ -102,15 +102,17 @@ def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
 def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Fast-noise ensemble dephasing for both noise processes.
 
-    The headline run uses the configured (Gaussian) noise; a companion run
-    swaps in the bounded process at the same couplings.
+    The headline run uses the configured noise (Gaussian by default) and
+    is named after it, ``fig1b_<noise>.csv``; a companion run swaps in the
+    bounded process at the same couplings, ``fig1b_sbm.csv``.
     """
     written = []
     n = cfg.n_traj
-    ou = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
-    write_ensemble_csv(os.path.join(outdir, "fig1b_ou.csv"), ou.summary)
-    written.append("fig1b_ou.csv")
-    _maybe_dump_trajectory(ou, outdir, "fig1b_ou", written)
+    stem = f"fig1b_{cfg.noise.value}"
+    headline = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
+    write_ensemble_csv(os.path.join(outdir, f"{stem}.csv"), headline.summary)
+    written.append(f"{stem}.csv")
+    _maybe_dump_trajectory(headline, outdir, stem, written)
 
     sbm = simulate_ensemble(
         build_trajectory_config(cfg, noise=NoiseKind.SBM),

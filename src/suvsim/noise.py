@@ -99,26 +99,41 @@ def _sbm_update(xi, dt, tau, normals):
     return np.clip(xi_new, -1.0, 1.0)
 
 
-def _stream_normals(streams, n_steps: int) -> np.ndarray:
-    """Standard normals, shape (len(streams), n_steps); row r is drawn from stream r."""
-    out = np.empty((len(streams), n_steps))
-    for r, g in enumerate(streams):
-        out[r] = g.standard_normal(n_steps)
-    return out
+# Time steps per block of drawn normals: a chunk holds one (m, _BLOCK_STEPS)
+# buffer instead of an (m, n_steps) matrix. A Philox stream yields the same
+# sequence however its draws are split into calls, so this sets memory only.
+_BLOCK_STEPS = 256
+
+
+def _stream_normals(streams, n_steps: int):
+    """Yield standard normals for ``n_steps`` steps in time blocks.
+
+    Each block has shape (len(streams), width) with width at most
+    ``_BLOCK_STEPS``; row r continues stream r's sequence. The blocks are
+    views of one buffer that the next block overwrites, so a consumer uses
+    (or copies) each block before asking for the next.
+    """
+    buf = np.empty((len(streams), min(n_steps, _BLOCK_STEPS)))
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        width = min(_BLOCK_STEPS, n_steps - start)
+        for row, g in zip(buf, streams):
+            g.standard_normal(out=row[:width])
+        yield buf[:, :width]
 
 
 def _draw_field(model: NoiseModel, streams, n_steps: int, xi0=None):
-    """Initial values and per-step normals (None for frozen kinds) of one
-    field path per stream: each stream draws its steady-state value
+    """Initial values and per-step normal blocks (None for frozen kinds) of
+    one field path per stream: each stream draws its steady-state value
     (uniform on [-1, 1] for bounded kinds, N(0, 1) otherwise) unless a
-    sharp ``xi0`` replaces it, then ``n_steps`` normals if the kind evolves.
+    sharp ``xi0`` replaces it, then, if the kind evolves, ``n_steps``
+    normals, drawn block by block as :func:`_stream_normals` is iterated.
     """
     if xi0 is None:
         xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
     else:
         xi = np.broadcast_to(np.asarray(xi0, dtype=float), (len(streams),)).copy()
-    normals = _stream_normals(streams, n_steps) if model.kind.is_evolving else None
-    return xi, normals
+    blocks = _stream_normals(streams, n_steps) if model.kind.is_evolving else None
+    return xi, blocks
 
 
 def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
@@ -178,7 +193,9 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
     :func:`_draw_field` that the ensemble engine shares (initial value
     first, then one normal per step), so a path is a pure function of
     (stream seed, model, dt, n_steps) regardless of how many other paths
-    are generated alongside it.
+    are generated alongside it. The per-step normals are drawn in time
+    blocks, so besides the returned paths only an (n, block) buffer of
+    draws is held.
 
     Parameters
     ----------
@@ -211,7 +228,7 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
 
     if xi0 is not None and model.kind.is_bounded and np.any(np.abs(xi0) > 1.0):
         raise StateCorruptionError("SBM initial condition outside [-1, 1]")
-    xi, normals = _draw_field(model, streams, n_steps, xi0)
+    xi, blocks = _draw_field(model, streams, n_steps, xi0)
 
     out = np.empty((n, n_steps + 1))
     out[:, 0] = xi
@@ -221,11 +238,13 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
 
     if model.kind is NoiseKind.OU:
         decay, sigma = _ou_coefficients(dt, model.tau)
-        for k in range(n_steps):
-            xi = _ou_update(xi, decay, sigma, normals[:, k])
-            out[:, k + 1] = xi
+        advance = lambda x, n: _ou_update(x, decay, sigma, n)  # noqa: E731
     else:
-        for k in range(n_steps):
-            xi = _sbm_update(xi, dt, model.tau, normals[:, k])
-            out[:, k + 1] = xi
+        advance = lambda x, n: _sbm_update(x, dt, model.tau, n)  # noqa: E731
+    k = 0
+    for block in blocks:
+        for normals in block.T:
+            xi = advance(xi, normals)
+            k += 1
+            out[:, k] = xi
     return out

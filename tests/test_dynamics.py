@@ -251,11 +251,10 @@ def test_unnormalized_step_flags_overflow():
         (short, dict(n_traj=3, chunk_size=1), "trajectory 1, step 6927"),  # second batch
         (cfg, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for c, kw, where in cases:
-            with pytest.raises(IntegratorInstabilityError) as info:
-                simulate_ensemble(c, **kw)
-            assert str(info.value) == f"{where}: unnormalized amplitudes overflowed"
+    for c, kw, where in cases:
+        with pytest.raises(IntegratorInstabilityError) as info:
+            simulate_ensemble(c, **kw)
+        assert str(info.value) == f"{where}: unnormalized amplitudes overflowed"
 
 
 def test_scalar_z_track_matches_amplitude_dynamics():

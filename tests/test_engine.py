@@ -2,6 +2,7 @@
 agreement with a per-step replay through the step kernels, and determinism
 under chunking, offsets, and reruns."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from suvsim.dynamics import (
     _z_colored_heun,
     _z_white_heun,
 )
-from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
+from suvsim.noise import _BLOCK_STEPS, _ou_coefficients, _ou_update, _sbm_update
 
 
 def _cfg(scheme, kind=NoiseKind.OU, tau=1.0, seed=123, dt=1e-3, T=0.02, z0=0.6,
@@ -56,7 +57,7 @@ def test_derive_stream_is_deterministic_and_index_separated():
 def _replay(cfg, index=0):
     """Step trajectory ``index`` alone, drawing one scalar normal per step.
 
-    The engine draws each stream's normals as one block; this replay takes
+    The engine draws each stream's normals in time blocks; this replay takes
     them one at a time from the same stream (after the steady-state field
     value of a colored scheme) and steps length-1 arrays through the
     kernels. Returns the state after every step, initial state first, as
@@ -145,6 +146,40 @@ def test_single_trajectory_matches_scalar_ops_wiener():
 def test_single_trajectory_matches_scalar_ops_z_tracks():
     _assert_engine_matches_replay(_cfg(Scheme.Z_COLORED, kind=NoiseKind.OU))
     _assert_engine_matches_replay(_cfg(Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)))
+
+
+def test_streamed_draws_match_replay_across_block_boundaries():
+    # Two full draw blocks and a partial one: the engine's blocked draws
+    # continue each stream exactly where the previous block stopped.
+    n_steps = 2 * _BLOCK_STEPS + 7
+    T = n_steps * 1e-3
+    cfgs = (
+        _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=T),
+        _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5, T=T),
+        _cfg(Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=T),
+    )
+    for cfg in cfgs:
+        assert cfg.n_steps == n_steps
+        _assert_engine_matches_replay(cfg)
+        replayed = [_z(cfg.scheme, _replay(cfg, i)[0][-1]) for i in range(3)]
+        for chunk_size in (1, 2, None):
+            res = simulate_ensemble(cfg, n_traj=3, chunk_size=chunk_size, record_series=False)
+            assert res.final_z.tolist() == replayed
+
+
+def test_final_only_run_holds_no_per_step_draw_matrix():
+    # The normals are drawn in blocks as the steps reach them, so a
+    # final-only colored run stays far below the m * n_steps * 8 bytes an
+    # up-front draw matrix would take (16 MB here).
+    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=4.0)
+    m = 500
+    tracemalloc.start()
+    try:
+        simulate_ensemble(cfg, n_traj=m, record_series=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m * cfg.n_steps * 8 / 4
 
 
 def test_chunk_size_does_not_change_any_output_bit():

@@ -102,6 +102,27 @@ def test_make_config_rejects_bad_input():
         make_config("fig1a", n_traj=0)
     with pytest.raises(ConfigError):
         make_config("fig1a", decimation=0)
+    # noise-validation simulates both noise processes and no scheme, so a
+    # scheme or noise other than its preset's would only mislabel the run.
+    with pytest.raises(ConfigError, match=r"--scheme or --noise \(got --scheme sse\)"):
+        make_config("noise-validation", scheme="sse")
+    with pytest.raises(ConfigError, match=r"\(got --noise frozen-ou\)"):
+        make_config("noise-validation", {"noise": "frozen-ou"})
+    assert make_config("noise-validation", noise="ou", scheme="suv-colored").noise is NoiseKind.OU
+    # fig1b's companion is the sbm ensemble; an sbm headline would share its name.
+    with pytest.raises(ConfigError, match="fig1b does not take --noise sbm"):
+        make_config("fig1b", noise="sbm")
+
+
+def test_fig1b_names_its_headline_ensemble_after_its_noise(tmp_path):
+    cfg = make_config("fig1b", {"n_traj": 1, "T": 0.05}, output_dir=str(tmp_path),
+                      noise="frozen-ou")
+    assert sorted(run_experiment(cfg)["files"]) == [
+        "fig1b_frozen-ou.csv",
+        "fig1b_frozen-ou_trajectory.csv",
+        "fig1b_sbm.csv",
+        "fig1b_sbm_trajectory.csv",
+    ]
 
 
 def test_experiment_defaults_cover_every_preset():
@@ -296,8 +317,13 @@ def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):
         for experiment in Experiment:
             for scheme in Scheme:
                 for noise in noises:
-                    cfg = make_config(experiment, {"n_traj": 2, "T": 0.05},
-                                      output_dir=str(tmp_path), scheme=scheme.value, noise=noise)
+                    try:
+                        cfg = make_config(experiment, {"n_traj": 2, "T": 0.05},
+                                          output_dir=str(tmp_path), scheme=scheme.value,
+                                          noise=noise)
+                    except ConfigError:  # rejected before any run starts
+                        outcomes["rejected"] += 1
+                        continue
                     try:
                         run_experiment(cfg)
                     except SimulationError:
@@ -305,7 +331,7 @@ def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):
                         assert not (tmp_path / MANIFEST_NAME).exists()
                     else:
                         outcomes["ran"] += 1
-    assert outcomes == {"ran": 138, "rejected": 86}
+    assert outcomes == {"ran": 131, "rejected": 93}
 
 
 def test_single_trajectory_runs_dump_decimated_paths(tmp_path):

@@ -20,7 +20,7 @@ from suvsim import (
     steady_samples,
 )
 from suvsim.dynamics import _renormalize, _sse_em
-from suvsim.noise import _draw_field, _ou_coefficients, _ou_update, _sbm_update
+from suvsim.noise import _BLOCK_STEPS, _draw_field, _ou_coefficients, _ou_update, _sbm_update
 
 
 def test_noise_kind_properties_partition_all_kinds():
@@ -117,11 +117,18 @@ def test_sample_steady_state_distributions():
     assert normals is None
     assert np.all(np.abs(xs) <= 1.0)
     assert xs[7] == derive_stream(2024, 7).uniform(-1.0, 1.0)
+    # An evolving kind then draws its per-step normals in time blocks that
+    # continue each stream: two full blocks and a partial one here. Blocks
+    # share one buffer, so each is copied before the next is drawn.
+    n_steps = 2 * _BLOCK_STEPS + 7
     streams = [derive_stream(5, i) for i in range(3)]
-    ou, normals = _draw_field(NoiseModel(kind=NoiseKind.OU), streams, 4)
+    ou, blocks = _draw_field(NoiseModel(kind=NoiseKind.OU), streams, n_steps)
+    blocks = [b.copy() for b in blocks]
+    assert [b.shape[1] for b in blocks] == [_BLOCK_STEPS, _BLOCK_STEPS, 7]
+    normals = np.concatenate(blocks, axis=1)
     fresh = derive_stream(5, 2)
     assert ou[2] == fresh.standard_normal()
-    assert np.array_equal(normals[2], fresh.standard_normal(4))
+    assert np.array_equal(normals[2], fresh.standard_normal(n_steps))
     with pytest.raises(NotApplicableError):
         steady_samples(NoiseModel(kind=NoiseKind.NONE), 1, derive_stream(2024, 0))
 
