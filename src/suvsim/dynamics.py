@@ -35,8 +35,9 @@ schemes renormalize after every step; the correction is a pure rescaling
 and does not affect observables. Pointer states |0> and |1> are exact
 fixed points of every scheme for every noise value.
 
-The step kernels below act on arrays with one entry per trajectory; the
-ensemble engine is their only caller.
+The step kernels below act on arrays with one entry per trajectory and
+write in place into caller-owned buffers; the ensemble engine is their only
+caller.
 """
 from __future__ import annotations
 
@@ -135,6 +136,7 @@ class TrajectoryConfig:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if not self.T > 0:
             raise ConfigError(f"T must be positive, got {self.T}")
+        _whole_steps(self.T, self.dt)
         if not 0.0 <= self.z0 <= 1.0:
             raise ConfigError(f"z0 must be in [0, 1], got {self.z0}")
         if not isinstance(self.seed, int):
@@ -164,117 +166,302 @@ class TrajectoryConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, round(self.T / self.dt))
+        return _whole_steps(self.T, self.dt)
+
+
+def _whole_steps(T: float, dt: float) -> int:
+    """Number of steps of size dt in the horizon T, which must be a whole
+    number of them (up to round-off)."""
+    ratio = T / dt
+    n = round(ratio)
+    if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
+        raise ConfigError(f"T = {T} is not a whole number of steps of dt = {dt}")
+    return n
 
 
 # ---------------------------------------------------------------------------
 # Step kernels. Amplitudes, z, xi and dW are arrays with one entry per
-# trajectory; couplings and dt are scalars.
+# trajectory; couplings and dt are scalars. A kernel writes its result
+# through ``out`` (an (a, b) pair, or one array for z) and keeps its
+# intermediates in ``ws``, scratch vectors shaped like the state (see
+# _workspace), so a step allocates no arrays. ``out`` and ``ws`` overlap
+# neither the inputs nor each other. Each in-place sequence performs the
+# floating-point operations of the expression in its comment, in Python's
+# left-to-right order, so its bits are those of that expression.
+
+# Scratch vectors of the largest kernel, _white_strat_heun.
+_SCRATCH = 13
 
 
-def _suv_rate(a, b, xi, J, G):
-    m = a * a - b * b
-    r = J * m + G * xi
-    return 0.5 * (1.0 - m) * r * a, -0.5 * (1.0 + m) * r * b
+def _workspace(m):
+    """Scratch vectors for any step kernel, or _renormalize, over m trajectories."""
+    return tuple(np.empty((_SCRATCH, m)))
 
 
-def _suv_heun(a, b, xi, dt, J, G):
-    ka, kb = _suv_rate(a, b, xi, J, G)
-    ka2, kb2 = _suv_rate(a + dt * ka, b + dt * kb, xi, J, G)
-    return a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
+def _sigma3(a, b, out, t):
+    # m = a * a - b * b
+    np.multiply(a, a, out=out)
+    np.multiply(b, b, out=t)
+    return np.subtract(out, t, out=out)
 
 
-def _unnormalized_rate(a, b, xi, J, G):
-    nrm2 = a * a + b * b
-    m = (a * a - b * b) / nrm2
-    r = 0.5 * (J * m + G * xi)
-    return r * a, -r * b
+def _suv_rate(a, b, gx, J, out, ws):
+    # ka = 0.5 * (1.0 - m) * r * a, kb = -0.5 * (1.0 + m) * r * b with
+    # r = J * m + gx (gx = G * xi); uses ws[0:2].
+    ka, kb = out
+    m, r = ws[0], ws[1]
+    _sigma3(a, b, m, r)
+    np.multiply(J, m, out=r)
+    np.add(r, gx, out=r)
+    np.subtract(1.0, m, out=ka)
+    np.multiply(0.5, ka, out=ka)
+    np.multiply(ka, r, out=ka)
+    np.multiply(ka, a, out=ka)
+    np.add(1.0, m, out=kb)
+    np.multiply(-0.5, kb, out=kb)
+    np.multiply(kb, r, out=kb)
+    np.multiply(kb, b, out=kb)
+    return out
 
 
-def _unnormalized_heun(a, b, xi, dt, J, G):
-    ka, kb = _unnormalized_rate(a, b, xi, J, G)
-    ka2, kb2 = _unnormalized_rate(a + dt * ka, b + dt * kb, xi, J, G)
-    return a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
+def _unnormalized_rate(a, b, gx, J, out, ws):
+    # ka = r * a, kb = -r * b with r = 0.5 * (J * m + gx) and
+    # m = (a * a - b * b) / (a * a + b * b); uses ws[0:2].
+    ka, kb = out
+    m, r = ws[0], ws[1]
+    np.multiply(a, a, out=m)
+    np.multiply(b, b, out=r)
+    np.add(m, r, out=ka)
+    np.subtract(m, r, out=m)
+    np.divide(m, ka, out=m)
+    np.multiply(J, m, out=r)
+    np.add(r, gx, out=r)
+    np.multiply(0.5, r, out=r)
+    np.multiply(r, a, out=ka)
+    np.negative(r, out=kb)
+    np.multiply(kb, b, out=kb)
+    return out
 
 
-def _sse_em(a, b, dw, dt, gamma):
-    m = a * a - b * b
-    root = math.sqrt(gamma)
-    da = 0.5 * (-gamma * (1.0 - m) ** 2 * dt + 2.0 * root * (1.0 - m) * dw) * a
-    db = 0.5 * (-gamma * (1.0 + m) ** 2 * dt - 2.0 * root * (1.0 + m) * dw) * b
-    return a + da, b + db
+def _pair_heun(rate, a, b, xi, dt, J, G, out, ws):
+    # a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2), where (ka2, kb2)
+    # is the rate at (a + dt * ka, b + dt * kb); G * xi is formed once for
+    # both stages. Uses ws[0:7].
+    gx, ka, kb, ap, bp = ws[2:7]
+    np.multiply(G, xi, out=gx)
+    rate(a, b, gx, J, (ka, kb), ws)
+    np.multiply(dt, ka, out=ap)
+    np.add(a, ap, out=ap)
+    np.multiply(dt, kb, out=bp)
+    np.add(b, bp, out=bp)
+    oa, ob = rate(ap, bp, gx, J, out, ws)
+    h = 0.5 * dt
+    np.add(ka, oa, out=oa)
+    np.multiply(h, oa, out=oa)
+    np.add(a, oa, out=oa)
+    np.add(kb, ob, out=ob)
+    np.multiply(h, ob, out=ob)
+    np.add(b, ob, out=ob)
+    return out
 
 
-def _white_drift(a, b, m, J):
-    return 0.5 * J * m * (1.0 - m) * a, -0.5 * J * m * (1.0 + m) * b
+def _suv_heun(a, b, xi, dt, J, G, out, ws):
+    return _pair_heun(_suv_rate, a, b, xi, dt, J, G, out, ws)
 
 
-def _white_diffusion(a, b, m, deff):
-    return 0.5 * deff * (1.0 - m) * a, -0.5 * deff * (1.0 + m) * b
+def _unnormalized_heun(a, b, xi, dt, J, G, out, ws):
+    return _pair_heun(_unnormalized_rate, a, b, xi, dt, J, G, out, ws)
 
 
-def _white_strat_heun(a, b, dw, dt, J, deff):
-    m = a * a - b * b
-    fa, fb = _white_drift(a, b, m, J)
-    ga, gb = _white_diffusion(a, b, m, deff)
-    ap = a + fa * dt + ga * dw
-    bp = b + fb * dt + gb * dw
-    mp = ap * ap - bp * bp
-    fa2, fb2 = _white_drift(ap, bp, mp, J)
-    ga2, gb2 = _white_diffusion(ap, bp, mp, deff)
-    return (
-        a + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2),
-        b + 0.5 * dt * (fb + fb2) + 0.5 * dw * (gb + gb2),
-    )
+def _sse_em(a, b, dw, dt, gamma, out, ws):
+    # a + 0.5 * (-gamma * (1.0 - m) ** 2 * dt + c * (1.0 - m) * dw) * a,
+    # b + 0.5 * (-gamma * (1.0 + m) ** 2 * dt - c * (1.0 + m) * dw) * b
+    # with c = 2.0 * sqrt(gamma); uses ws[0:3].
+    m, u, v = ws[0:3]
+    oa, ob = out
+    c = 2.0 * math.sqrt(gamma)
+    _sigma3(a, b, m, u)
+    for y, shift, combine, o in ((a, np.subtract, np.add, oa), (b, np.add, np.subtract, ob)):
+        shift(1.0, m, out=u)
+        np.multiply(u, u, out=v)
+        np.multiply(-gamma, v, out=v)
+        np.multiply(v, dt, out=v)
+        np.multiply(c, u, out=u)
+        np.multiply(u, dw, out=u)
+        combine(v, u, out=v)
+        np.multiply(0.5, v, out=v)
+        np.multiply(v, y, out=v)
+        np.add(y, v, out=o)
+    return out
 
 
-def _white_ito_em(a, b, dw, dt, J, deff):
-    m = a * a - b * b
-    fa, fb = _white_drift(a, b, m, J)
-    ga, gb = _white_diffusion(a, b, m, deff)
-    # Stratonovich-to-Ito conversion drift; <sigma3^2> = 1 on a qubit.
+def _white_terms(a, b, m, J, deff, out, u, w):
+    # Drift fa = 0.5 * J * m * (1.0 - m) * a, fb = -0.5 * J * m * (1.0 + m) * b
+    # and diffusion ga = 0.5 * deff * (1.0 - m) * a, gb = -0.5 * deff * (1.0 + m) * b
+    # into out = (fa, fb, ga, gb); leaves u = 1.0 - m and w = 1.0 + m.
+    fa, fb, ga, gb = out
+    np.subtract(1.0, m, out=u)
+    np.add(1.0, m, out=w)
+    np.multiply(0.5 * J, m, out=fa)
+    np.multiply(fa, u, out=fa)
+    np.multiply(fa, a, out=fa)
+    np.multiply(-0.5 * J, m, out=fb)
+    np.multiply(fb, w, out=fb)
+    np.multiply(fb, b, out=fb)
+    np.multiply(0.5 * deff, u, out=ga)
+    np.multiply(ga, a, out=ga)
+    np.multiply(-0.5 * deff, w, out=gb)
+    np.multiply(gb, b, out=gb)
+    return out
+
+
+def _white_strat_heun(a, b, dw, dt, J, deff, out, ws):
+    # ap = a + fa * dt + ga * dw (bp likewise), the terms at (ap, bp) marked 2,
+    # a + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2) (b likewise);
+    # uses ws[0:13].
+    m, u, w, fa, fb, ga, gb, ap, bp, fa2, fb2, ga2, gb2 = ws[:13]
+    oa, ob = out
+    _white_terms(a, b, _sigma3(a, b, m, u), J, deff, (fa, fb, ga, gb), u, w)
+    np.multiply(fa, dt, out=ap)
+    np.add(a, ap, out=ap)
+    np.multiply(ga, dw, out=m)
+    np.add(ap, m, out=ap)
+    np.multiply(fb, dt, out=bp)
+    np.add(b, bp, out=bp)
+    np.multiply(gb, dw, out=m)
+    np.add(bp, m, out=bp)
+    _white_terms(ap, bp, _sigma3(ap, bp, m, u), J, deff, (fa2, fb2, ga2, gb2), u, w)
+    h = 0.5 * dt
+    np.multiply(0.5, dw, out=m)
+    np.add(fa, fa2, out=fa)
+    np.multiply(h, fa, out=oa)
+    np.add(a, oa, out=oa)
+    np.add(ga, ga2, out=ga)
+    np.multiply(m, ga, out=ga)
+    np.add(oa, ga, out=oa)
+    np.add(fb, fb2, out=fb)
+    np.multiply(h, fb, out=ob)
+    np.add(b, ob, out=ob)
+    np.add(gb, gb2, out=gb)
+    np.multiply(m, gb, out=gb)
+    np.add(ob, gb, out=ob)
+    return out
+
+
+def _white_ito_em(a, b, dw, dt, J, deff, out, ws):
+    # Stratonovich-to-Ito conversion drift, with <sigma3^2> = 1 on a qubit:
+    # ca = c * (0.5 * (1.0 - m) ** 2 - var) * a,
+    # cb = c * (0.5 * (1.0 + m) ** 2 - var) * b,
+    # c = 0.25 * deff * deff, var = 1.0 - m * m; then
+    # a + (fa + ca) * dt + ga * dw (b likewise). Uses ws[0:8].
+    m, u, w, fa, fb, ga, gb, var = ws[:8]
+    oa, ob = out
+    _white_terms(a, b, _sigma3(a, b, m, u), J, deff, (fa, fb, ga, gb), u, w)
     c = 0.25 * deff * deff
-    var = 1.0 - m * m
-    ca = c * (0.5 * (1.0 - m) ** 2 - var) * a
-    cb = c * (0.5 * (1.0 + m) ** 2 - var) * b
-    return a + (fa + ca) * dt + ga * dw, b + (fb + cb) * dt + gb * dw
+    np.multiply(m, m, out=var)
+    np.subtract(1.0, var, out=var)
+    for y, s, f, g, o in ((a, u, fa, ga, oa), (b, w, fb, gb, ob)):
+        np.multiply(s, s, out=o)
+        np.multiply(0.5, o, out=o)
+        np.subtract(o, var, out=o)
+        np.multiply(c, o, out=o)
+        np.multiply(o, y, out=o)
+        np.add(f, o, out=f)
+        np.multiply(f, dt, out=f)
+        np.add(y, f, out=o)
+        np.multiply(g, dw, out=g)
+        np.add(o, g, out=o)
+    return out
 
 
-def _z_colored_rate(z, xi, J, G):
+def _z_colored_rate(z, gx, J, out, t):
     # The z-image of the amplitude pair: dz/dt = 2 a da/dt with
-    # da/dt = (1/2)(1 - m)(J m + G xi) a, 1 - m = 2(1 - z) and m = 2z - 1.
-    return 2.0 * z * (1.0 - z) * (J * (2.0 * z - 1.0) + G * xi)
+    # da/dt = (1/2)(1 - m)(J m + G xi) a, 1 - m = 2(1 - z) and m = 2z - 1:
+    # 2.0 * z * (1.0 - z) * (J * (2.0 * z - 1.0) + gx), gx = G * xi.
+    np.multiply(2.0, z, out=out)
+    np.subtract(1.0, z, out=t)
+    np.multiply(out, t, out=out)
+    np.multiply(2.0, z, out=t)
+    np.subtract(t, 1.0, out=t)
+    np.multiply(J, t, out=t)
+    np.add(t, gx, out=t)
+    return np.multiply(out, t, out=out)
 
 
-def _z_colored_heun(z, xi, dt, J, G):
-    k1 = _z_colored_rate(z, xi, J, G)
-    k2 = _z_colored_rate(z + dt * k1, xi, J, G)
-    return np.clip(z + 0.5 * dt * (k1 + k2), 0.0, 1.0)
+def _z_colored_heun(z, xi, dt, J, G, out, ws):
+    # clip(z + 0.5 * dt * (k1 + k2), 0.0, 1.0), k2 the rate at z + dt * k1;
+    # uses ws[0:4].
+    gx, k1, t, zp = ws[:4]
+    np.multiply(G, xi, out=gx)
+    _z_colored_rate(z, gx, J, k1, t)
+    np.multiply(dt, k1, out=zp)
+    np.add(z, zp, out=zp)
+    _z_colored_rate(zp, gx, J, out, t)
+    np.add(k1, out, out=out)
+    np.multiply(0.5 * dt, out, out=out)
+    np.add(z, out, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _z_white_heun(z, dw, dt, J, deff):
-    f1 = 2.0 * J * z * (1.0 - z) * (2.0 * z - 1.0)
-    g1 = 2.0 * deff * z * (1.0 - z)
-    zp = z + f1 * dt + g1 * dw
-    f2 = 2.0 * J * zp * (1.0 - zp) * (2.0 * zp - 1.0)
-    g2 = 2.0 * deff * zp * (1.0 - zp)
-    return np.clip(z + 0.5 * dt * (f1 + f2) + 0.5 * dw * (g1 + g2), 0.0, 1.0)
+def _z_white_terms(z, J, deff, f, g, u, t):
+    # f = 2.0 * J * z * (1.0 - z) * (2.0 * z - 1.0), g = 2.0 * deff * z * (1.0 - z)
+    np.subtract(1.0, z, out=u)
+    np.multiply(2.0 * J, z, out=f)
+    np.multiply(f, u, out=f)
+    np.multiply(2.0, z, out=t)
+    np.subtract(t, 1.0, out=t)
+    np.multiply(f, t, out=f)
+    np.multiply(2.0 * deff, z, out=g)
+    np.multiply(g, u, out=g)
 
 
-def _renormalize(a, b):
-    """Rescale amplitudes to unit norm, raising if the state degenerated."""
-    nrm2 = a * a + b * b
-    if not np.all(np.isfinite(nrm2)) or np.any(nrm2 <= 0.0):
+def _z_white_heun(z, dw, dt, J, deff, out, ws):
+    # zp = z + f1 * dt + g1 * dw, then
+    # clip(z + 0.5 * dt * (f1 + f2) + 0.5 * dw * (g1 + g2), 0.0, 1.0);
+    # uses ws[0:6].
+    f1, g1, zp, g2, u, t = ws[:6]
+    _z_white_terms(z, J, deff, f1, g1, u, t)
+    np.multiply(f1, dt, out=zp)
+    np.add(z, zp, out=zp)
+    np.multiply(g1, dw, out=t)
+    np.add(zp, t, out=zp)
+    _z_white_terms(zp, J, deff, out, g2, u, t)
+    np.add(f1, out, out=out)
+    np.multiply(0.5 * dt, out, out=out)
+    np.add(z, out, out=out)
+    np.add(g1, g2, out=g1)
+    np.multiply(0.5, dw, out=t)
+    np.multiply(t, g1, out=t)
+    np.add(out, t, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _renormalize(a, b, out, ws):
+    """Rescale amplitudes to unit norm into ``out``, raising if the state
+    degenerated; uses ws[0:2]."""
+    nrm2, t = ws[0], ws[1]
+    np.multiply(a, a, out=nrm2)
+    np.multiply(b, b, out=t)
+    np.add(nrm2, t, out=nrm2)
+    # min propagates NaN, so one pair of reductions catches NaN, inf and zero.
+    if not (nrm2.min() > 0.0 and nrm2.max() < math.inf):
         bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
         raise IntegratorInstabilityError("non-finite or zero-norm state", row=int(np.argmax(bad)))
-    nrm = np.sqrt(nrm2)
-    a = a / nrm
-    b = b / nrm
-    defect = np.abs(a * a + b * b - 1.0)
-    worst = np.max(defect)
-    if worst > NORM_ENFORCED_TOL:
+    np.sqrt(nrm2, out=nrm2)
+    oa, ob = out
+    np.divide(a, nrm2, out=oa)
+    np.divide(b, nrm2, out=ob)
+    s = nrm2
+    np.multiply(oa, oa, out=s)
+    np.multiply(ob, ob, out=t)
+    np.add(s, t, out=s)
+    # s - 1 is exact near 1 and rounds monotonically elsewhere, so this is
+    # max |s - 1| > tol.
+    if s.max() - 1.0 > NORM_ENFORCED_TOL or 1.0 - s.min() > NORM_ENFORCED_TOL:
+        defect = np.abs(s - 1.0)
+        worst = np.max(defect)
         raise IntegratorInstabilityError(
             f"norm defect {worst:.3g} after renormalization exceeds {NORM_ENFORCED_TOL}",
             row=int(np.argmax(defect)),
         )
-    return a, b
+    return out

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
-from .dynamics import Scheme
+from .dynamics import Scheme, _whole_steps
 from .engine import derive_stream, simulate_ensemble
 from .errors import InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
@@ -211,12 +211,14 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     For each process: the stationary autocovariance at lags {0, tau, 2 tau}
     against its exponential target, an exponential-rate fit over lags up to
     3 tau, and a one-sample KS distance of fresh steady-state draws against
-    the exact stationary law.
+    the exact stationary law. Raises InconclusiveError, before any file is
+    written, when an autocovariance on the fit grid is not positive, since
+    its logarithm would make the fitted rate NaN.
     """
     n = cfg.n_traj
     tau = cfg.tau
     dt = cfg.dt
-    n_steps = max(1, round(cfg.T / dt))
+    n_steps = _whole_steps(cfg.T, dt)
     lag_grid = [k * 0.25 * tau for k in range(13)]
 
     acf_rows = []
@@ -234,6 +236,12 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
                 [kind.value, lag, estimate, target, abs(estimate - target) / target]
             )
         values = np.array([autocorrelation(paths, lag, dt) for lag in lag_grid])
+        if not np.all(values > 0.0):
+            j = int(np.argmin(values > 0.0))
+            raise InconclusiveError(
+                f"{kind.value} autocovariance at lag {lag_grid[j]:g} is {values[j]:.3g}, "
+                "not positive: no decay rate can be fitted; raise n_traj or T"
+            )
         rate = -np.polyfit(np.array(lag_grid), np.log(values), 1)[0]
         rate_rows.append([kind.value, rate, 1.0 / tau])
         del paths

@@ -87,38 +87,65 @@ def _ou_coefficients(dt: float, tau: float) -> tuple[float, float]:
     return decay, math.sqrt(1.0 - decay * decay)
 
 
-def _ou_update(xi, decay, sigma, normals):
-    """Exact OU transition, vectorized over trajectories."""
-    return xi * decay + sigma * normals
+def _ou_update(xi, decay, sigma, normals, out, ws):
+    """Exact OU transition xi * decay + sigma * normals into ``out``, which
+    may be ``xi`` itself; vectorized over trajectories, uses ws[0]."""
+    t = ws[0]
+    np.multiply(sigma, normals, out=t)
+    np.multiply(xi, decay, out=out)
+    return np.add(out, t, out=out)
 
 
-def _sbm_update(xi, dt, tau, normals):
-    """One Euler-Maruyama SBM step with boundary clamp, vectorized."""
+def _sbm_update(xi, dt, tau, normals, out, ws):
+    """One Euler-Maruyama SBM step with boundary clamp into ``out``, which
+    may be ``xi`` itself; vectorized over trajectories, uses ws[0:2]:
+    clip(xi - xi * r + sqrt(clip(1.0 - xi * xi, 0.0, None) * r) * normals,
+    -1.0, 1.0) with r = dt / tau."""
     ratio = dt / tau
-    xi_new = xi - xi * ratio + np.sqrt(np.clip(1.0 - xi * xi, 0.0, None) * ratio) * normals
-    return np.clip(xi_new, -1.0, 1.0)
+    s, t = ws[0], ws[1]
+    np.multiply(xi, xi, out=s)
+    np.subtract(1.0, s, out=s)
+    np.clip(s, 0.0, None, out=s)
+    np.multiply(s, ratio, out=s)
+    np.sqrt(s, out=s)
+    np.multiply(s, normals, out=s)
+    np.multiply(xi, ratio, out=t)
+    np.subtract(xi, t, out=out)
+    np.add(out, s, out=out)
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
-# Time steps per block of drawn normals: a chunk holds one (m, _BLOCK_STEPS)
-# buffer instead of an (m, n_steps) matrix. A Philox stream yields the same
+# Time steps per block of drawn normals: a chunk holds one (_BLOCK_STEPS, m)
+# buffer instead of an (n_steps, m) matrix. A Philox stream yields the same
 # sequence however its draws are split into calls, so this sets memory only.
 _BLOCK_STEPS = 256
+# Streams per tile: each stream draws its block into its own row of a
+# (_TILE_STREAMS, _BLOCK_STEPS) tile, which is then copied transposed into
+# the block; a tile this small keeps the transposing copy within cache.
+_TILE_STREAMS = 32
 
 
 def _stream_normals(streams, n_steps: int):
-    """Yield standard normals for ``n_steps`` steps in time blocks.
+    """Yield standard normals for ``n_steps`` steps in time-major blocks.
 
-    Each block has shape (len(streams), width) with width at most
-    ``_BLOCK_STEPS``; row r continues stream r's sequence. The blocks are
-    views of one buffer that the next block overwrites, so a consumer uses
-    (or copies) each block before asking for the next.
+    Each block has shape (width, len(streams)) with width at most
+    ``_BLOCK_STEPS``, so the draws of one step are a contiguous row; column
+    r continues stream r's sequence. The blocks are views of one buffer
+    that the next block overwrites, so a consumer uses (or copies) each
+    block before asking for the next.
     """
-    buf = np.empty((len(streams), min(n_steps, _BLOCK_STEPS)))
+    m = len(streams)
+    buf = np.empty((min(n_steps, _BLOCK_STEPS), m))
+    tile = np.empty((min(m, _TILE_STREAMS), buf.shape[0]))
     for start in range(0, n_steps, _BLOCK_STEPS):
         width = min(_BLOCK_STEPS, n_steps - start)
-        for row, g in zip(buf, streams):
-            g.standard_normal(out=row[:width])
-        yield buf[:, :width]
+        for first in range(0, m, _TILE_STREAMS):
+            group = streams[first : first + _TILE_STREAMS]
+            rows = tile[: len(group), :width]
+            for row, g in zip(rows, group):
+                g.standard_normal(out=row)
+            buf[:width, first : first + len(group)] = rows.T
+        yield buf[:width]
 
 
 def _draw_field(model: NoiseModel, streams, n_steps: int, xi0=None):
@@ -193,9 +220,10 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
     :func:`_draw_field` that the ensemble engine shares (initial value
     first, then one normal per step), so a path is a pure function of
     (stream seed, model, dt, n_steps) regardless of how many other paths
-    are generated alongside it. The per-step normals are drawn in time
-    blocks, so besides the returned paths only an (n, block) buffer of
-    draws is held.
+    are generated alongside it. The per-step normals are drawn in
+    time-major blocks, so besides the returned paths only a (block, n)
+    buffer of draws is held, and each step reads its normals as one
+    contiguous row and advances the field in place.
 
     Parameters
     ----------
@@ -236,15 +264,16 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
         out[:, 1:] = xi[:, None]
         return out
 
+    ws = tuple(np.empty((2, n)))
     if model.kind is NoiseKind.OU:
         decay, sigma = _ou_coefficients(dt, model.tau)
-        advance = lambda x, n: _ou_update(x, decay, sigma, n)  # noqa: E731
+        advance = lambda x, n: _ou_update(x, decay, sigma, n, x, ws)  # noqa: E731
     else:
-        advance = lambda x, n: _sbm_update(x, dt, model.tau, n)  # noqa: E731
+        advance = lambda x, n: _sbm_update(x, dt, model.tau, n, x, ws)  # noqa: E731
     k = 0
     for block in blocks:
-        for normals in block.T:
-            xi = advance(xi, normals)
+        for normals in block:
+            advance(xi, normals)
             k += 1
             out[:, k] = xi
     return out

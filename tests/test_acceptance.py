@@ -29,7 +29,7 @@ from suvsim import (
     simulate_paths,
     steady_samples,
 )
-from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun
+from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun, _workspace
 from suvsim.experiments import EPS_COLLAPSE, _steady_ks
 from suvsim.output import write_ensemble_csv
 
@@ -299,11 +299,19 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path):
         failures.append("byte-identical rerun")
 
     # Norm preservation and normalized/unnormalized consistency, on the
-    # step kernels with one trajectory (J = 2, G = 1).
+    # step kernels with one trajectory (J = 2, G = 1), each step writing
+    # into fresh buffers.
+    def pair():
+        return np.empty(1), np.empty(1)
+
+    def suv(a, b, xi):
+        raw = _suv_heun(a, b, xi, 1e-3, 2.0, 1.0, pair(), _workspace(1))
+        return _renormalize(*raw, pair(), _workspace(1))
+
     a, b = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
     worst_defect = 0.0
     for _ in range(500):
-        a, b = _renormalize(*_suv_heun(a, b, 0.8, 1e-3, 2.0, 1.0))
+        a, b = suv(a, b, 0.8)
         worst_defect = max(worst_defect, abs(a[0] * a[0] + b[0] * b[0] - 1.0))
     if worst_defect > 1e-9:
         failures.append("norm preservation")
@@ -311,8 +319,8 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path):
     an = au = np.array([math.sqrt(0.6)])
     bn = bu = np.array([math.sqrt(0.4)])
     for _ in range(1000):
-        an, bn = _renormalize(*_suv_heun(an, bn, 0.5, 1e-3, 2.0, 1.0))
-        au, bu = _unnormalized_heun(au, bu, 0.5, 1e-3, 2.0, 1.0)
+        an, bn = suv(an, bn, 0.5)
+        au, bu = _unnormalized_heun(au, bu, 0.5, 1e-3, 2.0, 1.0, pair(), _workspace(1))
     if abs(an[0] * an[0] - au[0] * au[0] / (au[0] * au[0] + bu[0] * bu[0])) > 1e-7:
         failures.append("normalized/unnormalized consistency")
 

@@ -1,6 +1,7 @@
 """Tests of the step kernels and the trajectory configuration: fixed
 points, arithmetic, guards, cross-checks. Kernels act on arrays with one
-entry per trajectory; these tests use length-1 arrays."""
+entry per trajectory and write into caller-owned buffers; most of these
+tests use length-1 arrays and fresh buffers."""
 import dataclasses
 import math
 
@@ -24,9 +25,12 @@ from suvsim.dynamics import (
     _suv_heun,
     _suv_rate,
     _unnormalized_heun,
+    _unnormalized_rate,
     _white_ito_em,
     _white_strat_heun,
+    _workspace,
     _z_colored_heun,
+    _z_colored_rate,
     _z_white_heun,
 )
 
@@ -38,8 +42,20 @@ def _amps(z):
     return np.array([math.sqrt(z)]), np.array([math.sqrt(1.0 - z)])
 
 
+def _fresh(kernel, *args):
+    """Call a kernel with new output buffers and workspace sized like its
+    first argument; the z kernels write one array, the others a pair."""
+    n = len(args[0])
+    out = np.empty(n) if kernel in (_z_colored_heun, _z_white_heun) else (np.empty(n), np.empty(n))
+    return kernel(*args, out, _workspace(n))
+
+
+def _norm(pair):
+    return _fresh(_renormalize, *pair)
+
+
 def _suv(a, b, xi, dt, p=P):
-    return _renormalize(*_suv_heun(a, b, xi, dt, p.J, p.G))
+    return _norm(_fresh(_suv_heun, a, b, xi, dt, p.J, p.G))
 
 
 def test_physics_params_validation():
@@ -61,7 +77,7 @@ def test_generator_matrix_values_and_zero_expectation():
     # generator is diag(0.36, -0.54) and the amplitude drift is
     # 0.36 * sqrt(0.6) = 0.2788548009269340.
     a, b = _amps(0.6)
-    ka, kb = _suv_rate(a, b, 0.5, P.J, P.G)
+    ka, kb = _fresh(_suv_rate, a, b, P.G * 0.5, P.J)
     assert ka[0] == pytest.approx(0.36 * a[0], rel=1e-14)
     assert kb[0] == pytest.approx(-0.54 * b[0], rel=1e-14)
     assert abs(ka[0] - 0.27885480092693403) < 5e-16
@@ -78,13 +94,13 @@ def test_pointer_states_are_fixed_points_of_every_scheme():
         z = np.array([z0])
         for out in (
             _suv(a, b, 0.7, dt),
-            _renormalize(*_sse_em(a, b, dw, dt, 0.5)),
-            _renormalize(*_white_strat_heun(a, b, dw, dt, 2.0, deff)),
-            _renormalize(*_white_ito_em(a, b, dw, dt, 2.0, deff)),
+            _norm(_fresh(_sse_em, a, b, dw, dt, 0.5)),
+            _norm(_fresh(_white_strat_heun, a, b, dw, dt, 2.0, deff)),
+            _norm(_fresh(_white_ito_em, a, b, dw, dt, 2.0, deff)),
         ):
             assert out[0][0] ** 2 == z0
-        assert _z_colored_heun(z, 0.7, dt, 2.0, 1.0)[0] == z0
-        assert _z_white_heun(z, dw, dt, 2.0, deff)[0] == z0
+        assert _fresh(_z_colored_heun, z, 0.7, dt, 2.0, 1.0)[0] == z0
+        assert _fresh(_z_white_heun, z, dw, dt, 2.0, deff)[0] == z0
 
 
 def test_balanced_state_with_zero_field_is_stationary():
@@ -137,7 +153,7 @@ def test_sse_step_matches_euler_maruyama_arithmetic():
     db = 0.5 * (-gamma * (1.0 + m) ** 2 * dt - 2.0 * math.sqrt(gamma) * (1.0 + m) * dw) * b0
     a, b = a0 + da, b0 + db
     nrm = math.sqrt(a * a + b * b)
-    out_a, out_b = _renormalize(*_sse_em(*_amps(0.6), np.array([dw]), dt, gamma))
+    out_a, out_b = _norm(_fresh(_sse_em, *_amps(0.6), np.array([dw]), dt, gamma))
     assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
 
@@ -179,7 +195,7 @@ def test_white_steps_match_their_kernels():
     a = a0 + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2)
     b = b0 + 0.5 * dt * (fb + fb2) + 0.5 * dw * (gb + gb2)
     nrm = math.sqrt(a * a + b * b)
-    out_a, out_b = _renormalize(*_white_strat_heun(*_amps(0.6), np.array([dw]), dt, J, deff))
+    out_a, out_b = _norm(_fresh(_white_strat_heun, *_amps(0.6), np.array([dw]), dt, J, deff))
     assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
     c = 0.25 * deff * deff
@@ -189,7 +205,7 @@ def test_white_steps_match_their_kernels():
     ai = a0 + (fa + ca) * dt + ga * dw
     bi = b0 + (fb + cb) * dt + gb * dw
     nrmi = math.sqrt(ai * ai + bi * bi)
-    outi_a, outi_b = _renormalize(*_white_ito_em(*_amps(0.6), np.array([dw]), dt, J, deff))
+    outi_a, outi_b = _norm(_fresh(_white_ito_em, *_amps(0.6), np.array([dw]), dt, J, deff))
     assert outi_a[0] == ai / nrmi and outi_b[0] == bi / nrmi
 
 
@@ -199,8 +215,8 @@ def test_ito_conversion_drift_is_identity_at_balanced_state():
     # O(dt^1.5) corrector terms: the gap shrinks 8x when dt shrinks 4x.
     def gap(dt):
         dw = np.array([math.sqrt(dt) * 0.9])
-        zs = _renormalize(*_white_strat_heun(*_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
-        zi = _renormalize(*_white_ito_em(*_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
+        zs = _norm(_fresh(_white_strat_heun, *_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
+        zi = _norm(_fresh(_white_ito_em, *_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
         return abs(zs - zi)
 
     g1, g2 = gap(1e-4), gap(2.5e-5)
@@ -214,7 +230,7 @@ def test_unnormalized_norm_growth_tracks_generator_expectation():
     dt, xi = 1e-4, 0.5
     m = a[0] * a[0] - b[0] * b[0]
     ghat = 0.5 * (P.J * m + P.G * xi) * m
-    out_a, out_b = _unnormalized_heun(a, b, xi, dt, P.J, P.G)
+    out_a, out_b = _fresh(_unnormalized_heun, a, b, xi, dt, P.J, P.G)
     dn = out_a[0] * out_a[0] + out_b[0] * out_b[0] - 1.0
     assert abs(dn - 2.0 * dt * ghat) < 2.0 * dt * dt
 
@@ -225,7 +241,7 @@ def test_unnormalized_and_normalized_schemes_agree_after_projection():
     an, bn = au, bu = _amps(0.6)
     for _ in range(1000):
         an, bn = _suv(an, bn, 0.5, 1e-3)
-        au, bu = _unnormalized_heun(au, bu, 0.5, 1e-3, P.J, P.G)
+        au, bu = _fresh(_unnormalized_heun, au, bu, 0.5, 1e-3, P.J, P.G)
     norm2 = au[0] * au[0] + bu[0] * bu[0]
     assert norm2 > 1.5  # the norm really grew
     assert abs(an[0] * an[0] - au[0] * au[0] / norm2) < 1e-7
@@ -263,11 +279,11 @@ def test_scalar_z_track_matches_amplitude_dynamics():
     # step and stay within 1e-6 over a thousand steps.
     a, b = _amps(0.6)
     z = np.array([0.6])
-    one_step = abs(_suv(a, b, 0.5, 1e-3)[0][0] ** 2 - _z_colored_heun(z, 0.5, 1e-3, P.J, P.G)[0])
+    one_step = abs(_suv(a, b, 0.5, 1e-3)[0][0] ** 2 - _fresh(_z_colored_heun, z, 0.5, 1e-3, P.J, P.G)[0])
     assert one_step < 1e-10
     for _ in range(1000):
         a, b = _suv(a, b, 0.5, 1e-3)
-        z = _z_colored_heun(z, 0.5, 1e-3, P.J, P.G)
+        z = _fresh(_z_colored_heun, z, 0.5, 1e-3, P.J, P.G)
     assert abs(a[0] * a[0] - z[0]) < 1e-6
 
 
@@ -281,9 +297,9 @@ def test_scalar_steps_validate_inputs():
             _config(scheme=scheme, dt=0.0)
     # ... and their kernels clamp an overshooting Heun step onto [0, 1].
     z = np.array([0.9, 0.1])
-    assert np.array_equal(_z_colored_heun(z, np.array([500.0, -500.0]), 1e-2, 2.0, 1.0), [0.0, 1.0])
-    assert np.array_equal(_z_white_heun(z, np.array([10.0, -10.0]), 1e-3, 0.0, 1.0), [0.0, 1.0])
-    out = _z_white_heun(np.array([0.5]), np.array([math.sqrt(1e-3) * 0.4]), 1e-3, 2.0, 1.0)
+    assert np.array_equal(_fresh(_z_colored_heun, z, np.array([500.0, -500.0]), 1e-2, 2.0, 1.0), [0.0, 1.0])
+    assert np.array_equal(_fresh(_z_white_heun, z, np.array([10.0, -10.0]), 1e-3, 0.0, 1.0), [0.0, 1.0])
+    out = _fresh(_z_white_heun, np.array([0.5]), np.array([math.sqrt(1e-3) * 0.4]), 1e-3, 2.0, 1.0)
     assert 0.0 <= out[0] <= 1.0
 
 
@@ -303,7 +319,11 @@ def _config(**kw):
 
 def test_trajectory_config_validations():
     assert _config().n_steps == 1000
-    assert _config(T=1e-4).n_steps == 1  # never rounds to zero
+    # A horizon that is not a whole number of steps is rejected, not rounded
+    # (to 0 or 1 step, or to 10 steps for T = 0.0105).
+    for T in (1e-4, 0.0105, 1.0 + 3e-7):
+        with pytest.raises(ConfigError, match="not a whole number of steps"):
+            _config(T=T)
     with pytest.raises(ConfigError):
         _config(dt=0.0)
     with pytest.raises(ConfigError):
@@ -320,3 +340,107 @@ def test_trajectory_config_validations():
 def test_trajectory_config_warns_on_unresolved_correlation_time():
     with pytest.warns(UserWarning):
         _config(noise=NoiseModel(kind=NoiseKind.OU, tau=0.005), dt=1e-3)
+
+
+# Allocating plain-expression forms of the kernels that no exact test pins
+# otherwise; the in-place kernels must reproduce them bit for bit.
+
+
+def _ref_unnormalized_rate(a, b, xi, J, G):
+    nrm2 = a * a + b * b
+    m = (a * a - b * b) / nrm2
+    r = 0.5 * (J * m + G * xi)
+    return r * a, -r * b
+
+
+def _ref_unnormalized_heun(a, b, xi, dt, J, G):
+    ka, kb = _ref_unnormalized_rate(a, b, xi, J, G)
+    ka2, kb2 = _ref_unnormalized_rate(a + dt * ka, b + dt * kb, xi, J, G)
+    return a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
+
+
+def _ref_z_colored_rate(z, xi, J, G):
+    return 2.0 * z * (1.0 - z) * (J * (2.0 * z - 1.0) + G * xi)
+
+
+def _ref_z_colored_heun(z, xi, dt, J, G):
+    k1 = _ref_z_colored_rate(z, xi, J, G)
+    k2 = _ref_z_colored_rate(z + dt * k1, xi, J, G)
+    return np.clip(z + 0.5 * dt * (k1 + k2), 0.0, 1.0)
+
+
+def _ref_z_white_heun(z, dw, dt, J, deff):
+    f1 = 2.0 * J * z * (1.0 - z) * (2.0 * z - 1.0)
+    g1 = 2.0 * deff * z * (1.0 - z)
+    zp = z + f1 * dt + g1 * dw
+    f2 = 2.0 * J * zp * (1.0 - zp) * (2.0 * zp - 1.0)
+    g2 = 2.0 * deff * zp * (1.0 - zp)
+    return np.clip(z + 0.5 * dt * (f1 + f2) + 0.5 * dw * (g1 + g2), 0.0, 1.0)
+
+
+def test_kernels_match_allocating_expressions_bit_for_bit():
+    # Eight trajectories with distinct states (unnormalized amplitudes for
+    # the unnormalized scheme) and drives, two consecutive steps through two
+    # alternating output buffers and one shared workspace, as the engine
+    # runs them.
+    rng = np.random.default_rng(8)
+    n = 8
+    z0 = rng.uniform(0.05, 0.95, n)
+    amps = (rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, n))
+    xi = rng.standard_normal(n)
+    dw = math.sqrt(1e-2) * rng.standard_normal(n)
+    dt, J, G, deff = 1e-2, 2.0, 1.3, math.sqrt(2.0)
+    cases = (
+        (_unnormalized_heun, _ref_unnormalized_heun, amps, (xi, dt, J, G)),
+        (_z_colored_heun, _ref_z_colored_heun, (z0,), (xi, dt, J, G)),
+        (_z_white_heun, _ref_z_white_heun, (z0,), (dw, dt, J, deff)),
+    )
+    ws = _workspace(n)
+    for kernel, reference, state, drive in cases:
+        pair = len(state) == 2
+        buffers = [(np.empty(n), np.empty(n)) if pair else np.empty(n) for _ in range(2)]
+        expected = state
+        for k in range(2):
+            out = kernel(*state, *drive, buffers[k], ws)
+            state = out if pair else (out,)
+            expected = reference(*expected, *drive)
+            expected = expected if pair else (expected,)
+            for got, want in zip(state, expected):
+                assert np.array_equal(got, want), (kernel.__name__, k)
+    # The rates alone, where a reordering is not hidden by the small dt.
+    ka, kb = _unnormalized_rate(*amps, G * xi, J, (np.empty(n), np.empty(n)), ws)
+    ref_ka, ref_kb = _ref_unnormalized_rate(*amps, xi, J, G)
+    assert np.array_equal(ka, ref_ka) and np.array_equal(kb, ref_kb)
+    k = _z_colored_rate(z0, G * xi, J, np.empty(n), np.empty(n))
+    assert np.array_equal(k, _ref_z_colored_rate(z0, xi, J, G))
+
+
+def _ref_defect(a, b):
+    """The norm defect of the parent's renormalization, |a'^2 + b'^2 - 1|."""
+    nrm = np.sqrt(a * a + b * b)
+    a, b = a / nrm, b / nrm
+    return np.abs(a * a + b * b - 1.0)
+
+
+def test_renormalize_rejects_degenerate_rows_by_name():
+    good = np.array([0.6, 0.8, 0.3, 0.5])
+    rest = np.sqrt(1.0 - good * good)
+    for row, bad_a, bad_b in ((1, math.nan, 0.5), (2, math.inf, 0.1), (3, 0.0, 0.0)):
+        a, b = good.copy(), rest.copy()
+        a[row], b[row] = bad_a, bad_b
+        with pytest.raises(IntegratorInstabilityError) as info:
+            _norm((a, b))
+        assert str(info.value) == "non-finite or zero-norm state"
+        assert info.value.row == row
+    # A subnormal squared norm survives the first guard but leaves a large
+    # defect, above one in the first case and below one in the second.
+    for bad_a, bad_b in ((1e-160, 1e-160), (7e-161, 3e-161)):
+        a, b = good.copy(), rest.copy()
+        a[2], b[2] = bad_a, bad_b
+        defect = _ref_defect(a, b)
+        with pytest.raises(IntegratorInstabilityError) as info:
+            _norm((a, b))
+        assert str(info.value) == (
+            f"norm defect {np.max(defect):.3g} after renormalization exceeds 1e-09"
+        )
+        assert info.value.row == 2

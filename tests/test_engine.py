@@ -25,6 +25,7 @@ from suvsim.dynamics import (
     _unnormalized_heun,
     _white_ito_em,
     _white_strat_heun,
+    _workspace,
     _z_colored_heun,
     _z_white_heun,
 )
@@ -60,19 +61,27 @@ def _replay(cfg, index=0):
     The engine draws each stream's normals in time blocks; this replay takes
     them one at a time from the same stream (after the steady-state field
     value of a colored scheme) and steps length-1 arrays through the
-    kernels. Returns the state after every step, initial state first, as
-    (a, b) or (z,) tuples, and the field value the next step would see.
+    kernels, into fresh buffers at every step. Returns the state after
+    every step, initial state first, as (a, b) or (z,) tuples, and the
+    field value the next step would see.
     """
     rng = derive_stream(cfg.seed, index)
     p, dt, kind, tau = cfg.params, cfg.dt, cfg.noise.kind, cfg.noise.tau
+
+    def pair():
+        return np.empty(1), np.empty(1)
+
+    def norm(s):
+        return _renormalize(*s, pair(), _workspace(1))
+
     step = {
-        Scheme.SUV_COLORED: lambda s, d: _renormalize(*_suv_heun(*s, d, dt, p.J, p.G)),
-        Scheme.UNNORMALIZED_SUV: lambda s, d: _unnormalized_heun(*s, d, dt, p.J, p.G),
-        Scheme.SSE: lambda s, d: _renormalize(*_sse_em(*s, d, dt, p.gamma)),
-        Scheme.WHITE_STRAT: lambda s, d: _renormalize(*_white_strat_heun(*s, d, dt, p.J, p.Deff)),
-        Scheme.WHITE_ITO: lambda s, d: _renormalize(*_white_ito_em(*s, d, dt, p.J, p.Deff)),
-        Scheme.Z_COLORED: lambda s, d: (_z_colored_heun(s[0], d, dt, p.J, p.G),),
-        Scheme.Z_WHITE: lambda s, d: (_z_white_heun(s[0], d, dt, p.J, p.Deff),),
+        Scheme.SUV_COLORED: lambda s, d: norm(_suv_heun(*s, d, dt, p.J, p.G, pair(), _workspace(1))),
+        Scheme.UNNORMALIZED_SUV: lambda s, d: _unnormalized_heun(*s, d, dt, p.J, p.G, pair(), _workspace(1)),
+        Scheme.SSE: lambda s, d: norm(_sse_em(*s, d, dt, p.gamma, pair(), _workspace(1))),
+        Scheme.WHITE_STRAT: lambda s, d: norm(_white_strat_heun(*s, d, dt, p.J, p.Deff, pair(), _workspace(1))),
+        Scheme.WHITE_ITO: lambda s, d: norm(_white_ito_em(*s, d, dt, p.J, p.Deff, pair(), _workspace(1))),
+        Scheme.Z_COLORED: lambda s, d: (_z_colored_heun(s[0], d, dt, p.J, p.G, np.empty(1), _workspace(1)),),
+        Scheme.Z_WHITE: lambda s, d: (_z_white_heun(s[0], d, dt, p.J, p.Deff, np.empty(1), _workspace(1)),),
     }[cfg.scheme]
     colored = cfg.scheme.uses_colored_noise
     xi = None
@@ -89,9 +98,9 @@ def _replay(cfg, index=0):
         else:
             state = step(state, xi)
             if kind is NoiseKind.OU:
-                xi = _ou_update(xi, *_ou_coefficients(dt, tau), rng.standard_normal())
+                xi = _ou_update(xi, *_ou_coefficients(dt, tau), rng.standard_normal(), np.empty(1), pair())
             elif kind is NoiseKind.SBM:
-                xi = _sbm_update(xi, dt, tau, rng.standard_normal())
+                xi = _sbm_update(xi, dt, tau, rng.standard_normal(), np.empty(1), pair())
         states.append(state)
         xis.append(xi)
     return states, xis
@@ -165,6 +174,26 @@ def test_streamed_draws_match_replay_across_block_boundaries():
         for chunk_size in (1, 2, None):
             res = simulate_ensemble(cfg, n_traj=3, chunk_size=chunk_size, record_series=False)
             assert res.final_z.tolist() == replayed
+
+
+def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
+    # A per-layer trace wraps these module globals of the engine and counts
+    # calls to them (kernel calls, noise-update calls); every chunk must
+    # call each exactly once per step.
+    import suvsim.engine as engine
+
+    names = ("_suv_heun", "_renormalize", "_ou_update")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.3)
+    assert cfg.n_steps == 300
+    simulate_ensemble(cfg, n_traj=3, chunk_size=1)
+    assert counts == dict.fromkeys(names, 3 * 300)
 
 
 def test_final_only_run_holds_no_per_step_draw_matrix():

@@ -11,6 +11,7 @@ from suvsim import (
     EXPERIMENT_DEFAULTS,
     ConfigError,
     Experiment,
+    InconclusiveError,
     NoiseKind,
     NoiseModel,
     PhysicsParams,
@@ -305,6 +306,22 @@ def test_failed_run_leaves_no_stale_manifest(tmp_path):
     with pytest.raises(ConfigError, match="evolving noise kind"):
         run_experiment(cfg)
     assert not stale.exists()
+
+
+def test_noise_validation_writes_no_unfittable_rate(tmp_path):
+    # At this size an OU autocovariance on the rate-fit grid is negative,
+    # and its logarithm would be written as a NaN rate: the run stops
+    # before any file is written.
+    cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0},
+                      output_dir=str(tmp_path))
+    with pytest.raises(InconclusiveError, match="ou autocovariance at lag 1.25 is -0.0045"):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())
+    # Its paths, like every ensemble, span a whole number of steps.
+    cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0005},
+                      output_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="not a whole number of steps"):
+        run_experiment(cfg)
 
 
 def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):

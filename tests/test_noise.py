@@ -19,8 +19,23 @@ from suvsim import (
     simulate_paths,
     steady_samples,
 )
-from suvsim.dynamics import _renormalize, _sse_em
-from suvsim.noise import _BLOCK_STEPS, _draw_field, _ou_coefficients, _ou_update, _sbm_update
+from suvsim.dynamics import _renormalize, _sse_em, _workspace
+from suvsim.noise import (
+    _BLOCK_STEPS,
+    _TILE_STREAMS,
+    _draw_field,
+    _ou_coefficients,
+    _ou_update,
+    _sbm_update,
+)
+
+
+def _ou(xi, decay, sigma, normals):
+    return _ou_update(xi, decay, sigma, normals, np.empty(len(xi)), _workspace(len(xi)))
+
+
+def _sbm(xi, dt, tau, normals):
+    return _sbm_update(xi, dt, tau, normals, np.empty(len(xi)), _workspace(len(xi)))
 
 
 def test_noise_kind_properties_partition_all_kinds():
@@ -56,7 +71,8 @@ def test_wiener_increment_scales_draw_by_sqrt_dt():
         )
         dw = math.sqrt(dt) * derive_stream(3, 0).standard_normal()
         amps = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
-        a, _ = _renormalize(*_sse_em(*amps, np.array([dw]), dt, 0.5))
+        raw = _sse_em(*amps, np.array([dw]), dt, 0.5, (np.empty(1), np.empty(1)), _workspace(1))
+        a, _ = _renormalize(*raw, (np.empty(1), np.empty(1)), _workspace(1))
         assert simulate_ensemble(cfg, 1, record_series=False).final_z[0] == a[0] * a[0]
 
 
@@ -64,7 +80,7 @@ def test_ou_step_decay_factor_at_one_correlation_time():
     # With a zero innovation the exact transition is a pure decay e^(-dt/tau);
     # at dt = tau the factor is e^(-1).
     decay, sigma = _ou_coefficients(1.0, 1.0)
-    out = _ou_update(np.array([1.0]), decay, sigma, np.array([0.0]))
+    out = _ou(np.array([1.0]), decay, sigma, np.array([0.0]))
     assert out[0] == 0.36787944117144233
 
 
@@ -72,7 +88,7 @@ def test_ou_step_innovation_variance_completes_steady_state():
     # xi' = xi e^(-dt/tau) + sqrt(1 - e^(-2 dt/tau)) n keeps Var = 1 in
     # steady state; check the innovation coefficient through a unit draw.
     decay, sigma = _ou_coefficients(0.5, 1.0)
-    out = _ou_update(np.array([0.0]), decay, sigma, np.array([1.0]))
+    out = _ou(np.array([0.0]), decay, sigma, np.array([1.0]))
     assert decay == math.exp(-0.5)
     assert out[0] == pytest.approx(math.sqrt(1.0 - decay * decay), rel=1e-15)
 
@@ -86,14 +102,41 @@ def test_ou_step_rejects_bad_grid():
 
 
 def test_sbm_step_drift_only_moves_toward_zero():
-    out = _sbm_update(np.array([1.0, -1.0]), 1e-3, 1.0, np.array([0.0, 0.0]))
+    out = _sbm(np.array([1.0, -1.0]), 1e-3, 1.0, np.array([0.0, 0.0]))
     assert np.array_equal(out, [0.999, -0.999])
 
 
 def test_sbm_step_clamps_discretization_overshoot():
     # A huge innovation near the boundary overshoots; the step must clamp.
-    out = _sbm_update(np.array([0.999, -0.999]), 1e-3, 1.0, np.array([50.0, -50.0]))
+    out = _sbm(np.array([0.999, -0.999]), 1e-3, 1.0, np.array([50.0, -50.0]))
     assert np.array_equal(out, [1.0, -1.0])
+
+
+def test_field_updates_match_allocating_expressions_bit_for_bit():
+    # Two consecutive in-place steps, as the engine and simulate_paths take
+    # them, of three fields away from the SBM clamp, against the plain
+    # expressions of the transitions.
+    xi0 = np.array([0.3, -0.6, 0.85])
+    draws = np.array([[0.4, -1.2, 0.9], [-0.7, 0.2, -1.5]])
+    dt, tau = 1e-3, 0.5
+    decay, sigma = _ou_coefficients(dt, tau)
+    ws = _workspace(3)
+    xi_ou, xi_sbm = xi0.copy(), xi0.copy()
+    ref_ou, ref_sbm = xi0, xi0
+    for normals in draws:
+        _ou_update(xi_ou, decay, sigma, normals, xi_ou, ws)
+        _sbm_update(xi_sbm, dt, tau, normals, xi_sbm, ws)
+        ref_ou = ref_ou * decay + sigma * normals
+        ratio = dt / tau
+        ref_sbm = np.clip(
+            ref_sbm - ref_sbm * ratio
+            + np.sqrt(np.clip(1.0 - ref_sbm * ref_sbm, 0.0, None) * ratio) * normals,
+            -1.0,
+            1.0,
+        )
+        assert np.array_equal(xi_ou, ref_ou)
+        assert np.array_equal(xi_sbm, ref_sbm)
+    assert np.all(np.abs(xi_sbm) < 0.99)  # the clamp never acted
 
 
 def test_sbm_step_rejects_out_of_range_field():
@@ -105,7 +148,7 @@ def test_sbm_step_rejects_out_of_range_field():
 def test_sbm_diffusion_vanishes_at_boundary():
     # At |xi| = 1 the diffusion coefficient is zero, so even a large draw
     # only produces the deterministic drift.
-    out = _sbm_update(np.array([1.0]), 1e-3, 1.0, np.array([50.0]))
+    out = _sbm(np.array([1.0]), 1e-3, 1.0, np.array([50.0]))
     assert out[0] == 0.999
 
 
@@ -117,18 +160,21 @@ def test_sample_steady_state_distributions():
     assert normals is None
     assert np.all(np.abs(xs) <= 1.0)
     assert xs[7] == derive_stream(2024, 7).uniform(-1.0, 1.0)
-    # An evolving kind then draws its per-step normals in time blocks that
-    # continue each stream: two full blocks and a partial one here. Blocks
-    # share one buffer, so each is copied before the next is drawn.
+    # An evolving kind then draws its per-step normals in time-major blocks
+    # whose column r continues stream r: two full blocks and a partial one,
+    # over two full tiles of streams and a partial one. Blocks share one
+    # buffer, so each is copied before the next is drawn.
     n_steps = 2 * _BLOCK_STEPS + 7
-    streams = [derive_stream(5, i) for i in range(3)]
+    m = 2 * _TILE_STREAMS + 5
+    streams = [derive_stream(5, i) for i in range(m)]
     ou, blocks = _draw_field(NoiseModel(kind=NoiseKind.OU), streams, n_steps)
     blocks = [b.copy() for b in blocks]
-    assert [b.shape[1] for b in blocks] == [_BLOCK_STEPS, _BLOCK_STEPS, 7]
-    normals = np.concatenate(blocks, axis=1)
-    fresh = derive_stream(5, 2)
-    assert ou[2] == fresh.standard_normal()
-    assert np.array_equal(normals[2], fresh.standard_normal(n_steps))
+    assert [b.shape for b in blocks] == [(_BLOCK_STEPS, m), (_BLOCK_STEPS, m), (7, m)]
+    normals = np.concatenate(blocks, axis=0)
+    for r in range(m):
+        fresh = derive_stream(5, r)
+        assert ou[r] == fresh.standard_normal()
+        assert np.array_equal(normals[:, r], fresh.standard_normal(n_steps))
     with pytest.raises(NotApplicableError):
         steady_samples(NoiseModel(kind=NoiseKind.NONE), 1, derive_stream(2024, 0))
 
