@@ -26,7 +26,6 @@ from .errors import (
     InvalidParameterError,
     NotApplicableError,
     SimulationError,
-    StateCorruptionError,
 )
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
@@ -37,7 +36,6 @@ from .observables import (
     born_deviation,
     collapse_statistics,
     ks_distance,
-    quadratic_variation,
 )
 from .harness import run_experiment
 
@@ -57,7 +55,6 @@ __all__ = [
     "CompensatedAccumulator",
     "EnsembleSummary",
     "CollapseStats",
-    "quadratic_variation",
     "collapse_statistics",
     "ks_distance",
     "born_deviation",
@@ -80,7 +77,6 @@ __all__ = [
     # errors
     "SimulationError",
     "InvalidParameterError",
-    "StateCorruptionError",
     "IntegratorInstabilityError",
     "NotApplicableError",
     "InconclusiveError",

@@ -132,10 +132,6 @@ class TrajectoryConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scheme, Scheme):
             object.__setattr__(self, "scheme", Scheme(self.scheme))
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not self.T > 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
         _whole_steps(self.T, self.dt)
         if not 0.0 <= self.z0 <= 1.0:
             raise ConfigError(f"z0 must be in [0, 1], got {self.z0}")
@@ -170,8 +166,12 @@ class TrajectoryConfig:
 
 
 def _whole_steps(T: float, dt: float) -> int:
-    """Number of steps of size dt in the horizon T, which must be a whole
-    number of them (up to round-off)."""
+    """Number of steps of size dt in the horizon T: both must be positive,
+    and T a whole number of steps (up to round-off)."""
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    if not T > 0:
+        raise ConfigError(f"T must be positive, got {T}")
     ratio = T / dt
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):

@@ -91,16 +91,16 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
 class EnsembleResult:
     """Outputs of one ensemble run.
 
-    summary is None when time series were not recorded; single_z/single_xi
-    hold the decimated trajectory dump when the ensemble has exactly one
-    trajectory (single_xi is None for schemes without a colored field).
+    summary is None when time series were not recorded. For a recorded
+    ensemble of exactly one trajectory, summary.mean_z is that trajectory's
+    z series bit for bit, and single_xi holds its field on the same grid
+    (None for schemes without a colored field).
     """
 
     config: TrajectoryConfig
     n_traj: int
     final_z: np.ndarray
     summary: EnsembleSummary | None = None
-    single_z: np.ndarray | None = None
     single_xi: np.ndarray | None = None
 
 
@@ -158,7 +158,7 @@ def simulate_ensemble(
         tile = np.empty((_FOLD_ROWS, 4 * n_out + n_steps))
 
     final_z = np.empty(n_traj)
-    single_z = single_xi = None
+    single_xi = None
 
     if chunk_size is None:
         chunk_size = max(1, min(n_traj, _CHUNK_ELEMENT_BUDGET // max(n_steps, 1)))
@@ -178,9 +178,8 @@ def simulate_ensemble(
         final_z[start : start + m] = fz
         if record_series:
             _fold(acc, rows, n_out, tile)
-        if n_traj == 1 and record_series:
-            single_z = rows[0, :n_out].copy()
-            single_xi = None if xi_rows is None else xi_rows[0].copy()
+        if xi_rows is not None:
+            single_xi = xi_rows[0].copy()
 
     summary = None
     if record_series:
@@ -211,7 +210,6 @@ def simulate_ensemble(
         n_traj=n_traj,
         final_z=final_z,
         summary=summary,
-        single_z=single_z,
         single_xi=single_xi,
     )
 

@@ -13,10 +13,6 @@ class InvalidParameterError(SimulationError):
     """An argument violates a documented precondition."""
 
 
-class StateCorruptionError(SimulationError):
-    """A state variable left its admissible domain (e.g. |xi| > 1 for a bounded process)."""
-
-
 class IntegratorInstabilityError(SimulationError):
     """The integrator produced a non-finite or degenerate state; ``row`` is
     the offending trajectory's position in the batch the check saw."""

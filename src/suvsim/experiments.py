@@ -16,7 +16,7 @@ import numpy as np
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
 from .engine import derive_stream, simulate_ensemble
-from .errors import InconclusiveError
+from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
 from .observables import born_deviation, collapse_statistics, ks_distance
@@ -62,12 +62,12 @@ def _born_row(z0, stats):
 
 
 def _maybe_dump_trajectory(result, outdir, stem, written):
-    if result.n_traj == 1 and result.single_z is not None:
+    if result.n_traj == 1 and result.summary is not None:
         name = f"{stem}_trajectory.csv"
         write_trajectory_csv(
             os.path.join(outdir, name),
             result.summary.times,
-            result.single_z,
+            result.summary.mean_z,
             result.single_xi,
         )
         written.append(name)
@@ -205,46 +205,73 @@ def run_weak_equivalence(cfg: ExperimentConfig, outdir: str) -> list[str]:
     return ["weak_equivalence.csv"]
 
 
+# The rate fit's lags are k tau / 4 for k = 0..12. Entries 0, 4 and 8 are
+# the report lags 0, tau and 2 tau as the same floats, since k * 0.25 is
+# exact.
+_FIT_LAGS = 13
+_REPORT_ENTRIES = (0, 4, 8)
+
+
+def _fit_grid_autocovariances(paths, tau: float, dt: float):
+    """Lags of the rate fit and the autocovariance estimate of steady-state
+    ``paths`` (spacing dt) at each, one :func:`autocorrelation` call per lag."""
+    lags = [k * 0.25 * tau for k in range(_FIT_LAGS)]
+    return lags, np.array([autocorrelation(paths, lag, dt) for lag in lags])
+
+
 def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Statistical checks of the noise processes themselves.
 
     For each process: the stationary autocovariance at lags {0, tau, 2 tau}
     against its exponential target, an exponential-rate fit over lags up to
     3 tau, and a one-sample KS distance of fresh steady-state draws against
-    the exact stationary law. Raises InconclusiveError, before any file is
-    written, when an autocovariance on the fit grid is not positive, since
-    its logarithm would make the fitted rate NaN.
+    the exact stationary law. The autocovariance is estimated once per lag
+    of the fit grid, which holds the three report lags. Raises ConfigError,
+    before any path is simulated, when tau / 4 is not a whole number of
+    steps or 3 tau exceeds the horizon, and InconclusiveError, before any
+    file is written, when an autocovariance on the fit grid is not
+    positive, since its logarithm would make the fitted rate NaN.
     """
     n = cfg.n_traj
     tau = cfg.tau
     dt = cfg.dt
     n_steps = _whole_steps(cfg.T, dt)
-    lag_grid = [k * 0.25 * tau for k in range(13)]
+    models = [NoiseModel(kind=kind, tau=tau) for kind in (NoiseKind.OU, NoiseKind.SBM)]
+    quarter = 0.25 * tau / dt
+    q = round(quarter)
+    if q < 1 or abs(quarter - q) > 1e-9 * quarter:
+        raise ConfigError(
+            f"tau / 4 = {0.25 * tau:g} is not a whole number of steps of dt = {dt}, "
+            "as the rate fit's lags must be"
+        )
+    if (_FIT_LAGS - 1) * q > n_steps:
+        raise ConfigError(
+            f"the rate fit's longest lag 3 tau = {3.0 * tau:g} exceeds the horizon T = {cfg.T}"
+        )
 
     acf_rows = []
     rate_rows = []
     steady_rows = []
-    for model_index, kind in enumerate((NoiseKind.OU, NoiseKind.SBM)):
-        model = NoiseModel(kind=kind, tau=tau)
+    for model_index, model in enumerate(models):
+        kind = model.kind
         streams = [derive_stream(cfg.master_seed, model_index * n + i) for i in range(n)]
         paths = simulate_paths(model, n_steps, dt, streams)
+        lags, values = _fit_grid_autocovariances(paths, tau, dt)
+        del paths
         variance = STEADY_SECOND_MOMENT[kind]
-        for lag in (0.0, tau, 2.0 * tau):
-            estimate = autocorrelation(paths, lag, dt)
-            target = variance * math.exp(-lag / tau)
+        for j in _REPORT_ENTRIES:
+            target = variance * math.exp(-lags[j] / tau)
             acf_rows.append(
-                [kind.value, lag, estimate, target, abs(estimate - target) / target]
+                [kind.value, lags[j], values[j], target, abs(values[j] - target) / target]
             )
-        values = np.array([autocorrelation(paths, lag, dt) for lag in lag_grid])
         if not np.all(values > 0.0):
             j = int(np.argmin(values > 0.0))
             raise InconclusiveError(
-                f"{kind.value} autocovariance at lag {lag_grid[j]:g} is {values[j]:.3g}, "
+                f"{kind.value} autocovariance at lag {lags[j]:g} is {values[j]:.3g}, "
                 "not positive: no decay rate can be fitted; raise n_traj or T"
             )
-        rate = -np.polyfit(np.array(lag_grid), np.log(values), 1)[0]
+        rate = -np.polyfit(np.array(lags), np.log(values), 1)[0]
         rate_rows.append([kind.value, rate, 1.0 / tau])
-        del paths
 
         draws = steady_samples(model, 100000, derive_stream(cfg.master_seed, 2 * n + model_index))
         steady_rows.append([kind.value, draws.size, _steady_ks(kind, draws)])

@@ -18,8 +18,7 @@ frozen (constant-per-trajectory) variants of each:
   [-1, 1]: the diffusion coefficient vanishes at the boundary, so
   overshoot is an O(sqrt(dt))-rare discretization artifact.
 
-Initial values are drawn from the steady state unless an explicit sharp
-initial condition is supplied (relaxation tests only).
+Initial values are drawn from the steady state.
 """
 from __future__ import annotations
 
@@ -29,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotApplicableError, StateCorruptionError
+from .errors import InvalidParameterError, NotApplicableError
 
 __all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation", "simulate_paths"]
 
@@ -148,17 +147,14 @@ def _stream_normals(streams, n_steps: int):
         yield buf[:width]
 
 
-def _draw_field(model: NoiseModel, streams, n_steps: int, xi0=None):
+def _draw_field(model: NoiseModel, streams, n_steps: int):
     """Initial values and per-step normal blocks (None for frozen kinds) of
     one field path per stream: each stream draws its steady-state value
-    (uniform on [-1, 1] for bounded kinds, N(0, 1) otherwise) unless a
-    sharp ``xi0`` replaces it, then, if the kind evolves, ``n_steps``
-    normals, drawn block by block as :func:`_stream_normals` is iterated.
+    (uniform on [-1, 1] for bounded kinds, N(0, 1) otherwise), then, if the
+    kind evolves, ``n_steps`` normals, drawn block by block as
+    :func:`_stream_normals` is iterated.
     """
-    if xi0 is None:
-        xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
-    else:
-        xi = np.broadcast_to(np.asarray(xi0, dtype=float), (len(streams),)).copy()
+    xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
     blocks = _stream_normals(streams, n_steps) if model.kind.is_evolving else None
     return xi, blocks
 
@@ -213,8 +209,8 @@ def autocorrelation(paths, lag: float, dt: float) -> float:
     return float(np.mean(x * y) - np.mean(x) * np.mean(y))
 
 
-def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None):
-    """Generate noise paths, one per random stream.
+def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams):
+    """Generate steady-state noise paths, one per random stream.
 
     Each path draws only from its own stream, in the order of
     :func:`_draw_field` that the ensemble engine shares (initial value
@@ -234,10 +230,7 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
     dt : float
         Time step.
     streams : sequence of numpy.random.Generator
-        One private stream per path.
-    xi0 : float or array_like, optional
-        Sharp initial condition override; by default the initial value is a
-        steady-state draw from each stream.
+        One private stream per path, which also draws its initial value.
 
     Returns
     -------
@@ -254,9 +247,7 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams, xi0=None
     if n == 0:
         raise InvalidParameterError("at least one random stream is required")
 
-    if xi0 is not None and model.kind.is_bounded and np.any(np.abs(xi0) > 1.0):
-        raise StateCorruptionError("SBM initial condition outside [-1, 1]")
-    xi, blocks = _draw_field(model, streams, n_steps, xi0)
+    xi, blocks = _draw_field(model, streams, n_steps)
 
     out = np.empty((n, n_steps + 1))
     out[:, 0] = xi

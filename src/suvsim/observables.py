@@ -1,4 +1,4 @@
-"""Ensemble statistics: compensated sums, quadratic variation, collapse
+"""Ensemble statistics: compensated sums, ensemble summaries, collapse
 counts, and distribution comparison.
 
 All reductions over trajectories run in trajectory-index order with
@@ -17,7 +17,6 @@ __all__ = [
     "CompensatedAccumulator",
     "EnsembleSummary",
     "CollapseStats",
-    "quadratic_variation",
     "collapse_statistics",
     "ks_distance",
     "born_deviation",
@@ -120,41 +119,6 @@ class CollapseStats:
     @property
     def frac_unresolved(self) -> float:
         return self.n_unresolved / self.n_traj
-
-
-def quadratic_variation(alpha_increments, initial: float = 0.0) -> np.ndarray:
-    """Cumulative quadratic variation of the amplitude over the ensemble.
-
-    Q at step k is the running sum of the per-step trajectory means of the
-    squared amplitude increments. Continuation is exact: computing a later
-    segment with ``initial`` set to the Q value at the split point
-    reproduces bit-for-bit the series of a single full computation, because
-    the same left-to-right additions are performed.
-
-    Parameters
-    ----------
-    alpha_increments : array_like, shape (n_traj, n_steps)
-        Per-trajectory amplitude increments on a shared time grid.
-    initial : float
-        Accumulated Q at the start of this segment.
-
-    Returns
-    -------
-    numpy.ndarray, shape (n_steps,)
-    """
-    arr = np.asarray(alpha_increments, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidParameterError(
-            "alpha_increments must be a 2-d (n_traj, n_steps) array with a shared grid"
-        )
-    if arr.shape[0] == 0:
-        raise InvalidParameterError("at least one trajectory is required")
-    acc = CompensatedAccumulator(arr.shape[1])
-    acc.add_rows(arr * arr)
-    # Per-step means of squares are nonnegative exactly; clip fp round-off
-    # so the cumulative series is nondecreasing.
-    means = np.maximum(acc.total / arr.shape[0], 0.0)
-    return np.cumsum(np.concatenate(([initial], means)))[1:]
 
 
 def collapse_statistics(final_z, eps_collapse: float) -> CollapseStats:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .observables import EnsembleSummary
 
@@ -43,11 +43,18 @@ def format_value(value) -> str:
 
 @contextmanager
 def _atomic_open(path: str):
-    """Text handle on path + '.tmp', renamed over path once the block exits cleanly."""
+    """Text handle on path + '.tmp', renamed over path once the block exits
+    cleanly; if anything fails first, the temporary file is removed and path
+    is left as it was."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="\n", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_rows(path: str, header, rows) -> None:

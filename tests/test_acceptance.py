@@ -16,21 +16,24 @@ from suvsim import (
     PhysicsParams,
     Scheme,
     TrajectoryConfig,
-    autocorrelation,
     born_deviation,
     collapse_statistics,
     derive_stream,
     effective_diffusion,
     ks_distance,
     make_config,
-    quadratic_variation,
     run_experiment,
     simulate_ensemble,
     simulate_paths,
     steady_samples,
 )
 from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun, _workspace
-from suvsim.experiments import EPS_COLLAPSE, _steady_ks
+from suvsim.experiments import (
+    _REPORT_ENTRIES,
+    EPS_COLLAPSE,
+    _fit_grid_autocovariances,
+    _steady_ks,
+)
 from suvsim.output import write_ensemble_csv
 
 DEFF = effective_diffusion(10.0, 0.01, NoiseKind.OU)  # sqrt(2), shared scale
@@ -110,7 +113,6 @@ def test_noise_processes_match_their_stationary_laws(criterion_report):
     # Autocovariance at lags {0, tau, 2 tau}, exponential decay rate, and
     # one-sample KS distance of steady draws, for both processes.
     n, tau, dt, n_steps = 20000, 1.0, 0.005, 2000
-    lag_grid = np.array([k * 0.25 * tau for k in range(13)])
     results = {}
     for kind, variance, seed, acf_tol in (
         (NoiseKind.OU, 1.0, 301, 0.03),
@@ -120,13 +122,12 @@ def test_noise_processes_match_their_stationary_laws(criterion_report):
         paths = simulate_paths(
             model, n_steps, dt, [derive_stream(seed, i) for i in range(n)]
         )
+        lags, values = _fit_grid_autocovariances(paths, tau, dt)
         rels = []
-        for lag in (0.0, tau, 2.0 * tau):
-            est = autocorrelation(paths, lag, dt)
-            target = variance * math.exp(-lag / tau)
-            rels.append(abs(est - target) / target)
-        values = np.array([autocorrelation(paths, lag, dt) for lag in lag_grid])
-        rate = -np.polyfit(lag_grid, np.log(values), 1)[0]
+        for j in _REPORT_ENTRIES:
+            target = variance * math.exp(-lags[j] / tau)
+            rels.append(abs(values[j] - target) / target)
+        rate = -np.polyfit(lags, np.log(values), 1)[0]
         results[kind] = (max(rels), abs(rate * tau - 1.0), acf_tol)
         del paths
 
@@ -324,11 +325,13 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path):
     if abs(an[0] * an[0] - au[0] * au[0] / (au[0] * au[0] + bu[0] * bu[0])) > 1e-7:
         failures.append("normalized/unnormalized consistency")
 
-    inc = np.random.default_rng(17).standard_normal((40, 24)) * 0.01
-    head = quadratic_variation(inc[:, :11])
-    tail = quadratic_variation(inc[:, 11:], initial=head[-1])
-    if not np.array_equal(np.concatenate([head, tail]), quadratic_variation(inc)):
-        failures.append("qv additivity")
+    # The qv at every recorded step is the running sum over all steps, so a
+    # coarser recording grid reads the same values at the steps it keeps.
+    fine = simulate_ensemble(cfg, 9, decimation=1).summary.qv
+    for dec in (3, 7, 13):
+        coarse = simulate_ensemble(cfg, 9, decimation=dec).summary.qv
+        if not np.array_equal(coarse, fine[np.r_[0 : cfg.n_steps : dec, cfg.n_steps]]):
+            failures.append(f"qv additivity at decimation {dec}")
 
     res = simulate_ensemble(_traj(Scheme.SUV_COLORED, seed=5, T=0.02), 6, decimation=5)
     csv_path = tmp_path / "round_trip.csv"

@@ -15,7 +15,6 @@ from suvsim import (
     Scheme,
     TrajectoryConfig,
     derive_stream,
-    quadratic_variation,
     simulate_ensemble,
 )
 from suvsim.dynamics import (
@@ -118,7 +117,7 @@ def _assert_engine_matches_replay(cfg):
     res = simulate_ensemble(cfg, n_traj=1, decimation=1)
     states, xis = _replay(cfg)
     zs = np.array([_z(cfg.scheme, s) for s in states])
-    assert np.array_equal(res.single_z, zs)
+    assert np.array_equal(res.summary.mean_z, zs)
     assert res.final_z[0] == zs[-1]
     if cfg.scheme.uses_colored_noise:
         assert np.array_equal(res.single_xi, np.concatenate(xis))
@@ -256,10 +255,24 @@ def test_quadratic_variation_separates_smooth_from_rough_paths():
     assert rough[0] > 50.0 * smooth[0]
 
 
+def _neumaier_sum(values):
+    """Neumaier compensated sum of ``values`` in order, one float at a time."""
+    total = comp = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
 def test_engine_qv_matches_observables_reconstruction():
-    # Rebuild every amplitude increment through the per-step replay and
-    # push them through quadratic_variation: the engine series must match
-    # bit for bit at the recorded grid points.
+    # Rebuild every amplitude increment through the per-step replay, fold
+    # each step's squares over trajectories in index order, take the mean
+    # and its running sum: the engine series must match bit for bit at the
+    # recorded grid points.
     cfg = _cfg(Scheme.SUV_COLORED, T=0.02, seed=9)
     n_traj, dec = 4, 7
     res = simulate_ensemble(cfg, n_traj=n_traj, decimation=dec)
@@ -267,7 +280,8 @@ def test_engine_qv_matches_observables_reconstruction():
     for i in range(n_traj):
         a = np.array([s[0][0] for s in _replay(cfg, i)[0]])
         incs[i] = np.diff(a)
-    qv_full = np.concatenate(([0.0], quadratic_variation(incs)))
+    means = [max(_neumaier_sum(col * col) / n_traj, 0.0) for col in incs.T]
+    qv_full = np.cumsum([0.0] + means)
     out_idx = np.array([0, 7, 14, 20])
     assert np.array_equal(res.summary.qv, qv_full[out_idx])
 
@@ -292,16 +306,15 @@ def test_recording_grid_includes_start_stride_and_final_step():
 def test_result_flags_and_minimal_outputs():
     cfg = _cfg(Scheme.SUV_COLORED, T=0.01)
     multi = simulate_ensemble(cfg, n_traj=2, decimation=1)
-    assert multi.single_z is None and multi.single_xi is None
+    assert multi.single_xi is None
     assert multi.summary.stderr_z is not None
 
     single = simulate_ensemble(cfg, n_traj=1, decimation=1)
     assert single.summary.stderr_z is None
-    assert single.single_z.shape == single.summary.times.shape
     assert single.single_xi.shape == single.summary.times.shape
 
     bare = simulate_ensemble(cfg, n_traj=3, record_series=False)
-    assert bare.summary is None and bare.single_z is None
+    assert bare.summary is None and bare.single_xi is None
     assert bare.final_z.shape == (3,)
 
 

@@ -231,6 +231,7 @@ def test_csv_write_replaces_the_file_only_when_complete(tmp_path):
     with pytest.raises(RuntimeError):
         write_table_csv(str(path), ["x"], failing_rows())
     assert path.read_bytes() == before
+    assert not (tmp_path / "table.csv.tmp").exists()
 
 
 def test_json_atomic_write_sorts_keys_and_cleans_up(tmp_path):
@@ -317,11 +318,53 @@ def test_noise_validation_writes_no_unfittable_rate(tmp_path):
     with pytest.raises(InconclusiveError, match="ou autocovariance at lag 1.25 is -0.0045"):
         run_experiment(cfg)
     assert not any(tmp_path.iterdir())
-    # Its paths, like every ensemble, span a whole number of steps.
+    # Its paths, like every ensemble, span a positive whole number of steps.
     cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0005},
                       output_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="not a whole number of steps"):
         run_experiment(cfg)
+    cfg = make_config("noise-validation", {"n_traj": 64, "T": -1.0}, output_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="T must be positive, got -1.0"):
+        run_experiment(cfg)
+
+
+def test_noise_validation_checks_its_lag_grid_before_simulating(tmp_path, monkeypatch):
+    # The rate fit's lags are multiples of tau / 4 up to 3 tau: a grid that
+    # is not whole steps of dt, or outruns the horizon, is refused before
+    # any path is simulated.
+    import suvsim.experiments as experiments
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("simulate_paths called")
+
+    monkeypatch.setattr(experiments, "simulate_paths", no_paths)
+    cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.31, "T": 2.0},
+                      output_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="tau / 4 = 0.0775 is not a whole number of steps"):
+        run_experiment(cfg)
+    cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 1.45},
+                      output_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="longest lag 3 tau = 1.5 exceeds the horizon"):
+        run_experiment(cfg)
+    assert not any(tmp_path.iterdir())
+
+
+def test_noise_validation_estimates_each_fit_lag_once(tmp_path, monkeypatch):
+    # The report lags 0, tau and 2 tau sit on the 13-lag fit grid, so each
+    # noise kind takes 13 autocovariance estimates.
+    import suvsim.experiments as experiments
+
+    calls = []
+
+    def counted(*args, _fn=experiments.autocorrelation):
+        calls.append(args[1])
+        return _fn(*args)
+
+    monkeypatch.setattr(experiments, "autocorrelation", counted)
+    run_experiment(make_config("noise-validation", _SMOKE_OVERRIDES[Experiment.NOISE_VALIDATION],
+                               output_dir=str(tmp_path)))
+    assert len(calls) == 26
+    assert calls[:13] == calls[13:] == [k * 0.25 * 0.5 for k in range(13)]
 
 
 def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):
@@ -387,6 +430,12 @@ def test_cli_reports_errors_on_stderr(tmp_path, capsys):
     code = main(["run", "fig1a", "--config", str(bad)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # A zero step reaches the step count of a run that builds no trajectory
+    # configuration, and is named there rather than dividing by zero.
+    bad.write_text("dt = 0\n")
+    code = main(["run", "noise-validation", "--config", str(bad), "--out", str(tmp_path)])
+    assert code == 1
+    assert "error: dt must be positive, got 0.0" in capsys.readouterr().err
 
 
 def test_cli_version_and_argument_validation(capsys):

@@ -11,7 +11,6 @@ from suvsim import (
     NotApplicableError,
     PhysicsParams,
     Scheme,
-    StateCorruptionError,
     TrajectoryConfig,
     autocorrelation,
     derive_stream,
@@ -139,12 +138,6 @@ def test_field_updates_match_allocating_expressions_bit_for_bit():
     assert np.all(np.abs(xi_sbm) < 0.99)  # the clamp never acted
 
 
-def test_sbm_step_rejects_out_of_range_field():
-    for xi0 in (1.5, -1.5):
-        with pytest.raises(StateCorruptionError):
-            simulate_paths(NoiseModel(kind=NoiseKind.SBM), 10, 1e-3, [derive_stream(0, 0)], xi0=xi0)
-
-
 def test_sbm_diffusion_vanishes_at_boundary():
     # At |xi| = 1 the diffusion coefficient is zero, so even a large draw
     # only produces the deterministic drift.
@@ -192,14 +185,15 @@ def test_steady_samples_moments_match_invariant_laws():
 
 
 def test_ou_relaxation_from_sharp_initial_condition():
-    # Started at xi0 = 3, the ensemble mean decays as 3 e^(-t/tau).
+    # Started at xi = 3, the ensemble mean of the exact OU transition decays
+    # as 3 e^(-t/tau).
     n, tau, dt = 4000, 1.0, 0.01
     n_steps = 100
-    streams = [derive_stream(21, i) for i in range(n)]
-    paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=tau), n_steps, dt, streams, xi0=3.0)
-    assert np.all(paths[:, 0] == 3.0)
-    mean_at_tau = paths[:, n_steps].mean()
-    assert mean_at_tau == pytest.approx(3.0 * math.exp(-1.0), abs=0.05)
+    decay, sigma = _ou_coefficients(dt, tau)
+    xi, ws = np.full(n, 3.0), _workspace(n)
+    for normals in derive_stream(21, 0).standard_normal((n_steps, n)):
+        _ou_update(xi, decay, sigma, normals, xi, ws)
+    assert xi.mean() == pytest.approx(3.0 * math.exp(-1.0), abs=0.05)
 
 
 def test_ou_autocorrelation_decays_exponentially():
@@ -261,5 +255,3 @@ def test_simulate_paths_validations():
         simulate_paths(model, 10, 0.01, [])
     with pytest.raises(NotApplicableError):
         simulate_paths(NoiseModel(kind=NoiseKind.NONE), 10, 0.01, [derive_stream(0, 0)])
-    with pytest.raises(StateCorruptionError):
-        simulate_paths(NoiseModel(kind=NoiseKind.SBM), 10, 0.01, [derive_stream(0, 0)], xi0=1.2)

@@ -10,10 +10,15 @@ from suvsim import (
     EnsembleSummary,
     InconclusiveError,
     InvalidParameterError,
+    NoiseKind,
+    NoiseModel,
+    PhysicsParams,
+    Scheme,
+    TrajectoryConfig,
     born_deviation,
     collapse_statistics,
     ks_distance,
-    quadratic_variation,
+    simulate_ensemble,
 )
 
 
@@ -35,27 +40,32 @@ def test_compensated_sum_is_batch_invariant():
     assert np.array_equal(whole.total, split.total)
 
 
-def test_quadratic_variation_small_case():
-    inc = np.array([[0.1, 0.2], [0.3, 0.4]])
-    qv = quadratic_variation(inc)
-    assert qv == pytest.approx([0.05, 0.15], rel=1e-14)
+def test_quadratic_variation_small_case(monkeypatch):
+    # The engine's qv is the running sum of the per-step trajectory means of
+    # the squared amplitude increments. Two trajectories with increments
+    # (0.1, 0.2) and (0.3, 0.4) come in as chunk rows
+    # [z | offdiag | squared increments] on a two-step grid.
+    import suvsim.engine as engine
+
+    increments = {0: [0.1, 0.2], 1: [0.3, 0.4]}
+
+    def chunk(cfg, streams, record_at, need_xi, first_index):
+        row = [0.6] * 3 + [0.4] * 3 + list(np.square(increments[first_index]))
+        return np.array([row]), None, np.array([0.6])
+
+    monkeypatch.setattr(engine, "_integrate_chunk", chunk)
+    cfg = TrajectoryConfig(
+        params=PhysicsParams(J=2.0, G=1.0),
+        noise=NoiseModel(kind=NoiseKind.OU),
+        dt=0.01,
+        T=0.02,
+        z0=0.6,
+        scheme=Scheme.SUV_COLORED,
+        seed=1,
+    )
+    qv = simulate_ensemble(cfg, n_traj=2, decimation=1, chunk_size=1).summary.qv
+    assert qv == pytest.approx([0.0, 0.05, 0.15], rel=1e-14)
     assert np.all(np.diff(qv) >= 0.0)
-
-
-def test_quadratic_variation_continuation_is_exact():
-    rng = np.random.default_rng(12)
-    inc = rng.standard_normal((50, 30)) * 0.01
-    full = quadratic_variation(inc)
-    head = quadratic_variation(inc[:, :13])
-    tail = quadratic_variation(inc[:, 13:], initial=head[-1])
-    assert np.array_equal(np.concatenate([head, tail]), full)
-
-
-def test_quadratic_variation_rejects_bad_shapes():
-    with pytest.raises(InvalidParameterError):
-        quadratic_variation([0.1, 0.2])
-    with pytest.raises(InvalidParameterError):
-        quadratic_variation(np.empty((0, 3)))
 
 
 def _summary(**kw):
