@@ -263,8 +263,7 @@ def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryCon
     scheme = Scheme(get("scheme", cfg.scheme))
     seed = int(get("seed", cfg.master_seed))
 
-    needs_deff = scheme in (Scheme.WHITE_STRAT, Scheme.WHITE_ITO, Scheme.Z_WHITE)
-    if needs_deff and not kind.is_evolving:
+    if scheme.uses_deff and not kind.is_evolving:
         raise ConfigError(
             f"scheme {scheme.value!r} needs an evolving noise kind (ou or sbm) to "
             f"define its diffusion strength, got {kind.value!r}"

@@ -109,8 +109,10 @@ class Scheme(str, Enum):
         )
 
     @property
-    def uses_wiener_noise(self) -> bool:
-        return self in (Scheme.SSE, Scheme.WHITE_STRAT, Scheme.WHITE_ITO, Scheme.Z_WHITE)
+    def uses_deff(self) -> bool:
+        """True for the white-limit schemes, whose Wiener drive has the
+        strength Deff derived from the noise kind."""
+        return self in (Scheme.WHITE_STRAT, Scheme.WHITE_ITO, Scheme.Z_WHITE)
 
     @property
     def is_scalar(self) -> bool:
@@ -165,17 +167,18 @@ class TrajectoryConfig:
         return _whole_steps(self.T, self.dt)
 
 
-def _whole_steps(T: float, dt: float) -> int:
-    """Number of steps of size dt in the horizon T: both must be positive,
-    and T a whole number of steps (up to round-off)."""
+def _whole_steps(T: float, dt: float, name: str = "T") -> int:
+    """Number of steps of size dt in the time span T, called ``name`` in
+    error messages: both must be positive, and T a whole number of steps
+    (up to round-off)."""
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     if not T > 0:
-        raise ConfigError(f"T must be positive, got {T}")
+        raise ConfigError(f"{name} must be positive, got {T}")
     ratio = T / dt
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):
-        raise ConfigError(f"T = {T} is not a whole number of steps of dt = {dt}")
+        raise ConfigError(f"{name} = {T} is not a whole number of steps of dt = {dt}")
     return n
 
 

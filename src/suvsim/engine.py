@@ -1,9 +1,10 @@
 """Deterministic vectorized ensemble execution.
 
-Trajectories are integrated in lockstep over chunks of the ensemble, but
-every per-trajectory quantity is a pure function of (master seed,
-trajectory index): each trajectory owns a private counter-based stream,
-and its draw order is fixed by scheme and noise kind:
+Trajectories are integrated in lockstep over chunks of the ensemble,
+whose width the engine picks (see _MAX_CHUNK_WIDTH), but every
+per-trajectory quantity is a pure function of (master seed, trajectory
+index): each trajectory owns a private counter-based stream, and its draw
+order is fixed by scheme and noise kind:
 
 * colored schemes: the field draws of :func:`suvsim.noise._draw_field`, a
   steady-state initial value (standard normal for OU kinds, uniform for SBM
@@ -60,10 +61,12 @@ from .observables import CompensatedAccumulator, EnsembleSummary
 
 __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble"]
 
-# Upper bound on m * n_steps for a chunk of m trajectories. A recorded run
-# keeps an (m, 2 n_out + n_steps) matrix of observations and squared
-# amplitude increments (for the quadratic variation), so this bounds peak
-# memory.
+# Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
+# at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
+# matrix of observations and squared amplitude increments (for the
+# quadratic variation). A final-only run holds no such matrix, so its width
+# does not depend on the horizon.
+_MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Trajectories per tile of the fold: the squared observations are formed
 # for this many rows at a time, never for a whole chunk.
@@ -109,7 +112,6 @@ def simulate_ensemble(
     n_traj: int,
     decimation: int = 10,
     index_offset: int = 0,
-    chunk_size: int | None = None,
     record_series: bool = True,
 ) -> EnsembleResult:
     """Run an ensemble of trajectories and reduce it deterministically.
@@ -127,13 +129,12 @@ def simulate_ensemble(
     index_offset : int
         Offset of the stream indices, used to draw disjoint independent
         ensembles under one master seed.
-    chunk_size : int, optional
-        Trajectories integrated per lockstep batch. Affects memory and
-        speed only; results are bitwise identical for any value.
     record_series : bool
         Record time series (means, stderrs, quadratic variation). Off for
         distribution-only runs, which keeps just the final z values.
 
+    The engine sizes its own lockstep chunks (see _MAX_CHUNK_WIDTH); every
+    output is bitwise the same for any chunk width.
     An IntegratorInstabilityError names the trajectory index and the step
     at which a state degenerated.
     """
@@ -160,13 +161,12 @@ def simulate_ensemble(
     final_z = np.empty(n_traj)
     single_xi = None
 
-    if chunk_size is None:
-        chunk_size = max(1, min(n_traj, _CHUNK_ELEMENT_BUDGET // max(n_steps, 1)))
-    elif chunk_size < 1:
-        raise InvalidParameterError(f"chunk_size must be at least 1, got {chunk_size}")
+    width = min(n_traj, _MAX_CHUNK_WIDTH)
+    if record_series:
+        width = max(1, min(width, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
 
-    for start in range(0, n_traj, chunk_size):
-        m = min(chunk_size, n_traj - start)
+    for start in range(0, n_traj, width):
+        m = min(width, n_traj - start)
         streams = [derive_stream(cfg.seed, index_offset + start + i) for i in range(m)]
         rows, xi_rows, fz = _integrate_chunk(
             cfg,

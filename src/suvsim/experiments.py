@@ -212,11 +212,13 @@ _FIT_LAGS = 13
 _REPORT_ENTRIES = (0, 4, 8)
 
 
-def _fit_grid_autocovariances(paths, tau: float, dt: float):
+def _fit_grid_autocovariances(paths, tau: float, quarter_steps: int):
     """Lags of the rate fit and the autocovariance estimate of steady-state
-    ``paths`` (spacing dt) at each, one :func:`autocorrelation` call per lag."""
+    ``paths`` at each, one :func:`autocorrelation` call per lag; tau / 4 is
+    ``quarter_steps`` steps of the paths' grid."""
     lags = [k * 0.25 * tau for k in range(_FIT_LAGS)]
-    return lags, np.array([autocorrelation(paths, lag, dt) for lag in lags])
+    values = [autocorrelation(paths, k * quarter_steps) for k in range(_FIT_LAGS)]
+    return lags, np.array(values)
 
 
 def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -237,13 +239,7 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     dt = cfg.dt
     n_steps = _whole_steps(cfg.T, dt)
     models = [NoiseModel(kind=kind, tau=tau) for kind in (NoiseKind.OU, NoiseKind.SBM)]
-    quarter = 0.25 * tau / dt
-    q = round(quarter)
-    if q < 1 or abs(quarter - q) > 1e-9 * quarter:
-        raise ConfigError(
-            f"tau / 4 = {0.25 * tau:g} is not a whole number of steps of dt = {dt}, "
-            "as the rate fit's lags must be"
-        )
+    q = _whole_steps(0.25 * tau, dt, "tau / 4")
     if (_FIT_LAGS - 1) * q > n_steps:
         raise ConfigError(
             f"the rate fit's longest lag 3 tau = {3.0 * tau:g} exceeds the horizon T = {cfg.T}"
@@ -256,7 +252,7 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
         kind = model.kind
         streams = [derive_stream(cfg.master_seed, model_index * n + i) for i in range(n)]
         paths = simulate_paths(model, n_steps, dt, streams)
-        lags, values = _fit_grid_autocovariances(paths, tau, dt)
+        lags, values = _fit_grid_autocovariances(paths, tau, q)
         del paths
         variance = STEADY_SECOND_MOMENT[kind]
         for j in _REPORT_ENTRIES:

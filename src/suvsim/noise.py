@@ -174,35 +174,26 @@ def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
     raise NotApplicableError(f"no steady state defined for noise kind {kind.value!r}")
 
 
-def autocorrelation(paths, lag: float, dt: float) -> float:
+def autocorrelation(paths, lag_steps: int) -> float:
     """Stationary autocovariance estimate E[xi_t xi_(t+lag)] - E[xi]^2.
 
     Averages over trajectories and over all time origins of steady-state
-    paths sampled on a uniform grid of spacing dt.
+    paths sampled on a uniform grid.
 
     Parameters
     ----------
     paths : array_like, shape (n_traj, n_times)
         Noise paths started in the steady state.
-    lag : float
-        Nonnegative lag, an integer multiple of dt.
-    dt : float
-        Grid spacing of the paths.
+    lag_steps : int
+        Lag in grid steps, 0 <= lag_steps < n_times.
     """
     arr = np.asarray(paths, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidParameterError("paths must be a nonempty (n_traj, n_times) array")
-    if lag < 0:
-        raise InvalidParameterError(f"lag must be nonnegative, got {lag}")
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    k_real = lag / dt
-    k = int(round(k_real))
-    if abs(k_real - k) > 1e-9 * max(1.0, abs(k_real)):
-        raise InvalidParameterError(f"lag {lag} is not a multiple of dt {dt}")
-    if k >= arr.shape[1]:
+    k = lag_steps
+    if not isinstance(k, (int, np.integer)) or not 0 <= k < arr.shape[1]:
         raise InvalidParameterError(
-            f"lag of {k} steps exceeds path length {arr.shape[1]}"
+            f"lag must be a whole number of steps in [0, {arr.shape[1]}), got {k}"
         )
     x = arr[:, : arr.shape[1] - k] if k else arr
     y = arr[:, k:]

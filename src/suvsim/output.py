@@ -57,7 +57,8 @@ def _atomic_open(path: str):
         raise
 
 
-def _write_rows(path: str, header, rows) -> None:
+def write_table_csv(path: str, header, rows) -> None:
+    """Write a table: a header line, then one line per row of values."""
     with _atomic_open(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -71,7 +72,7 @@ def write_ensemble_csv(path: str, summary: EnsembleSummary) -> None:
     se_z = summary.stderr_z if summary.stderr_z is not None else [None] * n
     se_off = summary.stderr_offdiag if summary.stderr_offdiag is not None else [None] * n
     rows = zip(summary.times, summary.mean_z, se_z, summary.mean_offdiag, se_off, summary.qv)
-    _write_rows(path, ENSEMBLE_HEADER, rows)
+    write_table_csv(path, ENSEMBLE_HEADER, rows)
 
 
 def write_trajectory_csv(path: str, times, z, xi=None) -> None:
@@ -79,12 +80,7 @@ def write_trajectory_csv(path: str, times, z, xi=None) -> None:
     that are not driven by a colored field."""
     n = len(times)
     xi_col = xi if xi is not None else [None] * n
-    _write_rows(path, TRAJECTORY_HEADER, zip(times, z, xi_col))
-
-
-def write_table_csv(path: str, header, rows) -> None:
-    """Write a generic results table (sweep summaries and the like)."""
-    _write_rows(path, header, rows)
+    write_table_csv(path, TRAJECTORY_HEADER, zip(times, z, xi_col))
 
 
 def write_json_atomic(path: str, obj) -> None:

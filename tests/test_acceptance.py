@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import suvsim.engine as engine
 from suvsim import (
     NoiseKind,
     NoiseModel,
@@ -122,7 +123,7 @@ def test_noise_processes_match_their_stationary_laws(criterion_report):
         paths = simulate_paths(
             model, n_steps, dt, [derive_stream(seed, i) for i in range(n)]
         )
-        lags, values = _fit_grid_autocovariances(paths, tau, dt)
+        lags, values = _fit_grid_autocovariances(paths, tau, 50)  # tau / 4 = 50 dt
         rels = []
         for j in _REPORT_ENTRIES:
             target = variance * math.exp(-lags[j] / tau)
@@ -261,14 +262,17 @@ def test_ito_and_stratonovich_forms_agree_in_law(criterion_report):
     assert ok
 
 
-def test_reproducibility_and_consistency_properties(criterion_report, tmp_path):
+def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, monkeypatch):
     # Bundle of structural guarantees: chunk invariance, stream purity,
     # byte-identical reruns, norm preservation, normalized/unnormalized
     # consistency, quadratic-variation additivity, and exact CSV floats.
     failures = []
 
     cfg = _traj(Scheme.SUV_COLORED, seed=2024, T=0.1)
-    runs = [simulate_ensemble(cfg, 60, decimation=10, chunk_size=c) for c in (1, 13, None)]
+    runs = []
+    for width in (1, 13, engine._MAX_CHUNK_WIDTH):  # the default width last
+        monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+        runs.append(simulate_ensemble(cfg, 60, decimation=10))
     if not all(
         np.array_equal(runs[0].final_z, r.final_z)
         and np.array_equal(runs[0].summary.mean_z, r.summary.mean_z)

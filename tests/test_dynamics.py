@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import suvsim.engine as engine
 from suvsim import (
     ConfigError,
     IntegratorInstabilityError,
@@ -64,11 +65,14 @@ def test_physics_params_validation():
 
 
 def test_scheme_properties_partition_schemes():
+    # Every scheme is driven by a colored field, by a Wiener process of
+    # strength Deff (the white limit), or, for sse alone, by one of rate gamma.
     colored = {s for s in Scheme if s.uses_colored_noise}
-    wiener = {s for s in Scheme if s.uses_wiener_noise}
+    deff = {s for s in Scheme if s.uses_deff}
     assert colored == {Scheme.SUV_COLORED, Scheme.UNNORMALIZED_SUV, Scheme.Z_COLORED}
-    assert wiener == {Scheme.SSE, Scheme.WHITE_STRAT, Scheme.WHITE_ITO, Scheme.Z_WHITE}
-    assert colored | wiener == set(Scheme)
+    assert deff == {Scheme.WHITE_STRAT, Scheme.WHITE_ITO, Scheme.Z_WHITE}
+    assert colored.isdisjoint(deff)
+    assert set(Scheme) - colored - deff == {Scheme.SSE}
     assert {s for s in Scheme if s.is_scalar} == {Scheme.Z_COLORED, Scheme.Z_WHITE}
 
 
@@ -247,7 +251,7 @@ def test_unnormalized_and_normalized_schemes_agree_after_projection():
     assert abs(an[0] * an[0] - au[0] * au[0] / norm2) < 1e-7
 
 
-def test_unnormalized_step_flags_overflow():
+def test_unnormalized_step_flags_overflow(monkeypatch):
     # With J = 9 the unnormalized norm grows like exp(J t / 2) until it
     # overflows. The error names the failing trajectory by its stream index
     # (row, chunk start and index_offset) and the step at which it failed.
@@ -262,12 +266,14 @@ def test_unnormalized_step_flags_overflow():
     )
     # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760.
     short = dataclasses.replace(cfg, T=80.0)  # trajectory 0 survives this horizon
-    cases = [
-        (cfg, dict(n_traj=3), "trajectory 2, step 6760"),  # row 2 of one batch
-        (short, dict(n_traj=3, chunk_size=1), "trajectory 1, step 6927"),  # second batch
-        (cfg, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
+    wide = engine._MAX_CHUNK_WIDTH
+    cases = [  # config, chunk width cap, run arguments, failure
+        (cfg, wide, dict(n_traj=3), "trajectory 2, step 6760"),  # row 2 of one batch
+        (short, 1, dict(n_traj=3), "trajectory 1, step 6927"),  # second batch
+        (cfg, wide, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
     ]
-    for c, kw, where in cases:
+    for c, width, kw, where in cases:
+        monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
         with pytest.raises(IntegratorInstabilityError) as info:
             simulate_ensemble(c, **kw)
         assert str(info.value) == f"{where}: unnormalized amplitudes overflowed"

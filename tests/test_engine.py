@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import suvsim.engine as engine
 from suvsim import (
     InvalidParameterError,
     NoiseKind,
@@ -156,7 +157,7 @@ def test_single_trajectory_matches_scalar_ops_z_tracks():
     _assert_engine_matches_replay(_cfg(Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)))
 
 
-def test_streamed_draws_match_replay_across_block_boundaries():
+def test_streamed_draws_match_replay_across_block_boundaries(monkeypatch):
     # Two full draw blocks and a partial one: the engine's blocked draws
     # continue each stream exactly where the previous block stopped.
     n_steps = 2 * _BLOCK_STEPS + 7
@@ -170,8 +171,9 @@ def test_streamed_draws_match_replay_across_block_boundaries():
         assert cfg.n_steps == n_steps
         _assert_engine_matches_replay(cfg)
         replayed = [_z(cfg.scheme, _replay(cfg, i)[0][-1]) for i in range(3)]
-        for chunk_size in (1, 2, None):
-            res = simulate_ensemble(cfg, n_traj=3, chunk_size=chunk_size, record_series=False)
+        for width in (1, 2, engine._MAX_CHUNK_WIDTH):
+            monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+            res = simulate_ensemble(cfg, n_traj=3, record_series=False)
             assert res.final_z.tolist() == replayed
 
 
@@ -179,8 +181,6 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     # A per-layer trace wraps these module globals of the engine and counts
     # calls to them (kernel calls, noise-update calls); every chunk must
     # call each exactly once per step.
-    import suvsim.engine as engine
-
     names = ("_suv_heun", "_renormalize", "_ou_update")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -191,7 +191,8 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
         monkeypatch.setattr(engine, name, counted)
     cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.3)
     assert cfg.n_steps == 300
-    simulate_ensemble(cfg, n_traj=3, chunk_size=1)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
+    simulate_ensemble(cfg, n_traj=3)
     assert counts == dict.fromkeys(names, 3 * 300)
 
 
@@ -210,12 +211,30 @@ def test_final_only_run_holds_no_per_step_draw_matrix():
     assert peak < m * cfg.n_steps * 8 / 4
 
 
-def test_chunk_size_does_not_change_any_output_bit():
+def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
+    # A final-only run records no per-step matrix, so its chunk widths are
+    # the same at 1000 steps as at 16000.
+    widths = []
+
+    def chunk(cfg, streams, record_at, need_xi, first_index):
+        widths.append(len(streams))
+        return None, None, np.zeros(len(streams))
+
+    monkeypatch.setattr(engine, "_integrate_chunk", chunk)
+    by_horizon = []
+    for T in (1.0, 16.0):
+        widths.clear()
+        simulate_ensemble(_cfg(Scheme.SUV_COLORED, T=T), n_traj=4000, record_series=False)
+        by_horizon.append(list(widths))
+    assert by_horizon[0] == by_horizon[1] == [4000]
+
+
+def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
     cfg = _cfg(Scheme.SUV_COLORED, T=0.1, seed=321)
-    runs = [
-        simulate_ensemble(cfg, n_traj=23, decimation=10, chunk_size=c)
-        for c in (1, 7, None)
-    ]
+    runs = []
+    for width in (1, 7, engine._MAX_CHUNK_WIDTH):
+        monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+        runs.append(simulate_ensemble(cfg, n_traj=23, decimation=10))
     ref = runs[0]
     for other in runs[1:]:
         assert np.array_equal(ref.final_z, other.final_z)
@@ -324,7 +343,5 @@ def test_engine_input_guards():
         simulate_ensemble(cfg, n_traj=0)
     with pytest.raises(InvalidParameterError):
         simulate_ensemble(cfg, n_traj=1, decimation=0)
-    with pytest.raises(InvalidParameterError):
-        simulate_ensemble(cfg, n_traj=1, chunk_size=0)
     with pytest.raises(InvalidParameterError):
         simulate_ensemble(cfg, n_traj=1, index_offset=-1)

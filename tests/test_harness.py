@@ -364,7 +364,7 @@ def test_noise_validation_estimates_each_fit_lag_once(tmp_path, monkeypatch):
     run_experiment(make_config("noise-validation", _SMOKE_OVERRIDES[Experiment.NOISE_VALIDATION],
                                output_dir=str(tmp_path)))
     assert len(calls) == 26
-    assert calls[:13] == calls[13:] == [k * 0.25 * 0.5 for k in range(13)]
+    assert calls[:13] == calls[13:] == [25 * k for k in range(13)]  # tau / 4 = 25 dt
 
 
 def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):

@@ -201,8 +201,8 @@ def test_ou_autocorrelation_decays_exponentially():
     n_steps = 250
     streams = [derive_stream(31, i) for i in range(n)]
     paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=tau), n_steps, dt, streams)
-    var = autocorrelation(paths, 0.0, dt)
-    at_tau = autocorrelation(paths, tau, dt)
+    var = autocorrelation(paths, 0)
+    at_tau = autocorrelation(paths, 50)  # tau / dt steps
     assert var == pytest.approx(1.0, rel=0.05)
     assert at_tau == pytest.approx(math.exp(-1.0), rel=0.08)
 
@@ -212,19 +212,22 @@ def test_sbm_autocorrelation_starts_at_one_third():
     streams = [derive_stream(32, i) for i in range(n)]
     paths = simulate_paths(NoiseModel(kind=NoiseKind.SBM, tau=tau), 150, dt, streams)
     assert np.all(np.abs(paths) <= 1.0)
-    assert autocorrelation(paths, 0.0, dt) == pytest.approx(1.0 / 3.0, rel=0.05)
+    assert autocorrelation(paths, 0) == pytest.approx(1.0 / 3.0, rel=0.05)
 
 
 def test_autocorrelation_validates_lag_and_shape():
     paths = np.zeros((3, 10))
     with pytest.raises(InvalidParameterError):
-        autocorrelation(paths, 0.0015, 0.001)  # not a multiple of dt
+        autocorrelation(paths, 1.5)  # not a whole number of steps
     with pytest.raises(InvalidParameterError):
-        autocorrelation(paths, 0.010, 0.001)  # longer than the paths
+        autocorrelation(paths, 10)  # longer than the paths
     with pytest.raises(InvalidParameterError):
-        autocorrelation(np.zeros(10), 0.0, 0.001)  # not 2-d
+        autocorrelation(np.zeros(10), 0)  # not 2-d
     with pytest.raises(InvalidParameterError):
-        autocorrelation(paths, -0.001, 0.001)
+        autocorrelation(np.zeros((0, 10)), 0)  # empty
+    with pytest.raises(InvalidParameterError):
+        autocorrelation(paths, -1)
+    assert autocorrelation(paths, 9) == 0.0
 
 
 def test_frozen_paths_are_constant_rows():

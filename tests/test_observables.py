@@ -63,7 +63,8 @@ def test_quadratic_variation_small_case(monkeypatch):
         scheme=Scheme.SUV_COLORED,
         seed=1,
     )
-    qv = simulate_ensemble(cfg, n_traj=2, decimation=1, chunk_size=1).summary.qv
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
+    qv = simulate_ensemble(cfg, n_traj=2, decimation=1).summary.qv
     assert qv == pytest.approx([0.0, 0.05, 0.15], rel=1e-14)
     assert np.all(np.diff(qv) >= 0.0)
 
