@@ -18,7 +18,7 @@ from .config import (
     parse_config_file,
 )
 from .dynamics import PhysicsParams, Scheme, TrajectoryConfig
-from .engine import EnsembleResult, derive_stream, simulate_ensemble
+from .engine import EnsembleResult, derive_stream, simulate_ensemble, simulate_final_z
 from .errors import (
     ConfigError,
     InconclusiveError,
@@ -65,6 +65,7 @@ __all__ = [
     # engine
     "derive_stream",
     "simulate_ensemble",
+    "simulate_final_z",
     "EnsembleResult",
     # configuration and orchestration
     "Experiment",

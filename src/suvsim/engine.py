@@ -33,10 +33,19 @@ summation acts column by column, so this gives the bits of one fold per
 series. Together these make every output bitwise independent of chunk
 size and of how many trajectories run concurrently, and byte-identical
 across repeated runs of the same configuration.
+
+A final-only run needs no reduction: its final z is the concatenation of
+its chunks' final z. :func:`simulate_final_z` therefore cuts any number
+of final-only ensembles into chunks and runs them on at most
+_MAX_WORKERS forked worker processes, each chunk deriving its own
+streams; the pool lives only for the call. The worker count changes no
+chunk width, so no output bit and no error message depends on it.
+Recorded runs stay in the calling process.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +68,7 @@ from .noise import NoiseKind, _draw_field, _ou_coefficients, _ou_update, _sbm_up
 from .noise import _stream_normals
 from .observables import CompensatedAccumulator, EnsembleSummary
 
-__all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble"]
+__all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_final_z"]
 
 # Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
 # at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
@@ -68,6 +77,8 @@ __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble"]
 # does not depend on the horizon.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
+# Final-only chunks run on at most this many forked worker processes.
+_MAX_WORKERS = 2
 # Trajectories per tile of the fold: the squared observations are formed
 # for this many rows at a time, never for a whole chunk.
 _FOLD_ROWS = 16
@@ -131,39 +142,38 @@ def simulate_ensemble(
         ensembles under one master seed.
     record_series : bool
         Record time series (means, stderrs, quadratic variation). Off for
-        distribution-only runs, which keeps just the final z values.
+        distribution-only runs, which keep just the final z values and run
+        through :func:`simulate_final_z`.
 
     The engine sizes its own lockstep chunks (see _MAX_CHUNK_WIDTH); every
-    output is bitwise the same for any chunk width.
+    output is bitwise the same for any chunk width. A recorded run steps
+    its chunks in the calling process; a final-only run may step them on
+    forked workers, with the same bits.
     An IntegratorInstabilityError names the trajectory index and the step
     at which a state degenerated.
     """
-    if n_traj < 1:
-        raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
+    _check_range(n_traj, index_offset)
     if decimation < 1:
         raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
-    if index_offset < 0:
-        raise InvalidParameterError(f"index_offset must be nonnegative, got {index_offset}")
+    if not record_series:
+        (final_z,) = simulate_final_z([(cfg, n_traj, index_offset)])
+        return EnsembleResult(config=cfg, n_traj=n_traj, final_z=final_z)
 
     n_steps = cfg.n_steps
     record_at = np.zeros(n_steps + 1, dtype=bool)
-    if record_series:
-        record_at[::decimation] = True
-        record_at[n_steps] = True
+    record_at[::decimation] = True
+    record_at[n_steps] = True
     out_idx = np.flatnonzero(record_at)
     times = out_idx * cfg.dt
     n_out = out_idx.size
 
-    if record_series:
-        acc = CompensatedAccumulator(4 * n_out + n_steps)
-        tile = np.empty((_FOLD_ROWS, 4 * n_out + n_steps))
+    acc = CompensatedAccumulator(4 * n_out + n_steps)
+    tile = np.empty((_FOLD_ROWS, 4 * n_out + n_steps))
 
     final_z = np.empty(n_traj)
     single_xi = None
 
-    width = min(n_traj, _MAX_CHUNK_WIDTH)
-    if record_series:
-        width = max(1, min(width, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
+    width = max(1, min(n_traj, _MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
 
     for start in range(0, n_traj, width):
         m = min(width, n_traj - start)
@@ -176,34 +186,31 @@ def simulate_ensemble(
             first_index=index_offset + start,
         )
         final_z[start : start + m] = fz
-        if record_series:
-            _fold(acc, rows, n_out, tile)
+        _fold(acc, rows, n_out, tile)
         if xi_rows is not None:
             single_xi = xi_rows[0].copy()
 
-    summary = None
-    if record_series:
-        total = acc.total
-        sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
-        sum_z2, sum_off2 = total[-2 * n_out : -n_out], total[-n_out:]
-        mean_z = sum_z / n_traj
-        mean_off = sum_off / n_traj
-        if n_traj > 1:
-            stderr_z = _stderr(sum_z, sum_z2, n_traj)
-            stderr_off = _stderr(sum_off, sum_off2, n_traj)
-        else:
-            stderr_z = stderr_off = None
-        step_means = np.maximum(total[2 * n_out : 2 * n_out + n_steps] / n_traj, 0.0)
-        qv = np.cumsum(np.concatenate(([0.0], step_means)))[out_idx]
-        summary = EnsembleSummary(
-            times=times,
-            mean_z=mean_z,
-            mean_offdiag=mean_off,
-            qv=qv,
-            n_traj=n_traj,
-            stderr_z=stderr_z,
-            stderr_offdiag=stderr_off,
-        )
+    total = acc.total
+    sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
+    sum_z2, sum_off2 = total[-2 * n_out : -n_out], total[-n_out:]
+    mean_z = sum_z / n_traj
+    mean_off = sum_off / n_traj
+    if n_traj > 1:
+        stderr_z = _stderr(sum_z, sum_z2, n_traj)
+        stderr_off = _stderr(sum_off, sum_off2, n_traj)
+    else:
+        stderr_z = stderr_off = None
+    step_means = np.maximum(total[2 * n_out : 2 * n_out + n_steps] / n_traj, 0.0)
+    qv = np.cumsum(np.concatenate(([0.0], step_means)))[out_idx]
+    summary = EnsembleSummary(
+        times=times,
+        mean_z=mean_z,
+        mean_offdiag=mean_off,
+        qv=qv,
+        n_traj=n_traj,
+        stderr_z=stderr_z,
+        stderr_offdiag=stderr_off,
+    )
 
     return EnsembleResult(
         config=cfg,
@@ -212,6 +219,71 @@ def simulate_ensemble(
         summary=summary,
         single_xi=single_xi,
     )
+
+
+def simulate_final_z(jobs) -> list[np.ndarray]:
+    """Final z of several final-only ensembles, one array per job.
+
+    Each job is ``(cfg, n_traj, index_offset)``, and its array equals
+    ``simulate_ensemble(cfg, n_traj, index_offset=index_offset,
+    record_series=False).final_z`` bit for bit. Every job is cut into
+    chunks of min(n_traj, _MAX_CHUNK_WIDTH) trajectories, and the chunks of
+    all jobs run on min(_MAX_WORKERS, usable cores, chunks) forked worker
+    processes, or in the calling process when that is below 2 or the
+    caller is itself a daemonic worker. The pool is created and joined
+    inside the call. When chunks fail, the IntegratorInstabilityError
+    raised is that of the first failing chunk in job and index order, the
+    one a serial run raises.
+    """
+    tasks, counts = [], []
+    for cfg, n_traj, index_offset in jobs:
+        _check_range(n_traj, index_offset)
+        width = min(n_traj, _MAX_CHUNK_WIDTH)
+        chunks = [(cfg, index_offset + s, min(width, n_traj - s)) for s in range(0, n_traj, width)]
+        tasks += chunks
+        counts.append(len(chunks))
+    finals = iter(_run_final_chunks(tasks))
+    return [np.concatenate([next(finals) for _ in range(c)]) for c in counts]
+
+
+def _check_range(n_traj, index_offset):
+    if n_traj < 1:
+        raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
+    if index_offset < 0:
+        raise InvalidParameterError(f"index_offset must be nonnegative, got {index_offset}")
+
+
+def _final_chunk(task):
+    """Final z of one final-only chunk ``(cfg, first_index, m)``, whose rows
+    are the streams first_index .. first_index + m - 1."""
+    cfg, first, m = task
+    streams = [derive_stream(cfg.seed, first + i) for i in range(m)]
+    record_at = np.zeros(cfg.n_steps + 1, dtype=bool)
+    return _integrate_chunk(cfg, streams, record_at, need_xi=False, first_index=first)[2]
+
+
+def _run_final_chunks(tasks):
+    """_final_chunk of every task, in task order, on a fork pool when at
+    least two workers are usable."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
+    if workers >= 2:
+        import multiprocessing  # costs import time, so only when it is used
+
+        if not multiprocessing.current_process().daemon:  # daemons have no children
+            pool = multiprocessing.get_context("fork").Pool(workers)
+            try:
+                # imap yields in task order, so the first error raised is
+                # the first failing chunk's, whichever worker failed first.
+                finals = list(pool.imap(_final_chunk, tasks, chunksize=1))
+                pool.close()
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.join()
+            return finals
+    return [_final_chunk(task) for task in tasks]
 
 
 def _fold(acc, rows, n_out, tile):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import derive_stream, simulate_ensemble
+from .engine import derive_stream, simulate_ensemble, simulate_final_z
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
@@ -128,17 +128,12 @@ def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_born_sweep(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Collapse fractions across initial weights, against the Born rule."""
-    rows = []
     n = cfg.n_traj
-    for i, z0 in enumerate(BORN_Z0_GRID):
-        result = simulate_ensemble(
-            build_trajectory_config(cfg, z0=z0),
-            n,
-            index_offset=i * n,
-            record_series=False,
-        )
-        stats = collapse_statistics(result.final_z, EPS_COLLAPSE)
-        rows.append(_born_row(z0, stats))
+    jobs = [(build_trajectory_config(cfg, z0=z0), n, i * n) for i, z0 in enumerate(BORN_Z0_GRID)]
+    rows = [
+        _born_row(z0, collapse_statistics(final_z, EPS_COLLAPSE))
+        for z0, final_z in zip(BORN_Z0_GRID, simulate_final_z(jobs))
+    ]
     write_table_csv(os.path.join(outdir, "born_sweep.csv"), _BORN_HEADER, rows)
     return ["born_sweep.csv"]
 
@@ -151,20 +146,16 @@ def run_fdr_sweep(cfg: ExperimentConfig, outdir: str) -> list[str]:
     reproduce the Born fractions, the others should deviate systematically.
     """
     deff2 = effective_diffusion(cfg.G, cfg.tau, cfg.noise) ** 2
-    rows = []
     n = cfg.n_traj
-    cell = 0
-    for ratio in FDR_RATIO_GRID:
-        for z0 in FDR_Z0_GRID:
-            result = simulate_ensemble(
-                build_trajectory_config(cfg, J=ratio * deff2, z0=z0),
-                n,
-                index_offset=cell * n,
-                record_series=False,
-            )
-            stats = collapse_statistics(result.final_z, EPS_COLLAPSE)
-            rows.append([ratio, ratio * deff2, deff2] + _born_row(z0, stats))
-            cell += 1
+    cells = [(ratio, z0) for ratio in FDR_RATIO_GRID for z0 in FDR_Z0_GRID]
+    jobs = [
+        (build_trajectory_config(cfg, J=ratio * deff2, z0=z0), n, cell * n)
+        for cell, (ratio, z0) in enumerate(cells)
+    ]
+    rows = [
+        [ratio, ratio * deff2, deff2] + _born_row(z0, collapse_statistics(final_z, EPS_COLLAPSE))
+        for (ratio, z0), final_z in zip(cells, simulate_final_z(jobs))
+    ]
     header = ["j_over_deff2", "J", "deff2"] + _BORN_HEADER
     write_table_csv(os.path.join(outdir, "fdr_sweep.csv"), header, rows)
     return ["fdr_sweep.csv"]
@@ -181,24 +172,21 @@ def run_weak_equivalence(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """
     n = cfg.n_traj
     white_cfg = build_trajectory_config(cfg, scheme=Scheme.WHITE_STRAT)
-    white_a = simulate_ensemble(white_cfg, n, record_series=False)
-    white_b = simulate_ensemble(white_cfg, n, index_offset=n, record_series=False)
-    ks_self = ks_distance(white_a.final_z, white_b.final_z)
-
-    deff2 = effective_diffusion(cfg.G, cfg.tau, cfg.noise) ** 2
     branches = [
         ("fast", cfg.tau, cfg.G, 2 * n),
         ("slow", 100.0 * cfg.tau, cfg.G / 10.0, 3 * n),
     ]
+    jobs = [(white_cfg, n, 0), (white_cfg, n, n)] + [
+        (build_trajectory_config(cfg, tau=tau, G=G, scheme=Scheme.SUV_COLORED), n, offset)
+        for _, tau, G, offset in branches
+    ]
+    white_a, white_b, *colored = simulate_final_z(jobs)
+    ks_self = ks_distance(white_a, white_b)
+
+    deff2 = effective_diffusion(cfg.G, cfg.tau, cfg.noise) ** 2
     rows = []
-    for name, tau, G, offset in branches:
-        colored = simulate_ensemble(
-            build_trajectory_config(cfg, tau=tau, G=G, scheme=Scheme.SUV_COLORED),
-            n,
-            index_offset=offset,
-            record_series=False,
-        )
-        ks_white = ks_distance(colored.final_z, white_a.final_z)
+    for (name, tau, G, _), final_z in zip(branches, colored):
+        ks_white = ks_distance(final_z, white_a)
         rows.append([name, tau, G, deff2, n, ks_white, ks_self, 3.0 * ks_self])
     header = ["branch", "tau", "G", "deff2", "n_traj", "ks_vs_white", "ks_self_white", "bound_3x_self"]
     write_table_csv(os.path.join(outdir, "weak_equivalence.csv"), header, rows)

@@ -209,8 +209,9 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams):
     (stream seed, model, dt, n_steps) regardless of how many other paths
     are generated alongside it. The per-step normals are drawn in
     time-major blocks, so besides the returned paths only a (block, n)
-    buffer of draws is held, and each step reads its normals as one
-    contiguous row and advances the field in place.
+    buffer of draws is held. Each step reads its normals as one contiguous
+    row and writes the advanced field over them; the block is then copied
+    into the result transposed, a tile of streams at a time.
 
     Parameters
     ----------
@@ -246,16 +247,23 @@ def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams):
         out[:, 1:] = xi[:, None]
         return out
 
+    # The advanced field overwrites the normals it consumed: both updates
+    # read their normals before they write ``out``.
     ws = tuple(np.empty((2, n)))
     if model.kind is NoiseKind.OU:
         decay, sigma = _ou_coefficients(dt, model.tau)
-        advance = lambda x, n: _ou_update(x, decay, sigma, n, x, ws)  # noqa: E731
+        advance = lambda x, n: _ou_update(x, decay, sigma, n, n, ws)  # noqa: E731
     else:
-        advance = lambda x, n: _sbm_update(x, dt, model.tau, n, x, ws)  # noqa: E731
-    k = 0
+        advance = lambda x, n: _sbm_update(x, dt, model.tau, n, n, ws)  # noqa: E731
+    k = 1
     for block in blocks:
+        prev = xi
         for normals in block:
-            advance(xi, normals)
-            k += 1
-            out[:, k] = xi
+            advance(prev, normals)
+            prev = normals
+        np.copyto(xi, prev)
+        for first in range(0, n, _TILE_STREAMS):
+            last = first + _TILE_STREAMS
+            out[first:last, k : k + len(block)] = block[:, first:last].T
+        k += len(block)
     return out

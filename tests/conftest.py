@@ -1,4 +1,6 @@
 """Shared test fixtures and the acceptance-criteria terminal report."""
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,18 @@ def _record_criterion(number: int, passed: bool, detail: str) -> None:
 def criterion_report():
     """Callable (number, passed, detail) -> None feeding the final report."""
     return _record_criterion
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_the_test():
+    """Fail any test after which a multiprocessing child, such as a pool
+    worker that was never joined, is still running; the child is stopped."""
+    yield
+    children = multiprocessing.active_children()
+    for child in children:
+        child.terminate()
+        child.join()
+    assert not children, f"child processes outlived the test: {children}"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

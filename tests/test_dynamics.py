@@ -267,13 +267,19 @@ def test_unnormalized_step_flags_overflow(monkeypatch):
     # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760.
     short = dataclasses.replace(cfg, T=80.0)  # trajectory 0 survives this horizon
     wide = engine._MAX_CHUNK_WIDTH
-    cases = [  # config, chunk width cap, run arguments, failure
-        (cfg, wide, dict(n_traj=3), "trajectory 2, step 6760"),  # row 2 of one batch
-        (short, 1, dict(n_traj=3), "trajectory 1, step 6927"),  # second batch
-        (cfg, wide, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
+    final_only = dict(n_traj=3, record_series=False)
+    cases = [  # config, chunk width cap, workers, run arguments, failure
+        (cfg, wide, 2, dict(n_traj=3), "trajectory 2, step 6760"),  # row 2 of one batch
+        (short, 1, 2, dict(n_traj=3), "trajectory 1, step 6927"),  # second batch
+        (cfg, wide, 2, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
+        # One trajectory per chunk. On two workers trajectory 2, which fails
+        # at an earlier step, may fail first; the lowest failing index wins.
+        (short, 1, 1, final_only, "trajectory 1, step 6927"),
+        (short, 1, 2, final_only, "trajectory 1, step 6927"),
     ]
-    for c, width, kw, where in cases:
+    for c, width, workers, kw, where in cases:
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         with pytest.raises(IntegratorInstabilityError) as info:
             simulate_ensemble(c, **kw)
         assert str(info.value) == f"{where}: unnormalized amplitudes overflowed"

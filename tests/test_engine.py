@@ -1,7 +1,11 @@
 """Tests of the vectorized ensemble engine: stream derivation, bitwise
-agreement with a per-step replay through the step kernels, and determinism
-under chunking, offsets, and reruns."""
+agreement with a per-step replay through the step kernels, determinism
+under chunking, worker counts, offsets, and reruns, and the lifetime of
+the worker processes."""
 import math
+import multiprocessing
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,6 +13,7 @@ import pytest
 
 import suvsim.engine as engine
 from suvsim import (
+    IntegratorInstabilityError,
     InvalidParameterError,
     NoiseKind,
     NoiseModel,
@@ -17,6 +22,7 @@ from suvsim import (
     TrajectoryConfig,
     derive_stream,
     simulate_ensemble,
+    simulate_final_z,
 )
 from suvsim.dynamics import (
     _renormalize,
@@ -180,7 +186,8 @@ def test_streamed_draws_match_replay_across_block_boundaries(monkeypatch):
 def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     # A per-layer trace wraps these module globals of the engine and counts
     # calls to them (kernel calls, noise-update calls); every chunk must
-    # call each exactly once per step.
+    # call each exactly once per step. A final-only run at one worker steps
+    # its chunks in the caller, where the trace sees them too.
     names = ("_suv_heun", "_renormalize", "_ou_update")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -192,8 +199,116 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.3)
     assert cfg.n_steps == 300
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
-    simulate_ensemble(cfg, n_traj=3)
-    assert counts == dict.fromkeys(names, 3 * 300)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
+    for record_series in (True, False):
+        counts.update(dict.fromkeys(names, 0))
+        simulate_ensemble(cfg, n_traj=3, record_series=record_series)
+        assert counts == dict.fromkeys(names, 3 * 300)
+
+
+def _final_only_jobs():
+    """(cfg, n_traj, index_offset) jobs of a colored OU, a colored SBM and a
+    white Ito ensemble."""
+    cfgs = (
+        _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.05),
+        _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5, T=0.05),
+        _cfg(Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=0.05),
+    )
+    return [(cfg, 11, 5 * i) for i, cfg in enumerate(cfgs)]
+
+
+def test_worker_count_does_not_change_any_output_bit(monkeypatch):
+    # Final-only chunks may run on forked workers. At 1 and 2 workers and
+    # at any chunk width, a batch of jobs and each job run alone give the
+    # final z that the serial recorded path gives.
+    jobs = _final_only_jobs()
+    expect = [
+        simulate_ensemble(cfg, n, decimation=cfg.n_steps, index_offset=off).final_z
+        for cfg, n, off in jobs
+    ]
+    default = engine._MAX_CHUNK_WIDTH
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        for width in (1, 7, default):
+            monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+            batch = simulate_final_z(jobs)
+            alone = [
+                simulate_ensemble(cfg, n, index_offset=off, record_series=False).final_z
+                for cfg, n, off in jobs
+            ]
+            for want, got, single in zip(expect, batch, alone):
+                assert np.array_equal(want, got) and np.array_equal(want, single)
+
+
+def test_final_only_chunks_run_in_worker_processes(monkeypatch, tmp_path):
+    # With two usable cores every chunk runs in a worker process, never in
+    # the caller; with one worker, every chunk runs in the caller.
+    log = tmp_path / "pids"
+
+    def chunk(*args, _fn=engine._integrate_chunk, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_integrate_chunk", chunk)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
+    jobs = _final_only_jobs()  # 3 jobs of 11: 18 chunks
+    parallel = len(os.sched_getaffinity(0)) >= 2
+    for workers in (1, 2):
+        log.write_text("")
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        simulate_final_z(jobs)
+        pids = log.read_text().split()
+        assert len(pids) == 18
+        if workers == 2 and parallel:
+            assert str(os.getpid()) not in pids and len(set(pids)) <= 2
+        else:
+            assert set(pids) == {str(os.getpid())}
+
+
+def test_no_worker_outlives_the_call(monkeypatch):
+    # No worker is left after a normal return, nor after a worker raised
+    # while the other was still stepping. When several chunks fail, the
+    # error raised is the first failing chunk's, not the first to arrive.
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
+    cfg = _cfg(Scheme.SUV_COLORED)
+    simulate_final_z([(cfg, 6, 0)])
+    assert multiprocessing.active_children() == []
+
+    def failing(cfg, streams, record_at, need_xi, first_index):
+        if first_index == 0:
+            return None, None, np.zeros(len(streams))
+        if first_index == 2:
+            time.sleep(0.5)  # chunk 4 fails first
+        raise IntegratorInstabilityError(f"trajectory {first_index}, step 1: failed")
+
+    monkeypatch.setattr(engine, "_integrate_chunk", failing)
+    with pytest.raises(IntegratorInstabilityError, match="^trajectory 2, step 1: failed$"):
+        simulate_final_z([(cfg, 6, 0)])
+    assert multiprocessing.active_children() == []
+
+
+def _final_z_in_daemon(jobs):
+    assert multiprocessing.current_process().daemon
+    return simulate_final_z(jobs)
+
+
+def test_daemonic_caller_runs_its_chunks_in_process(monkeypatch):
+    # A pool worker is daemonic and may not start processes of its own, so
+    # a call made inside one steps its chunks itself, with the same bits.
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 3)
+    jobs = _final_only_jobs()
+    expect = simulate_final_z(jobs)
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        got = pool.apply_async(_final_z_in_daemon, (jobs,)).get(timeout=60)
+    finally:
+        pool.terminate()
+        pool.join()
+    for want, have in zip(expect, got):
+        assert np.array_equal(want, have)
 
 
 def test_final_only_run_holds_no_per_step_draw_matrix():
