@@ -9,6 +9,7 @@ translated into one or more TrajectoryConfig objects by the runners.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -66,6 +67,11 @@ class ExperimentConfig:
             self.noise = NoiseKind(self.noise)
         if not isinstance(self.scheme, Scheme):
             self.scheme = Scheme(self.scheme)
+        for key in ("n_traj", "master_seed", "decimation"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            setattr(self, key, int(value))  # numpy integers too: the manifest is JSON
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be at least 1, got {self.n_traj}")
         if not 0 <= self.master_seed < 2**64:
@@ -230,6 +236,13 @@ def _check_ignored_overrides(experiment: Experiment, settings: dict) -> None:
                 f"noise-validation always simulates both ou and sbm paths and runs "
                 f"no integration scheme, so it does not take --scheme or --noise "
                 f"(got {given})"
+            )
+    if experiment is Experiment.WEAK_EQUIVALENCE:
+        scheme = Scheme(settings["scheme"])
+        if scheme is not EXPERIMENT_DEFAULTS[experiment]["scheme"]:
+            raise ConfigError(
+                f"weak-equivalence always compares the white-strat and suv-colored "
+                f"schemes, so it does not take --scheme (got --scheme {scheme.value})"
             )
     if experiment is Experiment.FIG1B and settings["noise"] == NoiseKind.SBM:
         raise ConfigError(

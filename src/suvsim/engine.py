@@ -40,7 +40,8 @@ of final-only ensembles into chunks and runs them on at most
 _MAX_WORKERS forked worker processes, each chunk deriving its own
 streams; the pool lives only for the call. The worker count changes no
 chunk width, so no output bit and no error message depends on it.
-Recorded runs stay in the calling process.
+Recorded runs, through :func:`simulate_ensemble`, stay in the calling
+process.
 """
 from __future__ import annotations
 
@@ -103,19 +104,18 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
 
 @dataclass
 class EnsembleResult:
-    """Outputs of one ensemble run.
+    """Outputs of one recorded ensemble run.
 
-    summary is None when time series were not recorded. For a recorded
-    ensemble of exactly one trajectory, summary.mean_z is that trajectory's
-    z series bit for bit, and single_xi holds its field on the same grid
-    (None for schemes without a colored field).
+    final_z holds every trajectory's final z in index order, and summary
+    the recorded series. For an ensemble of exactly one trajectory,
+    summary.mean_z is that trajectory's z series bit for bit, and single_xi
+    holds its field on the same grid (None for schemes without a colored
+    field, and for larger ensembles).
     """
 
-    config: TrajectoryConfig
-    n_traj: int
     final_z: np.ndarray
-    summary: EnsembleSummary | None = None
-    single_xi: np.ndarray | None = None
+    summary: EnsembleSummary
+    single_xi: np.ndarray | None
 
 
 def simulate_ensemble(
@@ -123,7 +123,6 @@ def simulate_ensemble(
     n_traj: int,
     decimation: int = 10,
     index_offset: int = 0,
-    record_series: bool = True,
 ) -> EnsembleResult:
     """Run an ensemble of trajectories and reduce it deterministically.
 
@@ -140,24 +139,17 @@ def simulate_ensemble(
     index_offset : int
         Offset of the stream indices, used to draw disjoint independent
         ensembles under one master seed.
-    record_series : bool
-        Record time series (means, stderrs, quadratic variation). Off for
-        distribution-only runs, which keep just the final z values and run
-        through :func:`simulate_final_z`.
 
     The engine sizes its own lockstep chunks (see _MAX_CHUNK_WIDTH); every
-    output is bitwise the same for any chunk width. A recorded run steps
-    its chunks in the calling process; a final-only run may step them on
-    forked workers, with the same bits.
+    output is bitwise the same for any chunk width. The chunks are stepped
+    in the calling process. A run that needs only the final z goes through
+    :func:`simulate_final_z` instead.
     An IntegratorInstabilityError names the trajectory index and the step
     at which a state degenerated.
     """
     _check_range(n_traj, index_offset)
     if decimation < 1:
         raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
-    if not record_series:
-        (final_z,) = simulate_final_z([(cfg, n_traj, index_offset)])
-        return EnsembleResult(config=cfg, n_traj=n_traj, final_z=final_z)
 
     n_steps = cfg.n_steps
     record_at = np.zeros(n_steps + 1, dtype=bool)
@@ -212,21 +204,15 @@ def simulate_ensemble(
         stderr_offdiag=stderr_off,
     )
 
-    return EnsembleResult(
-        config=cfg,
-        n_traj=n_traj,
-        final_z=final_z,
-        summary=summary,
-        single_xi=single_xi,
-    )
+    return EnsembleResult(final_z=final_z, summary=summary, single_xi=single_xi)
 
 
 def simulate_final_z(jobs) -> list[np.ndarray]:
     """Final z of several final-only ensembles, one array per job.
 
-    Each job is ``(cfg, n_traj, index_offset)``, and its array equals
-    ``simulate_ensemble(cfg, n_traj, index_offset=index_offset,
-    record_series=False).final_z`` bit for bit. Every job is cut into
+    Each job is ``(cfg, n_traj, index_offset)``, and its array equals the
+    ``final_z`` of the recorded run ``simulate_ensemble(cfg, n_traj,
+    index_offset=index_offset)`` bit for bit. Every job is cut into
     chunks of min(n_traj, _MAX_CHUNK_WIDTH) trajectories, and the chunks of
     all jobs run on min(_MAX_WORKERS, usable cores, chunks) forked worker
     processes, or in the calling process when that is below 2 or the
@@ -409,7 +395,7 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
     dt = cfg.dt
     n_steps = cfg.n_steps
     m = len(streams)
-    record_series = bool(record_at.any())
+    recording = bool(record_at.any())
     n_out = int(record_at.sum())
 
     ws = _workspace(m)
@@ -436,9 +422,9 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
         state = (np.full(m, math.sqrt(cfg.z0)), np.full(m, math.sqrt(1.0 - cfg.z0)))
         spare, raw = (np.empty(m), np.empty(m)), (np.empty(m), np.empty(m))
 
-    rows = np.empty((m, 2 * n_out + n_steps)) if record_series else None
-    xi_rows = np.empty((m, n_out)) if (need_xi and colored and record_series) else None
-    if record_series:
+    rows = np.empty((m, 2 * n_out + n_steps)) if recording else None
+    xi_rows = np.empty((m, n_out)) if (need_xi and colored and recording) else None
+    if recording:
         z_rows, off_rows, dq_rows = np.split(rows, [n_out, 2 * n_out], axis=1)
 
     def record(pos):
@@ -447,7 +433,7 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
             xi_rows[:, pos] = xi
 
     pos = 0
-    if record_series:  # the grid always starts at t = 0
+    if recording:  # the grid always starts at t = 0
         alpha, alpha_spare = amplitude(state, np.empty(m)), np.empty(m)
         record(0)
         pos = 1
@@ -462,7 +448,7 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
                 state, spare = spare, state
                 if advance is not None:
                     advance(xi, draws)
-                if record_series:
+                if recording:
                     new_alpha = amplitude(state, alpha_spare)
                     delta = np.subtract(new_alpha, alpha, out=ws[0])
                     np.multiply(delta, delta, out=dq_rows[:, k])

@@ -62,7 +62,7 @@ def _born_row(z0, stats):
 
 
 def _maybe_dump_trajectory(result, outdir, stem, written):
-    if result.n_traj == 1 and result.summary is not None:
+    if result.summary.n_traj == 1:
         name = f"{stem}_trajectory.csv"
         write_trajectory_csv(
             os.path.join(outdir, name),
@@ -291,10 +291,8 @@ def _steady_ks(kind: NoiseKind, draws: np.ndarray) -> float:
 
 def run_frozen_limit(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Collapse fractions under a frozen (static) field draw."""
-    result = simulate_ensemble(
-        build_trajectory_config(cfg), cfg.n_traj, record_series=False
-    )
-    stats = collapse_statistics(result.final_z, EPS_COLLAPSE)
+    (final_z,) = simulate_final_z([(build_trajectory_config(cfg), cfg.n_traj, 0)])
+    stats = collapse_statistics(final_z, EPS_COLLAPSE)
     rows = [[cfg.J, cfg.G] + _born_row(cfg.z0, stats)]
     write_table_csv(
         os.path.join(outdir, "frozen_born.csv"), ["J", "G"] + _BORN_HEADER, rows

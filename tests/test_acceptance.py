@@ -25,6 +25,7 @@ from suvsim import (
     make_config,
     run_experiment,
     simulate_ensemble,
+    simulate_final_z,
     simulate_paths,
     steady_samples,
 )
@@ -163,8 +164,8 @@ def test_frozen_field_reproduces_initial_weights(criterion_report):
         Scheme.SUV_COLORED, seed=55, J=1.0, G=1.0, kind=NoiseKind.FROZEN_SBM,
         dt=0.01, T=25.0,
     )
-    res = simulate_ensemble(cfg, n, record_series=False)
-    stats = collapse_statistics(res.final_z, EPS_COLLAPSE)
+    (final_z,) = simulate_final_z([(cfg, n, 0)])
+    stats = collapse_statistics(final_z, EPS_COLLAPSE)
     dev = born_deviation(stats, 0.6)  # raises if >= 1% unresolved
     bound = 3.0 * math.sqrt(0.6 * 0.4 / n)
     ok = abs(dev) <= bound
@@ -186,14 +187,12 @@ def test_born_rule_holds_exactly_at_the_balance_point(criterion_report):
     balanced_cfg = _traj(
         Scheme.SUV_COLORED, seed=99, J=2.0, G=10.0, tau=0.01, dt=1e-3, T=8.0
     )
-    balanced = simulate_ensemble(balanced_cfg, n, record_series=False)
-    dev_bal = born_deviation(collapse_statistics(balanced.final_z, EPS_COLLAPSE), 0.6)
-
     detuned_cfg = _traj(
         Scheme.SUV_COLORED, seed=101, J=8.0, G=10.0, tau=0.01, dt=1e-3, T=4.0
     )
-    detuned = simulate_ensemble(detuned_cfg, n, record_series=False)
-    dev_det = born_deviation(collapse_statistics(detuned.final_z, EPS_COLLAPSE), 0.6)
+    balanced, detuned = simulate_final_z([(balanced_cfg, n, 0), (detuned_cfg, n, 0)])
+    dev_bal = born_deviation(collapse_statistics(balanced, EPS_COLLAPSE), 0.6)
+    dev_det = born_deviation(collapse_statistics(detuned, EPS_COLLAPSE), 0.6)
 
     ok = abs(dev_bal) <= bound and abs(dev_det) > bound
     criterion_report(
@@ -213,22 +212,14 @@ def test_short_correlation_times_converge_to_the_white_limit(criterion_report):
     n = 50000
     white_cfg = _traj(Scheme.WHITE_STRAT, seed=1234, J=2.0, G=10.0, deff=DEFF,
                       kind=NoiseKind.NONE)
-    white_a = simulate_ensemble(white_cfg, n, record_series=False)
-    white_b = simulate_ensemble(white_cfg, n, index_offset=n, record_series=False)
-    ks_self = ks_distance(white_a.final_z, white_b.final_z)
-
-    fast = simulate_ensemble(
-        _traj(Scheme.SUV_COLORED, seed=777, J=2.0, G=10.0, tau=0.01),
-        n,
-        record_series=False,
+    fast_cfg = _traj(Scheme.SUV_COLORED, seed=777, J=2.0, G=10.0, tau=0.01)
+    slow_cfg = _traj(Scheme.SUV_COLORED, seed=778, J=2.0, G=1.0, tau=1.0)
+    white_a, white_b, fast, slow = simulate_final_z(
+        [(white_cfg, n, 0), (white_cfg, n, n), (fast_cfg, n, 0), (slow_cfg, n, 0)]
     )
-    slow = simulate_ensemble(
-        _traj(Scheme.SUV_COLORED, seed=778, J=2.0, G=1.0, tau=1.0),
-        n,
-        record_series=False,
-    )
-    ks_fast = ks_distance(fast.final_z, white_a.final_z)
-    ks_slow = ks_distance(slow.final_z, white_a.final_z)
+    ks_self = ks_distance(white_a, white_b)
+    ks_fast = ks_distance(fast, white_a)
+    ks_slow = ks_distance(slow, white_a)
     ok = ks_fast < 3.0 * ks_self and ks_slow > 3.0 * ks_self
     criterion_report(
         6,
@@ -248,11 +239,11 @@ def test_ito_and_stratonovich_forms_agree_in_law(criterion_report):
     base = dict(J=2.0, G=10.0, deff=DEFF, kind=NoiseKind.NONE)
     strat_cfg = _traj(Scheme.WHITE_STRAT, seed=401, **base)
     ito_cfg = _traj(Scheme.WHITE_ITO, seed=401, **base)
-    strat = simulate_ensemble(strat_cfg, n, record_series=False)
-    ito = simulate_ensemble(ito_cfg, n, index_offset=n, record_series=False)
-    strat_b = simulate_ensemble(strat_cfg, n, index_offset=2 * n, record_series=False)
-    ks_self = ks_distance(strat.final_z, strat_b.final_z)
-    ks_cross = ks_distance(strat.final_z, ito.final_z)
+    strat, ito, strat_b = simulate_final_z(
+        [(strat_cfg, n, 0), (ito_cfg, n, n), (strat_cfg, n, 2 * n)]
+    )
+    ks_self = ks_distance(strat, strat_b)
+    ks_cross = ks_distance(strat, ito)
     ok = ks_cross < 2.0 * ks_self
     criterion_report(
         7,
@@ -281,9 +272,8 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
     ):
         failures.append("chunk invariance")
 
-    full = simulate_ensemble(cfg, 9, record_series=False)
-    part = simulate_ensemble(cfg, 5, index_offset=4, record_series=False)
-    if not np.array_equal(full.final_z[4:9], part.final_z):
+    full, part = simulate_final_z([(cfg, 9, 0), (cfg, 5, 4)])
+    if not np.array_equal(full[4:9], part):
         failures.append("stream purity")
 
     manifests = []

@@ -19,6 +19,7 @@ from suvsim import (
     Scheme,
     TrajectoryConfig,
     simulate_ensemble,
+    simulate_final_z,
 )
 from suvsim.dynamics import (
     _renormalize,
@@ -173,7 +174,7 @@ def test_sse_z_is_statistically_a_martingale():
         scheme=Scheme.SSE,
         seed=61,
     )
-    finals = simulate_ensemble(cfg, n, record_series=False).final_z
+    (finals,) = simulate_final_z([(cfg, n, 0)])
     se = finals.std(ddof=1) / math.sqrt(n)
     assert abs(finals.mean() - 0.6) < 3.0 * se
 
@@ -267,21 +268,24 @@ def test_unnormalized_step_flags_overflow(monkeypatch):
     # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760.
     short = dataclasses.replace(cfg, T=80.0)  # trajectory 0 survives this horizon
     wide = engine._MAX_CHUNK_WIDTH
-    final_only = dict(n_traj=3, record_series=False)
-    cases = [  # config, chunk width cap, workers, run arguments, failure
-        (cfg, wide, 2, dict(n_traj=3), "trajectory 2, step 6760"),  # row 2 of one batch
-        (short, 1, 2, dict(n_traj=3), "trajectory 1, step 6927"),  # second batch
-        (cfg, wide, 2, dict(n_traj=2, index_offset=1), "trajectory 2, step 6760"),  # offset + row 1
+    def final_only():
+        simulate_final_z([(short, 3, 0)])
+
+    cases = [  # run, chunk width cap, workers, failure
+        (lambda: simulate_ensemble(cfg, 3), wide, 2, "trajectory 2, step 6760"),  # row 2 of one batch
+        (lambda: simulate_ensemble(short, 3), 1, 2, "trajectory 1, step 6927"),  # second batch
+        (lambda: simulate_ensemble(cfg, 2, index_offset=1), wide, 2,
+         "trajectory 2, step 6760"),  # offset + row 1
         # One trajectory per chunk. On two workers trajectory 2, which fails
         # at an earlier step, may fail first; the lowest failing index wins.
-        (short, 1, 1, final_only, "trajectory 1, step 6927"),
-        (short, 1, 2, final_only, "trajectory 1, step 6927"),
+        (final_only, 1, 1, "trajectory 1, step 6927"),
+        (final_only, 1, 2, "trajectory 1, step 6927"),
     ]
-    for c, width, workers, kw, where in cases:
+    for run, width, workers, where in cases:
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         with pytest.raises(IntegratorInstabilityError) as info:
-            simulate_ensemble(c, **kw)
+            run()
         assert str(info.value) == f"{where}: unnormalized amplitudes overflowed"
 
 

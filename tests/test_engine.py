@@ -179,15 +179,16 @@ def test_streamed_draws_match_replay_across_block_boundaries(monkeypatch):
         replayed = [_z(cfg.scheme, _replay(cfg, i)[0][-1]) for i in range(3)]
         for width in (1, 2, engine._MAX_CHUNK_WIDTH):
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-            res = simulate_ensemble(cfg, n_traj=3, record_series=False)
-            assert res.final_z.tolist() == replayed
+            (final_z,) = simulate_final_z([(cfg, 3, 0)])
+            assert final_z.tolist() == replayed
 
 
 def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     # A per-layer trace wraps these module globals of the engine and counts
     # calls to them (kernel calls, noise-update calls); every chunk must
-    # call each exactly once per step. A final-only run at one worker steps
-    # its chunks in the caller, where the trace sees them too.
+    # call each exactly once per step, recorded or final-only. A final-only
+    # run at one worker steps its chunks in the caller, where the trace
+    # sees them too.
     names = ("_suv_heun", "_renormalize", "_ou_update")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -200,9 +201,11 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     assert cfg.n_steps == 300
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
     monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
-    for record_series in (True, False):
+    recorded, final_only = (lambda: simulate_ensemble(cfg, n_traj=3),
+                            lambda: simulate_final_z([(cfg, 3, 0)]))
+    for run in (recorded, final_only):
         counts.update(dict.fromkeys(names, 0))
-        simulate_ensemble(cfg, n_traj=3, record_series=record_series)
+        run()
         assert counts == dict.fromkeys(names, 3 * 300)
 
 
@@ -232,10 +235,7 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
         for width in (1, 7, default):
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
             batch = simulate_final_z(jobs)
-            alone = [
-                simulate_ensemble(cfg, n, index_offset=off, record_series=False).final_z
-                for cfg, n, off in jobs
-            ]
+            alone = [simulate_final_z([job])[0] for job in jobs]
             for want, got, single in zip(expect, batch, alone):
                 assert np.array_equal(want, got) and np.array_equal(want, single)
 
@@ -319,7 +319,7 @@ def test_final_only_run_holds_no_per_step_draw_matrix():
     m = 500
     tracemalloc.start()
     try:
-        simulate_ensemble(cfg, n_traj=m, record_series=False)
+        simulate_final_z([(cfg, m, 0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,7 +339,7 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
     by_horizon = []
     for T in (1.0, 16.0):
         widths.clear()
-        simulate_ensemble(_cfg(Scheme.SUV_COLORED, T=T), n_traj=4000, record_series=False)
+        simulate_final_z([(_cfg(Scheme.SUV_COLORED, T=T), 4000, 0)])
         by_horizon.append(list(widths))
     assert by_horizon[0] == by_horizon[1] == [4000]
 
@@ -361,9 +361,8 @@ def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
 
 def test_index_offset_selects_the_same_subensemble():
     cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05)
-    full = simulate_ensemble(cfg, n_traj=8, record_series=False)
-    part = simulate_ensemble(cfg, n_traj=5, index_offset=3, record_series=False)
-    assert np.array_equal(full.final_z[3:8], part.final_z)
+    full, part = simulate_final_z([(cfg, 8, 0), (cfg, 5, 3)])
+    assert np.array_equal(full[3:8], part)
 
 
 def test_repeat_run_is_bitwise_identical():
@@ -447,9 +446,8 @@ def test_result_flags_and_minimal_outputs():
     assert single.summary.stderr_z is None
     assert single.single_xi.shape == single.summary.times.shape
 
-    bare = simulate_ensemble(cfg, n_traj=3, record_series=False)
-    assert bare.summary is None and bare.single_xi is None
-    assert bare.final_z.shape == (3,)
+    (bare,) = simulate_final_z([(cfg, 3, 0)])
+    assert bare.shape == (3,)
 
 
 def test_engine_input_guards():

@@ -5,6 +5,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from suvsim import (
@@ -103,6 +104,14 @@ def test_make_config_rejects_bad_input():
         make_config("fig1a", n_traj=0)
     with pytest.raises(ConfigError):
         make_config("fig1a", decimation=0)
+    # Integer settings take integers only, numpy integers included; a float
+    # would be truncated or fail deep inside a run.
+    for key, value in (("master_seed", 1.5), ("n_traj", 2.5), ("decimation", 2.5),
+                       ("n_traj", True)):
+        with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value}$"):
+            make_config("frozen-limit", **{key: value})
+    seeded = make_config("frozen-limit", master_seed=np.uint64(1), n_traj=np.int64(50))
+    assert (type(seeded.master_seed), type(seeded.n_traj)) == (int, int)
     # noise-validation simulates both noise processes and no scheme, so a
     # scheme or noise other than its preset's would only mislabel the run.
     with pytest.raises(ConfigError, match=r"--scheme or --noise \(got --scheme sse\)"):
@@ -110,6 +119,10 @@ def test_make_config_rejects_bad_input():
     with pytest.raises(ConfigError, match=r"\(got --noise frozen-ou\)"):
         make_config("noise-validation", {"noise": "frozen-ou"})
     assert make_config("noise-validation", noise="ou", scheme="suv-colored").noise is NoiseKind.OU
+    # weak-equivalence always runs its white-strat and suv-colored pair.
+    with pytest.raises(ConfigError, match=r"does not take --scheme \(got --scheme sse\)"):
+        make_config("weak-equivalence", scheme="sse")
+    assert make_config("weak-equivalence", scheme="suv-colored").scheme is Scheme.SUV_COLORED
     # fig1b's companion is the sbm ensemble; an sbm headline would share its name.
     with pytest.raises(ConfigError, match="fig1b does not take --noise sbm"):
         make_config("fig1b", noise="sbm")
@@ -391,7 +404,7 @@ def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):
                         assert not (tmp_path / MANIFEST_NAME).exists()
                     else:
                         outcomes["ran"] += 1
-    assert outcomes == {"ran": 131, "rejected": 93}
+    assert outcomes == {"ran": 119, "rejected": 105}
 
 
 def test_single_trajectory_runs_dump_decimated_paths(tmp_path):

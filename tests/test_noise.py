@@ -14,7 +14,7 @@ from suvsim import (
     TrajectoryConfig,
     autocorrelation,
     derive_stream,
-    simulate_ensemble,
+    simulate_final_z,
     simulate_paths,
     steady_samples,
 )
@@ -72,7 +72,7 @@ def test_wiener_increment_scales_draw_by_sqrt_dt():
         amps = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
         raw = _sse_em(*amps, np.array([dw]), dt, 0.5, (np.empty(1), np.empty(1)), _workspace(1))
         a, _ = _renormalize(*raw, (np.empty(1), np.empty(1)), _workspace(1))
-        assert simulate_ensemble(cfg, 1, record_series=False).final_z[0] == a[0] * a[0]
+        assert simulate_final_z([(cfg, 1, 0)])[0][0] == a[0] * a[0]
 
 
 def test_ou_step_decay_factor_at_one_correlation_time():
