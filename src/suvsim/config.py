@@ -182,21 +182,26 @@ def parse_config_file(path: str) -> dict:
             )
         try:
             values[key] = _convert(key, text)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {text!r}") from exc
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def _convert(key: str, text: str):
-    if key in _INT_KEYS:
-        return int(text)
-    if key in _FLOAT_KEYS:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(text)
-        return value
-    if key in _ENUM_KEYS:
-        return _ENUM_KEYS[key](text)
+    """The value of setting ``key`` written as ``text``; a malformed text
+    raises ConfigError naming the setting."""
+    try:
+        if key in _INT_KEYS:
+            return int(text)
+        if key in _FLOAT_KEYS:
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(text)
+            return value
+        if key in _ENUM_KEYS:
+            return _ENUM_KEYS[key](text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value for {key}: {text!r}") from exc
     return text
 
 

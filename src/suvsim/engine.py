@@ -34,14 +34,17 @@ series. Together these make every output bitwise independent of chunk
 size and of how many trajectories run concurrently, and byte-identical
 across repeated runs of the same configuration.
 
-A final-only run needs no reduction: its final z is the concatenation of
-its chunks' final z. :func:`simulate_final_z` therefore cuts any number
-of final-only ensembles into chunks and runs them on at most
-_MAX_WORKERS forked worker processes, each chunk deriving its own
-streams; the pool lives only for the call. The worker count changes no
-chunk width, so no output bit and no error message depends on it.
-Recorded runs, through :func:`simulate_ensemble`, stay in the calling
-process.
+Independent units of work run through one fork pool, :func:`_map_in_workers`:
+at most _MAX_WORKERS forked worker processes, created and joined inside
+each call, with results and the first error in task order. A final-only
+run needs no reduction: its final z is the concatenation of its chunks'
+final z. :func:`simulate_final_z` therefore cuts any number of final-only
+ensembles into chunks and maps them over the pool, each chunk deriving
+its own streams. A recorded ensemble, through :func:`simulate_ensemble`,
+runs in one process, because its fold adds trajectories in index order;
+experiments that run several recorded ensembles map whole ensembles
+over the pool instead. The worker count changes no chunk width, so no
+output bit and no error message depends on it.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_fin
 # does not depend on the horizon.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
-# Final-only chunks run on at most this many forked worker processes.
+# Independent units of work run on at most this many forked worker processes.
 _MAX_WORKERS = 2
 # Trajectories per tile of the fold: the squared observations are formed
 # for this many rows at a time, never for a whole chunk.
@@ -228,7 +231,7 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
         chunks = [(cfg, index_offset + s, min(width, n_traj - s)) for s in range(0, n_traj, width)]
         tasks += chunks
         counts.append(len(chunks))
-    finals = iter(_run_final_chunks(tasks))
+    finals = iter(_map_in_workers(_final_chunk, tasks))
     return [np.concatenate([next(finals) for _ in range(c)]) for c in counts]
 
 
@@ -248,9 +251,16 @@ def _final_chunk(task):
     return _integrate_chunk(cfg, streams, record_at, need_xi=False, first_index=first)[2]
 
 
-def _run_final_chunks(tasks):
-    """_final_chunk of every task, in task order, on a fork pool when at
-    least two workers are usable."""
+def _map_in_workers(fn, tasks):
+    """``fn(task)`` for every task, in task order.
+
+    The tasks run on min(_MAX_WORKERS, usable cores, tasks) forked worker
+    processes, or in the calling process when that is below 2 or the
+    caller is itself a daemonic worker. ``fn`` must be a module-level
+    function, and tasks and results must pickle. The pool is created and
+    joined inside the call; when tasks fail, the error raised is that of
+    the first failing task in task order, the one a serial run raises.
+    """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
     if workers >= 2:
@@ -260,16 +270,16 @@ def _run_final_chunks(tasks):
             pool = multiprocessing.get_context("fork").Pool(workers)
             try:
                 # imap yields in task order, so the first error raised is
-                # the first failing chunk's, whichever worker failed first.
-                finals = list(pool.imap(_final_chunk, tasks, chunksize=1))
+                # the first failing task's, whichever worker failed first.
+                results = list(pool.imap(fn, tasks, chunksize=1))
                 pool.close()
             except BaseException:
                 pool.terminate()
                 raise
             finally:
                 pool.join()
-            return finals
-    return [_final_chunk(task) for task in tasks]
+            return results
+    return [fn(task) for task in tasks]
 
 
 def _fold(acc, rows, n_out, tile):

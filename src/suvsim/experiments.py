@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import derive_stream, simulate_ensemble, simulate_final_z
+from .engine import _map_in_workers, derive_stream, simulate_ensemble, simulate_final_z
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
@@ -73,6 +73,28 @@ def _maybe_dump_trajectory(result, outdir, stem, written):
         written.append(name)
 
 
+def _recorded_ensemble(task):
+    """One recorded ensemble ``(cfg, n_traj, decimation, index_offset)``."""
+    return simulate_ensemble(*task)
+
+
+def _run_recorded(cfg: ExperimentConfig, outdir: str, runs) -> list[str]:
+    """Run each ``(stem, trajectory config)`` of ``runs`` as a recorded
+    ensemble of cfg.n_traj trajectories, the i-th from stream index
+    i * n_traj, and write ``<stem>.csv`` for each (and, with n_traj = 1,
+    its trajectory). The ensembles run concurrently on the engine's
+    workers; each is folded in one process, so the bits do not depend on
+    the worker count."""
+    n = cfg.n_traj
+    tasks = [(traj_cfg, n, cfg.decimation, i * n) for i, (_, traj_cfg) in enumerate(runs)]
+    written = []
+    for (stem, _), result in zip(runs, _map_in_workers(_recorded_ensemble, tasks)):
+        write_ensemble_csv(os.path.join(outdir, f"{stem}.csv"), result.summary)
+        written.append(f"{stem}.csv")
+        _maybe_dump_trajectory(result, outdir, stem, written)
+    return written
+
+
 def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Smooth collapse trajectories versus the diffusive jump unraveling.
 
@@ -80,23 +102,10 @@ def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
     with the same initial state, writing one ensemble CSV for each. With
     n_traj = 1 the decimated single trajectories are written too.
     """
-    written = []
-    n = cfg.n_traj
-    suv = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
-    write_ensemble_csv(os.path.join(outdir, "fig1a_suv.csv"), suv.summary)
-    written.append("fig1a_suv.csv")
-    _maybe_dump_trajectory(suv, outdir, "fig1a_suv", written)
-
-    sse = simulate_ensemble(
-        build_trajectory_config(cfg, scheme=Scheme.SSE),
-        n,
-        decimation=cfg.decimation,
-        index_offset=n,
-    )
-    write_ensemble_csv(os.path.join(outdir, "fig1a_sse.csv"), sse.summary)
-    written.append("fig1a_sse.csv")
-    _maybe_dump_trajectory(sse, outdir, "fig1a_sse", written)
-    return written
+    return _run_recorded(cfg, outdir, [
+        ("fig1a_suv", build_trajectory_config(cfg)),
+        ("fig1a_sse", build_trajectory_config(cfg, scheme=Scheme.SSE)),
+    ])
 
 
 def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -106,24 +115,10 @@ def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
     is named after it, ``fig1b_<noise>.csv``; a companion run swaps in the
     bounded process at the same couplings, ``fig1b_sbm.csv``.
     """
-    written = []
-    n = cfg.n_traj
-    stem = f"fig1b_{cfg.noise.value}"
-    headline = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
-    write_ensemble_csv(os.path.join(outdir, f"{stem}.csv"), headline.summary)
-    written.append(f"{stem}.csv")
-    _maybe_dump_trajectory(headline, outdir, stem, written)
-
-    sbm = simulate_ensemble(
-        build_trajectory_config(cfg, noise=NoiseKind.SBM),
-        n,
-        decimation=cfg.decimation,
-        index_offset=n,
-    )
-    write_ensemble_csv(os.path.join(outdir, "fig1b_sbm.csv"), sbm.summary)
-    written.append("fig1b_sbm.csv")
-    _maybe_dump_trajectory(sbm, outdir, "fig1b_sbm", written)
-    return written
+    return _run_recorded(cfg, outdir, [
+        (f"fig1b_{cfg.noise.value}", build_trajectory_config(cfg)),
+        ("fig1b_sbm", build_trajectory_config(cfg, noise=NoiseKind.SBM)),
+    ])
 
 
 def run_born_sweep(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -198,15 +193,32 @@ def run_weak_equivalence(cfg: ExperimentConfig, outdir: str) -> list[str]:
 # exact.
 _FIT_LAGS = 13
 _REPORT_ENTRIES = (0, 4, 8)
+_STEADY_SAMPLES = 100000
 
 
-def _fit_grid_autocovariances(paths, tau: float, quarter_steps: int):
-    """Lags of the rate fit and the autocovariance estimate of steady-state
-    ``paths`` at each, one :func:`autocorrelation` call per lag; tau / 4 is
-    ``quarter_steps`` steps of the paths' grid."""
-    lags = [k * 0.25 * tau for k in range(_FIT_LAGS)]
-    values = [autocorrelation(paths, k * quarter_steps) for k in range(_FIT_LAGS)]
-    return lags, np.array(values)
+def _fit_lags(tau: float) -> list[float]:
+    """Lags of the rate fit, in units of time."""
+    return [k * 0.25 * tau for k in range(_FIT_LAGS)]
+
+
+def _noise_kind_statistics(task):
+    """Fit-grid autocovariances and steady-law KS distance of one noise kind.
+
+    ``task`` is ``(model, n_steps, dt, seed, first_index, n, quarter_steps,
+    steady_stream)``: ``n`` steady-state paths of ``n_steps`` steps, path i
+    from the stream (seed, first_index + i), are estimated at the
+    _FIT_LAGS lags k * quarter_steps of their grid (quarter_steps steps
+    being tau / 4), and _STEADY_SAMPLES steady draws from the stream
+    ``steady_stream = (seed, index)`` are compared with the exact
+    stationary law. Returns the estimates and the KS distance.
+    """
+    model, n_steps, dt, seed, first_index, n, quarter_steps, steady_stream = task
+    streams = [derive_stream(seed, first_index + i) for i in range(n)]
+    paths = simulate_paths(model, n_steps, dt, streams)
+    values = autocorrelation(paths, [k * quarter_steps for k in range(_FIT_LAGS)])
+    del paths
+    draws = steady_samples(model, _STEADY_SAMPLES, derive_stream(*steady_stream))
+    return values, _steady_ks(model.kind, draws)
 
 
 def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -216,11 +228,12 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     against its exponential target, an exponential-rate fit over lags up to
     3 tau, and a one-sample KS distance of fresh steady-state draws against
     the exact stationary law. The autocovariance is estimated once per lag
-    of the fit grid, which holds the three report lags. Raises ConfigError,
-    before any path is simulated, when tau / 4 is not a whole number of
-    steps or 3 tau exceeds the horizon, and InconclusiveError, before any
-    file is written, when an autocovariance on the fit grid is not
-    positive, since its logarithm would make the fitted rate NaN.
+    of the fit grid, which holds the three report lags. The two processes
+    run concurrently on the engine's workers. Raises ConfigError, before
+    any path is simulated, when tau / 4 is not a whole number of steps or
+    3 tau exceeds the horizon, and InconclusiveError, before any file is
+    written, when an autocovariance on the fit grid is not positive, since
+    its logarithm would make the fitted rate NaN.
     """
     n = cfg.n_traj
     tau = cfg.tau
@@ -233,15 +246,17 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
             f"the rate fit's longest lag 3 tau = {3.0 * tau:g} exceeds the horizon T = {cfg.T}"
         )
 
+    seed = cfg.master_seed
+    tasks = [
+        (model, n_steps, dt, seed, i * n, n, q, (seed, 2 * n + i))
+        for i, model in enumerate(models)
+    ]
+    lags = _fit_lags(tau)
     acf_rows = []
     rate_rows = []
     steady_rows = []
-    for model_index, model in enumerate(models):
+    for model, (values, ks) in zip(models, _map_in_workers(_noise_kind_statistics, tasks)):
         kind = model.kind
-        streams = [derive_stream(cfg.master_seed, model_index * n + i) for i in range(n)]
-        paths = simulate_paths(model, n_steps, dt, streams)
-        lags, values = _fit_grid_autocovariances(paths, tau, q)
-        del paths
         variance = STEADY_SECOND_MOMENT[kind]
         for j in _REPORT_ENTRIES:
             target = variance * math.exp(-lags[j] / tau)
@@ -256,9 +271,7 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
             )
         rate = -np.polyfit(np.array(lags), np.log(values), 1)[0]
         rate_rows.append([kind.value, rate, 1.0 / tau])
-
-        draws = steady_samples(model, 100000, derive_stream(cfg.master_seed, 2 * n + model_index))
-        steady_rows.append([kind.value, draws.size, _steady_ks(kind, draws)])
+        steady_rows.append([kind.value, _STEADY_SAMPLES, ks])
 
     write_table_csv(
         os.path.join(outdir, "noise_autocorr.csv"),

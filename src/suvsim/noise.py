@@ -174,30 +174,40 @@ def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
     raise NotApplicableError(f"no steady state defined for noise kind {kind.value!r}")
 
 
-def autocorrelation(paths, lag_steps: int) -> float:
-    """Stationary autocovariance estimate E[xi_t xi_(t+lag)] - E[xi]^2.
+def autocorrelation(paths, lags) -> np.ndarray:
+    """Stationary autocovariance estimates E[xi_t xi_(t+k)] - E[xi]^2, one
+    per lag k of ``lags``.
 
     Averages over trajectories and over all time origins of steady-state
-    paths sampled on a uniform grid.
+    paths sampled on a uniform grid. The products of every lag are formed
+    in one reused buffer the size of the paths.
 
     Parameters
     ----------
     paths : array_like, shape (n_traj, n_times)
         Noise paths started in the steady state.
-    lag_steps : int
-        Lag in grid steps, 0 <= lag_steps < n_times.
+    lags : sequence of int
+        Lags in grid steps, each 0 <= k < n_times.
     """
     arr = np.asarray(paths, dtype=float)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidParameterError("paths must be a nonempty (n_traj, n_times) array")
-    k = lag_steps
-    if not isinstance(k, (int, np.integer)) or not 0 <= k < arr.shape[1]:
-        raise InvalidParameterError(
-            f"lag must be a whole number of steps in [0, {arr.shape[1]}), got {k}"
-        )
-    x = arr[:, : arr.shape[1] - k] if k else arr
-    y = arr[:, k:]
-    return float(np.mean(x * y) - np.mean(x) * np.mean(y))
+    n_times = arr.shape[1]
+    if np.ndim(lags) != 1:
+        raise InvalidParameterError(f"lags must be a sequence of steps, got {lags!r}")
+    for k in lags:
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < n_times:
+            raise InvalidParameterError(
+                f"lag must be a whole number of steps in [0, {n_times}), got {k}"
+            )
+    buffer = np.empty(arr.size)
+    estimates = np.empty(len(lags))
+    for j, k in enumerate(lags):
+        x = arr[:, : n_times - k] if k else arr
+        y = arr[:, k:]
+        xy = np.multiply(x, y, out=buffer[: x.size].reshape(x.shape))
+        estimates[j] = np.mean(xy) - np.mean(x) * np.mean(y)
+    return estimates
 
 
 def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams):

@@ -19,22 +19,19 @@ from suvsim import (
     TrajectoryConfig,
     born_deviation,
     collapse_statistics,
-    derive_stream,
     effective_diffusion,
     ks_distance,
     make_config,
     run_experiment,
     simulate_ensemble,
     simulate_final_z,
-    simulate_paths,
-    steady_samples,
 )
 from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun, _workspace
 from suvsim.experiments import (
     _REPORT_ENTRIES,
     EPS_COLLAPSE,
-    _fit_grid_autocovariances,
-    _steady_ks,
+    _fit_lags,
+    _noise_kind_statistics,
 )
 from suvsim.output import write_ensemble_csv
 
@@ -113,32 +110,32 @@ def test_fast_noise_ensemble_dephases_at_the_analytic_rate(criterion_report):
 
 def test_noise_processes_match_their_stationary_laws(criterion_report):
     # Autocovariance at lags {0, tau, 2 tau}, exponential decay rate, and
-    # one-sample KS distance of steady draws, for both processes.
+    # one-sample KS distance of steady draws, for both processes, which
+    # run as two tasks on the engine's workers.
     n, tau, dt, n_steps = 20000, 1.0, 0.005, 2000
+    kinds = (
+        (NoiseKind.OU, 1.0, 301, 0.03, (303, 1)),
+        (NoiseKind.SBM, 1.0 / 3.0, 302, 0.05, (303, 0)),
+    )
+    tasks = [
+        (NoiseModel(kind=kind, tau=tau), n_steps, dt, seed, 0, n, 50, steady)  # tau / 4 = 50 dt
+        for kind, _, seed, _, steady in kinds
+    ]
+    lags = _fit_lags(tau)
     results = {}
-    for kind, variance, seed, acf_tol in (
-        (NoiseKind.OU, 1.0, 301, 0.03),
-        (NoiseKind.SBM, 1.0 / 3.0, 302, 0.05),
+    steady_ks = {}
+    for (kind, variance, _, acf_tol, _), (values, ks) in zip(
+        kinds, engine._map_in_workers(_noise_kind_statistics, tasks)
     ):
-        model = NoiseModel(kind=kind, tau=tau)
-        paths = simulate_paths(
-            model, n_steps, dt, [derive_stream(seed, i) for i in range(n)]
-        )
-        lags, values = _fit_grid_autocovariances(paths, tau, 50)  # tau / 4 = 50 dt
         rels = []
         for j in _REPORT_ENTRIES:
             target = variance * math.exp(-lags[j] / tau)
             rels.append(abs(values[j] - target) / target)
         rate = -np.polyfit(lags, np.log(values), 1)[0]
         results[kind] = (max(rels), abs(rate * tau - 1.0), acf_tol)
-        del paths
+        steady_ks[kind] = ks
 
-    sbm_ks = _steady_ks(
-        NoiseKind.SBM, steady_samples(NoiseModel(kind=NoiseKind.SBM), 100000, derive_stream(303, 0))
-    )
-    ou_ks = _steady_ks(
-        NoiseKind.OU, steady_samples(NoiseModel(kind=NoiseKind.OU), 100000, derive_stream(303, 1))
-    )
+    sbm_ks, ou_ks = steady_ks[NoiseKind.SBM], steady_ks[NoiseKind.OU]
     acf_ok = all(worst <= tol for worst, _, tol in results.values())
     rate_ok = all(rate_err <= 0.05 for _, rate_err, _ in results.values())
     ks_ok = sbm_ks < 0.01 and ou_ks < 0.01

@@ -1,7 +1,8 @@
 """Tests of the vectorized ensemble engine: stream derivation, bitwise
 agreement with a per-step replay through the step kernels, determinism
 under chunking, worker counts, offsets, and reruns, and the lifetime of
-the worker processes."""
+the worker processes, for final-only chunks and for the experiments'
+recorded ensembles and noise path sets."""
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import suvsim.engine as engine
+import suvsim.experiments as experiments
 from suvsim import (
     IntegratorInstabilityError,
     InvalidParameterError,
@@ -21,6 +23,8 @@ from suvsim import (
     Scheme,
     TrajectoryConfig,
     derive_stream,
+    make_config,
+    run_experiment,
     simulate_ensemble,
     simulate_final_z,
 )
@@ -238,6 +242,53 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
             alone = [simulate_final_z([job])[0] for job in jobs]
             for want, got, single in zip(expect, batch, alone):
                 assert np.array_equal(want, got) and np.array_equal(want, single)
+
+
+def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path):
+    # fig1a's and fig1b's two recorded ensembles and noise-validation's two
+    # noise kinds are tasks of the workers' pool. At 1 and 2 workers every
+    # file, the single-trajectory dumps and the manifest included, is the
+    # same bytes; at 2 workers no task runs in the caller, at 1 all do.
+    log = tmp_path / "pids"
+
+    def logged(fn):
+        def run(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+
+        return run
+
+    for name in ("simulate_ensemble", "simulate_paths"):
+        monkeypatch.setattr(experiments, name, logged(getattr(experiments, name)))
+    runs = [
+        ("fig1a", {"n_traj": 40, "T": 0.1}),
+        ("fig1a", {"n_traj": 1, "T": 0.1}),
+        ("fig1b", {"n_traj": 40, "T": 0.1}),
+        ("fig1b", {"n_traj": 1, "T": 0.1}),
+        ("noise-validation", {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}),
+    ]
+    parallel = len(os.sched_getaffinity(0)) >= 2
+    files = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        base = tmp_path / f"workers{workers}"
+        base.mkdir()
+        monkeypatch.chdir(base)  # the manifests record the same relative output_dir
+        for i, (experiment, overrides) in enumerate(runs):
+            log.write_text("")
+            run_experiment(make_config(experiment, overrides, output_dir=f"run{i}"))
+            pids = log.read_text().split()
+            assert len(pids) == 2
+            if workers == 2 and parallel:
+                assert str(os.getpid()) not in pids
+            else:
+                assert set(pids) == {str(os.getpid())}
+        files[workers] = {
+            path.relative_to(base): path.read_bytes() for path in base.rglob("*") if path.is_file()
+        }
+    assert len(files[1]) == 4 * 2 + 2 * 2 + 3 + 5  # csvs, trajectory dumps, manifests
+    assert files[1] == files[2]
 
 
 def test_final_only_chunks_run_in_worker_processes(monkeypatch, tmp_path):

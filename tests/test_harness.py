@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import suvsim.engine as engine
 from suvsim import (
     EXPERIMENT_DEFAULTS,
     ConfigError,
@@ -110,6 +111,11 @@ def test_make_config_rejects_bad_input():
                        ("n_traj", True)):
         with pytest.raises(ConfigError, match=f"^{key} must be an integer, got {value}$"):
             make_config("frozen-limit", **{key: value})
+    # A string value from a Python caller is parsed as a config file's is.
+    with pytest.raises(ConfigError, match="^bad value for scheme: 'bogus'$"):
+        make_config("fig1a", scheme="bogus")
+    with pytest.raises(ConfigError, match="^bad value for J: 'abc'$"):
+        make_config("fig1a", J="abc")
     seeded = make_config("frozen-limit", master_seed=np.uint64(1), n_traj=np.int64(50))
     assert (type(seeded.master_seed), type(seeded.n_traj)) == (int, int)
     # noise-validation simulates both noise processes and no scheme, so a
@@ -322,15 +328,18 @@ def test_failed_run_leaves_no_stale_manifest(tmp_path):
     assert not stale.exists()
 
 
-def test_noise_validation_writes_no_unfittable_rate(tmp_path):
+def test_noise_validation_writes_no_unfittable_rate(tmp_path, monkeypatch):
     # At this size an OU autocovariance on the rate-fit grid is negative,
     # and its logarithm would be written as a NaN rate: the run stops
-    # before any file is written.
-    cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0},
-                      output_dir=str(tmp_path))
-    with pytest.raises(InconclusiveError, match="ou autocovariance at lag 1.25 is -0.0045"):
-        run_experiment(cfg)
-    assert not any(tmp_path.iterdir())
+    # before any file is written, with the OU error although both kinds
+    # ran, at one worker or two.
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0},
+                          output_dir=str(tmp_path))
+        with pytest.raises(InconclusiveError, match="ou autocovariance at lag 1.25 is -0.0045"):
+            run_experiment(cfg)
+        assert not any(tmp_path.iterdir())
     # Its paths, like every ensemble, span a positive whole number of steps.
     cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0005},
                       output_dir=str(tmp_path))
@@ -364,20 +373,21 @@ def test_noise_validation_checks_its_lag_grid_before_simulating(tmp_path, monkey
 
 def test_noise_validation_estimates_each_fit_lag_once(tmp_path, monkeypatch):
     # The report lags 0, tau and 2 tau sit on the 13-lag fit grid, so each
-    # noise kind takes 13 autocovariance estimates.
+    # noise kind takes one estimate of the whole grid. At one worker both
+    # kinds run in the caller, where the counter sees them.
     import suvsim.experiments as experiments
 
     calls = []
 
-    def counted(*args, _fn=experiments.autocorrelation):
-        calls.append(args[1])
-        return _fn(*args)
+    def counted(paths, lags, _fn=experiments.autocorrelation):
+        calls.append(list(lags))
+        return _fn(paths, lags)
 
     monkeypatch.setattr(experiments, "autocorrelation", counted)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
     run_experiment(make_config("noise-validation", _SMOKE_OVERRIDES[Experiment.NOISE_VALIDATION],
                                output_dir=str(tmp_path)))
-    assert len(calls) == 26
-    assert calls[:13] == calls[13:] == [25 * k for k in range(13)]  # tau / 4 = 25 dt
+    assert calls == [[25 * k for k in range(13)]] * 2  # tau / 4 = 25 dt
 
 
 def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):

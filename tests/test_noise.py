@@ -201,8 +201,7 @@ def test_ou_autocorrelation_decays_exponentially():
     n_steps = 250
     streams = [derive_stream(31, i) for i in range(n)]
     paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=tau), n_steps, dt, streams)
-    var = autocorrelation(paths, 0)
-    at_tau = autocorrelation(paths, 50)  # tau / dt steps
+    var, at_tau = autocorrelation(paths, [0, 50])  # tau / dt = 50 steps
     assert var == pytest.approx(1.0, rel=0.05)
     assert at_tau == pytest.approx(math.exp(-1.0), rel=0.08)
 
@@ -212,22 +211,38 @@ def test_sbm_autocorrelation_starts_at_one_third():
     streams = [derive_stream(32, i) for i in range(n)]
     paths = simulate_paths(NoiseModel(kind=NoiseKind.SBM, tau=tau), 150, dt, streams)
     assert np.all(np.abs(paths) <= 1.0)
-    assert autocorrelation(paths, 0) == pytest.approx(1.0 / 3.0, rel=0.05)
+    assert autocorrelation(paths, [0])[0] == pytest.approx(1.0 / 3.0, rel=0.05)
 
 
 def test_autocorrelation_validates_lag_and_shape():
     paths = np.zeros((3, 10))
     with pytest.raises(InvalidParameterError):
-        autocorrelation(paths, 1.5)  # not a whole number of steps
+        autocorrelation(paths, [0, 1.5])  # not a whole number of steps
     with pytest.raises(InvalidParameterError):
-        autocorrelation(paths, 10)  # longer than the paths
+        autocorrelation(paths, [10])  # longer than the paths
     with pytest.raises(InvalidParameterError):
-        autocorrelation(np.zeros(10), 0)  # not 2-d
+        autocorrelation(np.zeros(10), [0])  # not 2-d
     with pytest.raises(InvalidParameterError):
-        autocorrelation(np.zeros((0, 10)), 0)  # empty
+        autocorrelation(np.zeros((0, 10)), [0])  # empty
     with pytest.raises(InvalidParameterError):
-        autocorrelation(paths, -1)
-    assert autocorrelation(paths, 9) == 0.0
+        autocorrelation(paths, [-1])
+    with pytest.raises(InvalidParameterError, match="lags must be a sequence of steps, got 3"):
+        autocorrelation(paths, 3)
+    assert autocorrelation(paths, [9]).tolist() == [0.0]
+    assert autocorrelation(paths, []).shape == (0,)
+
+
+def test_autocorrelation_of_a_lag_grid_matches_one_lag_at_a_time():
+    # The grid's products share one buffer; each lag still gets the plain
+    # estimate of its own fresh product, bit for bit, in any lag order.
+    streams = [derive_stream(33, i) for i in range(64)]
+    paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=0.5), 120, 0.01, streams)
+    lags = [100, 0, 25, 7, 50, 25]
+    expect = []
+    for k in lags:
+        x, y = paths[:, : paths.shape[1] - k], paths[:, k:]
+        expect.append(np.mean(x * y) - np.mean(x) * np.mean(y))
+    assert np.array_equal(autocorrelation(paths, lags), expect)
 
 
 def test_frozen_paths_are_constant_rows():
