@@ -40,11 +40,11 @@ each call, with results and the first error in task order. A final-only
 run needs no reduction: its final z is the concatenation of its chunks'
 final z. :func:`simulate_final_z` therefore cuts any number of final-only
 ensembles into chunks and maps them over the pool, each chunk deriving
-its own streams. A recorded ensemble, through :func:`simulate_ensemble`,
-runs in one process, because its fold adds trajectories in index order;
-experiments that run several recorded ensembles map whole ensembles
-over the pool instead. The worker count changes no chunk width, so no
-output bit and no error message depends on it.
+its own streams. The noise-validation experiment maps its two noise
+kinds' path sets over the same pool. Recorded runs, through
+:func:`simulate_ensemble`, stay in the calling process, because the
+fold adds trajectories in index order. The worker count changes no
+chunk width, so no output bit and no error message depends on it.
 """
 from __future__ import annotations
 

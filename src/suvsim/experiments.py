@@ -73,28 +73,6 @@ def _maybe_dump_trajectory(result, outdir, stem, written):
         written.append(name)
 
 
-def _recorded_ensemble(task):
-    """One recorded ensemble ``(cfg, n_traj, decimation, index_offset)``."""
-    return simulate_ensemble(*task)
-
-
-def _run_recorded(cfg: ExperimentConfig, outdir: str, runs) -> list[str]:
-    """Run each ``(stem, trajectory config)`` of ``runs`` as a recorded
-    ensemble of cfg.n_traj trajectories, the i-th from stream index
-    i * n_traj, and write ``<stem>.csv`` for each (and, with n_traj = 1,
-    its trajectory). The ensembles run concurrently on the engine's
-    workers; each is folded in one process, so the bits do not depend on
-    the worker count."""
-    n = cfg.n_traj
-    tasks = [(traj_cfg, n, cfg.decimation, i * n) for i, (_, traj_cfg) in enumerate(runs)]
-    written = []
-    for (stem, _), result in zip(runs, _map_in_workers(_recorded_ensemble, tasks)):
-        write_ensemble_csv(os.path.join(outdir, f"{stem}.csv"), result.summary)
-        written.append(f"{stem}.csv")
-        _maybe_dump_trajectory(result, outdir, stem, written)
-    return written
-
-
 def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Smooth collapse trajectories versus the diffusive jump unraveling.
 
@@ -102,10 +80,23 @@ def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
     with the same initial state, writing one ensemble CSV for each. With
     n_traj = 1 the decimated single trajectories are written too.
     """
-    return _run_recorded(cfg, outdir, [
-        ("fig1a_suv", build_trajectory_config(cfg)),
-        ("fig1a_sse", build_trajectory_config(cfg, scheme=Scheme.SSE)),
-    ])
+    written = []
+    n = cfg.n_traj
+    suv = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
+    write_ensemble_csv(os.path.join(outdir, "fig1a_suv.csv"), suv.summary)
+    written.append("fig1a_suv.csv")
+    _maybe_dump_trajectory(suv, outdir, "fig1a_suv", written)
+
+    sse = simulate_ensemble(
+        build_trajectory_config(cfg, scheme=Scheme.SSE),
+        n,
+        decimation=cfg.decimation,
+        index_offset=n,
+    )
+    write_ensemble_csv(os.path.join(outdir, "fig1a_sse.csv"), sse.summary)
+    written.append("fig1a_sse.csv")
+    _maybe_dump_trajectory(sse, outdir, "fig1a_sse", written)
+    return written
 
 
 def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -115,10 +106,24 @@ def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
     is named after it, ``fig1b_<noise>.csv``; a companion run swaps in the
     bounded process at the same couplings, ``fig1b_sbm.csv``.
     """
-    return _run_recorded(cfg, outdir, [
-        (f"fig1b_{cfg.noise.value}", build_trajectory_config(cfg)),
-        ("fig1b_sbm", build_trajectory_config(cfg, noise=NoiseKind.SBM)),
-    ])
+    written = []
+    n = cfg.n_traj
+    stem = f"fig1b_{cfg.noise.value}"
+    headline = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
+    write_ensemble_csv(os.path.join(outdir, f"{stem}.csv"), headline.summary)
+    written.append(f"{stem}.csv")
+    _maybe_dump_trajectory(headline, outdir, stem, written)
+
+    sbm = simulate_ensemble(
+        build_trajectory_config(cfg, noise=NoiseKind.SBM),
+        n,
+        decimation=cfg.decimation,
+        index_offset=n,
+    )
+    write_ensemble_csv(os.path.join(outdir, "fig1b_sbm.csv"), sbm.summary)
+    written.append("fig1b_sbm.csv")
+    _maybe_dump_trajectory(sbm, outdir, "fig1b_sbm", written)
+    return written
 
 
 def run_born_sweep(cfg: ExperimentConfig, outdir: str) -> list[str]:

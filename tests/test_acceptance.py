@@ -110,8 +110,10 @@ def test_fast_noise_ensemble_dephases_at_the_analytic_rate(criterion_report):
 
 def test_noise_processes_match_their_stationary_laws(criterion_report):
     # Autocovariance at lags {0, tau, 2 tau}, exponential decay rate, and
-    # one-sample KS distance of steady draws, for both processes, which
-    # run as two tasks on the engine's workers.
+    # one-sample KS distance of steady draws, for both processes, through
+    # noise-validation's per-kind task. The kinds run one after the other:
+    # each holds a 320 MB path matrix and a product buffer of the same
+    # size, so two at once would double the suite's peak memory.
     n, tau, dt, n_steps = 20000, 1.0, 0.005, 2000
     kinds = (
         (NoiseKind.OU, 1.0, 301, 0.03, (303, 1)),
@@ -125,7 +127,7 @@ def test_noise_processes_match_their_stationary_laws(criterion_report):
     results = {}
     steady_ks = {}
     for (kind, variance, _, acf_tol, _), (values, ks) in zip(
-        kinds, engine._map_in_workers(_noise_kind_statistics, tasks)
+        kinds, map(_noise_kind_statistics, tasks)
     ):
         rels = []
         for j in _REPORT_ENTRIES:

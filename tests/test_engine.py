@@ -1,8 +1,8 @@
 """Tests of the vectorized ensemble engine: stream derivation, bitwise
 agreement with a per-step replay through the step kernels, determinism
 under chunking, worker counts, offsets, and reruns, and the lifetime of
-the worker processes, for final-only chunks and for the experiments'
-recorded ensembles and noise path sets."""
+the worker processes, for final-only chunks and for noise-validation's
+noise path sets."""
 import math
 import multiprocessing
 import os
@@ -245,22 +245,19 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
 
 
 def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path):
-    # fig1a's and fig1b's two recorded ensembles and noise-validation's two
-    # noise kinds are tasks of the workers' pool. At 1 and 2 workers every
-    # file, the single-trajectory dumps and the manifest included, is the
-    # same bytes; at 2 workers no task runs in the caller, at 1 all do.
+    # noise-validation's two noise kinds are tasks of the workers' pool;
+    # fig1a's and fig1b's recorded ensembles run in the caller. At 1 and 2
+    # workers every file, the single-trajectory dumps and the manifests
+    # included, is the same bytes. At 2 workers no path set is simulated
+    # in the caller, at 1 both are.
     log = tmp_path / "pids"
 
-    def logged(fn):
-        def run(*args, **kwargs):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return fn(*args, **kwargs)
+    def logged(*args, _fn=experiments.simulate_paths):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return _fn(*args)
 
-        return run
-
-    for name in ("simulate_ensemble", "simulate_paths"):
-        monkeypatch.setattr(experiments, name, logged(getattr(experiments, name)))
+    monkeypatch.setattr(experiments, "simulate_paths", logged)
     runs = [
         ("fig1a", {"n_traj": 40, "T": 0.1}),
         ("fig1a", {"n_traj": 1, "T": 0.1}),
@@ -275,15 +272,15 @@ def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path)
         base = tmp_path / f"workers{workers}"
         base.mkdir()
         monkeypatch.chdir(base)  # the manifests record the same relative output_dir
+        log.write_text("")
         for i, (experiment, overrides) in enumerate(runs):
-            log.write_text("")
             run_experiment(make_config(experiment, overrides, output_dir=f"run{i}"))
-            pids = log.read_text().split()
-            assert len(pids) == 2
-            if workers == 2 and parallel:
-                assert str(os.getpid()) not in pids
-            else:
-                assert set(pids) == {str(os.getpid())}
+        pids = log.read_text().split()
+        assert len(pids) == 2
+        if workers == 2 and parallel:
+            assert str(os.getpid()) not in pids
+        else:
+            assert set(pids) == {str(os.getpid())}
         files[workers] = {
             path.relative_to(base): path.read_bytes() for path in base.rglob("*") if path.is_file()
         }
