@@ -1,0 +1,119 @@
+"""Compare every output bit of the experiment presets with another revision.
+
+    python3 scripts/bitcheck.py REV
+
+Checks REV out into a temporary git worktree (removed again afterwards),
+then runs the same list of presets in that tree and in this working tree,
+each at 1 and 2 engine workers: all eight presets at smoke sizes, and each
+recorded preset (fig1a, fig1b, gksl-check) with one trajectory, which also
+writes the trajectory dumps. For every run it compares the bytes of
+run_manifest.json and every file digest the manifest lists. Prints
+``equal`` and exits 0 when nothing differs; otherwise prints each file
+that differs, as ``w<workers>/<run>/<file>``, and exits 1.
+
+Needs only git and the package's own dependencies. Horizons are short, so
+the whole check takes well under a minute on two cores.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+# (run label, experiment, overrides): every preset at smoke size, then the
+# recorded presets with one trajectory.
+RUNS = [
+    ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}),
+    ("fig1b", "fig1b", {"n_traj": 100, "T": 0.3}),
+    ("born-sweep", "born-sweep", {"n_traj": 50, "T": 0.5}),
+    ("fdr-sweep", "fdr-sweep", {"n_traj": 20, "T": 0.5}),
+    ("weak-equivalence", "weak-equivalence", {"n_traj": 100, "T": 0.2}),
+    # dt must divide the rate fit's lag grid (multiples of tau / 4).
+    ("noise-validation", "noise-validation", {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}),
+    ("frozen-limit", "frozen-limit", {"n_traj": 100, "T": 1.0}),
+    ("gksl-check", "gksl-check", {"n_traj": 100, "T": 0.3}),
+    ("fig1a-single", "fig1a", {"n_traj": 1, "T": 0.3}),
+    ("fig1b-single", "fig1b", {"n_traj": 1, "T": 0.3}),
+    ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}),
+]
+WORKERS = (1, 2)
+MANIFEST = "run_manifest.json"
+
+# Runs RUNS (argv[1], as JSON) at every worker count into the current
+# directory, so both trees' manifests record the same relative output_dir.
+_RUNNER = """
+import json, os, sys
+import suvsim.engine as engine
+from suvsim import make_config, run_experiment
+runs, workers = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+for w in workers:
+    engine._MAX_WORKERS = w
+    for label, experiment, overrides in runs:
+        run_experiment(make_config(experiment, overrides, output_dir=os.path.join(f"w{w}", label)))
+"""
+
+
+def run_tree(src: str, outdir: str) -> bool:
+    """Run RUNS on the package under ``src`` into outdir; True on success."""
+    os.makedirs(outdir)
+    env = dict(os.environ, PYTHONPATH=src)
+    args = [sys.executable, "-c", _RUNNER, json.dumps(RUNS), json.dumps(WORKERS)]
+    return subprocess.run(args, cwd=outdir, env=env).returncode == 0
+
+
+def differences(old: str, new: str) -> list[str]:
+    """Files whose bytes differ between two output trees of the runner."""
+    differ = []
+    for w in WORKERS:
+        for label, _, _ in RUNS:
+            run = os.path.join(f"w{w}", label)
+            with open(os.path.join(old, run, MANIFEST), "rb") as fh:
+                old_bytes = fh.read()
+            with open(os.path.join(new, run, MANIFEST), "rb") as fh:
+                new_bytes = fh.read()
+            if old_bytes == new_bytes:
+                continue
+            old_files = json.loads(old_bytes)["files"]
+            new_files = json.loads(new_bytes)["files"]
+            for name in sorted(old_files.keys() | new_files.keys()):
+                if old_files.get(name) != new_files.get(name):
+                    differ.append(f"{run}/{name}")
+            differ.append(f"{run}/{MANIFEST}")
+    return differ
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 scripts/bitcheck.py REV", file=sys.stderr)
+        return 2
+    rev = argv[0]
+    root = subprocess.run(
+        ["git", "rev-parse", "--show-toplevel"],
+        cwd=os.path.dirname(os.path.abspath(__file__)),
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
+        tree = os.path.join(tmp, "rev")
+        add = ["git", "-C", root, "worktree", "add", "--detach", "--quiet", tree, rev]
+        if subprocess.run(add).returncode != 0:  # git has named the problem
+            return 2
+        try:
+            old_out, new_out = os.path.join(tmp, "old"), os.path.join(tmp, "new")
+            # The two trees run one after the other: each already uses both
+            # cores at two workers.
+            for src, out in ((os.path.join(tree, "src"), old_out),
+                             (os.path.join(root, "src"), new_out)):
+                if not run_tree(src, out):
+                    print(f"runs failed under {src}", file=sys.stderr)
+                    return 2
+            differ = differences(old_out, new_out)
+        finally:
+            subprocess.run(["git", "-C", root, "worktree", "remove", "--force", tree], check=True)
+    print("\n".join(differ) if differ else "equal")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

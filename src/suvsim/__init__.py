@@ -19,6 +19,7 @@ from .config import (
 )
 from .dynamics import PhysicsParams, Scheme, TrajectoryConfig
 from .engine import EnsembleResult, derive_stream, simulate_ensemble, simulate_final_z
+from .engine import simulate_paths
 from .errors import (
     ConfigError,
     InconclusiveError,
@@ -28,7 +29,7 @@ from .errors import (
     SimulationError,
 )
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
-from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
+from .noise import NoiseKind, NoiseModel, autocorrelation, steady_samples
 from .observables import (
     CollapseStats,
     CompensatedAccumulator,
@@ -46,7 +47,6 @@ __all__ = [
     "NoiseModel",
     "steady_samples",
     "autocorrelation",
-    "simulate_paths",
     # dynamics
     "PhysicsParams",
     "Scheme",
@@ -66,6 +66,7 @@ __all__ = [
     "derive_stream",
     "simulate_ensemble",
     "simulate_final_z",
+    "simulate_paths",
     "EnsembleResult",
     # configuration and orchestration
     "Experiment",

@@ -264,10 +264,11 @@ def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryCon
     span parameter grids and companion schemes under one master seed.
 
     The white-noise diffusion constant Deff is derived here from the
-    steady-state variance of the selected noise kind. Schemes driven
-    directly by a Wiener process with strength Deff require an evolving
-    noise kind to define it. The scheme/noise pairing itself is checked by
-    TrajectoryConfig.
+    steady-state variance of the selected noise kind, so this is where a
+    scheme driven directly by a Wiener process of strength Deff is refused
+    without an evolving noise kind to define it. TrajectoryConfig checks
+    that a colored scheme has a noise process, and make_config that the
+    experiment can honour the noise and scheme.
     """
     get = lambda name, default: overrides.get(name, default)  # noqa: E731
     J = float(get("J", cfg.J))

@@ -6,9 +6,9 @@ per-trajectory quantity is a pure function of (master seed, trajectory
 index): each trajectory owns a private counter-based stream, and its draw
 order is fixed by scheme and noise kind:
 
-* colored schemes: the field draws of :func:`suvsim.noise._draw_field`, a
-  steady-state initial value (standard normal for OU kinds, uniform for SBM
-  kinds), then one standard normal per step for evolving kinds;
+* colored schemes: the field draws of :func:`_field`, a steady-state
+  initial value (standard normal for OU kinds, uniform for SBM kinds), then
+  one standard normal per step for evolving kinds;
 * Wiener-driven schemes: one standard normal per step (scaled by sqrt(dt)).
 
 The per-step normals are drawn in time-major blocks of a few hundred steps
@@ -16,6 +16,8 @@ as the step loop reaches them, so a chunk holds one (block, m) buffer
 rather than an (m, n_steps) matrix, and each step reads its draws as one
 contiguous row. A counter-based stream yields the same sequence however
 its draws are split into calls, so the block length changes no output bit.
+:func:`_field` is the one setup of a field's draws and advance, for the
+chunks and for the noise paths of :func:`simulate_paths`.
 
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk. The step loop allocates no arrays: once per chunk it sets up
@@ -49,6 +51,7 @@ chunk width, so no output bit and no error message depends on it.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -67,12 +70,12 @@ from .dynamics import (
     _z_colored_heun,
     _z_white_heun,
 )
-from .errors import IntegratorInstabilityError, InvalidParameterError
-from .noise import NoiseKind, _draw_field, _ou_coefficients, _ou_update, _sbm_update
-from .noise import _stream_normals
+from .errors import IntegratorInstabilityError, InvalidParameterError, NotApplicableError
+from .noise import NoiseKind, _ou_coefficients, _ou_update, _sbm_update, steady_samples
 from .observables import CompensatedAccumulator, EnsembleSummary
 
-__all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_final_z"]
+__all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_final_z",
+           "simulate_paths"]
 
 # Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
 # at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
@@ -86,6 +89,14 @@ _MAX_WORKERS = 2
 # Trajectories per tile of the fold: the squared observations are formed
 # for this many rows at a time, never for a whole chunk.
 _FOLD_ROWS = 16
+# Time steps per block of drawn normals: a chunk holds one (_BLOCK_STEPS, m)
+# buffer instead of an (n_steps, m) matrix. A Philox stream yields the same
+# sequence however its draws are split into calls, so this sets memory only.
+_BLOCK_STEPS = 256
+# Streams per tile: each stream draws its block into its own row of a
+# (_TILE_STREAMS, _BLOCK_STEPS) tile, which is then copied transposed into
+# the block; a tile this small keeps the transposing copy within cache.
+_TILE_STREAMS = 32
 
 
 def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
@@ -151,6 +162,7 @@ def simulate_ensemble(
     at which a state degenerated.
     """
     _check_range(n_traj, index_offset)
+    _check_integer("decimation", decimation)
     if decimation < 1:
         raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
 
@@ -235,7 +247,77 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
     return [np.concatenate([next(finals) for _ in range(c)]) for c in counts]
 
 
+def simulate_paths(model, n_steps: int, dt: float, streams):
+    """Generate steady-state noise paths, one per random stream.
+
+    Each path is drawn and advanced by :func:`_field`, as the field of a
+    colored ensemble is, from its own stream alone: it is a pure function
+    of (stream seed, model, dt, n_steps), whatever other paths run
+    alongside it, and equals the field a one-trajectory colored run on the
+    same stream sees. Besides the returned paths only a (block, n) buffer
+    of draws is held: each step writes the advanced field over the normals
+    it read, and the block is copied into the result transposed, a tile of
+    streams at a time.
+
+    Parameters
+    ----------
+    model : NoiseModel
+        Process to simulate; frozen kinds yield constant paths.
+    n_steps : int
+        Number of steps; output has n_steps + 1 columns including t = 0.
+    dt : float
+        Time step.
+    streams : sequence of numpy.random.Generator
+        One private stream per path, which also draws its initial value.
+
+    Returns
+    -------
+    numpy.ndarray, shape (len(streams), n_steps + 1)
+    """
+    if model.kind is NoiseKind.NONE:
+        raise NotApplicableError("cannot simulate paths for noise kind 'none'")
+    if n_steps < 0:
+        raise InvalidParameterError(f"n_steps must be nonnegative, got {n_steps}")
+    if not dt > 0:
+        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    streams = list(streams)
+    n = len(streams)
+    if n == 0:
+        raise InvalidParameterError("at least one random stream is required")
+
+    xi, blocks, advance = _field(model, dt, streams, n_steps, tuple(np.empty((2, n))))
+
+    out = np.empty((n, n_steps + 1))
+    out[:, 0] = xi
+    if advance is None:
+        out[:, 1:] = xi[:, None]
+        return out
+
+    # The advanced field overwrites the normals it consumed: both updates
+    # read their normals before they write ``out``.
+    k = 1
+    for block in blocks:
+        prev = xi
+        for normals in block:
+            advance(prev, normals, normals)
+            prev = normals
+        np.copyto(xi, prev)
+        for first in range(0, n, _TILE_STREAMS):
+            last = first + _TILE_STREAMS
+            out[first:last, k : k + len(block)] = block[:, first:last].T
+        k += len(block)
+    return out
+
+
+def _check_integer(name, value):
+    # bools are Integral but no size; numpy integers are accepted
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_range(n_traj, index_offset):
+    _check_integer("n_traj", n_traj)
+    _check_integer("index_offset", index_offset)
     if n_traj < 1:
         raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
     if index_offset < 0:
@@ -392,6 +474,51 @@ _SCHEMES = {
 }
 
 
+def _stream_normals(streams, n_steps: int):
+    """Yield standard normals for ``n_steps`` steps in time-major blocks.
+
+    Each block has shape (width, len(streams)) with width at most
+    ``_BLOCK_STEPS``, so the draws of one step are a contiguous row; column
+    r continues stream r's sequence. The blocks are views of one buffer
+    that the next block overwrites, so a consumer uses (or copies) each
+    block before asking for the next.
+    """
+    m = len(streams)
+    buf = np.empty((min(n_steps, _BLOCK_STEPS), m))
+    tile = np.empty((min(m, _TILE_STREAMS), buf.shape[0]))
+    for start in range(0, n_steps, _BLOCK_STEPS):
+        width = min(_BLOCK_STEPS, n_steps - start)
+        for first in range(0, m, _TILE_STREAMS):
+            group = streams[first : first + _TILE_STREAMS]
+            rows = tile[: len(group), :width]
+            for row, g in zip(rows, group):
+                g.standard_normal(out=row)
+            buf[:width, first : first + len(group)] = rows.T
+        yield buf[:width]
+
+
+def _field(model, dt, streams, n_steps, ws):
+    """``(xi, blocks, advance)`` of one field path per stream.
+
+    Each stream draws its steady-state value into ``xi`` (uniform on
+    [-1, 1] for bounded kinds, N(0, 1) otherwise), then, if the kind
+    evolves, one normal per step into the :func:`_stream_normals` blocks.
+    ``advance(xi, normals, out)`` writes the next field into ``out`` (``xi``
+    or ``normals``) through the scratch vectors ``ws``, looking the update
+    kernels up in this module's globals on every call. A frozen field draws
+    nothing more: ``advance`` is None and one empty block spans every step.
+    """
+    xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
+    if model.kind.is_frozen:
+        return xi, (np.empty((n_steps, 0)),), None
+    if model.kind is NoiseKind.OU:
+        decay, sigma = _ou_coefficients(dt, model.tau)
+        advance = lambda x, n, out: _ou_update(x, decay, sigma, n, out, ws)  # noqa: E731
+    else:
+        advance = lambda x, n, out: _sbm_update(x, dt, model.tau, n, out, ws)  # noqa: E731
+    return xi, _stream_normals(streams, n_steps), advance
+
+
 def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
     """Integrate one lockstep batch (row 0 has stream index first_index).
 
@@ -412,14 +539,7 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
     colored = scheme.uses_colored_noise
     xi = advance = None
     if colored:
-        xi, blocks = _draw_field(cfg.noise, streams, n_steps)
-        if cfg.noise.kind is NoiseKind.OU:
-            decay, sigma = _ou_coefficients(dt, cfg.noise.tau)
-            advance = lambda x, n: _ou_update(x, decay, sigma, n, x, ws)  # noqa: E731
-        elif cfg.noise.kind is NoiseKind.SBM:
-            advance = lambda x, n: _sbm_update(x, dt, cfg.noise.tau, n, x, ws)  # noqa: E731
-        else:  # a frozen field draws nothing: one empty block spans every step
-            blocks = (np.empty((n_steps, 0)),)
+        xi, blocks, advance = _field(cfg.noise, dt, streams, n_steps, ws)
     else:
         blocks = _stream_normals(streams, n_steps)
         sqrt_dt = math.sqrt(dt)
@@ -457,7 +577,7 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
                 step(state, xi if colored else draws, dt, p, spare, raw, ws)
                 state, spare = spare, state
                 if advance is not None:
-                    advance(xi, draws)
+                    advance(xi, draws, xi)
                 if recording:
                     new_alpha = amplitude(state, alpha_spare)
                     delta = np.subtract(new_alpha, alpha, out=ws[0])

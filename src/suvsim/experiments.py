@@ -16,9 +16,10 @@ import numpy as np
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
 from .engine import _map_in_workers, derive_stream, simulate_ensemble, simulate_final_z
+from .engine import simulate_paths
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
-from .noise import NoiseKind, NoiseModel, autocorrelation, simulate_paths, steady_samples
+from .noise import NoiseKind, NoiseModel, autocorrelation, steady_samples
 from .observables import born_deviation, collapse_statistics, ks_distance
 from .output import write_ensemble_csv, write_table_csv, write_trajectory_csv
 
@@ -61,16 +62,21 @@ def _born_row(z0, stats):
     ]
 
 
-def _maybe_dump_trajectory(result, outdir, stem, written):
-    if result.summary.n_traj == 1:
+def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
+    """Run a recorded ensemble of cfg.n_traj trajectories from stream index
+    ``offset`` on and write its summary to ``csv_name``, and a single
+    trajectory's series to ``<stem>_trajectory.csv``; the names written
+    are appended to ``written``. Returns the result."""
+    result = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
+    summary = result.summary
+    write_ensemble_csv(os.path.join(outdir, csv_name), summary)
+    written.append(csv_name)
+    if summary.n_traj == 1:
         name = f"{stem}_trajectory.csv"
-        write_trajectory_csv(
-            os.path.join(outdir, name),
-            result.summary.times,
-            result.summary.mean_z,
-            result.single_xi,
-        )
+        path = os.path.join(outdir, name)
+        write_trajectory_csv(path, summary.times, summary.mean_z, result.single_xi)
         written.append(name)
+    return result
 
 
 def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -81,21 +87,10 @@ def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
     n_traj = 1 the decimated single trajectories are written too.
     """
     written = []
-    n = cfg.n_traj
-    suv = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
-    write_ensemble_csv(os.path.join(outdir, "fig1a_suv.csv"), suv.summary)
-    written.append("fig1a_suv.csv")
-    _maybe_dump_trajectory(suv, outdir, "fig1a_suv", written)
-
-    sse = simulate_ensemble(
-        build_trajectory_config(cfg, scheme=Scheme.SSE),
-        n,
-        decimation=cfg.decimation,
-        index_offset=n,
-    )
-    write_ensemble_csv(os.path.join(outdir, "fig1a_sse.csv"), sse.summary)
-    written.append("fig1a_sse.csv")
-    _maybe_dump_trajectory(sse, outdir, "fig1a_sse", written)
+    suv_cfg = build_trajectory_config(cfg)
+    _write_recorded(cfg, suv_cfg, 0, outdir, "fig1a_suv.csv", "fig1a_suv", written)
+    sse_cfg = build_trajectory_config(cfg, scheme=Scheme.SSE)
+    _write_recorded(cfg, sse_cfg, cfg.n_traj, outdir, "fig1a_sse.csv", "fig1a_sse", written)
     return written
 
 
@@ -107,22 +102,10 @@ def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
     bounded process at the same couplings, ``fig1b_sbm.csv``.
     """
     written = []
-    n = cfg.n_traj
     stem = f"fig1b_{cfg.noise.value}"
-    headline = simulate_ensemble(build_trajectory_config(cfg), n, decimation=cfg.decimation)
-    write_ensemble_csv(os.path.join(outdir, f"{stem}.csv"), headline.summary)
-    written.append(f"{stem}.csv")
-    _maybe_dump_trajectory(headline, outdir, stem, written)
-
-    sbm = simulate_ensemble(
-        build_trajectory_config(cfg, noise=NoiseKind.SBM),
-        n,
-        decimation=cfg.decimation,
-        index_offset=n,
-    )
-    write_ensemble_csv(os.path.join(outdir, "fig1b_sbm.csv"), sbm.summary)
-    written.append("fig1b_sbm.csv")
-    _maybe_dump_trajectory(sbm, outdir, "fig1b_sbm", written)
+    _write_recorded(cfg, build_trajectory_config(cfg), 0, outdir, f"{stem}.csv", stem, written)
+    sbm_cfg = build_trajectory_config(cfg, noise=NoiseKind.SBM)
+    _write_recorded(cfg, sbm_cfg, cfg.n_traj, outdir, "fig1b_sbm.csv", "fig1b_sbm", written)
     return written
 
 
@@ -322,10 +305,7 @@ def run_gksl_check(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Ensemble means against the analytic dephasing master equation."""
     written = []
     traj_cfg = build_trajectory_config(cfg)
-    result = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation)
-    write_ensemble_csv(os.path.join(outdir, "gksl_ensemble.csv"), result.summary)
-    written.append("gksl_ensemble.csv")
-    _maybe_dump_trajectory(result, outdir, "gksl", written)
+    result = _write_recorded(cfg, traj_cfg, 0, outdir, "gksl_ensemble.csv", "gksl", written)
 
     res_z, res_off = gksl_residual(result.summary, traj_cfg.params.Deff)
     rows = zip(result.summary.times, res_z, res_off)

@@ -18,7 +18,9 @@ frozen (constant-per-trajectory) variants of each:
   [-1, 1]: the diffusion coefficient vanishes at the boundary, so
   overshoot is an O(sqrt(dt))-rare discretization artifact.
 
-Initial values are drawn from the steady state.
+Initial values are drawn from the steady state. The engine
+(:mod:`suvsim.engine`) draws every field path and advances it with the
+update kernels defined here.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotApplicableError
 
-__all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation", "simulate_paths"]
+__all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation"]
 
 
 class NoiseKind(str, Enum):
@@ -114,51 +116,6 @@ def _sbm_update(xi, dt, tau, normals, out, ws):
     return np.clip(out, -1.0, 1.0, out=out)
 
 
-# Time steps per block of drawn normals: a chunk holds one (_BLOCK_STEPS, m)
-# buffer instead of an (n_steps, m) matrix. A Philox stream yields the same
-# sequence however its draws are split into calls, so this sets memory only.
-_BLOCK_STEPS = 256
-# Streams per tile: each stream draws its block into its own row of a
-# (_TILE_STREAMS, _BLOCK_STEPS) tile, which is then copied transposed into
-# the block; a tile this small keeps the transposing copy within cache.
-_TILE_STREAMS = 32
-
-
-def _stream_normals(streams, n_steps: int):
-    """Yield standard normals for ``n_steps`` steps in time-major blocks.
-
-    Each block has shape (width, len(streams)) with width at most
-    ``_BLOCK_STEPS``, so the draws of one step are a contiguous row; column
-    r continues stream r's sequence. The blocks are views of one buffer
-    that the next block overwrites, so a consumer uses (or copies) each
-    block before asking for the next.
-    """
-    m = len(streams)
-    buf = np.empty((min(n_steps, _BLOCK_STEPS), m))
-    tile = np.empty((min(m, _TILE_STREAMS), buf.shape[0]))
-    for start in range(0, n_steps, _BLOCK_STEPS):
-        width = min(_BLOCK_STEPS, n_steps - start)
-        for first in range(0, m, _TILE_STREAMS):
-            group = streams[first : first + _TILE_STREAMS]
-            rows = tile[: len(group), :width]
-            for row, g in zip(rows, group):
-                g.standard_normal(out=row)
-            buf[:width, first : first + len(group)] = rows.T
-        yield buf[:width]
-
-
-def _draw_field(model: NoiseModel, streams, n_steps: int):
-    """Initial values and per-step normal blocks (None for frozen kinds) of
-    one field path per stream: each stream draws its steady-state value
-    (uniform on [-1, 1] for bounded kinds, N(0, 1) otherwise), then, if the
-    kind evolves, ``n_steps`` normals, drawn block by block as
-    :func:`_stream_normals` is iterated.
-    """
-    xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
-    blocks = _stream_normals(streams, n_steps) if model.kind.is_evolving else None
-    return xi, blocks
-
-
 def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
     """Draw n independent steady-state values from one stream.
 
@@ -208,72 +165,3 @@ def autocorrelation(paths, lags) -> np.ndarray:
         xy = np.multiply(x, y, out=buffer[: x.size].reshape(x.shape))
         estimates[j] = np.mean(xy) - np.mean(x) * np.mean(y)
     return estimates
-
-
-def simulate_paths(model: NoiseModel, n_steps: int, dt: float, streams):
-    """Generate steady-state noise paths, one per random stream.
-
-    Each path draws only from its own stream, in the order of
-    :func:`_draw_field` that the ensemble engine shares (initial value
-    first, then one normal per step), so a path is a pure function of
-    (stream seed, model, dt, n_steps) regardless of how many other paths
-    are generated alongside it. The per-step normals are drawn in
-    time-major blocks, so besides the returned paths only a (block, n)
-    buffer of draws is held. Each step reads its normals as one contiguous
-    row and writes the advanced field over them; the block is then copied
-    into the result transposed, a tile of streams at a time.
-
-    Parameters
-    ----------
-    model : NoiseModel
-        Process to simulate; frozen kinds yield constant paths.
-    n_steps : int
-        Number of steps; output has n_steps + 1 columns including t = 0.
-    dt : float
-        Time step.
-    streams : sequence of numpy.random.Generator
-        One private stream per path, which also draws its initial value.
-
-    Returns
-    -------
-    numpy.ndarray, shape (len(streams), n_steps + 1)
-    """
-    if model.kind is NoiseKind.NONE:
-        raise NotApplicableError("cannot simulate paths for noise kind 'none'")
-    if n_steps < 0:
-        raise InvalidParameterError(f"n_steps must be nonnegative, got {n_steps}")
-    if not dt > 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    streams = list(streams)
-    n = len(streams)
-    if n == 0:
-        raise InvalidParameterError("at least one random stream is required")
-
-    xi, blocks = _draw_field(model, streams, n_steps)
-
-    out = np.empty((n, n_steps + 1))
-    out[:, 0] = xi
-    if model.kind.is_frozen:
-        out[:, 1:] = xi[:, None]
-        return out
-
-    # The advanced field overwrites the normals it consumed: both updates
-    # read their normals before they write ``out``.
-    ws = tuple(np.empty((2, n)))
-    if model.kind is NoiseKind.OU:
-        decay, sigma = _ou_coefficients(dt, model.tau)
-        advance = lambda x, n: _ou_update(x, decay, sigma, n, n, ws)  # noqa: E731
-    else:
-        advance = lambda x, n: _sbm_update(x, dt, model.tau, n, n, ws)  # noqa: E731
-    k = 1
-    for block in blocks:
-        prev = xi
-        for normals in block:
-            advance(prev, normals)
-            prev = normals
-        np.copyto(xi, prev)
-        for first in range(0, n, _TILE_STREAMS):
-            last = first + _TILE_STREAMS
-            out[first:last, k : k + len(block)] = block[:, first:last].T
-        k += len(block)
-    return out

@@ -27,6 +27,7 @@ from suvsim import (
     run_experiment,
     simulate_ensemble,
     simulate_final_z,
+    simulate_paths,
 )
 from suvsim.dynamics import (
     _renormalize,
@@ -39,7 +40,8 @@ from suvsim.dynamics import (
     _z_colored_heun,
     _z_white_heun,
 )
-from suvsim.noise import _BLOCK_STEPS, _ou_coefficients, _ou_update, _sbm_update
+from suvsim.engine import _BLOCK_STEPS
+from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
 def _cfg(scheme, kind=NoiseKind.OU, tau=1.0, seed=123, dt=1e-3, T=0.02, z0=0.6,
@@ -506,3 +508,49 @@ def test_engine_input_guards():
         simulate_ensemble(cfg, n_traj=1, decimation=0)
     with pytest.raises(InvalidParameterError):
         simulate_ensemble(cfg, n_traj=1, index_offset=-1)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda cfg: simulate_ensemble(cfg, 2.5), "n_traj"),
+        (lambda cfg: simulate_ensemble(cfg, True), "n_traj"),
+        (lambda cfg: simulate_ensemble(cfg, 3, index_offset=1.0), "index_offset"),
+        (lambda cfg: simulate_ensemble(cfg, 3, decimation=1.5), "decimation"),
+        (lambda cfg: simulate_ensemble(cfg, 3, decimation=True), "decimation"),
+        (lambda cfg: simulate_final_z([(cfg, 2.5, 0)]), "n_traj"),
+        (lambda cfg: simulate_final_z([(cfg, 3, 0.5)]), "index_offset"),
+        (lambda cfg: simulate_final_z([(cfg, 3, False)]), "index_offset"),
+    ],
+)
+def test_engine_rejects_non_integer_sizes_by_name(call, name):
+    # ExperimentConfig's rule: bools and non-integers are refused, with an
+    # InvalidParameterError that names the argument, before any work.
+    with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer"):
+        call(_cfg(Scheme.SUV_COLORED))
+
+
+def test_engine_accepts_numpy_integer_sizes():
+    cfg = _cfg(Scheme.SUV_COLORED)
+    want = simulate_ensemble(cfg, 3, decimation=4, index_offset=2)
+    got = simulate_ensemble(cfg, np.int64(3), decimation=np.int32(4), index_offset=np.uint8(2))
+    assert np.array_equal(want.final_z, got.final_z)
+    assert np.array_equal(want.summary.mean_z, got.summary.mean_z)
+    (final_z,) = simulate_final_z([(cfg, np.int64(3), np.int64(2))])
+    assert np.array_equal(want.final_z, final_z)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SUV_COLORED, Scheme.Z_COLORED], ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "kind", [NoiseKind.OU, NoiseKind.SBM, NoiseKind.FROZEN_OU, NoiseKind.FROZEN_SBM],
+    ids=lambda k: k.value,
+)
+def test_noise_paths_are_the_field_a_colored_run_sees(scheme, kind):
+    # One noise generator: a path of simulate_paths on stream (seed, i) is,
+    # bit for bit, the field a one-trajectory colored run at index_offset i
+    # records, across a draw-block boundary.
+    cfg = _cfg(scheme, kind=kind, tau=0.5, T=(_BLOCK_STEPS + 7) * 1e-3)
+    for i in (0, 5):
+        (path,) = simulate_paths(cfg.noise, cfg.n_steps, cfg.dt, [derive_stream(cfg.seed, i)])
+        run = simulate_ensemble(cfg, 1, decimation=1, index_offset=i)
+        assert np.array_equal(path, run.single_xi)

@@ -19,14 +19,8 @@ from suvsim import (
     steady_samples,
 )
 from suvsim.dynamics import _renormalize, _sse_em, _workspace
-from suvsim.noise import (
-    _BLOCK_STEPS,
-    _TILE_STREAMS,
-    _draw_field,
-    _ou_coefficients,
-    _ou_update,
-    _sbm_update,
-)
+from suvsim.engine import _BLOCK_STEPS, _TILE_STREAMS, _field
+from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
 def _ou(xi, decay, sigma, normals):
@@ -149,8 +143,8 @@ def test_sample_steady_state_distributions():
     # Each stream's first draw is its path's steady-state initial value:
     # uniform on [-1, 1] for SBM kinds, standard normal for OU kinds.
     streams = [derive_stream(2024, i) for i in range(500)]
-    xs, normals = _draw_field(NoiseModel(kind=NoiseKind.FROZEN_SBM), streams, 10)
-    assert normals is None
+    xs, blocks, advance = _field(NoiseModel(kind=NoiseKind.FROZEN_SBM), 0.1, streams, 10, None)
+    assert advance is None and [b.shape for b in blocks] == [(10, 0)]
     assert np.all(np.abs(xs) <= 1.0)
     assert xs[7] == derive_stream(2024, 7).uniform(-1.0, 1.0)
     # An evolving kind then draws its per-step normals in time-major blocks
@@ -160,7 +154,7 @@ def test_sample_steady_state_distributions():
     n_steps = 2 * _BLOCK_STEPS + 7
     m = 2 * _TILE_STREAMS + 5
     streams = [derive_stream(5, i) for i in range(m)]
-    ou, blocks = _draw_field(NoiseModel(kind=NoiseKind.OU), streams, n_steps)
+    ou, blocks, _ = _field(NoiseModel(kind=NoiseKind.OU), 0.1, streams, n_steps, _workspace(m))
     blocks = [b.copy() for b in blocks]
     assert [b.shape for b in blocks] == [(_BLOCK_STEPS, m), (_BLOCK_STEPS, m), (7, m)]
     normals = np.concatenate(blocks, axis=0)
