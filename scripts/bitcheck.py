@@ -4,9 +4,12 @@
 
 Checks REV out into a temporary git worktree (removed again afterwards),
 then runs the same list of presets in that tree and in this working tree,
-each at 1 and 2 engine workers: all eight presets at smoke sizes, and each
+each at 1 and 2 engine workers: all eight presets at smoke sizes, each
 recorded preset (fig1a, fig1b, gksl-check) with one trajectory, which also
-writes the trajectory dumps. For every run it compares the bytes of
+writes the trajectory dumps, and born-sweep and fdr-sweep once more with
+final-only chunks at most 7 trajectories wide, so that chunks which share
+one lockstep batch among several sweep cells start and end inside cells.
+For every run it compares the bytes of
 run_manifest.json and every file digest the manifest lists. Prints
 ``equal`` and exits 0 when nothing differs; otherwise prints each file
 that differs, as ``w<workers>/<run>/<file>``, and exits 1.
@@ -22,21 +25,25 @@ import subprocess
 import sys
 import tempfile
 
-# (run label, experiment, overrides): every preset at smoke size, then the
-# recorded presets with one trajectory.
+# (run label, experiment, overrides, chunk cap): every preset at smoke size,
+# the recorded presets with one trajectory, then the sweeps in narrow chunks.
+# A cap of None keeps the engine's default.
 RUNS = [
-    ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}),
-    ("fig1b", "fig1b", {"n_traj": 100, "T": 0.3}),
-    ("born-sweep", "born-sweep", {"n_traj": 50, "T": 0.5}),
-    ("fdr-sweep", "fdr-sweep", {"n_traj": 20, "T": 0.5}),
-    ("weak-equivalence", "weak-equivalence", {"n_traj": 100, "T": 0.2}),
+    ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, None),
+    ("fig1b", "fig1b", {"n_traj": 100, "T": 0.3}, None),
+    ("born-sweep", "born-sweep", {"n_traj": 50, "T": 0.5}, None),
+    ("fdr-sweep", "fdr-sweep", {"n_traj": 20, "T": 0.5}, None),
+    ("weak-equivalence", "weak-equivalence", {"n_traj": 100, "T": 0.2}, None),
     # dt must divide the rate fit's lag grid (multiples of tau / 4).
-    ("noise-validation", "noise-validation", {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}),
-    ("frozen-limit", "frozen-limit", {"n_traj": 100, "T": 1.0}),
-    ("gksl-check", "gksl-check", {"n_traj": 100, "T": 0.3}),
-    ("fig1a-single", "fig1a", {"n_traj": 1, "T": 0.3}),
-    ("fig1b-single", "fig1b", {"n_traj": 1, "T": 0.3}),
-    ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}),
+    ("noise-validation", "noise-validation",
+     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, None),
+    ("frozen-limit", "frozen-limit", {"n_traj": 100, "T": 1.0}, None),
+    ("gksl-check", "gksl-check", {"n_traj": 100, "T": 0.3}, None),
+    ("fig1a-single", "fig1a", {"n_traj": 1, "T": 0.3}, None),
+    ("fig1b-single", "fig1b", {"n_traj": 1, "T": 0.3}, None),
+    ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}, None),
+    ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, 7),
+    ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, 7),
 ]
 WORKERS = (1, 2)
 MANIFEST = "run_manifest.json"
@@ -48,9 +55,11 @@ import json, os, sys
 import suvsim.engine as engine
 from suvsim import make_config, run_experiment
 runs, workers = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+default_cap = engine._MAX_CHUNK_WIDTH
 for w in workers:
     engine._MAX_WORKERS = w
-    for label, experiment, overrides in runs:
+    for label, experiment, overrides, cap in runs:
+        engine._MAX_CHUNK_WIDTH = cap or default_cap
         run_experiment(make_config(experiment, overrides, output_dir=os.path.join(f"w{w}", label)))
 """
 
@@ -67,7 +76,7 @@ def differences(old: str, new: str) -> list[str]:
     """Files whose bytes differ between two output trees of the runner."""
     differ = []
     for w in WORKERS:
-        for label, _, _ in RUNS:
+        for label, *_ in RUNS:
             run = os.path.join(f"w{w}", label)
             with open(os.path.join(old, run, MANIFEST), "rb") as fh:
                 old_bytes = fh.read()

@@ -137,7 +137,7 @@ class TrajectoryConfig:
         _whole_steps(self.T, self.dt)
         if not 0.0 <= self.z0 <= 1.0:
             raise ConfigError(f"z0 must be in [0, 1], got {self.z0}")
-        if not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.scheme.uses_colored_noise and self.noise.kind is NoiseKind.NONE:
             raise ConfigError(
@@ -184,10 +184,12 @@ def _whole_steps(T: float, dt: float, name: str = "T") -> int:
 
 # ---------------------------------------------------------------------------
 # Step kernels. Amplitudes, z, xi and dW are arrays with one entry per
-# trajectory; couplings and dt are scalars. A kernel writes its result
+# trajectory; couplings and dt are scalars, except that J may also be such
+# an array, for a chunk whose rows differ in J. A kernel writes its result
 # through ``out`` (an (a, b) pair, or one array for z) and keeps its
 # intermediates in ``ws``, scratch vectors shaped like the state (see
-# _workspace), so a step allocates no arrays. ``out`` and ``ws`` overlap
+# _workspace), so a step allocates no arrays, bar the scaled couplings that
+# the white-noise kernels form from a per-row J. ``out`` and ``ws`` overlap
 # neither the inputs nor each other. Each in-place sequence performs the
 # floating-point operations of the expression in its comment, in Python's
 # left-to-right order, so its bits are those of that expression.

@@ -25,7 +25,9 @@ a workspace of scratch vectors that the kernels compute in, and two state
 buffers that the state alternates between, each step reading one and
 writing the other (the field xi is advanced in place). The kernels perform
 the same floating-point operations, in the same order, as plain array
-expressions would.
+expressions would. The one exception is a chunk whose rows step with
+different J under a white-noise scheme: its kernels form the scaled
+couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 
 Ensemble statistics are folded one trajectory at a time, in index order,
 with compensated summation. One accumulator takes rows whose columns are
@@ -42,18 +44,24 @@ each call, with results and the first error in task order. A final-only
 run needs no reduction: its final z is the concatenation of its chunks'
 final z. :func:`simulate_final_z` therefore cuts any number of final-only
 ensembles into chunks and maps them over the pool, each chunk deriving
-its own streams. The noise-validation experiment maps its two noise
-kinds' path sets over the same pool. Recorded runs, through
-:func:`simulate_ensemble`, stay in the calling process, because the
-fold adds trajectories in index order. The worker count changes no
-chunk width, so no output bit and no error message depends on it.
+its own streams. Consecutive ensembles that differ only in z0 and J, on
+touching stream ranges (the cells of a sweep), share chunks: z0 enters a
+trajectory only through its initial state, and J only as one operand of
+an elementwise product, so a chunk takes both per row and every row keeps
+the bits of a run of its own. Each run of such ensembles is cut into
+ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width. The noise-validation
+experiment maps its two noise kinds' path sets over the same pool.
+Recorded runs, through :func:`simulate_ensemble`, stay in the calling
+process, because the fold adds trajectories in index order. The worker
+count changes no chunk width, so no output bit and no error message
+depends on it.
 """
 from __future__ import annotations
 
 import math
-import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,7 +78,12 @@ from .dynamics import (
     _z_colored_heun,
     _z_white_heun,
 )
-from .errors import IntegratorInstabilityError, InvalidParameterError, NotApplicableError
+from .errors import (
+    IntegratorInstabilityError,
+    InvalidParameterError,
+    NotApplicableError,
+    check_integer,
+)
 from .noise import NoiseKind, _ou_coefficients, _ou_update, _sbm_update, steady_samples
 from .observables import CompensatedAccumulator, EnsembleSummary
 
@@ -81,7 +94,7 @@ __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_fin
 # at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
 # matrix of observations and squared amplitude increments (for the
 # quadratic variation). A final-only run holds no such matrix, so its width
-# does not depend on the horizon.
+# does not depend on the horizon: its chunks split it evenly.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
@@ -106,6 +119,8 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
     they are statistically independent across indices, reproducible, and
     independent of execution order.
     """
+    check_integer("master_seed", master_seed)
+    check_integer("trajectory_index", trajectory_index)
     if master_seed < 0:
         raise InvalidParameterError(f"master_seed must be nonnegative, got {master_seed}")
     if trajectory_index < 0:
@@ -162,7 +177,7 @@ def simulate_ensemble(
     at which a state degenerated.
     """
     _check_range(n_traj, index_offset)
-    _check_integer("decimation", decimation)
+    check_integer("decimation", decimation)
     if decimation < 1:
         raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
 
@@ -227,24 +242,49 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
 
     Each job is ``(cfg, n_traj, index_offset)``, and its array equals the
     ``final_z`` of the recorded run ``simulate_ensemble(cfg, n_traj,
-    index_offset=index_offset)`` bit for bit. Every job is cut into
-    chunks of min(n_traj, _MAX_CHUNK_WIDTH) trajectories, and the chunks of
-    all jobs run on min(_MAX_WORKERS, usable cores, chunks) forked worker
-    processes, or in the calling process when that is below 2 or the
-    caller is itself a daemonic worker. The pool is created and joined
-    inside the call. When chunks fail, the IntegratorInstabilityError
-    raised is that of the first failing chunk in job and index order, the
-    one a serial run raises.
+    index_offset=index_offset)`` bit for bit. A run of consecutive jobs
+    shares lockstep chunks when each job's config equals the previous one's
+    except in z0 and J, and its index_offset is the previous one's
+    index_offset + n_traj, so that the run's stream indices are contiguous;
+    each row of a shared chunk starts from its own job's z0 and steps with
+    its own job's J. Each such run of jobs (a lone job is a run of one) is
+    cut into ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width (differing
+    by at most one), and the chunks of all runs step on min(_MAX_WORKERS,
+    usable cores, chunks) forked worker processes, or in the calling
+    process when that is below 2 or the caller is itself a daemonic worker.
+    The pool is created and joined inside the call. When chunks fail, the
+    IntegratorInstabilityError raised is that of the first failing chunk in
+    job and index order; within a chunk it names the earliest failing step
+    and, at that step, the lowest failing row, which may belong to a later
+    job than another row that would fail at a later step. No chunk width
+    depends on the worker count, so neither does the error.
     """
-    tasks, counts = [], []
-    for cfg, n_traj, index_offset in jobs:
+    runs = []  # lists of consecutive jobs that share chunks
+    for job in jobs:
+        _, n_traj, index_offset = job
         _check_range(n_traj, index_offset)
-        width = min(n_traj, _MAX_CHUNK_WIDTH)
-        chunks = [(cfg, index_offset + s, min(width, n_traj - s)) for s in range(0, n_traj, width)]
-        tasks += chunks
-        counts.append(len(chunks))
-    finals = iter(_map_in_workers(_final_chunk, tasks))
-    return [np.concatenate([next(finals) for _ in range(c)]) for c in counts]
+        if runs and _continues(runs[-1][-1], job):
+            runs[-1].append(job)
+        else:
+            runs.append([job])
+    if not runs:
+        return []
+    tasks = []
+    for run in runs:
+        ends = list(accumulate(n for _, n, _ in run))
+        total = ends[-1]
+        k = -(-total // _MAX_CHUNK_WIDTH)
+        bounds = [total * i // k for i in range(k + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            cells = tuple(
+                (cfg, min(hi, end) - max(lo, end - n))
+                for (cfg, n, _), end in zip(run, ends)
+                if end - n < hi and end > lo
+            )
+            tasks.append((cells, run[0][2] + lo))
+    # The chunks' rows are every job's rows in job order.
+    final_z = np.concatenate(_map_in_workers(_final_chunk, tasks))
+    return np.split(final_z, list(accumulate(n for run in runs for _, n, _ in run))[:-1])
 
 
 def simulate_paths(model, n_steps: int, dt: float, streams):
@@ -276,6 +316,7 @@ def simulate_paths(model, n_steps: int, dt: float, streams):
     """
     if model.kind is NoiseKind.NONE:
         raise NotApplicableError("cannot simulate paths for noise kind 'none'")
+    check_integer("n_steps", n_steps)
     if n_steps < 0:
         raise InvalidParameterError(f"n_steps must be nonnegative, got {n_steps}")
     if not dt > 0:
@@ -309,28 +350,46 @@ def simulate_paths(model, n_steps: int, dt: float, streams):
     return out
 
 
-def _check_integer(name, value):
-    # bools are Integral but no size; numpy integers are accepted
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_range(n_traj, index_offset):
-    _check_integer("n_traj", n_traj)
-    _check_integer("index_offset", index_offset)
+    check_integer("n_traj", n_traj)
+    check_integer("index_offset", index_offset)
     if n_traj < 1:
         raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
     if index_offset < 0:
         raise InvalidParameterError(f"index_offset must be nonnegative, got {index_offset}")
 
 
+def _continues(prev, job):
+    """True when ``job`` can share lockstep chunks with the job ``prev``
+    before it: its configuration differs at most in z0 and J, and its
+    stream indices start where prev's end."""
+    (a, n, offset), (b, _, next_offset) = prev, job
+    return next_offset == offset + n and _lockstep_key(a) == _lockstep_key(b)
+
+
+def _lockstep_key(cfg):
+    # everything of cfg that a chunk cannot hold per row
+    return {**vars(cfg), "z0": None, "params": {**vars(cfg.params), "J": None}}
+
+
 def _final_chunk(task):
-    """Final z of one final-only chunk ``(cfg, first_index, m)``, whose rows
-    are the streams first_index .. first_index + m - 1."""
-    cfg, first, m = task
-    streams = [derive_stream(cfg.seed, first + i) for i in range(m)]
+    """Final z of one final-only chunk ``(cells, first_index)``: ``cells``
+    holds ``(cfg, rows)`` pairs, in row order, of configs that differ at
+    most in z0 and J, and the chunk's rows are the streams first_index,
+    first_index + 1, ... A chunk of one config steps with scalar z0 and J,
+    and a per-row J is passed only when the rows' J values differ."""
+    cells, first = task
+    cfg = cells[0][0]
+    counts = [rows for _, rows in cells]
+    streams = [derive_stream(cfg.seed, first + i) for i in range(sum(counts))]
     record_at = np.zeros(cfg.n_steps + 1, dtype=bool)
-    return _integrate_chunk(cfg, streams, record_at, need_xi=False, first_index=first)[2]
+    per_row = {}
+    if len(cells) > 1:
+        per_row["z0"] = np.repeat([c.z0 for c, _ in cells], counts)
+        couplings = [c.params.J for c, _ in cells]
+        if len(set(couplings)) > 1:
+            per_row["J"] = np.repeat(couplings, counts)
+    return _integrate_chunk(cfg, streams, record_at, False, first, **per_row)[2]
 
 
 def _map_in_workers(fn, tasks):
@@ -519,8 +578,14 @@ def _field(model, dt, streams, n_steps, ws):
     return xi, _stream_normals(streams, n_steps), advance
 
 
-def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
+def _integrate_chunk(cfg, streams, record_at, need_xi, first_index, z0=None, J=None):
     """Integrate one lockstep batch (row 0 has stream index first_index).
+
+    ``z0`` and ``J``, when given, are per-row arrays that replace cfg.z0
+    and cfg.params.J. A per-row J enters the kernels where a scalar would,
+    as one operand of an elementwise product, so each row steps with the
+    bits of a run of its own; the same holds for a per-row z0, since
+    np.sqrt and math.sqrt are both correctly rounded.
 
     Returns the recorded (m, 2 n_out + n_steps) matrix with columns
     [z | offdiag | squared amplitude increments] (None for a final-only
@@ -528,7 +593,7 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
     """
     scheme = cfg.scheme
     step, amplitude, observe = _SCHEMES[scheme]
-    p = cfg.params
+    p = cfg.params if J is None else replace(cfg.params, J=J)
     dt = cfg.dt
     n_steps = cfg.n_steps
     m = len(streams)
@@ -546,10 +611,11 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index):
 
     # The state alternates between two buffers: a step reads one and writes
     # the other, so the previous amplitude stays intact for the increment.
+    z0 = np.full(m, cfg.z0 if z0 is None else z0, dtype=float)
     if scheme.is_scalar:
-        state, spare, raw = np.full(m, cfg.z0), np.empty(m), None
+        state, spare, raw = z0, np.empty(m), None
     else:
-        state = (np.full(m, math.sqrt(cfg.z0)), np.full(m, math.sqrt(1.0 - cfg.z0)))
+        state = (np.sqrt(z0), np.sqrt(1.0 - z0))
         spare, raw = (np.empty(m), np.empty(m)), (np.empty(m), np.empty(m))
 
     rows = np.empty((m, 2 * n_out + n_steps)) if recording else None

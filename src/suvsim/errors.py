@@ -1,8 +1,10 @@
-"""Exception hierarchy for the simulator.
+"""Exception hierarchy for the simulator, and the integer check that the
+public calls share.
 
 All errors raised by this package derive from :class:`SimulationError` so
 callers can catch one base class at the CLI boundary.
 """
+import numbers
 
 
 class SimulationError(Exception):
@@ -11,6 +13,14 @@ class SimulationError(Exception):
 
 class InvalidParameterError(SimulationError):
     """An argument violates a documented precondition."""
+
+
+def check_integer(name: str, value) -> None:
+    """Raise an InvalidParameterError naming ``name`` unless ``value`` is an
+    integer: bools are refused (Integral, but no size or index), numpy
+    integers are accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class IntegratorInstabilityError(SimulationError):

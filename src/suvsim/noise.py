@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotApplicableError
+from .errors import InvalidParameterError, NotApplicableError, check_integer
 
 __all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation"]
 
@@ -121,6 +121,7 @@ def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
 
     N(0, 1) for OU-family kinds, uniform on [-1, 1] for SBM-family kinds.
     """
+    check_integer("n", n)
     if n < 1:
         raise InvalidParameterError(f"n must be positive, got {n}")
     kind = model.kind

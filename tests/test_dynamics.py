@@ -346,8 +346,9 @@ def test_trajectory_config_validations():
         _config(T=-1.0)
     with pytest.raises(ConfigError):
         _config(z0=1.5)
-    with pytest.raises(ConfigError):
-        _config(seed=1.5)
+    for seed in (1.5, True):  # a bool would fail only later, in the stream derivation
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            _config(seed=seed)
     # Stability guard: dt * max(J, G, gamma, Deff^2) must stay below 0.1.
     with pytest.raises(ConfigError):
         _config(params=PhysicsParams(J=200.0, G=1.0), dt=1e-3)

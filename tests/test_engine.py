@@ -28,6 +28,7 @@ from suvsim import (
     simulate_ensemble,
     simulate_final_z,
     simulate_paths,
+    steady_samples,
 )
 from suvsim.dynamics import (
     _renormalize,
@@ -244,6 +245,99 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
             alone = [simulate_final_z([job])[0] for job in jobs]
             for want, got, single in zip(expect, batch, alone):
                 assert np.array_equal(want, got) and np.array_equal(want, single)
+
+
+def _sweep_jobs():
+    """Runs of four jobs with mixed z0 and J on contiguous stream ranges,
+    one run per scheme whose kernels take J; consecutive runs differ in
+    scheme, so only the jobs within a run share chunks."""
+    families = (
+        dict(scheme=Scheme.SUV_COLORED, kind=NoiseKind.OU),
+        dict(scheme=Scheme.UNNORMALIZED_SUV, kind=NoiseKind.SBM, tau=0.5),
+        dict(scheme=Scheme.Z_COLORED, kind=NoiseKind.OU),
+        dict(scheme=Scheme.WHITE_STRAT, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)),
+        dict(scheme=Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)),
+        dict(scheme=Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)),
+    )
+    cells = ((0.25, 2.0), (0.5, 2.0), (0.6, -1.5), (0.75, 4.0))  # (z0, J)
+    jobs, offset = [], 0
+    for family in families:
+        for z0, J in cells:
+            jobs.append((_cfg(T=0.02, z0=z0, J=J, **family), 4, offset))
+            offset += 4
+    return jobs
+
+
+def test_jobs_that_differ_in_z0_and_j_share_chunks_bit_for_bit(monkeypatch):
+    # Jobs that differ only in z0 and J, on touching stream ranges, share
+    # lockstep chunks: each row starts from its own z0 and steps with its
+    # own J. At any chunk cap (7 cuts chunks inside jobs) and worker count,
+    # every job equals its own separate call bit for bit.
+    jobs = _sweep_jobs()
+    alone = [simulate_final_z([job])[0] for job in jobs]
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        for width in (1, 7, engine._MAX_CHUNK_WIDTH):
+            monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+            batch = simulate_final_z(jobs)
+            assert len(batch) == len(jobs)
+            for want, got in zip(alone, batch):
+                assert np.array_equal(want, got)
+
+
+def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
+    # Chunk widths, logged by a stub chunk in whichever process steps it:
+    # jobs merge only when their configs differ at most in z0 and J and
+    # their stream ranges touch, and a run of jobs is cut into
+    # ceil(total / cap) chunks of equal width, whatever the worker count.
+    log = tmp_path / "widths"
+
+    def chunk(cfg, streams, record_at, need_xi, first_index, **per_row):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{first_index} {len(streams)}\n")
+        return None, None, np.zeros(len(streams))
+
+    monkeypatch.setattr(engine, "_integrate_chunk", chunk)
+    monkeypatch.setattr(engine, "derive_stream", lambda seed, index: None)  # unused by the stub
+    cfg = _cfg(Scheme.SUV_COLORED, T=1.0)
+    other = _cfg(Scheme.SUV_COLORED, T=1.0, z0=0.25, J=3.0)
+    cases = [
+        ([(cfg, 3, 0), (other, 3, 3)], [6]),  # merged: only z0 and J differ
+        ([(cfg, 3, 0), (_cfg(Scheme.SUV_COLORED, T=2.0), 3, 3)], [3, 3]),  # T differs
+        ([(cfg, 3, 0), (_cfg(Scheme.SUV_COLORED, T=1.0, G=2.0), 3, 3)], [3, 3]),  # G differs
+        ([(cfg, 3, 0), (other, 3, 4)], [3, 3]),  # a gap between the ranges
+        ([(cfg, 4000, 0), (other, 4000, 0)], [4000, 4000]),  # both from 0, as in criterion 5
+        ([(cfg, 4000, 0)], [4000]),
+        ([(cfg, 6000, 0), (other, 9000, 6000)], [7500, 7500]),  # not 10000 + 5000
+    ]
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        for jobs, widths in cases:
+            log.write_text("")
+            finals = simulate_final_z(jobs)
+            assert [len(z) for z in finals] == [n for _, n, _ in jobs]
+            logged = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+            assert [width for _, width in logged] == widths
+
+
+def test_failing_merged_chunk_names_its_earliest_failing_step(monkeypatch):
+    # Two unnormalized cells share one chunk; alone, the first overflows at
+    # trajectory 1, step 7673, the second at trajectory 2, step 6219. The
+    # shared chunk raises the earliest failing step's error, at 1 and 2
+    # workers, beside a third job that runs to its horizon.
+    def cfg(J, z0, T=120.0):
+        return _cfg(Scheme.UNNORMALIZED_SUV, kind=NoiseKind.FROZEN_OU, dt=0.01, T=T, z0=z0,
+                    J=J, seed=2)
+
+    first, second = (cfg(8.0, 0.6), 2, 0), (cfg(9.9, 0.9), 2, 2)
+    message = "trajectory 2, step 6219: unnormalized amplitudes overflowed"
+    with pytest.raises(IntegratorInstabilityError, match="^trajectory 1, step 7673: "):
+        simulate_final_z([first])
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        with pytest.raises(IntegratorInstabilityError) as info:
+            simulate_final_z([first, second, (cfg(9.9, 0.9, T=1.0), 1, 4)])
+        assert str(info.value) == message
 
 
 def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path):
@@ -521,11 +615,16 @@ def test_engine_input_guards():
         (lambda cfg: simulate_final_z([(cfg, 2.5, 0)]), "n_traj"),
         (lambda cfg: simulate_final_z([(cfg, 3, 0.5)]), "index_offset"),
         (lambda cfg: simulate_final_z([(cfg, 3, False)]), "index_offset"),
+        (lambda cfg: simulate_paths(cfg.noise, 2.5, cfg.dt, [derive_stream(0, 0)]), "n_steps"),
+        (lambda cfg: derive_stream(0.5, 0), "master_seed"),
+        (lambda cfg: derive_stream(0, 1.0), "trajectory_index"),
+        (lambda cfg: steady_samples(cfg.noise, 2.5, derive_stream(0, 0)), "n"),
     ],
 )
 def test_engine_rejects_non_integer_sizes_by_name(call, name):
     # ExperimentConfig's rule: bools and non-integers are refused, with an
-    # InvalidParameterError that names the argument, before any work.
+    # InvalidParameterError that names the argument, before any work; the
+    # public noise and stream calls share the engine's check.
     with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer"):
         call(_cfg(Scheme.SUV_COLORED))
 
