@@ -6,9 +6,10 @@ Checks REV out into a temporary git worktree (removed again afterwards),
 then runs the same list of presets in that tree and in this working tree,
 each at 1 and 2 engine workers: all eight presets at smoke sizes, each
 recorded preset (fig1a, fig1b, gksl-check) with one trajectory, which also
-writes the trajectory dumps, and born-sweep and fdr-sweep once more with
-final-only chunks at most 7 trajectories wide, so that chunks which share
-one lockstep batch among several sweep cells start and end inside cells.
+writes the trajectory dumps, and, with chunks at most 7 trajectories wide,
+born-sweep and fdr-sweep once more, so that chunks which share one lockstep
+batch among several sweep cells start and end inside cells, and the
+recorded presets once more, so that the fold sees many chunk boundaries.
 For every run it compares the bytes of
 run_manifest.json and every file digest the manifest lists. Prints
 ``equal`` and exits 0 when nothing differs; otherwise prints each file
@@ -26,7 +27,8 @@ import sys
 import tempfile
 
 # (run label, experiment, overrides, chunk cap): every preset at smoke size,
-# the recorded presets with one trajectory, then the sweeps in narrow chunks.
+# the recorded presets with one trajectory, then the sweeps and the recorded
+# presets in narrow chunks.
 # A cap of None keeps the engine's default.
 RUNS = [
     ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, None),
@@ -44,6 +46,9 @@ RUNS = [
     ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}, None),
     ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, 7),
     ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, 7),
+    ("fig1a-narrow", "fig1a", {"n_traj": 100, "T": 0.3}, 7),
+    ("fig1b-narrow", "fig1b", {"n_traj": 23, "T": 0.3}, 7),
+    ("gksl-check-narrow", "gksl-check", {"n_traj": 100, "T": 0.3}, 7),
 ]
 WORKERS = (1, 2)
 MANIFEST = "run_manifest.json"

@@ -84,6 +84,9 @@ class PhysicsParams:
     Deff: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():  # J may be a shared chunk's per-row array
+            if not np.all(np.isfinite(value)):
+                raise InvalidParameterError(f"{name} must be finite, got {value}")
         if self.gamma < 0:
             raise InvalidParameterError(f"gamma must be nonnegative, got {self.gamma}")
 
@@ -137,8 +140,9 @@ class TrajectoryConfig:
         _whole_steps(self.T, self.dt)
         if not 0.0 <= self.z0 <= 1.0:
             raise ConfigError(f"z0 must be in [0, 1], got {self.z0}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if self.scheme.uses_colored_noise and self.noise.kind is NoiseKind.NONE:
             raise ConfigError(
                 f"scheme {self.scheme.value!r} is driven by a colored field and needs a "
@@ -169,12 +173,14 @@ class TrajectoryConfig:
 
 def _whole_steps(T: float, dt: float, name: str = "T") -> int:
     """Number of steps of size dt in the time span T, called ``name`` in
-    error messages: both must be positive, and T a whole number of steps
-    (up to round-off)."""
+    error messages: both must be positive, T finite, and T a whole number
+    of steps (up to round-off)."""
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
     if not T > 0:
         raise ConfigError(f"{name} must be positive, got {T}")
+    if T == math.inf:
+        raise ConfigError(f"{name} must be finite, got {T}")
     ratio = T / dt
     n = round(ratio)
     if n < 1 or abs(ratio - n) > 1e-9 * max(1.0, ratio):

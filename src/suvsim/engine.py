@@ -38,20 +38,22 @@ series. Together these make every output bitwise independent of chunk
 size and of how many trajectories run concurrently, and byte-identical
 across repeated runs of the same configuration.
 
+Every ensemble, recorded or final-only, takes one chunk path: :func:`_tasks`
+cuts it into ceil(total / cap) chunks of equal width, and :func:`_chunk`
+derives a chunk's streams and steps it. A recorded chunk records z, offdiag
+and the amplitude increments, never the field: the field of a
+one-trajectory run is the path :func:`simulate_paths` gives on its stream.
 Independent units of work run through one fork pool, :func:`_map_in_workers`:
 at most _MAX_WORKERS forked worker processes, created and joined inside
 each call, with results and the first error in task order. A final-only
-run needs no reduction: its final z is the concatenation of its chunks'
-final z. :func:`simulate_final_z` therefore cuts any number of final-only
-ensembles into chunks and maps them over the pool, each chunk deriving
-its own streams. Consecutive ensembles that differ only in z0 and J, on
-touching stream ranges (the cells of a sweep), share chunks: z0 enters a
-trajectory only through its initial state, and J only as one operand of
-an elementwise product, so a chunk takes both per row and every row keeps
-the bits of a run of its own. Each run of such ensembles is cut into
-ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width. The noise-validation
+run needs no reduction, so :func:`simulate_final_z` maps the chunks of any
+number of final-only ensembles over the pool. Consecutive ensembles that
+differ only in z0 and J, on touching stream ranges (the cells of a sweep),
+share chunks: z0 enters a trajectory only through its initial state, and J
+only as one operand of an elementwise product, so a chunk takes both per
+row and every row keeps the bits of a run of its own. The noise-validation
 experiment maps its two noise kinds' path sets over the same pool.
-Recorded runs, through :func:`simulate_ensemble`, stay in the calling
+Recorded chunks, through :func:`simulate_ensemble`, stay in the calling
 process, because the fold adds trajectories in index order. The worker
 count changes no chunk width, so no output bit and no error message
 depends on it.
@@ -94,7 +96,7 @@ __all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_fin
 # at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
 # matrix of observations and squared amplitude increments (for the
 # quadratic variation). A final-only run holds no such matrix, so its width
-# does not depend on the horizon: its chunks split it evenly.
+# does not depend on the horizon. Either run is split evenly under its cap.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
@@ -137,14 +139,12 @@ class EnsembleResult:
 
     final_z holds every trajectory's final z in index order, and summary
     the recorded series. For an ensemble of exactly one trajectory,
-    summary.mean_z is that trajectory's z series bit for bit, and single_xi
-    holds its field on the same grid (None for schemes without a colored
-    field, and for larger ensembles).
+    summary.mean_z is that trajectory's z series bit for bit; its colored
+    field is the path :func:`simulate_paths` gives on the same stream.
     """
 
     final_z: np.ndarray
     summary: EnsembleSummary
-    single_xi: np.ndarray | None
 
 
 def simulate_ensemble(
@@ -169,10 +169,10 @@ def simulate_ensemble(
         Offset of the stream indices, used to draw disjoint independent
         ensembles under one master seed.
 
-    The engine sizes its own lockstep chunks (see _MAX_CHUNK_WIDTH); every
-    output is bitwise the same for any chunk width. The chunks are stepped
-    in the calling process. A run that needs only the final z goes through
-    :func:`simulate_final_z` instead.
+    The engine cuts the run into lockstep chunks of equal width under its
+    caps (see _MAX_CHUNK_WIDTH); every output is bitwise the same for any
+    chunk width. The chunks are stepped in the calling process. A run that
+    needs only the final z goes through :func:`simulate_final_z` instead.
     An IntegratorInstabilityError names the trajectory index and the step
     at which a state degenerated.
     """
@@ -182,9 +182,7 @@ def simulate_ensemble(
         raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
 
     n_steps = cfg.n_steps
-    record_at = np.zeros(n_steps + 1, dtype=bool)
-    record_at[::decimation] = True
-    record_at[n_steps] = True
+    record_at = _record_at(n_steps, decimation)
     out_idx = np.flatnonzero(record_at)
     times = out_idx * cfg.dt
     n_out = out_idx.size
@@ -192,25 +190,13 @@ def simulate_ensemble(
     acc = CompensatedAccumulator(4 * n_out + n_steps)
     tile = np.empty((_FOLD_ROWS, 4 * n_out + n_steps))
 
-    final_z = np.empty(n_traj)
-    single_xi = None
-
-    width = max(1, min(n_traj, _MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
-
-    for start in range(0, n_traj, width):
-        m = min(width, n_traj - start)
-        streams = [derive_stream(cfg.seed, index_offset + start + i) for i in range(m)]
-        rows, xi_rows, fz = _integrate_chunk(
-            cfg,
-            streams,
-            record_at,
-            need_xi=(n_traj == 1),
-            first_index=index_offset + start,
-        )
-        final_z[start : start + m] = fz
+    final_z = []
+    cap = max(1, min(_MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
+    for task in _tasks([(cfg, n_traj, index_offset)], cap):
+        rows, fz = _chunk(task, record_at)
+        final_z.append(fz)
         _fold(acc, rows, n_out, tile)
-        if xi_rows is not None:
-            single_xi = xi_rows[0].copy()
+    final_z = np.concatenate(final_z)
 
     total = acc.total
     sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
@@ -234,7 +220,7 @@ def simulate_ensemble(
         stderr_offdiag=stderr_off,
     )
 
-    return EnsembleResult(final_z=final_z, summary=summary, single_xi=single_xi)
+    return EnsembleResult(final_z=final_z, summary=summary)
 
 
 def simulate_final_z(jobs) -> list[np.ndarray]:
@@ -248,16 +234,14 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
     index_offset + n_traj, so that the run's stream indices are contiguous;
     each row of a shared chunk starts from its own job's z0 and steps with
     its own job's J. Each such run of jobs (a lone job is a run of one) is
-    cut into ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width (differing
-    by at most one), and the chunks of all runs step on min(_MAX_WORKERS,
-    usable cores, chunks) forked worker processes, or in the calling
-    process when that is below 2 or the caller is itself a daemonic worker.
-    The pool is created and joined inside the call. When chunks fail, the
-    IntegratorInstabilityError raised is that of the first failing chunk in
-    job and index order; within a chunk it names the earliest failing step
-    and, at that step, the lowest failing row, which may belong to a later
-    job than another row that would fail at a later step. No chunk width
-    depends on the worker count, so neither does the error.
+    cut into ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width (see
+    :func:`_tasks`), and the chunks of all runs step on the fork pool of
+    :func:`_map_in_workers`. When chunks fail, the IntegratorInstabilityError
+    raised is that of the first failing chunk in job and index order; within
+    a chunk it names the earliest failing step and, at that step, the lowest
+    failing row, which may belong to a later job than another row that would
+    fail at a later step. No chunk width depends on the worker count, so
+    neither does the error.
     """
     runs = []  # lists of consecutive jobs that share chunks
     for job in jobs:
@@ -269,21 +253,9 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
             runs.append([job])
     if not runs:
         return []
-    tasks = []
-    for run in runs:
-        ends = list(accumulate(n for _, n, _ in run))
-        total = ends[-1]
-        k = -(-total // _MAX_CHUNK_WIDTH)
-        bounds = [total * i // k for i in range(k + 1)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            cells = tuple(
-                (cfg, min(hi, end) - max(lo, end - n))
-                for (cfg, n, _), end in zip(run, ends)
-                if end - n < hi and end > lo
-            )
-            tasks.append((cells, run[0][2] + lo))
+    tasks = [task for run in runs for task in _tasks(run, _MAX_CHUNK_WIDTH)]
     # The chunks' rows are every job's rows in job order.
-    final_z = np.concatenate(_map_in_workers(_final_chunk, tasks))
+    final_z = np.concatenate([fz for _, fz in _map_in_workers(_chunk, tasks)])
     return np.split(final_z, list(accumulate(n for run in runs for _, n, _ in run))[:-1])
 
 
@@ -372,24 +344,46 @@ def _lockstep_key(cfg):
     return {**vars(cfg), "z0": None, "params": {**vars(cfg.params), "J": None}}
 
 
-def _final_chunk(task):
-    """Final z of one final-only chunk ``(cells, first_index)``: ``cells``
-    holds ``(cfg, rows)`` pairs, in row order, of configs that differ at
-    most in z0 and J, and the chunk's rows are the streams first_index,
-    first_index + 1, ... A chunk of one config steps with scalar z0 and J,
-    and a per-row J is passed only when the rows' J values differ."""
+def _record_at(n_steps, decimation):
+    """Mask of the recorded grid points: every decimation-th step, and the last."""
+    record_at = np.zeros(n_steps + 1, dtype=bool)
+    record_at[::decimation] = True
+    record_at[n_steps] = True
+    return record_at
+
+
+def _tasks(run, cap):
+    """Yield the chunks ``(cells, first_index)`` of a run of jobs that share
+    lockstep chunks: ceil(total / cap) chunks of equal width (differing by
+    at most one). ``cells`` holds ``(cfg, rows)`` pairs in row order, and
+    the chunk's rows are the streams first_index, first_index + 1, ..."""
+    ends = list(accumulate(n for _, n, _ in run))
+    total = ends[-1]
+    k = -(-total // cap)
+    bounds = [total * i // k for i in range(k + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        cells = tuple(
+            (cfg, min(hi, end) - max(lo, end - n))
+            for (cfg, n, _), end in zip(run, ends)
+            if end - n < hi and end > lo
+        )
+        yield cells, run[0][2] + lo
+
+
+def _chunk(task, record_at=None):
+    """``(rows, final_z)`` of one chunk ``(cells, first_index)`` of
+    :func:`_tasks`, recorded on the grid ``record_at`` (None for a
+    final-only chunk). Each row starts from its own cell's z0, as a float,
+    and a per-row J is passed only when the cells' J values differ, so a
+    chunk of one config steps with scalar J."""
     cells, first = task
     cfg = cells[0][0]
     counts = [rows for _, rows in cells]
     streams = [derive_stream(cfg.seed, first + i) for i in range(sum(counts))]
-    record_at = np.zeros(cfg.n_steps + 1, dtype=bool)
-    per_row = {}
-    if len(cells) > 1:
-        per_row["z0"] = np.repeat([c.z0 for c, _ in cells], counts)
-        couplings = [c.params.J for c, _ in cells]
-        if len(set(couplings)) > 1:
-            per_row["J"] = np.repeat(couplings, counts)
-    return _integrate_chunk(cfg, streams, record_at, False, first, **per_row)[2]
+    z0 = np.repeat(np.array([c.z0 for c, _ in cells], dtype=float), counts)
+    couplings = [c.params.J for c, _ in cells]
+    J = np.repeat(couplings, counts) if len(set(couplings)) > 1 else None
+    return _integrate_chunk(cfg, streams, record_at, first, z0, J)
 
 
 def _map_in_workers(fn, tasks):
@@ -578,18 +572,20 @@ def _field(model, dt, streams, n_steps, ws):
     return xi, _stream_normals(streams, n_steps), advance
 
 
-def _integrate_chunk(cfg, streams, record_at, need_xi, first_index, z0=None, J=None):
+def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     """Integrate one lockstep batch (row 0 has stream index first_index).
 
-    ``z0`` and ``J``, when given, are per-row arrays that replace cfg.z0
-    and cfg.params.J. A per-row J enters the kernels where a scalar would,
-    as one operand of an elementwise product, so each row steps with the
-    bits of a run of its own; the same holds for a per-row z0, since
-    np.sqrt and math.sqrt are both correctly rounded.
+    ``z0`` is the per-row float array of initial populations, and ``J``,
+    when not None, a per-row array that replaces cfg.params.J. A per-row J
+    enters the kernels where a scalar would, as one operand of an
+    elementwise product, so each row steps with the bits of a run of its
+    own; the same holds for the per-row z0, since np.sqrt and math.sqrt are
+    both correctly rounded.
 
-    Returns the recorded (m, 2 n_out + n_steps) matrix with columns
-    [z | offdiag | squared amplitude increments] (None for a final-only
-    run), the recorded field rows (or None) and the final z of every row.
+    Returns the (m, 2 n_out + n_steps) matrix with columns [z | offdiag |
+    squared amplitude increments] recorded on the grid ``record_at`` (None
+    for a final-only run, whose ``record_at`` is None), and the final z of
+    every row.
     """
     scheme = cfg.scheme
     step, amplitude, observe = _SCHEMES[scheme]
@@ -597,8 +593,6 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index, z0=None, J=N
     dt = cfg.dt
     n_steps = cfg.n_steps
     m = len(streams)
-    recording = bool(record_at.any())
-    n_out = int(record_at.sum())
 
     ws = _workspace(m)
     colored = scheme.uses_colored_noise
@@ -611,27 +605,19 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index, z0=None, J=N
 
     # The state alternates between two buffers: a step reads one and writes
     # the other, so the previous amplitude stays intact for the increment.
-    z0 = np.full(m, cfg.z0 if z0 is None else z0, dtype=float)
     if scheme.is_scalar:
         state, spare, raw = z0, np.empty(m), None
     else:
         state = (np.sqrt(z0), np.sqrt(1.0 - z0))
         spare, raw = (np.empty(m), np.empty(m)), (np.empty(m), np.empty(m))
 
-    rows = np.empty((m, 2 * n_out + n_steps)) if recording else None
-    xi_rows = np.empty((m, n_out)) if (need_xi and colored and recording) else None
-    if recording:
+    rows = None
+    if record_at is not None:  # the grid always starts at t = 0
+        n_out = int(record_at.sum())
+        rows = np.empty((m, 2 * n_out + n_steps))
         z_rows, off_rows, dq_rows = np.split(rows, [n_out, 2 * n_out], axis=1)
-
-    def record(pos):
-        observe(state, z_rows[:, pos], off_rows[:, pos], ws)
-        if xi_rows is not None:
-            xi_rows[:, pos] = xi
-
-    pos = 0
-    if recording:  # the grid always starts at t = 0
         alpha, alpha_spare = amplitude(state, np.empty(m)), np.empty(m)
-        record(0)
+        observe(state, z_rows[:, 0], off_rows[:, 0], ws)
         pos = 1
 
     k = 0  # global step index across blocks
@@ -644,13 +630,13 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index, z0=None, J=N
                 state, spare = spare, state
                 if advance is not None:
                     advance(xi, draws, xi)
-                if recording:
+                if rows is not None:
                     new_alpha = amplitude(state, alpha_spare)
                     delta = np.subtract(new_alpha, alpha, out=ws[0])
                     np.multiply(delta, delta, out=dq_rows[:, k])
                     alpha, alpha_spare = new_alpha, alpha
                     if record_at[k + 1]:
-                        record(pos)
+                        observe(state, z_rows[:, pos], off_rows[:, pos], ws)
                         pos += 1
                 k += 1
     except IntegratorInstabilityError as exc:
@@ -660,4 +646,4 @@ def _integrate_chunk(cfg, streams, record_at, need_xi, first_index, z0=None, J=N
 
     final_z = np.empty(m)
     observe(state, final_z, ws[1], ws)
-    return rows, xi_rows, final_z
+    return rows, final_z

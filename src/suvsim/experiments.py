@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import _map_in_workers, derive_stream, simulate_ensemble, simulate_final_z
-from .engine import simulate_paths
+from .engine import _map_in_workers, _record_at, derive_stream, simulate_ensemble
+from .engine import simulate_final_z, simulate_paths
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, steady_samples
@@ -65,16 +65,21 @@ def _born_row(z0, stats):
 def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
     """Run a recorded ensemble of cfg.n_traj trajectories from stream index
     ``offset`` on and write its summary to ``csv_name``, and a single
-    trajectory's series to ``<stem>_trajectory.csv``; the names written
-    are appended to ``written``. Returns the result."""
+    trajectory's series to ``<stem>_trajectory.csv``, with the colored
+    field that simulate_paths gives on its stream; the names written are
+    appended to ``written``. Returns the result."""
     result = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
     summary = result.summary
     write_ensemble_csv(os.path.join(outdir, csv_name), summary)
     written.append(csv_name)
     if summary.n_traj == 1:
+        xi = None
+        if traj_cfg.scheme.uses_colored_noise:
+            stream = derive_stream(traj_cfg.seed, offset)
+            (path,) = simulate_paths(traj_cfg.noise, traj_cfg.n_steps, traj_cfg.dt, [stream])
+            xi = path[_record_at(traj_cfg.n_steps, cfg.decimation)]
         name = f"{stem}_trajectory.csv"
-        path = os.path.join(outdir, name)
-        write_trajectory_csv(path, summary.times, summary.mean_z, result.single_xi)
+        write_trajectory_csv(os.path.join(outdir, name), summary.times, summary.mean_z, xi)
         written.append(name)
     return result
 

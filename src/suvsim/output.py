@@ -71,16 +71,17 @@ def write_ensemble_csv(path: str, summary: EnsembleSummary) -> None:
     n = summary.times.size
     se_z = summary.stderr_z if summary.stderr_z is not None else [None] * n
     se_off = summary.stderr_offdiag if summary.stderr_offdiag is not None else [None] * n
-    rows = zip(summary.times, summary.mean_z, se_z, summary.mean_offdiag, se_off, summary.qv)
+    rows = zip(summary.times, summary.mean_z, se_z, summary.mean_offdiag, se_off, summary.qv,
+               strict=True)
     write_table_csv(path, ENSEMBLE_HEADER, rows)
 
 
 def write_trajectory_csv(path: str, times, z, xi=None) -> None:
-    """Write a single trajectory; the xi column is empty for schemes
-    that are not driven by a colored field."""
+    """Write a single trajectory, from columns of equal length; the xi
+    column is empty for schemes that are not driven by a colored field."""
     n = len(times)
     xi_col = xi if xi is not None else [None] * n
-    write_table_csv(path, TRAJECTORY_HEADER, zip(times, z, xi_col))
+    write_table_csv(path, TRAJECTORY_HEADER, zip(times, z, xi_col, strict=True))
 
 
 def write_json_atomic(path: str, obj) -> None:

@@ -18,6 +18,8 @@ from suvsim import (
     PhysicsParams,
     Scheme,
     TrajectoryConfig,
+    make_config,
+    run_experiment,
     simulate_ensemble,
     simulate_final_z,
 )
@@ -63,6 +65,12 @@ def _suv(a, b, xi, dt, p=P):
 def test_physics_params_validation():
     with pytest.raises(InvalidParameterError):
         PhysicsParams(J=1.0, G=1.0, gamma=-0.5)
+    # A non-finite coupling is refused by name: the stability guard is False
+    # for NaN, and the scalar schemes would return NaN final z unflagged.
+    for name in ("J", "G", "gamma", "Deff"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameterError, match=f"^{name} must be finite"):
+                PhysicsParams(**{"J": 1.0, "G": 1.0, name: value})
 
 
 def test_scheme_properties_partition_schemes():
@@ -333,7 +341,7 @@ def _config(**kw):
     return TrajectoryConfig(**defaults)
 
 
-def test_trajectory_config_validations():
+def test_trajectory_config_validations(tmp_path):
     assert _config().n_steps == 1000
     # A horizon that is not a whole number of steps is rejected, not rounded
     # (to 0 or 1 step, or to 10 steps for T = 0.0105).
@@ -344,11 +352,20 @@ def test_trajectory_config_validations():
         _config(dt=0.0)
     with pytest.raises(ConfigError):
         _config(T=-1.0)
+    for make in (lambda: _config(T=math.inf),
+                 lambda: run_experiment(make_config("fig1a", T=math.inf, output_dir=str(tmp_path)))):
+        with pytest.raises(ConfigError, match="^T must be finite"):  # not an OverflowError
+            make()
     with pytest.raises(ConfigError):
         _config(z0=1.5)
-    for seed in (1.5, True):  # a bool would fail only later, in the stream derivation
+    for seed in (1.5, True, np.float64(3.0)):  # a bool would fail only in the stream derivation
         with pytest.raises(ConfigError, match="seed must be an integer"):
             _config(seed=seed)
+    # A numpy integer seed is stored as an int, as ExperimentConfig does.
+    numpy_seed = _config(seed=np.int64(3), T=0.05)
+    assert type(numpy_seed.seed) is int and numpy_seed == _config(seed=3, T=0.05)
+    want, got = simulate_final_z([(_config(seed=3, T=0.05), 4, 0), (numpy_seed, 4, 0)])
+    assert np.array_equal(want, got)
     # Stability guard: dt * max(J, G, gamma, Deff^2) must stay below 0.1.
     with pytest.raises(ConfigError):
         _config(params=PhysicsParams(J=200.0, G=1.0), dt=1e-3)

@@ -127,17 +127,21 @@ def _z(scheme, state):
     return a * a / (a * a + b * b) if scheme is Scheme.UNNORMALIZED_SUV else a * a
 
 
-def _assert_engine_matches_replay(cfg):
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    states, xis = _replay(cfg)
+def _assert_engine_matches_replay(cfg, index=0):
+    """The one-trajectory run at index_offset ``index`` steps as the replay
+    does, and for a colored scheme the simulate_paths path on its stream is
+    the replay's field; returns that path (None for other schemes)."""
+    res = simulate_ensemble(cfg, n_traj=1, decimation=1, index_offset=index)
+    states, xis = _replay(cfg, index)
     zs = np.array([_z(cfg.scheme, s) for s in states])
     assert np.array_equal(res.summary.mean_z, zs)
     assert res.final_z[0] == zs[-1]
-    if cfg.scheme.uses_colored_noise:
-        assert np.array_equal(res.single_xi, np.concatenate(xis))
-    else:
-        assert res.single_xi is None
-    return res
+    if not cfg.scheme.uses_colored_noise:
+        return None
+    stream = derive_stream(cfg.seed, index)
+    (path,) = simulate_paths(cfg.noise, cfg.n_steps, cfg.dt, [stream])
+    assert np.array_equal(path, np.concatenate(xis))
+    return path
 
 
 def test_single_trajectory_matches_scalar_ops_colored_ou():
@@ -149,10 +153,10 @@ def test_single_trajectory_matches_scalar_ops_colored_sbm():
 
 
 def test_single_trajectory_matches_scalar_ops_frozen():
-    res = _assert_engine_matches_replay(_cfg(Scheme.SUV_COLORED, kind=NoiseKind.FROZEN_SBM))
-    # The recorded field is the single frozen draw, constant in time.
-    assert np.all(res.single_xi == res.single_xi[0])
-    assert abs(res.single_xi[0]) <= 1.0
+    path = _assert_engine_matches_replay(_cfg(Scheme.SUV_COLORED, kind=NoiseKind.FROZEN_SBM))
+    # The field is the single frozen draw, constant in time.
+    assert np.all(path == path[0])
+    assert abs(path[0]) <= 1.0
 
 
 def test_single_trajectory_matches_scalar_ops_unnormalized():
@@ -248,9 +252,11 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
 
 
 def _sweep_jobs():
-    """Runs of four jobs with mixed z0 and J on contiguous stream ranges,
+    """Runs of six jobs with mixed z0 and J on contiguous stream ranges,
     one run per scheme whose kernels take J; consecutive runs differ in
-    scheme, so only the jobs within a run share chunks."""
+    scheme, so only the jobs within a run share chunks. The last two cells
+    start from the integer z0 = 1 and 0, which every chunk, even one of
+    those cells alone, must step as floats."""
     families = (
         dict(scheme=Scheme.SUV_COLORED, kind=NoiseKind.OU),
         dict(scheme=Scheme.UNNORMALIZED_SUV, kind=NoiseKind.SBM, tau=0.5),
@@ -259,7 +265,7 @@ def _sweep_jobs():
         dict(scheme=Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)),
         dict(scheme=Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0)),
     )
-    cells = ((0.25, 2.0), (0.5, 2.0), (0.6, -1.5), (0.75, 4.0))  # (z0, J)
+    cells = ((0.25, 2.0), (0.5, 2.0), (0.6, -1.5), (0.75, 4.0), (1, 2.0), (0, 2.0))  # (z0, J)
     jobs, offset = [], 0
     for family in families:
         for z0, J in cells:
@@ -290,12 +296,17 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     # jobs merge only when their configs differ at most in z0 and J and
     # their stream ranges touch, and a run of jobs is cut into
     # ceil(total / cap) chunks of equal width, whatever the worker count.
+    # A recorded run goes through the same planner, under the smaller of
+    # _MAX_CHUNK_WIDTH and its element budget's cap.
     log = tmp_path / "widths"
 
-    def chunk(cfg, streams, record_at, need_xi, first_index, **per_row):
+    def chunk(cfg, streams, record_at, first_index, z0, J):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{first_index} {len(streams)}\n")
-        return None, None, np.zeros(len(streams))
+        rows = None
+        if record_at is not None:
+            rows = np.zeros((len(streams), 2 * int(record_at.sum()) + cfg.n_steps))
+        return rows, np.zeros(len(streams))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     monkeypatch.setattr(engine, "derive_stream", lambda seed, index: None)  # unused by the stub
@@ -310,14 +321,29 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
         ([(cfg, 4000, 0)], [4000]),
         ([(cfg, 6000, 0), (other, 9000, 6000)], [7500, 7500]),  # not 10000 + 5000
     ]
+
+    def logged_widths():
+        logged = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        return [width for _, width in logged]
+
+    # recorded runs of 23 (1202 recorded columns): (cap, element budget, widths)
+    recorded = [
+        (7, engine._CHUNK_ELEMENT_BUDGET, [5, 6, 6, 6]),  # not 7 + 7 + 7 + 2
+        (engine._MAX_CHUNK_WIDTH, 4 * 1202 + 1, [3, 4, 4, 4, 4, 4]),  # the budget binds at 4
+    ]
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         for jobs, widths in cases:
             log.write_text("")
             finals = simulate_final_z(jobs)
             assert [len(z) for z in finals] == [n for _, n, _ in jobs]
-            logged = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
-            assert [width for _, width in logged] == widths
+            assert logged_widths() == widths
+    for cap, budget, widths in recorded:  # recorded chunks step in the caller
+        monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", cap)
+        monkeypatch.setattr(engine, "_CHUNK_ELEMENT_BUDGET", budget)
+        log.write_text("")
+        assert simulate_ensemble(cfg, 23, decimation=10, index_offset=4).final_z.size == 23
+        assert logged_widths() == widths
 
 
 def test_failing_merged_chunk_names_its_earliest_failing_step(monkeypatch):
@@ -349,8 +375,9 @@ def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path)
     log = tmp_path / "pids"
 
     def logged(*args, _fn=experiments.simulate_paths):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+        if len(args[3]) > 1:  # a path set, not the field of a trajectory dump
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
         return _fn(*args)
 
     monkeypatch.setattr(experiments, "simulate_paths", logged)
@@ -420,9 +447,9 @@ def test_no_worker_outlives_the_call(monkeypatch):
     simulate_final_z([(cfg, 6, 0)])
     assert multiprocessing.active_children() == []
 
-    def failing(cfg, streams, record_at, need_xi, first_index):
+    def failing(cfg, streams, record_at, first_index, z0, J):
         if first_index == 0:
-            return None, None, np.zeros(len(streams))
+            return None, np.zeros(len(streams))
         if first_index == 2:
             time.sleep(0.5)  # chunk 4 fails first
         raise IntegratorInstabilityError(f"trajectory {first_index}, step 1: failed")
@@ -475,9 +502,9 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
     # the same at 1000 steps as at 16000.
     widths = []
 
-    def chunk(cfg, streams, record_at, need_xi, first_index):
+    def chunk(cfg, streams, record_at, first_index, z0, J):
         widths.append(len(streams))
-        return None, None, np.zeros(len(streams))
+        return None, np.zeros(len(streams))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     by_horizon = []
@@ -583,12 +610,11 @@ def test_recording_grid_includes_start_stride_and_final_step():
 def test_result_flags_and_minimal_outputs():
     cfg = _cfg(Scheme.SUV_COLORED, T=0.01)
     multi = simulate_ensemble(cfg, n_traj=2, decimation=1)
-    assert multi.single_xi is None
     assert multi.summary.stderr_z is not None
 
     single = simulate_ensemble(cfg, n_traj=1, decimation=1)
     assert single.summary.stderr_z is None
-    assert single.single_xi.shape == single.summary.times.shape
+    assert single.final_z.shape == (1,)
 
     (bare,) = simulate_final_z([(cfg, 3, 0)])
     assert bare.shape == (3,)
@@ -646,10 +672,8 @@ def test_engine_accepts_numpy_integer_sizes():
 )
 def test_noise_paths_are_the_field_a_colored_run_sees(scheme, kind):
     # One noise generator: a path of simulate_paths on stream (seed, i) is,
-    # bit for bit, the field a one-trajectory colored run at index_offset i
-    # records, across a draw-block boundary.
+    # bit for bit, the field of the replay that a one-trajectory colored run
+    # at index_offset i matches, across a draw-block boundary.
     cfg = _cfg(scheme, kind=kind, tau=0.5, T=(_BLOCK_STEPS + 7) * 1e-3)
     for i in (0, 5):
-        (path,) = simulate_paths(cfg.noise, cfg.n_steps, cfg.dt, [derive_stream(cfg.seed, i)])
-        run = simulate_ensemble(cfg, 1, decimation=1, index_offset=i)
-        assert np.array_equal(path, run.single_xi)
+        _assert_engine_matches_replay(cfg, i)

@@ -22,11 +22,13 @@ from suvsim import (
     TrajectoryConfig,
     __version__,
     build_trajectory_config,
+    derive_stream,
     effective_diffusion,
     make_config,
     parse_config_file,
     run_experiment,
     simulate_ensemble,
+    simulate_paths,
 )
 from suvsim.cli import build_parser, main
 from suvsim.harness import MANIFEST_NAME
@@ -236,6 +238,11 @@ def test_trajectory_csv_leaves_field_column_empty_without_noise(tmp_path):
     assert rows[0] == ["t", "z", "xi"]
     assert rows[1] == ["0.0", "0.6", ""]
     assert not (tmp_path / "traj.csv.tmp").exists()
+    # A short column fails the write instead of truncating the file.
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_trajectory_csv(str(path), [0.0, 0.1, 0.2], [0.6, 0.7, 0.8], xi=[1.0, 2.0])
+    assert path.read_bytes() == before
 
 
 def test_csv_write_replaces_the_file_only_when_complete(tmp_path):
@@ -429,6 +436,19 @@ def test_single_trajectory_runs_dump_decimated_paths(tmp_path):
     with open(tmp_path / "fig1a_sse_trajectory.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1][2] == ""  # diffusive scheme has no field to record
+
+    # 55 steps, not a multiple of the decimation of 10: the dump's field is
+    # the simulate_paths path on the run's stream at steps 0, 10, ..., 50, 55.
+    out = tmp_path / "uneven"
+    cfg = make_config("fig1a", {"n_traj": 1, "T": 0.055}, output_dir=str(out))
+    run_experiment(cfg)
+    traj_cfg = build_trajectory_config(cfg)
+    assert traj_cfg.n_steps == 55 and cfg.decimation == 10
+    (path,) = simulate_paths(traj_cfg.noise, 55, traj_cfg.dt, [derive_stream(cfg.master_seed, 0)])
+    with open(out / "fig1a_suv_trajectory.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [float(t) for t, _, _ in rows] == [k * cfg.dt for k in (0, 10, 20, 30, 40, 50, 55)]
+    assert [float(xi) for _, _, xi in rows] == path[[0, 10, 20, 30, 40, 50, 55]].tolist()
 
 
 def test_cli_runs_experiment_with_overrides(tmp_path, capsys):

@@ -49,9 +49,9 @@ def test_quadratic_variation_small_case(monkeypatch):
 
     increments = {0: [0.1, 0.2], 1: [0.3, 0.4]}
 
-    def chunk(cfg, streams, record_at, need_xi, first_index):
+    def chunk(cfg, streams, record_at, first_index, z0, J):
         row = [0.6] * 3 + [0.4] * 3 + list(np.square(increments[first_index]))
-        return np.array([row]), None, np.array([0.6])
+        return np.array([row]), np.array([0.6])
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     cfg = TrajectoryConfig(
