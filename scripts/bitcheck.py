@@ -6,12 +6,14 @@ Checks REV out into a temporary git worktree (removed again afterwards),
 then runs the same list of presets in that tree and in this working tree,
 each at 1 and 2 engine workers: all eight presets at smoke sizes, each
 recorded preset (fig1a, fig1b, gksl-check) with one trajectory, which also
-writes the trajectory dumps, and, with chunks at most 7 trajectories wide,
-born-sweep and fdr-sweep once more, so that chunks which share one lockstep
-batch among several sweep cells start and end inside cells, and the
-recorded presets once more, so that the fold sees many chunk boundaries.
-For every run it compares the bytes of
-run_manifest.json and every file digest the manifest lists. Prints
+writes the trajectory dumps, the four schemes that no preset records
+(unnormalized-suv and z-scalar-colored in fig1a, white-strat and
+z-scalar-white in gksl-check) at smoke size and with one trajectory, and,
+with chunks at most 7 trajectories wide, born-sweep and fdr-sweep once
+more, so that chunks which share one lockstep batch among several sweep
+cells start and end inside cells, and the recorded presets once more, so
+that the fold sees many chunk boundaries. For every run it compares the
+bytes of run_manifest.json and every file digest the manifest lists. Prints
 ``equal`` and exits 0 when nothing differs; otherwise prints each file
 that differs, as ``w<workers>/<run>/<file>``, and exits 1.
 
@@ -27,8 +29,8 @@ import sys
 import tempfile
 
 # (run label, experiment, overrides, chunk cap): every preset at smoke size,
-# the recorded presets with one trajectory, then the sweeps and the recorded
-# presets in narrow chunks.
+# the recorded presets with one trajectory, the schemes no preset records,
+# then the sweeps and the recorded presets in narrow chunks.
 # A cap of None keeps the engine's default.
 RUNS = [
     ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, None),
@@ -44,6 +46,17 @@ RUNS = [
     ("fig1a-single", "fig1a", {"n_traj": 1, "T": 0.3}, None),
     ("fig1b-single", "fig1b", {"n_traj": 1, "T": 0.3}, None),
     ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}, None),
+    ("fig1a-unnormalized", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "unnormalized-suv"}, None),
+    ("fig1a-unnormalized-single", "fig1a",
+     {"n_traj": 1, "T": 0.3, "scheme": "unnormalized-suv"}, None),
+    ("fig1a-z", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-colored"}, None),
+    ("fig1a-z-single", "fig1a", {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-colored"}, None),
+    ("gksl-check-strat", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "white-strat"}, None),
+    ("gksl-check-strat-single", "gksl-check",
+     {"n_traj": 1, "T": 0.3, "scheme": "white-strat"}, None),
+    ("gksl-check-z", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-white"}, None),
+    ("gksl-check-z-single", "gksl-check",
+     {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-white"}, None),
     ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, 7),
     ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, 7),
     ("fig1a-narrow", "fig1a", {"n_traj": 100, "T": 0.3}, 7),

@@ -18,8 +18,7 @@ from .config import (
     parse_config_file,
 )
 from .dynamics import PhysicsParams, Scheme, TrajectoryConfig
-from .engine import EnsembleResult, derive_stream, simulate_ensemble, simulate_final_z
-from .engine import simulate_paths
+from .engine import derive_stream, simulate_ensemble, simulate_final_z, simulate_paths
 from .errors import (
     ConfigError,
     InconclusiveError,
@@ -67,7 +66,6 @@ __all__ = [
     "simulate_ensemble",
     "simulate_final_z",
     "simulate_paths",
-    "EnsembleResult",
     # configuration and orchestration
     "Experiment",
     "ExperimentConfig",

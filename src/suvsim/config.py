@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -67,11 +68,18 @@ class ExperimentConfig:
             self.noise = NoiseKind(self.noise)
         if not isinstance(self.scheme, Scheme):
             self.scheme = Scheme(self.scheme)
-        for key in ("n_traj", "master_seed", "decimation"):
+        for key in sorted(_INT_KEYS | _FLOAT_KEYS):
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
-            setattr(self, key, int(value))  # numpy integers too: the manifest is JSON
+            if key in _INT_KEYS:
+                cast, kind, noun = int, numbers.Integral, "an integer"
+            else:  # non-finite floats are refused where the run is configured
+                cast, kind, noun = float, numbers.Real, "a real number"
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"{key} must be {noun}, got {value!r}")
+            setattr(self, key, cast(value))  # numpy numbers too: the manifest is JSON
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
+        self.output_dir = os.fspath(self.output_dir)
         if self.n_traj < 1:
             raise ConfigError(f"n_traj must be at least 1, got {self.n_traj}")
         if not 0 <= self.master_seed < 2**64:

@@ -43,26 +43,28 @@ cuts it into ceil(total / cap) chunks of equal width, and :func:`_chunk`
 derives a chunk's streams and steps it. A recorded chunk records z, offdiag
 and the amplitude increments, never the field: the field of a
 one-trajectory run is the path :func:`simulate_paths` gives on its stream.
+A chunk returns one array: its recorded matrix, or else its final z.
 Independent units of work run through one fork pool, :func:`_map_in_workers`:
 at most _MAX_WORKERS forked worker processes, created and joined inside
 each call, with results and the first error in task order. A final-only
-run needs no reduction, so :func:`simulate_final_z` maps the chunks of any
-number of final-only ensembles over the pool. Consecutive ensembles that
-differ only in z0 and J, on touching stream ranges (the cells of a sweep),
-share chunks: z0 enters a trajectory only through its initial state, and J
-only as one operand of an elementwise product, so a chunk takes both per
-row and every row keeps the bits of a run of its own. The noise-validation
-experiment maps its two noise kinds' path sets over the same pool.
+run needs no reduction, so :func:`simulate_final_z`, the one producer of
+final z, maps the chunks of any number of final-only ensembles over the
+pool. Consecutive ensembles that differ only in z0 and J, on touching
+stream ranges (the cells of a sweep), share chunks: z0 enters a trajectory
+only through its initial state, and J only as one operand of an
+elementwise product, so a chunk takes both per row and every row keeps
+the bits of a run of its own. The noise-validation experiment maps its two
+noise kinds' path sets over the same pool.
 Recorded chunks, through :func:`simulate_ensemble`, stay in the calling
-process, because the fold adds trajectories in index order. The worker
-count changes no chunk width, so no output bit and no error message
-depends on it.
+process, because the fold adds trajectories in index order; each chunk's
+matrix is folded as it returns, so one is alive at a time. The worker count
+changes no chunk width, so no output bit and no error message depends on it.
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import accumulate
 
 import numpy as np
@@ -84,19 +86,20 @@ from .errors import (
     IntegratorInstabilityError,
     InvalidParameterError,
     NotApplicableError,
+    SimulationError,
     check_integer,
 )
 from .noise import NoiseKind, _ou_coefficients, _ou_update, _sbm_update, steady_samples
 from .observables import CompensatedAccumulator, EnsembleSummary
 
-__all__ = ["EnsembleResult", "derive_stream", "simulate_ensemble", "simulate_final_z",
-           "simulate_paths"]
+__all__ = ["derive_stream", "simulate_ensemble", "simulate_final_z", "simulate_paths"]
 
 # Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
 # at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
 # matrix of observations and squared amplitude increments (for the
-# quadratic variation). A final-only run holds no such matrix, so its width
-# does not depend on the horizon. Either run is split evenly under its cap.
+# quadratic variation), held one at a time, so the budget bounds the run.
+# A final-only run holds no such matrix, so its width does not depend on
+# the horizon. Either run is split evenly under its cap.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
@@ -133,26 +136,12 @@ def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass
-class EnsembleResult:
-    """Outputs of one recorded ensemble run.
-
-    final_z holds every trajectory's final z in index order, and summary
-    the recorded series. For an ensemble of exactly one trajectory,
-    summary.mean_z is that trajectory's z series bit for bit; its colored
-    field is the path :func:`simulate_paths` gives on the same stream.
-    """
-
-    final_z: np.ndarray
-    summary: EnsembleSummary
-
-
 def simulate_ensemble(
     cfg: TrajectoryConfig,
     n_traj: int,
     decimation: int = 10,
     index_offset: int = 0,
-) -> EnsembleResult:
+) -> EnsembleSummary:
     """Run an ensemble of trajectories and reduce it deterministically.
 
     Parameters
@@ -171,10 +160,11 @@ def simulate_ensemble(
 
     The engine cuts the run into lockstep chunks of equal width under its
     caps (see _MAX_CHUNK_WIDTH); every output is bitwise the same for any
-    chunk width. The chunks are stepped in the calling process. A run that
-    needs only the final z goes through :func:`simulate_final_z` instead.
-    An IntegratorInstabilityError names the trajectory index and the step
-    at which a state degenerated.
+    chunk width. The chunks are stepped in the calling process. With one
+    trajectory, mean_z is its z series bit for bit, and its colored field
+    the path :func:`simulate_paths` gives on the same stream. An
+    IntegratorInstabilityError names the trajectory index and the step at
+    which a state degenerated.
     """
     _check_range(n_traj, index_offset)
     check_integer("decimation", decimation)
@@ -190,13 +180,10 @@ def simulate_ensemble(
     acc = CompensatedAccumulator(4 * n_out + n_steps)
     tile = np.empty((_FOLD_ROWS, 4 * n_out + n_steps))
 
-    final_z = []
     cap = max(1, min(_MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
     for task in _tasks([(cfg, n_traj, index_offset)], cap):
-        rows, fz = _chunk(task, record_at)
-        final_z.append(fz)
-        _fold(acc, rows, n_out, tile)
-    final_z = np.concatenate(final_z)
+        # No name keeps a chunk's matrix alive while the next one steps.
+        _fold(acc, _chunk(task, record_at), n_out, tile)
 
     total = acc.total
     sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
@@ -210,7 +197,7 @@ def simulate_ensemble(
         stderr_z = stderr_off = None
     step_means = np.maximum(total[2 * n_out : 2 * n_out + n_steps] / n_traj, 0.0)
     qv = np.cumsum(np.concatenate(([0.0], step_means)))[out_idx]
-    summary = EnsembleSummary(
+    return EnsembleSummary(
         times=times,
         mean_z=mean_z,
         mean_offdiag=mean_off,
@@ -220,19 +207,18 @@ def simulate_ensemble(
         stderr_offdiag=stderr_off,
     )
 
-    return EnsembleResult(final_z=final_z, summary=summary)
-
 
 def simulate_final_z(jobs) -> list[np.ndarray]:
     """Final z of several final-only ensembles, one array per job.
 
-    Each job is ``(cfg, n_traj, index_offset)``, and its array equals the
-    ``final_z`` of the recorded run ``simulate_ensemble(cfg, n_traj,
-    index_offset=index_offset)`` bit for bit. A run of consecutive jobs
-    shares lockstep chunks when each job's config equals the previous one's
-    except in z0 and J, and its index_offset is the previous one's
-    index_offset + n_traj, so that the run's stream indices are contiguous;
-    each row of a shared chunk starts from its own job's z0 and steps with
+    Each job is ``(cfg, n_traj, index_offset)``; trajectory i of a job uses
+    the stream (cfg.seed, index_offset + i), and its final z is, bit for
+    bit, the last mean_z of the one-trajectory recorded run
+    ``simulate_ensemble(cfg, 1, index_offset=index_offset + i)``. A run of
+    consecutive jobs shares lockstep chunks when each job's config equals
+    the previous one's except in z0 and J, and its index_offset is the
+    previous one's index_offset + n_traj, so that the run's stream indices
+    are contiguous; each row of a shared chunk starts from its own job's z0 and steps with
     its own job's J. Each such run of jobs (a lone job is a run of one) is
     cut into ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width (see
     :func:`_tasks`), and the chunks of all runs step on the fork pool of
@@ -255,7 +241,7 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
         return []
     tasks = [task for run in runs for task in _tasks(run, _MAX_CHUNK_WIDTH)]
     # The chunks' rows are every job's rows in job order.
-    final_z = np.concatenate([fz for _, fz in _map_in_workers(_chunk, tasks)])
+    final_z = np.concatenate(_map_in_workers(_chunk, tasks))
     return np.split(final_z, list(accumulate(n for run in runs for _, n, _ in run))[:-1])
 
 
@@ -371,11 +357,11 @@ def _tasks(run, cap):
 
 
 def _chunk(task, record_at=None):
-    """``(rows, final_z)`` of one chunk ``(cells, first_index)`` of
-    :func:`_tasks`, recorded on the grid ``record_at`` (None for a
-    final-only chunk). Each row starts from its own cell's z0, as a float,
-    and a per-row J is passed only when the cells' J values differ, so a
-    chunk of one config steps with scalar J."""
+    """The :func:`_integrate_chunk` result of one chunk ``(cells,
+    first_index)`` of :func:`_tasks`, recorded on the grid ``record_at``
+    (None for a final-only chunk). Each row starts from its own cell's z0,
+    as a float, and a per-row J is passed only when the cells' J values
+    differ, so a chunk of one config steps with scalar J."""
     cells, first = task
     cfg = cells[0][0]
     counts = [rows for _, rows in cells]
@@ -394,7 +380,9 @@ def _map_in_workers(fn, tasks):
     caller is itself a daemonic worker. ``fn`` must be a module-level
     function, and tasks and results must pickle. The pool is created and
     joined inside the call; when tasks fail, the error raised is that of
-    the first failing task in task order, the one a serial run raises.
+    the first failing task in task order, the one a serial run raises, once
+    the running tasks finish; queued ones are cancelled. A worker that ends
+    abruptly (killed by the OOM killer, say) raises a SimulationError.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
@@ -402,18 +390,19 @@ def _map_in_workers(fn, tasks):
         import multiprocessing  # costs import time, so only when it is used
 
         if not multiprocessing.current_process().daemon:  # daemons have no children
-            pool = multiprocessing.get_context("fork").Pool(workers)
-            try:
-                # imap yields in task order, so the first error raised is
-                # the first failing task's, whichever worker failed first.
-                results = list(pool.imap(fn, tasks, chunksize=1))
-                pool.close()
-            except BaseException:
-                pool.terminate()
-                raise
-            finally:
-                pool.join()
-            return results
+            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+            context = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                try:
+                    # map yields in task order, so the first error raised is
+                    # the first failing task's, whichever worker failed first.
+                    return list(pool.map(fn, tasks))
+                except BrokenProcessPool as exc:
+                    raise SimulationError("a worker process ended abruptly") from exc
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
     return [fn(task) for task in tasks]
 
 
@@ -582,10 +571,11 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     own; the same holds for the per-row z0, since np.sqrt and math.sqrt are
     both correctly rounded.
 
-    Returns the (m, 2 n_out + n_steps) matrix with columns [z | offdiag |
-    squared amplitude increments] recorded on the grid ``record_at`` (None
-    for a final-only run, whose ``record_at`` is None), and the final z of
-    every row.
+    Returns one array. With a grid ``record_at``, it is the (m, 2 n_out +
+    n_steps) matrix with columns [z | offdiag | squared amplitude
+    increments] recorded on that grid, whose last z column is the final z.
+    A final-only chunk (``record_at`` None) returns the final z of every
+    row.
     """
     scheme = cfg.scheme
     step, amplitude, observe = _SCHEMES[scheme]
@@ -644,6 +634,8 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
             f"trajectory {first_index + exc.row}, step {k + 1}: {exc}"
         ) from exc
 
+    if rows is not None:
+        return rows
     final_z = np.empty(m)
     observe(state, final_z, ws[1], ws)
-    return rows, final_z
+    return final_z

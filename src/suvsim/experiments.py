@@ -67,9 +67,8 @@ def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
     ``offset`` on and write its summary to ``csv_name``, and a single
     trajectory's series to ``<stem>_trajectory.csv``, with the colored
     field that simulate_paths gives on its stream; the names written are
-    appended to ``written``. Returns the result."""
-    result = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
-    summary = result.summary
+    appended to ``written``. Returns the summary."""
+    summary = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
     write_ensemble_csv(os.path.join(outdir, csv_name), summary)
     written.append(csv_name)
     if summary.n_traj == 1:
@@ -81,7 +80,7 @@ def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
         name = f"{stem}_trajectory.csv"
         write_trajectory_csv(os.path.join(outdir, name), summary.times, summary.mean_z, xi)
         written.append(name)
-    return result
+    return summary
 
 
 def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -310,10 +309,10 @@ def run_gksl_check(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Ensemble means against the analytic dephasing master equation."""
     written = []
     traj_cfg = build_trajectory_config(cfg)
-    result = _write_recorded(cfg, traj_cfg, 0, outdir, "gksl_ensemble.csv", "gksl", written)
+    summary = _write_recorded(cfg, traj_cfg, 0, outdir, "gksl_ensemble.csv", "gksl", written)
 
-    res_z, res_off = gksl_residual(result.summary, traj_cfg.params.Deff)
-    rows = zip(result.summary.times, res_z, res_off)
+    res_z, res_off = gksl_residual(summary, traj_cfg.params.Deff)
+    rows = zip(summary.times, res_z, res_off)
     write_table_csv(
         os.path.join(outdir, "gksl_residual.csv"), ["t", "res_z", "res_offdiag"], rows
     )

@@ -58,8 +58,7 @@ def test_smooth_collapse_has_vanishing_quadratic_variation(criterion_report):
     n = 2000
 
     def qv_final(cfg):
-        res = simulate_ensemble(cfg, n, decimation=cfg.n_steps)
-        return res.summary.qv[-1]
+        return simulate_ensemble(cfg, n, decimation=cfg.n_steps).qv[-1]
 
     dts = (1e-2, 1e-3, 1e-4)
     colored = [
@@ -88,7 +87,7 @@ def test_fast_noise_ensemble_dephases_at_the_analytic_rate(criterion_report):
     cfg = _traj(
         Scheme.SUV_COLORED, seed=41, J=2.0, G=10.0, tau=0.01, dt=1e-3, T=2.5
     )
-    s = simulate_ensemble(cfg, 10000, decimation=100).summary
+    s = simulate_ensemble(cfg, 10000, decimation=100)
     dev = np.abs(s.mean_z - 0.6)
     margin = 3.0 * s.stderr_z + 1e-12
     z_ok = bool(np.all(dev <= margin))
@@ -262,12 +261,13 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
     runs = []
     for width in (1, 13, engine._MAX_CHUNK_WIDTH):  # the default width last
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-        runs.append(simulate_ensemble(cfg, 60, decimation=10))
+        runs.append((simulate_ensemble(cfg, 60, decimation=10), *simulate_final_z([(cfg, 60, 0)])))
+    ref, ref_z = runs[0]
     if not all(
-        np.array_equal(runs[0].final_z, r.final_z)
-        and np.array_equal(runs[0].summary.mean_z, r.summary.mean_z)
-        and np.array_equal(runs[0].summary.qv, r.summary.qv)
-        for r in runs[1:]
+        np.array_equal(ref_z, final_z)
+        and np.array_equal(ref.mean_z, s.mean_z)
+        and np.array_equal(ref.qv, s.qv)
+        for s, final_z in runs[1:]
     ):
         failures.append("chunk invariance")
 
@@ -320,19 +320,19 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
 
     # The qv at every recorded step is the running sum over all steps, so a
     # coarser recording grid reads the same values at the steps it keeps.
-    fine = simulate_ensemble(cfg, 9, decimation=1).summary.qv
+    fine = simulate_ensemble(cfg, 9, decimation=1).qv
     for dec in (3, 7, 13):
-        coarse = simulate_ensemble(cfg, 9, decimation=dec).summary.qv
+        coarse = simulate_ensemble(cfg, 9, decimation=dec).qv
         if not np.array_equal(coarse, fine[np.r_[0 : cfg.n_steps : dec, cfg.n_steps]]):
             failures.append(f"qv additivity at decimation {dec}")
 
     res = simulate_ensemble(_traj(Scheme.SUV_COLORED, seed=5, T=0.02), 6, decimation=5)
     csv_path = tmp_path / "round_trip.csv"
-    write_ensemble_csv(str(csv_path), res.summary)
+    write_ensemble_csv(str(csv_path), res)
     lines = csv_path.read_text().strip().splitlines()[1:]
     round_trip = all(
-        float(line.split(",")[1]) == res.summary.mean_z[j]
-        and float(line.split(",")[5]) == res.summary.qv[j]
+        float(line.split(",")[1]) == res.mean_z[j]
+        and float(line.split(",")[5]) == res.qv[j]
         for j, line in enumerate(lines)
     )
     if not round_trip:

@@ -6,6 +6,8 @@ noise path sets."""
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -128,14 +130,16 @@ def _z(scheme, state):
 
 
 def _assert_engine_matches_replay(cfg, index=0):
-    """The one-trajectory run at index_offset ``index`` steps as the replay
-    does, and for a colored scheme the simulate_paths path on its stream is
-    the replay's field; returns that path (None for other schemes)."""
+    """The one-trajectory run at index_offset ``index``, recorded or
+    final-only, steps as the replay does, and for a colored scheme the
+    simulate_paths path on its stream is the replay's field; returns that
+    path (None for other schemes)."""
     res = simulate_ensemble(cfg, n_traj=1, decimation=1, index_offset=index)
     states, xis = _replay(cfg, index)
     zs = np.array([_z(cfg.scheme, s) for s in states])
-    assert np.array_equal(res.summary.mean_z, zs)
-    assert res.final_z[0] == zs[-1]
+    assert np.array_equal(res.mean_z, zs)
+    (final_z,) = simulate_final_z([(cfg, 1, index)])
+    assert final_z[0] == zs[-1]
     if not cfg.scheme.uses_colored_noise:
         return None
     stream = derive_stream(cfg.seed, index)
@@ -234,10 +238,14 @@ def _final_only_jobs():
 def test_worker_count_does_not_change_any_output_bit(monkeypatch):
     # Final-only chunks may run on forked workers. At 1 and 2 workers and
     # at any chunk width, a batch of jobs and each job run alone give the
-    # final z that the serial recorded path gives.
+    # final z that the serial recorded path gives: the last mean z of a
+    # one-trajectory recorded run at each index, exact since n = 1.
     jobs = _final_only_jobs()
     expect = [
-        simulate_ensemble(cfg, n, decimation=cfg.n_steps, index_offset=off).final_z
+        np.array([
+            simulate_ensemble(cfg, 1, decimation=cfg.n_steps, index_offset=off + i).mean_z[-1]
+            for i in range(n)
+        ])
         for cfg, n, off in jobs
     ]
     default = engine._MAX_CHUNK_WIDTH
@@ -303,10 +311,9 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     def chunk(cfg, streams, record_at, first_index, z0, J):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{first_index} {len(streams)}\n")
-        rows = None
-        if record_at is not None:
-            rows = np.zeros((len(streams), 2 * int(record_at.sum()) + cfg.n_steps))
-        return rows, np.zeros(len(streams))
+        if record_at is None:
+            return np.zeros(len(streams))
+        return np.zeros((len(streams), 2 * int(record_at.sum()) + cfg.n_steps))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     monkeypatch.setattr(engine, "derive_stream", lambda seed, index: None)  # unused by the stub
@@ -342,7 +349,7 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", cap)
         monkeypatch.setattr(engine, "_CHUNK_ELEMENT_BUDGET", budget)
         log.write_text("")
-        assert simulate_ensemble(cfg, 23, decimation=10, index_offset=4).final_z.size == 23
+        assert simulate_ensemble(cfg, 23, decimation=10, index_offset=4).n_traj == 23
         assert logged_widths() == widths
 
 
@@ -449,7 +456,7 @@ def test_no_worker_outlives_the_call(monkeypatch):
 
     def failing(cfg, streams, record_at, first_index, z0, J):
         if first_index == 0:
-            return None, np.zeros(len(streams))
+            return np.zeros(len(streams))
         if first_index == 2:
             time.sleep(0.5)  # chunk 4 fails first
         raise IntegratorInstabilityError(f"trajectory {first_index}, step 1: failed")
@@ -497,6 +504,56 @@ def test_final_only_run_holds_no_per_step_draw_matrix():
     assert peak < m * cfg.n_steps * 8 / 4
 
 
+def test_recorded_run_holds_one_chunk_matrix_at_a_time(monkeypatch):
+    # Each chunk's (m, 2 n_out + n_steps) matrix is folded as soon as the
+    # chunk returns and dropped before the next chunk steps: two chunks of
+    # 200 peak at well under two matrices (7.68 MB each).
+    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=4.0)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 200)
+    matrix = 200 * (2 * 401 + cfg.n_steps) * 8
+    tracemalloc.start()
+    try:
+        simulate_ensemble(cfg, 400, decimation=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * matrix
+
+
+_KILLED_WORKER = """
+import os, signal
+from suvsim import SimulationError
+from suvsim.engine import _map_in_workers
+
+caller = os.getpid()
+
+
+def task(i):
+    if i == 3 and os.getpid() != caller:  # a worker dies, never the caller
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+try:
+    _map_in_workers(task, list(range(8)))
+except SimulationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_a_killed_worker_raises_instead_of_hanging():
+    # A worker killed mid-task (by the OOM killer, say) raises a
+    # SimulationError at once. The call runs in its own interpreter under a
+    # timeout, so a hang fails this test instead of stalling the suite.
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _KILLED_WORKER], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "a worker process ended abruptly" in done.stdout
+
+
 def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
     # A final-only run records no per-step matrix, so its chunk widths are
     # the same at 1000 steps as at 16000.
@@ -504,7 +561,7 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
 
     def chunk(cfg, streams, record_at, first_index, z0, J):
         widths.append(len(streams))
-        return None, np.zeros(len(streams))
+        return np.zeros(len(streams))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     by_horizon = []
@@ -520,14 +577,15 @@ def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
     runs = []
     for width in (1, 7, engine._MAX_CHUNK_WIDTH):
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-        runs.append(simulate_ensemble(cfg, n_traj=23, decimation=10))
-    ref = runs[0]
-    for other in runs[1:]:
-        assert np.array_equal(ref.final_z, other.final_z)
-        assert np.array_equal(ref.summary.mean_z, other.summary.mean_z)
-        assert np.array_equal(ref.summary.stderr_z, other.summary.stderr_z)
-        assert np.array_equal(ref.summary.mean_offdiag, other.summary.mean_offdiag)
-        assert np.array_equal(ref.summary.qv, other.summary.qv)
+        runs.append((simulate_ensemble(cfg, n_traj=23, decimation=10),
+                     *simulate_final_z([(cfg, 23, 0)])))
+    ref, ref_z = runs[0]
+    for other, final_z in runs[1:]:
+        assert np.array_equal(ref_z, final_z)
+        assert np.array_equal(ref.mean_z, other.mean_z)
+        assert np.array_equal(ref.stderr_z, other.stderr_z)
+        assert np.array_equal(ref.mean_offdiag, other.mean_offdiag)
+        assert np.array_equal(ref.qv, other.qv)
 
 
 def test_index_offset_selects_the_same_subensemble():
@@ -540,9 +598,9 @@ def test_repeat_run_is_bitwise_identical():
     cfg = _cfg(Scheme.WHITE_STRAT, kind=NoiseKind.NONE, Deff=1.0, T=0.1)
     a = simulate_ensemble(cfg, n_traj=40, decimation=20)
     b = simulate_ensemble(cfg, n_traj=40, decimation=20)
-    assert np.array_equal(a.final_z, b.final_z)
-    assert np.array_equal(a.summary.mean_z, b.summary.mean_z)
-    assert np.array_equal(a.summary.qv, b.summary.qv)
+    assert np.array_equal(a.mean_z, b.mean_z)
+    assert np.array_equal(a.qv, b.qv)
+    assert np.array_equal(*(simulate_final_z([(cfg, 40, 0)])[0] for _ in range(2)))
 
 
 def test_quadratic_variation_separates_smooth_from_rough_paths():
@@ -550,7 +608,7 @@ def test_quadratic_variation_separates_smooth_from_rough_paths():
     # dt. Wiener-driven paths accumulate QV independent of dt.
     def qv_at(scheme, kind, dt, **kw):
         cfg = _cfg(scheme, kind=kind, dt=dt, T=0.5, seed=77, **kw)
-        return simulate_ensemble(cfg, n_traj=300, decimation=cfg.n_steps).summary.qv[-1]
+        return simulate_ensemble(cfg, n_traj=300, decimation=cfg.n_steps).qv[-1]
 
     smooth = [qv_at(Scheme.SUV_COLORED, NoiseKind.OU, dt) for dt in (1e-3, 5e-4)]
     assert 0.35 < smooth[1] / smooth[0] < 0.65
@@ -587,34 +645,35 @@ def test_engine_qv_matches_observables_reconstruction():
     means = [max(_neumaier_sum(col * col) / n_traj, 0.0) for col in incs.T]
     qv_full = np.cumsum([0.0] + means)
     out_idx = np.array([0, 7, 14, 20])
-    assert np.array_equal(res.summary.qv, qv_full[out_idx])
+    assert np.array_equal(res.qv, qv_full[out_idx])
 
 
 def test_stderr_matches_sample_formula():
     cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05)
     n = 50
     res = simulate_ensemble(cfg, n_traj=n, decimation=cfg.n_steps)
-    expected = np.std(res.final_z, ddof=1) / math.sqrt(n)
-    assert res.summary.stderr_z[-1] == pytest.approx(expected, rel=1e-10)
-    assert res.summary.mean_z[-1] == pytest.approx(np.mean(res.final_z), rel=1e-12)
+    (final_z,) = simulate_final_z([(cfg, n, 0)])
+    expected = np.std(final_z, ddof=1) / math.sqrt(n)
+    assert res.stderr_z[-1] == pytest.approx(expected, rel=1e-10)
+    assert res.mean_z[-1] == pytest.approx(np.mean(final_z), rel=1e-12)
 
 
 def test_recording_grid_includes_start_stride_and_final_step():
     cfg = _cfg(Scheme.SUV_COLORED, T=0.01)  # 10 steps
     res = simulate_ensemble(cfg, n_traj=2, decimation=3)
-    assert np.array_equal(res.summary.times, np.array([0, 3, 6, 9, 10]) * cfg.dt)
+    assert np.array_equal(res.times, np.array([0, 3, 6, 9, 10]) * cfg.dt)
     only_final = simulate_ensemble(cfg, n_traj=2, decimation=100)
-    assert np.array_equal(only_final.summary.times, np.array([0, 10]) * cfg.dt)
+    assert np.array_equal(only_final.times, np.array([0, 10]) * cfg.dt)
 
 
 def test_result_flags_and_minimal_outputs():
     cfg = _cfg(Scheme.SUV_COLORED, T=0.01)
     multi = simulate_ensemble(cfg, n_traj=2, decimation=1)
-    assert multi.summary.stderr_z is not None
+    assert multi.stderr_z is not None
 
     single = simulate_ensemble(cfg, n_traj=1, decimation=1)
-    assert single.summary.stderr_z is None
-    assert single.final_z.shape == (1,)
+    assert single.stderr_z is None
+    assert single.n_traj == 1
 
     (bare,) = simulate_final_z([(cfg, 3, 0)])
     assert bare.shape == (3,)
@@ -659,10 +718,10 @@ def test_engine_accepts_numpy_integer_sizes():
     cfg = _cfg(Scheme.SUV_COLORED)
     want = simulate_ensemble(cfg, 3, decimation=4, index_offset=2)
     got = simulate_ensemble(cfg, np.int64(3), decimation=np.int32(4), index_offset=np.uint8(2))
-    assert np.array_equal(want.final_z, got.final_z)
-    assert np.array_equal(want.summary.mean_z, got.summary.mean_z)
-    (final_z,) = simulate_final_z([(cfg, np.int64(3), np.int64(2))])
-    assert np.array_equal(want.final_z, final_z)
+    assert np.array_equal(want.mean_z, got.mean_z)
+    assert np.array_equal(want.qv, got.qv)
+    want_z, got_z = simulate_final_z([(cfg, 3, 2), (cfg, np.int64(3), np.int64(2))])
+    assert np.array_equal(want_z, got_z)
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SUV_COLORED, Scheme.Z_COLORED], ids=lambda s: s.value)

@@ -3,7 +3,10 @@ the command-line entry point."""
 import csv
 import json
 import math
+import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,7 +97,7 @@ def test_make_config_layers_defaults_file_and_overrides():
     assert make_config("fig1a", noise="sbm").noise is NoiseKind.SBM
 
 
-def test_make_config_rejects_bad_input():
+def test_make_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError, match="unknown experiment"):
         make_config("warp-drive")
     with pytest.raises(ConfigError, match="unknown setting"):
@@ -120,6 +123,21 @@ def test_make_config_rejects_bad_input():
         make_config("fig1a", J="abc")
     seeded = make_config("frozen-limit", master_seed=np.uint64(1), n_traj=np.int64(50))
     assert (type(seeded.master_seed), type(seeded.n_traj)) == (int, int)
+    # Float settings take real numbers only and are stored as floats, and
+    # output_dir takes a str or path-like and is stored as a str, so the
+    # manifest records what ran instead of failing after every CSV is written.
+    for key, value in (("J", True), ("T", 1j), ("z0", Decimal("0.5"))):
+        message = f"^{key} must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            make_config("fig1a", **{key: value})
+    for value in (3, b"results"):
+        with pytest.raises(ConfigError, match="^output_dir must be a str or os.PathLike, got"):
+            make_config("fig1a", output_dir=value)
+    typed = make_config("fig1a", {"n_traj": 5, "T": 0.05}, J=np.float32(2.0), z0=Fraction(1, 4),
+                        output_dir=tmp_path / "typed")
+    assert (typed.J, typed.z0, typed.output_dir) == (2.0, 0.25, str(tmp_path / "typed"))
+    assert (type(typed.J), type(typed.z0)) == (float, float)
+    assert run_experiment(typed)["config"]["J"] == 2.0
     # noise-validation simulates both noise processes and no scheme, so a
     # scheme or noise other than its preset's would only mislabel the run.
     with pytest.raises(ConfigError, match=r"--scheme or --noise \(got --scheme sse\)"):
@@ -217,17 +235,17 @@ def _small_ensemble():
 def test_ensemble_csv_round_trips_exact_floats(tmp_path):
     res = _small_ensemble()
     path = tmp_path / "ens.csv"
-    write_ensemble_csv(str(path), res.summary)
+    write_ensemble_csv(str(path), res)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ENSEMBLE_HEADER
     body = rows[1:]
-    assert len(body) == res.summary.times.size
+    assert len(body) == res.times.size
     for j, row in enumerate(body):
-        assert float(row[0]) == res.summary.times[j]
-        assert float(row[1]) == res.summary.mean_z[j]
-        assert float(row[2]) == res.summary.stderr_z[j]
-        assert float(row[5]) == res.summary.qv[j]
+        assert float(row[0]) == res.times[j]
+        assert float(row[1]) == res.mean_z[j]
+        assert float(row[2]) == res.stderr_z[j]
+        assert float(row[5]) == res.qv[j]
 
 
 def test_trajectory_csv_leaves_field_column_empty_without_noise(tmp_path):

@@ -51,7 +51,7 @@ def test_quadratic_variation_small_case(monkeypatch):
 
     def chunk(cfg, streams, record_at, first_index, z0, J):
         row = [0.6] * 3 + [0.4] * 3 + list(np.square(increments[first_index]))
-        return np.array([row]), np.array([0.6])
+        return np.array([row])
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     cfg = TrajectoryConfig(
@@ -64,7 +64,7 @@ def test_quadratic_variation_small_case(monkeypatch):
         seed=1,
     )
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
-    qv = simulate_ensemble(cfg, n_traj=2, decimation=1).summary.qv
+    qv = simulate_ensemble(cfg, n_traj=2, decimation=1).qv
     assert qv == pytest.approx([0.0, 0.05, 0.15], rel=1e-14)
     assert np.all(np.diff(qv) >= 0.0)
 
