@@ -12,10 +12,20 @@ z-scalar-white in gksl-check) at smoke size and with one trajectory, and,
 with chunks at most 7 trajectories wide, born-sweep and fdr-sweep once
 more, so that chunks which share one lockstep batch among several sweep
 cells start and end inside cells, and the recorded presets once more, so
-that the fold sees many chunk boundaries. For every run it compares the
-bytes of run_manifest.json and every file digest the manifest lists. Prints
-``equal`` and exits 0 when nothing differs; otherwise prints each file
-that differs, as ``w<workers>/<run>/<file>``, and exits 1.
+that the reduction sees many chunk boundaries. For every run it compares
+the bytes of run_manifest.json and every file digest the manifest lists.
+Prints ``equal`` when nothing differs, and otherwise each file that
+differs, as ``w<workers>/<run>/<file>``.
+
+It then checks, within this working tree's outputs alone, the
+determinism contract, which must hold across a deliberate change of
+output bits too: every file digest of a run at 1 worker equals that at 2
+workers, and every digest of a narrow-chunk run (``<run>-narrow``) equals
+that of its default-cap twin, the run of the same experiment and
+overrides (fig1a, gksl-check, born-sweep and fdr-sweep have one). Each
+mismatch is printed on a line of its own, as ``in-tree:
+<run>/<file> differs from <twin>/<file>``. Exits 0 when nothing differs
+and no mismatch is found, and 1 otherwise.
 
 Needs only git and the package's own dependencies. Horizons are short, so
 the whole check takes well under a minute on two cores.
@@ -111,6 +121,30 @@ def differences(old: str, new: str) -> list[str]:
     return differ
 
 
+def _digests(out: str, run: str) -> dict[str, str]:
+    with open(os.path.join(out, run, MANIFEST), "rb") as fh:
+        return json.load(fh)["files"]
+
+
+def invariance(out: str) -> list[str]:
+    """Files of one output tree that differ where the determinism contract
+    says they must not: a run at 1 worker and at more, and a narrow-chunk
+    run and its default-cap twin of the same experiment and overrides."""
+    pairs = [(os.path.join(f"w{WORKERS[0]}", label), os.path.join(f"w{w}", label))
+             for label, *_ in RUNS for w in WORKERS[1:]]
+    for label, experiment, overrides, cap in RUNS:
+        pairs += [(os.path.join(f"w{w}", twin), os.path.join(f"w{w}", label))
+                  for twin, e, o, c in RUNS if cap and not c and (e, o) == (experiment, overrides)
+                  for w in WORKERS]
+    mismatches = []
+    for twin, run in pairs:
+        want, got = _digests(out, twin), _digests(out, run)
+        for name in sorted(want.keys() | got.keys()):
+            if want.get(name) != got.get(name):
+                mismatches.append(f"in-tree: {run}/{name} differs from {twin}/{name}")
+    return mismatches
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 scripts/bitcheck.py REV", file=sys.stderr)
@@ -136,10 +170,13 @@ def main(argv: list[str]) -> int:
                     print(f"runs failed under {src}", file=sys.stderr)
                     return 2
             differ = differences(old_out, new_out)
+            mismatches = invariance(new_out)
         finally:
             subprocess.run(["git", "-C", root, "worktree", "remove", "--force", tree], check=True)
     print("\n".join(differ) if differ else "equal")
-    return 1 if differ else 0
+    for line in mismatches:
+        print(line)
+    return 1 if differ or mismatches else 0
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ colored field, alongside its analytic limiting cases: the white-noise
 diffusion it converges to for short correlation times, the jump-like
 stochastic Schrodinger unraveling, the static-field (frozen) limit, and
 the dephasing master equation obeyed by the ensemble mean. Ensembles are
-deterministic functions of a master seed and are reduced with compensated
-summation, so results are bitwise reproducible regardless of chunking.
+deterministic functions of a master seed, reduced in an order fixed by
+trajectory index, so results are bitwise reproducible regardless of chunking.
 """
 from ._version import __version__
 from .config import (

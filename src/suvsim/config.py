@@ -76,7 +76,10 @@ class ExperimentConfig:
                 cast, kind, noun = float, numbers.Real, "a real number"
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ConfigError(f"{key} must be {noun}, got {value!r}")
-            setattr(self, key, cast(value))  # numpy numbers too: the manifest is JSON
+            try:  # numpy numbers too: the manifest is JSON
+                setattr(self, key, cast(value))
+            except OverflowError:  # an integer or fraction beyond the float range
+                raise ConfigError(f"{key} is too large for a float") from None
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(f"output_dir must be a str or os.PathLike, got {self.output_dir!r}")
         self.output_dir = os.fspath(self.output_dir)

@@ -29,36 +29,32 @@ expressions would. The one exception is a chunk whose rows step with
 different J under a white-noise scheme: its kernels form the scaled
 couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 
-Ensemble statistics are folded one trajectory at a time, in index order,
-with compensated summation. One accumulator takes rows whose columns are
-the recorded z, offdiag and squared amplitude increments followed by z^2
-and offdiag^2, built a small tile of trajectories at a time; compensated
-summation acts column by column, so this gives the bits of one fold per
-series. Together these make every output bitwise independent of chunk
-size and of how many trajectories run concurrently, and byte-identical
-across repeated runs of the same configuration.
+Ensemble statistics are reduced in an order fixed by trajectory index:
+trajectories fall into groups of _FOLD_ROWS consecutive indices, counted
+from the ensemble's first, and each chunk is whole groups. A recorded
+chunk returns, per group, the sums of its rows of recorded z, offdiag and
+squared amplitude increments, then z^2 and offdiag^2, added in index
+order; the caller folds the group rows in index order with compensated
+summation. So every output is bitwise independent of chunk width and
+worker count, and byte-identical across repeated runs.
 
 Every ensemble, recorded or final-only, takes one chunk path: :func:`_tasks`
-cuts it into ceil(total / cap) chunks of equal width, and :func:`_chunk`
-derives a chunk's streams and steps it. A recorded chunk records z, offdiag
-and the amplitude increments, never the field: the field of a
-one-trajectory run is the path :func:`simulate_paths` gives on its stream.
-A chunk returns one array: its recorded matrix, or else its final z.
-Independent units of work run through one fork pool, :func:`_map_in_workers`:
-at most _MAX_WORKERS forked worker processes, created and joined inside
-each call, with results and the first error in task order. A final-only
-run needs no reduction, so :func:`simulate_final_z`, the one producer of
-final z, maps the chunks of any number of final-only ensembles over the
-pool. Consecutive ensembles that differ only in z0 and J, on touching
-stream ranges (the cells of a sweep), share chunks: z0 enters a trajectory
-only through its initial state, and J only as one operand of an
-elementwise product, so a chunk takes both per row and every row keeps
-the bits of a run of its own. The noise-validation experiment maps its two
-noise kinds' path sets over the same pool.
-Recorded chunks, through :func:`simulate_ensemble`, stay in the calling
-process, because the fold adds trajectories in index order; each chunk's
-matrix is folded as it returns, so one is alive at a time. The worker count
-changes no chunk width, so no output bit and no error message depends on it.
+cuts it into chunks of whole groups, and :func:`_chunk` derives a chunk's
+streams and steps it. A recorded chunk records z, offdiag and the
+amplitude increments, never the field: the field of a one-trajectory run
+is the path :func:`simulate_paths` gives on its stream. Independent units
+of work run through one fork pool, :func:`_map_in_workers`: at most
+_MAX_WORKERS forked worker processes, created and joined inside each
+call, with results and the first error in task order. Both
+:func:`simulate_ensemble` and :func:`simulate_final_z`, the one producer
+of final z, map their chunks over it. Consecutive final-only ensembles
+that differ only in z0 and J, on touching stream ranges (the cells of a
+sweep), share chunks: z0 enters a trajectory only through its initial
+state, and J only as one operand of an elementwise product, so a chunk
+takes both per row and every row keeps the bits of a run of its own. The
+noise-validation experiment maps its two noise kinds' path sets over the
+same pool. The worker count changes no chunk width, so no output bit and
+no error message depends on it.
 """
 from __future__ import annotations
 
@@ -97,15 +93,15 @@ __all__ = ["derive_stream", "simulate_ensemble", "simulate_final_z", "simulate_p
 # Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
 # at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
 # matrix of observations and squared amplitude increments (for the
-# quadratic variation), held one at a time, so the budget bounds the run.
-# A final-only run holds no such matrix, so its width does not depend on
-# the horizon. Either run is split evenly under its cap.
+# quadratic variation), one per process that steps a chunk. A final-only
+# run holds no such matrix, so its width does not depend on the horizon.
+# A chunk is at least one group of _FOLD_ROWS, whatever the cap.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
 _MAX_WORKERS = 2
-# Trajectories per tile of the fold: the squared observations are formed
-# for this many rows at a time, never for a whole chunk.
+# Trajectories per group: a recorded chunk sums each group's rows in index
+# order, and the caller folds the group sums. Chunks are whole groups.
 _FOLD_ROWS = 16
 # Time steps per block of drawn normals: a chunk holds one (_BLOCK_STEPS, m)
 # buffer instead of an (n_steps, m) matrix. A Philox stream yields the same
@@ -158,13 +154,13 @@ def simulate_ensemble(
         Offset of the stream indices, used to draw disjoint independent
         ensembles under one master seed.
 
-    The engine cuts the run into lockstep chunks of equal width under its
-    caps (see _MAX_CHUNK_WIDTH); every output is bitwise the same for any
-    chunk width. The chunks are stepped in the calling process. With one
-    trajectory, mean_z is its z series bit for bit, and its colored field
-    the path :func:`simulate_paths` gives on the same stream. An
-    IntegratorInstabilityError names the trajectory index and the step at
-    which a state degenerated.
+    The engine cuts the run into lockstep chunks of whole groups of
+    _FOLD_ROWS trajectories under its caps (see _MAX_CHUNK_WIDTH) and runs
+    them on the fork pool; every output is bitwise the same for any chunk
+    width and worker count. With one trajectory, mean_z is its z series bit
+    for bit, and its colored field the path :func:`simulate_paths` gives on
+    the same stream. An IntegratorInstabilityError names the trajectory
+    index and the step at which the first failing chunk degenerated.
     """
     _check_range(n_traj, index_offset)
     check_integer("decimation", decimation)
@@ -177,13 +173,11 @@ def simulate_ensemble(
     times = out_idx * cfg.dt
     n_out = out_idx.size
 
-    acc = CompensatedAccumulator(4 * n_out + n_steps)
-    tile = np.empty((_FOLD_ROWS, 4 * n_out + n_steps))
-
     cap = max(1, min(_MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
-    for task in _tasks([(cfg, n_traj, index_offset)], cap):
-        # No name keeps a chunk's matrix alive while the next one steps.
-        _fold(acc, _chunk(task, record_at), n_out, tile)
+    tasks = list(_tasks([(cfg, n_traj, index_offset)], cap, record_at))
+    acc = CompensatedAccumulator(4 * n_out + n_steps)
+    for sums in _map_in_workers(_chunk, tasks):  # one row per group, in index order
+        acc.add_rows(sums)
 
     total = acc.total
     sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
@@ -218,11 +212,10 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
     consecutive jobs shares lockstep chunks when each job's config equals
     the previous one's except in z0 and J, and its index_offset is the
     previous one's index_offset + n_traj, so that the run's stream indices
-    are contiguous; each row of a shared chunk starts from its own job's z0 and steps with
-    its own job's J. Each such run of jobs (a lone job is a run of one) is
-    cut into ceil(total / _MAX_CHUNK_WIDTH) chunks of equal width (see
-    :func:`_tasks`), and the chunks of all runs step on the fork pool of
-    :func:`_map_in_workers`. When chunks fail, the IntegratorInstabilityError
+    are contiguous; each row of a shared chunk starts from its own job's
+    z0 and steps with its own job's J. :func:`_tasks` cuts each such run (a
+    lone job is a run of one) under _MAX_CHUNK_WIDTH, and all the chunks
+    step on the fork pool. When chunks fail, the IntegratorInstabilityError
     raised is that of the first failing chunk in job and index order; within
     a chunk it names the earliest failing step and, at that step, the lowest
     failing row, which may belong to a later job than another row that would
@@ -338,38 +331,54 @@ def _record_at(n_steps, decimation):
     return record_at
 
 
-def _tasks(run, cap):
-    """Yield the chunks ``(cells, first_index)`` of a run of jobs that share
-    lockstep chunks: ceil(total / cap) chunks of equal width (differing by
-    at most one). ``cells`` holds ``(cfg, rows)`` pairs in row order, and
-    the chunk's rows are the streams first_index, first_index + 1, ..."""
+def _tasks(run, cap, record_at=None):
+    """Yield the chunks ``(cells, first_index, record_at)`` of a run of jobs
+    that share lockstep chunks: ceil(groups / max(1, cap // _FOLD_ROWS))
+    chunks of whole groups of _FOLD_ROWS rows, counted from the run's first
+    row, that differ by at most one group. ``cells`` holds ``(cfg, rows)``
+    pairs in row order; the rows are the streams first_index, first_index + 1, ..."""
     ends = list(accumulate(n for _, n, _ in run))
     total = ends[-1]
-    k = -(-total // cap)
-    bounds = [total * i // k for i in range(k + 1)]
+    groups = -(-total // _FOLD_ROWS)
+    k = -(-groups // max(1, cap // _FOLD_ROWS))
+    bounds = [min(total, groups * i // k * _FOLD_ROWS) for i in range(k + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         cells = tuple(
             (cfg, min(hi, end) - max(lo, end - n))
             for (cfg, n, _), end in zip(run, ends)
             if end - n < hi and end > lo
         )
-        yield cells, run[0][2] + lo
+        yield cells, run[0][2] + lo, record_at
 
 
-def _chunk(task, record_at=None):
-    """The :func:`_integrate_chunk` result of one chunk ``(cells,
-    first_index)`` of :func:`_tasks`, recorded on the grid ``record_at``
-    (None for a final-only chunk). Each row starts from its own cell's z0,
-    as a float, and a per-row J is passed only when the cells' J values
-    differ, so a chunk of one config steps with scalar J."""
-    cells, first = task
+def _chunk(task):
+    """The final z of one chunk ``(cells, first_index, record_at)`` of
+    :func:`_tasks`, or, with a recording grid ``record_at``, the
+    :func:`_group_sums` of its recorded matrix. Each row starts from its
+    own cell's z0, as a float, and a per-row J is passed only when the
+    cells' J values differ, so a chunk of one config steps with scalar J."""
+    cells, first, record_at = task
     cfg = cells[0][0]
     counts = [rows for _, rows in cells]
     streams = [derive_stream(cfg.seed, first + i) for i in range(sum(counts))]
     z0 = np.repeat(np.array([c.z0 for c, _ in cells], dtype=float), counts)
     couplings = [c.params.J for c, _ in cells]
     J = np.repeat(couplings, counts) if len(set(couplings)) > 1 else None
-    return _integrate_chunk(cfg, streams, record_at, first, z0, J)
+    out = _integrate_chunk(cfg, streams, record_at, first, z0, J)
+    return out if record_at is None else _group_sums(out, int(record_at.sum()))
+
+
+def _group_sums(rows, n_out):
+    """One row per _FOLD_ROWS-row group of a chunk's [z | offdiag | dq] rows:
+    the group's sums of [z | offdiag | dq | z^2 | offdiag^2]. numpy sums a block
+    of 4 or more columns (2 n_out >= 4) over its leading axis a row at a time."""
+    width = rows.shape[1]
+    sums = np.empty((-(-len(rows) // _FOLD_ROWS), width + 2 * n_out))
+    for out, first in zip(sums, range(0, len(rows), _FOLD_ROWS)):
+        group = rows[first : first + _FOLD_ROWS]
+        group.sum(axis=0, out=out[:width])
+        np.square(group[:, : 2 * n_out]).sum(axis=0, out=out[width:])
+    return sums
 
 
 def _map_in_workers(fn, tasks):
@@ -404,18 +413,6 @@ def _map_in_workers(fn, tasks):
                     pool.shutdown(cancel_futures=True)
                     raise
     return [fn(task) for task in tasks]
-
-
-def _fold(acc, rows, n_out, tile):
-    """Fold a chunk's [z | offdiag | dq] rows into acc as
-    [z | offdiag | dq | z^2 | offdiag^2], a tile of rows at a time."""
-    width = rows.shape[1]
-    for first in range(0, len(rows), len(tile)):
-        part = rows[first : first + len(tile)]
-        block = tile[: len(part)]
-        block[:, :width] = part
-        np.multiply(part[:, : 2 * n_out], part[:, : 2 * n_out], out=block[:, width:])
-        acc.add_rows(block)
 
 
 def _stderr(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:

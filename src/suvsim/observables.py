@@ -1,9 +1,9 @@
 """Ensemble statistics: compensated sums, ensemble summaries, collapse
 counts, and distribution comparison.
 
-All reductions over trajectories run in trajectory-index order with
-Neumaier compensated summation, so results are bitwise independent of how
-the ensemble was chunked or scheduled upstream.
+The engine sums trajectories in groups of 16 and folds the group sums in
+index order with Neumaier compensated summation, so results are bitwise
+independent of how the ensemble was chunked or scheduled upstream.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ __all__ = [
 class CompensatedAccumulator:
     """Neumaier compensated summation, folding one sample row at a time.
 
-    The fold order is fixed by the caller (trajectory index), which makes
-    the total a pure function of the sample sequence: identical bits no
-    matter how samples were batched.
+    The fold order is fixed by the caller (the engine's groups, in
+    trajectory-index order), which makes the total a pure function of the
+    sample sequence: identical bits no matter how samples were batched.
     """
 
     def __init__(self, shape=()):

@@ -273,21 +273,29 @@ def test_unnormalized_step_flags_overflow(monkeypatch):
         scheme=Scheme.UNNORMALIZED_SUV,
         seed=2,
     )
-    # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760.
-    short = dataclasses.replace(cfg, T=80.0)  # trajectory 0 survives this horizon
+    # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760;
+    # of trajectories 19 to 34, 23 fails first, at step 6759, and of 35 to
+    # 47, 36, at step 6394.
+    short = dataclasses.replace(cfg, T=80.0)
     wide = engine._MAX_CHUNK_WIDTH
+    def recorded():
+        simulate_ensemble(short, 29, index_offset=19)
+
     def final_only():
-        simulate_final_z([(short, 3, 0)])
+        simulate_final_z([(short, 29, 19)])
 
     cases = [  # run, chunk width cap, workers, failure
         (lambda: simulate_ensemble(cfg, 3), wide, 2, "trajectory 2, step 6760"),  # row 2 of one batch
-        (lambda: simulate_ensemble(short, 3), 1, 2, "trajectory 1, step 6927"),  # second batch
         (lambda: simulate_ensemble(cfg, 2, index_offset=1), wide, 2,
          "trajectory 2, step 6760"),  # offset + row 1
-        # One trajectory per chunk. On two workers trajectory 2, which fails
-        # at an earlier step, may fail first; the lowest failing index wins.
-        (final_only, 1, 1, "trajectory 1, step 6927"),
-        (final_only, 1, 2, "trajectory 1, step 6927"),
+        (recorded, wide, 2, "trajectory 36, step 6394"),  # one batch: the earliest step
+        # One group of 16 per chunk: 19 to 34, then 35 to 47. On two workers
+        # the second chunk, which fails at an earlier step, may fail first;
+        # the first failing chunk's error wins, recorded or final-only.
+        (recorded, 1, 1, "trajectory 23, step 6759"),
+        (recorded, 1, 2, "trajectory 23, step 6759"),
+        (final_only, 1, 1, "trajectory 23, step 6759"),
+        (final_only, 1, 2, "trajectory 23, step 6759"),
     ]
     for run, width, workers, where in cases:
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)

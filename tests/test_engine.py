@@ -1,8 +1,8 @@
 """Tests of the vectorized ensemble engine: stream derivation, bitwise
 agreement with a per-step replay through the step kernels, determinism
-under chunking, worker counts, offsets, and reruns, and the lifetime of
-the worker processes, for final-only chunks and for noise-validation's
-noise path sets."""
+under chunking, worker counts, offsets, and reruns, the reduction order
+of recorded runs, mirror symmetry, and the lifetime of the worker
+processes, for the chunks and for noise-validation's noise path sets."""
 import math
 import multiprocessing
 import os
@@ -203,7 +203,8 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     # calls to them (kernel calls, noise-update calls); every chunk must
     # call each exactly once per step, recorded or final-only. A final-only
     # run at one worker steps its chunks in the caller, where the trace
-    # sees them too.
+    # sees them too. A chunk holds at least one group of _FOLD_ROWS, so
+    # three groups at cap 1 make three chunks.
     names = ("_suv_heun", "_renormalize", "_ou_update")
     counts = dict.fromkeys(names, 0)
     for name in names:
@@ -216,8 +217,9 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     assert cfg.n_steps == 300
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
     monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
-    recorded, final_only = (lambda: simulate_ensemble(cfg, n_traj=3),
-                            lambda: simulate_final_z([(cfg, 3, 0)]))
+    n = 3 * engine._FOLD_ROWS
+    recorded, final_only = (lambda: simulate_ensemble(cfg, n_traj=n),
+                            lambda: simulate_final_z([(cfg, n, 0)]))
     for run in (recorded, final_only):
         counts.update(dict.fromkeys(names, 0))
         run()
@@ -226,13 +228,14 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
 
 def _final_only_jobs():
     """(cfg, n_traj, index_offset) jobs of a colored OU, a colored SBM and a
-    white Ito ensemble."""
+    white Ito ensemble, of 40 trajectories each: three groups of _FOLD_ROWS
+    (16 + 16 + 8), so that narrow caps cut each job into three chunks."""
     cfgs = (
         _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.05),
         _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5, T=0.05),
         _cfg(Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=0.05),
     )
-    return [(cfg, 11, 5 * i) for i, cfg in enumerate(cfgs)]
+    return [(cfg, 40, 5 * i) for i, cfg in enumerate(cfgs)]
 
 
 def test_worker_count_does_not_change_any_output_bit(monkeypatch):
@@ -260,9 +263,10 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
 
 
 def _sweep_jobs():
-    """Runs of six jobs with mixed z0 and J on contiguous stream ranges,
-    one run per scheme whose kernels take J; consecutive runs differ in
-    scheme, so only the jobs within a run share chunks. The last two cells
+    """Runs of six jobs of 5 trajectories with mixed z0 and J on contiguous
+    stream ranges, one run per scheme whose kernels take J; consecutive runs
+    differ in scheme, so only the jobs within a run share chunks. A run's
+    first group of _FOLD_ROWS ends inside its fourth job. The last two cells
     start from the integer z0 = 1 and 0, which every chunk, even one of
     those cells alone, must step as floats."""
     families = (
@@ -277,15 +281,15 @@ def _sweep_jobs():
     jobs, offset = [], 0
     for family in families:
         for z0, J in cells:
-            jobs.append((_cfg(T=0.02, z0=z0, J=J, **family), 4, offset))
-            offset += 4
+            jobs.append((_cfg(T=0.02, z0=z0, J=J, **family), 5, offset))
+            offset += 5
     return jobs
 
 
 def test_jobs_that_differ_in_z0_and_j_share_chunks_bit_for_bit(monkeypatch):
     # Jobs that differ only in z0 and J, on touching stream ranges, share
     # lockstep chunks: each row starts from its own z0 and steps with its
-    # own J. At any chunk cap (7 cuts chunks inside jobs) and worker count,
+    # own J. At any chunk cap (1 and 7 cut chunks inside jobs) and worker count,
     # every job equals its own separate call bit for bit.
     jobs = _sweep_jobs()
     alone = [simulate_final_z([job])[0] for job in jobs]
@@ -303,9 +307,10 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     # Chunk widths, logged by a stub chunk in whichever process steps it:
     # jobs merge only when their configs differ at most in z0 and J and
     # their stream ranges touch, and a run of jobs is cut into
-    # ceil(total / cap) chunks of equal width, whatever the worker count.
-    # A recorded run goes through the same planner, under the smaller of
-    # _MAX_CHUNK_WIDTH and its element budget's cap.
+    # chunks of whole groups of _FOLD_ROWS, as equal as groups allow,
+    # whatever the worker count. A recorded run goes through the same
+    # planner, under the smaller of _MAX_CHUNK_WIDTH and its element
+    # budget's cap; no cap cuts a group.
     log = tmp_path / "widths"
 
     def chunk(cfg, streams, record_at, first_index, z0, J):
@@ -326,7 +331,7 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
         ([(cfg, 3, 0), (other, 3, 4)], [3, 3]),  # a gap between the ranges
         ([(cfg, 4000, 0), (other, 4000, 0)], [4000, 4000]),  # both from 0, as in criterion 5
         ([(cfg, 4000, 0)], [4000]),
-        ([(cfg, 6000, 0), (other, 9000, 6000)], [7500, 7500]),  # not 10000 + 5000
+        ([(cfg, 6000, 0), (other, 9000, 6000)], [7504, 7496]),  # 469 + 469 groups
     ]
 
     def logged_widths():
@@ -334,9 +339,12 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
         return [width for _, width in logged]
 
     # recorded runs of 23 (1202 recorded columns): (cap, element budget, widths)
+    cap, budget = engine._MAX_CHUNK_WIDTH, engine._CHUNK_ELEMENT_BUDGET
     recorded = [
-        (7, engine._CHUNK_ELEMENT_BUDGET, [5, 6, 6, 6]),  # not 7 + 7 + 7 + 2
-        (engine._MAX_CHUNK_WIDTH, 4 * 1202 + 1, [3, 4, 4, 4, 4, 4]),  # the budget binds at 4
+        (cap, budget, [23]),
+        (7, budget, [16, 7]),  # whole groups, not 5 + 6 + 6 + 6
+        (cap, 16 * 1202 + 1, [16, 7]),  # the budget binds at 16
+        (cap, 32 * 1202 - 1, [16, 7]),  # and at 31, which holds one group only
     ]
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
@@ -345,12 +353,14 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
             finals = simulate_final_z(jobs)
             assert [len(z) for z in finals] == [n for _, n, _ in jobs]
             assert logged_widths() == widths
-    for cap, budget, widths in recorded:  # recorded chunks step in the caller
+        for width, elements, widths in recorded:
+            monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+            monkeypatch.setattr(engine, "_CHUNK_ELEMENT_BUDGET", elements)
+            log.write_text("")
+            assert simulate_ensemble(cfg, 23, decimation=10, index_offset=4).n_traj == 23
+            assert logged_widths() == widths
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", cap)
         monkeypatch.setattr(engine, "_CHUNK_ELEMENT_BUDGET", budget)
-        log.write_text("")
-        assert simulate_ensemble(cfg, 23, decimation=10, index_offset=4).n_traj == 23
-        assert logged_widths() == widths
 
 
 def test_failing_merged_chunk_names_its_earliest_failing_step(monkeypatch):
@@ -374,8 +384,8 @@ def test_failing_merged_chunk_names_its_earliest_failing_step(monkeypatch):
 
 
 def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path):
-    # noise-validation's two noise kinds are tasks of the workers' pool;
-    # fig1a's and fig1b's recorded ensembles run in the caller. At 1 and 2
+    # noise-validation's two noise kinds are tasks of the workers' pool,
+    # as the chunks of fig1a's and fig1b's recorded ensembles are. At 1 and 2
     # workers every file, the single-trajectory dumps and the manifests
     # included, is the same bytes. At 2 workers no path set is simulated
     # in the caller, at 1 both are.
@@ -430,14 +440,14 @@ def test_final_only_chunks_run_in_worker_processes(monkeypatch, tmp_path):
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
-    jobs = _final_only_jobs()  # 3 jobs of 11: 18 chunks
+    jobs = _final_only_jobs()  # 3 jobs of 40, a chunk per group: 9 chunks
     parallel = len(os.sched_getaffinity(0)) >= 2
     for workers in (1, 2):
         log.write_text("")
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         simulate_final_z(jobs)
         pids = log.read_text().split()
-        assert len(pids) == 18
+        assert len(pids) == 9
         if workers == 2 and parallel:
             assert str(os.getpid()) not in pids and len(set(pids)) <= 2
         else:
@@ -451,19 +461,19 @@ def test_no_worker_outlives_the_call(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
     cfg = _cfg(Scheme.SUV_COLORED)
-    simulate_final_z([(cfg, 6, 0)])
+    simulate_final_z([(cfg, 48, 0)])  # three chunks of one group each
     assert multiprocessing.active_children() == []
 
     def failing(cfg, streams, record_at, first_index, z0, J):
         if first_index == 0:
             return np.zeros(len(streams))
-        if first_index == 2:
-            time.sleep(0.5)  # chunk 4 fails first
+        if first_index == 16:
+            time.sleep(0.5)  # the chunk at 32 fails first
         raise IntegratorInstabilityError(f"trajectory {first_index}, step 1: failed")
 
     monkeypatch.setattr(engine, "_integrate_chunk", failing)
-    with pytest.raises(IntegratorInstabilityError, match="^trajectory 2, step 1: failed$"):
-        simulate_final_z([(cfg, 6, 0)])
+    with pytest.raises(IntegratorInstabilityError, match="^trajectory 16, step 1: failed$"):
+        simulate_final_z([(cfg, 48, 0)])
     assert multiprocessing.active_children() == []
 
 
@@ -505,11 +515,13 @@ def test_final_only_run_holds_no_per_step_draw_matrix():
 
 
 def test_recorded_run_holds_one_chunk_matrix_at_a_time(monkeypatch):
-    # Each chunk's (m, 2 n_out + n_steps) matrix is folded as soon as the
-    # chunk returns and dropped before the next chunk steps: two chunks of
-    # 200 peak at well under two matrices (7.68 MB each).
+    # A process that steps chunks reduces each chunk's (m, 2 n_out +
+    # n_steps) matrix to its group sums before the next chunk steps: at one
+    # worker, where every chunk steps in the caller, chunks of at most 200
+    # peak at well under two 200-wide matrices (7.68 MB each).
     cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=4.0)
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 200)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
     matrix = 200 * (2 * 401 + cfg.n_steps) * 8
     tracemalloc.start()
     try:
@@ -573,19 +585,28 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
 
 
 def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
+    # At every chunk cap and worker count, recorded summaries and final z
+    # are the same bits. Chunks are whole groups of _FOLD_ROWS, so at caps
+    # 1 and 7 the 23 trajectories step 2 chunks (16 + 7) and the 50 step 4
+    # (16 + 16 + 16 + 2), which the pool splits between 2 workers.
     cfg = _cfg(Scheme.SUV_COLORED, T=0.1, seed=321)
-    runs = []
-    for width in (1, 7, engine._MAX_CHUNK_WIDTH):
-        monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-        runs.append((simulate_ensemble(cfg, n_traj=23, decimation=10),
-                     *simulate_final_z([(cfg, 23, 0)])))
-    ref, ref_z = runs[0]
-    for other, final_z in runs[1:]:
-        assert np.array_equal(ref_z, final_z)
-        assert np.array_equal(ref.mean_z, other.mean_z)
-        assert np.array_equal(ref.stderr_z, other.stderr_z)
-        assert np.array_equal(ref.mean_offdiag, other.mean_offdiag)
-        assert np.array_equal(ref.qv, other.qv)
+    default = engine._MAX_CHUNK_WIDTH
+    for n_traj in (23, 50):
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+            for width in (1, 7, default):
+                monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+                runs.append((simulate_ensemble(cfg, n_traj=n_traj, decimation=10),
+                             *simulate_final_z([(cfg, n_traj, 0)])))
+        ref, ref_z = runs[0]
+        for other, final_z in runs[1:]:
+            assert np.array_equal(ref_z, final_z)
+            assert np.array_equal(ref.mean_z, other.mean_z)
+            assert np.array_equal(ref.stderr_z, other.stderr_z)
+            assert np.array_equal(ref.mean_offdiag, other.mean_offdiag)
+            assert np.array_equal(ref.stderr_offdiag, other.stderr_offdiag)
+            assert np.array_equal(ref.qv, other.qv)
 
 
 def test_index_offset_selects_the_same_subensemble():
@@ -617,10 +638,16 @@ def test_quadratic_variation_separates_smooth_from_rough_paths():
     assert rough[0] > 50.0 * smooth[0]
 
 
-def _neumaier_sum(values):
-    """Neumaier compensated sum of ``values`` in order, one float at a time."""
+def _grouped_neumaier_sum(values):
+    """The engine's sum of ``values``, in index order: each group of
+    _FOLD_ROWS consecutive values is summed one float at a time, and the
+    group sums are added with Neumaier compensation, one at a time."""
     total = comp = 0.0
-    for x in values:
+    for first in range(0, len(values), engine._FOLD_ROWS):
+        group = values[first : first + engine._FOLD_ROWS]
+        x = group[0]
+        for v in group[1:]:
+            x = x + v
         t = total + x
         if abs(total) >= abs(x):
             comp += (total - t) + x
@@ -630,19 +657,39 @@ def _neumaier_sum(values):
     return total + comp
 
 
+def test_group_sums_add_each_groups_rows_one_at_a_time_in_order():
+    # numpy reduces a block of three or fewer columns pairwise, along the
+    # summed axis; the recorded widths are never that narrow (2 n_out >= 4),
+    # and at the narrowest ones, one step and four steps recorded at
+    # decimation 1, the group sums are the rows added in turn.
+    rng = np.random.default_rng(5)
+    for n_out, n_steps in ((2, 1), (5, 4), (3, 40)):
+        rows = rng.standard_normal((37, 2 * n_out + n_steps))
+        rows *= 10.0 ** rng.integers(-8, 8, size=(37, 1))
+        full = np.hstack([rows, np.square(rows[:, : 2 * n_out])])
+        want = []
+        for first in range(0, 37, engine._FOLD_ROWS):
+            total = full[first].copy()
+            for row in full[first + 1 : first + engine._FOLD_ROWS]:
+                total = total + row
+            want.append(total)
+        assert np.array_equal(engine._group_sums(rows, n_out), np.array(want))
+
+
 def test_engine_qv_matches_observables_reconstruction():
-    # Rebuild every amplitude increment through the per-step replay, fold
-    # each step's squares over trajectories in index order, take the mean
-    # and its running sum: the engine series must match bit for bit at the
-    # recorded grid points.
+    # Rebuild every amplitude increment through the per-step replay, sum
+    # each step's squares over trajectories in index order, in groups and
+    # then over the groups (two groups here), take the mean and its running
+    # sum: the engine series must match bit for bit at the recorded grid
+    # points.
     cfg = _cfg(Scheme.SUV_COLORED, T=0.02, seed=9)
-    n_traj, dec = 4, 7
+    n_traj, dec = 20, 7
     res = simulate_ensemble(cfg, n_traj=n_traj, decimation=dec)
     incs = np.empty((n_traj, cfg.n_steps))
     for i in range(n_traj):
         a = np.array([s[0][0] for s in _replay(cfg, i)[0]])
         incs[i] = np.diff(a)
-    means = [max(_neumaier_sum(col * col) / n_traj, 0.0) for col in incs.T]
+    means = [max(_grouped_neumaier_sum(col * col) / n_traj, 0.0) for col in incs.T]
     qv_full = np.cumsum([0.0] + means)
     out_idx = np.array([0, 7, 14, 20])
     assert np.array_equal(res.qv, qv_full[out_idx])
@@ -736,3 +783,44 @@ def test_noise_paths_are_the_field_a_colored_run_sees(scheme, kind):
     cfg = _cfg(scheme, kind=kind, tau=0.5, T=(_BLOCK_STEPS + 7) * 1e-3)
     for i in (0, 5):
         _assert_engine_matches_replay(cfg, i)
+
+
+def test_negated_draws_from_the_mirrored_state_mirror_every_amplitude_scheme(monkeypatch):
+    # Negating every drawn normal and steady draw and starting from 1 - z0
+    # maps each trajectory's (a, b) to (b, a) exactly: a sign flip is exact,
+    # and so are commuted sums and products. So offdiag = a b keeps its bits
+    # and z_A + z_B = a^2 + b^2 stays within round-off of the norm. The
+    # z-scalar schemes are left out: 1 - z rounds.
+    cases = [
+        (Scheme.SUV_COLORED, dict(kind=NoiseKind.OU)),
+        (Scheme.SUV_COLORED, dict(kind=NoiseKind.SBM, tau=0.5)),
+        (Scheme.SUV_COLORED, dict(kind=NoiseKind.FROZEN_SBM)),
+        (Scheme.WHITE_STRAT, dict(kind=NoiseKind.NONE, Deff=math.sqrt(2.0))),
+        (Scheme.WHITE_ITO, dict(kind=NoiseKind.NONE, Deff=math.sqrt(2.0))),
+        (Scheme.SSE, dict(kind=NoiseKind.NONE)),
+        (Scheme.UNNORMALIZED_SUV, dict(kind=NoiseKind.FROZEN_OU)),
+    ]
+
+    def negated_normals(streams, n_steps, _fn=engine._stream_normals):
+        for block in _fn(streams, n_steps):
+            yield np.negative(block, out=block)
+
+    def negated_steady(model, n, rng, _fn=engine.steady_samples):
+        return -_fn(model, n, rng)
+
+    def run(cfg):
+        return simulate_ensemble(cfg, n_traj=40, decimation=10)
+
+    for z0 in (0.6, 0.25):
+        assert 1.0 - (1.0 - z0) == z0
+        for scheme, noise in cases:
+            mirrored = [_cfg(scheme, T=0.2, z0=z, seed=31, **noise) for z in (z0, 1.0 - z0)]
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "_stream_normals", negated_normals)
+                patch.setattr(engine, "steady_samples", negated_steady)
+                b = run(mirrored[1])
+            a = run(mirrored[0])
+            # without the negated draws the mirrored start does not mirror
+            assert not np.array_equal(a.mean_offdiag, run(mirrored[1]).mean_offdiag)
+            assert np.array_equal(a.mean_offdiag, b.mean_offdiag), (scheme, noise)
+            assert np.max(np.abs(a.mean_z + b.mean_z - 1.0)) <= 4.4e-16, (scheme, noise)

@@ -130,6 +130,12 @@ def test_make_config_rejects_bad_input(tmp_path):
         message = f"^{key} must be a real number, got {re.escape(repr(value))}$"
         with pytest.raises(ConfigError, match=message):
             make_config("fig1a", **{key: value})
+    # float() raises OverflowError on an integer or fraction too large for
+    # a double; a library caller gets a ConfigError that names the key.
+    for key, value in (("J", 10**400), ("T", 10**400), ("z0", Fraction(-(10**400), 3))):
+        with pytest.raises(ConfigError, match=f"^{key} is too large for a float$"):
+            make_config("fig1a", **{key: value})
+    assert make_config("fig1a", J=10**300).J == 1e300  # large but in range
     for value in (3, b"results"):
         with pytest.raises(ConfigError, match="^output_dir must be a str or os.PathLike, got"):
             make_config("fig1a", output_dir=value)

@@ -50,8 +50,9 @@ def test_quadratic_variation_small_case(monkeypatch):
     increments = {0: [0.1, 0.2], 1: [0.3, 0.4]}
 
     def chunk(cfg, streams, record_at, first_index, z0, J):
-        row = [0.6] * 3 + [0.4] * 3 + list(np.square(increments[first_index]))
-        return np.array([row])
+        rows = [[0.6] * 3 + [0.4] * 3 + list(np.square(increments[first_index + i]))
+                for i in range(len(streams))]
+        return np.array(rows)
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     cfg = TrajectoryConfig(
@@ -63,7 +64,6 @@ def test_quadratic_variation_small_case(monkeypatch):
         scheme=Scheme.SUV_COLORED,
         seed=1,
     )
-    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
     qv = simulate_ensemble(cfg, n_traj=2, decimation=1).qv
     assert qv == pytest.approx([0.0, 0.05, 0.15], rel=1e-14)
     assert np.all(np.diff(qv) >= 0.0)
