@@ -206,7 +206,19 @@ _SCRATCH = 13
 
 def _workspace(m):
     """Scratch vectors for any step kernel, or _renormalize, over m trajectories."""
-    return tuple(np.empty((_SCRATCH, m)))
+    return tuple(_aligned_rows(_SCRATCH, m))
+
+
+def _aligned_rows(n, m):
+    """An uninitialized (n, m) float array whose rows each start on a 64-byte
+    cache line. Where malloc puts an array depends on everything allocated
+    before it, and on a 2-core Xeon host, fig1a's kernels over 2000-wide
+    vectors ran 10-17% slower when their workspace started 48 bytes into
+    a line."""
+    stride = -(-m // 8) * 8
+    raw = np.empty(n * stride + 8)
+    first = -raw.ctypes.data % 64 // 8
+    return raw[first : first + n * stride].reshape(n, stride)[:, :m]
 
 
 def _sigma3(a, b, out, t):

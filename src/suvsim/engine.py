@@ -17,7 +17,9 @@ rather than an (m, n_steps) matrix, and each step reads its draws as one
 contiguous row. A counter-based stream yields the same sequence however
 its draws are split into calls, so the block length changes no output bit.
 :func:`_field` is the one setup of a field's draws and advance, for the
-chunks and for the noise paths of :func:`simulate_paths`.
+chunks and for the time-major noise path blocks of :func:`_field_blocks`,
+which :func:`simulate_paths` collects into a matrix and noise validation
+streams into its estimator.
 
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk. The step loop allocates no arrays: once per chunk it sets up
@@ -45,29 +47,31 @@ amplitude increments, never the field: the field of a one-trajectory run
 is the path :func:`simulate_paths` gives on its stream. Independent units
 of work run through one fork pool, :func:`_map_in_workers`: at most
 _MAX_WORKERS forked worker processes, created and joined inside each
-call, with results and the first error in task order. Both
-:func:`simulate_ensemble` and :func:`simulate_final_z`, the one producer
+call, with results, handed over as they arrive, and the first error in
+task order. Both :func:`simulate_ensemble`, which folds each chunk's
+group sums as it arrives, and :func:`simulate_final_z`, the one producer
 of final z, map their chunks over it. Consecutive final-only ensembles
 that differ only in z0 and J, on touching stream ranges (the cells of a
 sweep), share chunks: z0 enters a trajectory only through its initial
 state, and J only as one operand of an elementwise product, so a chunk
 takes both per row and every row keeps the bits of a run of its own. The
-noise-validation experiment maps its two noise kinds' path sets over the
-same pool. The worker count changes no chunk width, so no output bit and
-no error message depends on it.
+noise-validation experiment maps its two noise kinds over the same pool.
+The worker count changes no chunk width, so no output bit and no error
+message depends on it.
 """
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
 from .dynamics import (
     Scheme,
     TrajectoryConfig,
+    _aligned_rows,
     _renormalize,
     _sse_em,
     _suv_heun,
@@ -176,8 +180,12 @@ def simulate_ensemble(
     cap = max(1, min(_MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
     tasks = list(_tasks([(cfg, n_traj, index_offset)], cap, record_at))
     acc = CompensatedAccumulator(4 * n_out + n_steps)
-    for sums in _map_in_workers(_chunk, tasks):  # one row per group, in index order
-        acc.add_rows(sums)
+
+    def fold(chunks):  # each chunk's group rows as it arrives, in index order
+        for sums in chunks:
+            acc.add_rows(sums)
+
+    _map_in_workers(_chunk, tasks, fold)
 
     total = acc.total
     sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
@@ -241,14 +249,14 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
 def simulate_paths(model, n_steps: int, dt: float, streams):
     """Generate steady-state noise paths, one per random stream.
 
-    Each path is drawn and advanced by :func:`_field`, as the field of a
-    colored ensemble is, from its own stream alone: it is a pure function
-    of (stream seed, model, dt, n_steps), whatever other paths run
-    alongside it, and equals the field a one-trajectory colored run on the
-    same stream sees. Besides the returned paths only a (block, n) buffer
-    of draws is held: each step writes the advanced field over the normals
-    it read, and the block is copied into the result transposed, a tile of
-    streams at a time.
+    The paths are the time-major blocks of :func:`_field_blocks`, copied
+    into one matrix transposed, a tile of streams at a time. Each path is
+    drawn and advanced by :func:`_field`, as the field of a colored
+    ensemble is, from its own stream alone: it is a pure function of
+    (stream seed, model, dt, n_steps), whatever other paths run alongside
+    it, and equals the field a one-trajectory colored run on the same
+    stream sees. Noise validation streams the blocks into its estimator
+    instead and never builds this matrix.
 
     Parameters
     ----------
@@ -265,6 +273,28 @@ def simulate_paths(model, n_steps: int, dt: float, streams):
     -------
     numpy.ndarray, shape (len(streams), n_steps + 1)
     """
+    blocks = _field_blocks(model, n_steps, dt, streams)
+    first = next(blocks)  # the t = 0 row, once the arguments pass their checks
+    n = first.shape[1]
+    out = np.empty((n, n_steps + 1))
+    k = 0
+    for block in chain((first,), blocks):
+        for tile in range(0, n, _TILE_STREAMS):
+            last = tile + _TILE_STREAMS
+            out[tile:last, k : k + len(block)] = block[:, tile:last].T
+        k += len(block)
+    return out
+
+
+def _field_blocks(model, n_steps: int, dt: float, streams):
+    """Yield one steady-state field path per stream, time-major: first the
+    (1, n) row at t = 0, then blocks of at most _BLOCK_STEPS steps, n_steps
+    rows in all. Column r is the path on ``streams[r]``, drawn and advanced
+    by :func:`_field`; each step writes the advanced field over the normals
+    it read. The blocks are views of buffers that later blocks overwrite,
+    so a consumer reads each block before it asks for the next. The
+    arguments are checked when the first block is requested.
+    """
     if model.kind is NoiseKind.NONE:
         raise NotApplicableError("cannot simulate paths for noise kind 'none'")
     check_integer("n_steps", n_steps)
@@ -277,28 +307,21 @@ def simulate_paths(model, n_steps: int, dt: float, streams):
     if n == 0:
         raise InvalidParameterError("at least one random stream is required")
 
-    xi, blocks, advance = _field(model, dt, streams, n_steps, tuple(np.empty((2, n))))
-
-    out = np.empty((n, n_steps + 1))
-    out[:, 0] = xi
+    xi, blocks, advance = _field(model, dt, streams, n_steps, tuple(_aligned_rows(2, n)))
+    yield xi[None]
     if advance is None:
-        out[:, 1:] = xi[:, None]
-        return out
-
+        if n_steps:
+            yield np.broadcast_to(xi, (n_steps, n))
+        return
     # The advanced field overwrites the normals it consumed: both updates
     # read their normals before they write ``out``.
-    k = 1
     for block in blocks:
         prev = xi
         for normals in block:
             advance(prev, normals, normals)
             prev = normals
-        np.copyto(xi, prev)
-        for first in range(0, n, _TILE_STREAMS):
-            last = first + _TILE_STREAMS
-            out[first:last, k : k + len(block)] = block[:, first:last].T
-        k += len(block)
-    return out
+        np.copyto(xi, prev)  # the next block overwrites this one
+        yield block
 
 
 def _check_range(n_traj, index_offset):
@@ -381,17 +404,22 @@ def _group_sums(rows, n_out):
     return sums
 
 
-def _map_in_workers(fn, tasks):
-    """``fn(task)`` for every task, in task order.
+def _map_in_workers(fn, tasks, consume=list):
+    """``consume(results)``, where ``results`` iterates over ``fn(task)`` for
+    every task, in task order; the default returns the results as a list.
 
     The tasks run on min(_MAX_WORKERS, usable cores, tasks) forked worker
     processes, or in the calling process when that is below 2 or the
-    caller is itself a daemonic worker. ``fn`` must be a module-level
-    function, and tasks and results must pickle. The pool is created and
-    joined inside the call; when tasks fail, the error raised is that of
-    the first failing task in task order, the one a serial run raises, once
-    the running tasks finish; queued ones are cancelled. A worker that ends
-    abruptly (killed by the OOM killer, say) raises a SimulationError.
+    caller is itself a daemonic worker. ``results`` yields each result as
+    soon as it and every earlier one have arrived, so ``consume`` can fold
+    one while later tasks run; it runs in the calling process. ``fn`` must
+    be a module-level function, and tasks and results must pickle. The
+    pool is created and joined inside the call; when tasks fail, the error
+    raised is that of the first failing task in task order, the one a
+    serial run raises, once the running tasks finish; queued ones are
+    cancelled, as they are when ``consume`` raises or returns early. A
+    worker that ends abruptly (killed by the OOM killer, say) raises a
+    SimulationError.
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
@@ -406,13 +434,12 @@ def _map_in_workers(fn, tasks):
                 try:
                     # map yields in task order, so the first error raised is
                     # the first failing task's, whichever worker failed first.
-                    return list(pool.map(fn, tasks))
+                    return consume(pool.map(fn, tasks))
                 except BrokenProcessPool as exc:
                     raise SimulationError("a worker process ended abruptly") from exc
-                except BaseException:
+                finally:
                     pool.shutdown(cancel_futures=True)
-                    raise
-    return [fn(task) for task in tasks]
+    return consume(map(fn, tasks))
 
 
 def _stderr(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
@@ -523,7 +550,7 @@ def _stream_normals(streams, n_steps: int):
     block before asking for the next.
     """
     m = len(streams)
-    buf = np.empty((min(n_steps, _BLOCK_STEPS), m))
+    buf = _aligned_rows(min(n_steps, _BLOCK_STEPS), m)
     tile = np.empty((min(m, _TILE_STREAMS), buf.shape[0]))
     for start in range(0, n_steps, _BLOCK_STEPS):
         width = min(_BLOCK_STEPS, n_steps - start)
@@ -547,7 +574,8 @@ def _field(model, dt, streams, n_steps, ws):
     kernels up in this module's globals on every call. A frozen field draws
     nothing more: ``advance`` is None and one empty block spans every step.
     """
-    xi = np.array([steady_samples(model, 1, g)[0] for g in streams])
+    xi = _aligned_rows(1, len(streams))[0]
+    xi[:] = [steady_samples(model, 1, g)[0] for g in streams]
     if model.kind.is_frozen:
         return xi, (np.empty((n_steps, 0)),), None
     if model.kind is NoiseKind.OU:
@@ -593,17 +621,21 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     # The state alternates between two buffers: a step reads one and writes
     # the other, so the previous amplitude stays intact for the increment.
     if scheme.is_scalar:
-        state, spare, raw = z0, np.empty(m), None
+        state, spare = _aligned_rows(2, m)
+        np.copyto(state, z0)
+        raw = None
     else:
-        state = (np.sqrt(z0), np.sqrt(1.0 - z0))
-        spare, raw = (np.empty(m), np.empty(m)), (np.empty(m), np.empty(m))
+        a, b, *vectors = _aligned_rows(6, m)
+        state = (np.sqrt(z0, out=a), np.sqrt(1.0 - z0, out=b))
+        spare, raw = tuple(vectors[:2]), tuple(vectors[2:])
 
     rows = None
     if record_at is not None:  # the grid always starts at t = 0
         n_out = int(record_at.sum())
         rows = np.empty((m, 2 * n_out + n_steps))
         z_rows, off_rows, dq_rows = np.split(rows, [n_out, 2 * n_out], axis=1)
-        alpha, alpha_spare = amplitude(state, np.empty(m)), np.empty(m)
+        alpha, alpha_spare = _aligned_rows(2, m)
+        alpha = amplitude(state, alpha)
         observe(state, z_rows[:, 0], off_rows[:, 0], ws)
         pos = 1
 

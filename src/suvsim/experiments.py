@@ -15,8 +15,8 @@ import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import _map_in_workers, _record_at, derive_stream, simulate_ensemble
-from .engine import simulate_final_z, simulate_paths
+from .engine import _field_blocks, _map_in_workers, _record_at, derive_stream
+from .engine import simulate_ensemble, simulate_final_z, simulate_paths
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, steady_samples
@@ -202,13 +202,16 @@ def _noise_kind_statistics(task):
     _FIT_LAGS lags k * quarter_steps of their grid (quarter_steps steps
     being tau / 4), and _STEADY_SAMPLES steady draws from the stream
     ``steady_stream = (seed, index)`` are compared with the exact
-    stationary law. Returns the estimates and the KS distance.
+    stationary law. The paths' time-major blocks stream into
+    :func:`autocorrelation` as they are stepped, so no path matrix is
+    built: the estimates are those of ``autocorrelation(simulate_paths(...))``
+    on the same streams, bit for bit. Returns the estimates and the KS
+    distance.
     """
     model, n_steps, dt, seed, first_index, n, quarter_steps, steady_stream = task
     streams = [derive_stream(seed, first_index + i) for i in range(n)]
-    paths = simulate_paths(model, n_steps, dt, streams)
-    values = autocorrelation(paths, [k * quarter_steps for k in range(_FIT_LAGS)])
-    del paths
+    fields = _field_blocks(model, n_steps, dt, streams)
+    values = autocorrelation(fields, [k * quarter_steps for k in range(_FIT_LAGS)])
     draws = steady_samples(model, _STEADY_SAMPLES, derive_stream(*steady_stream))
     return values, _steady_ks(model.kind, draws)
 
@@ -220,9 +223,11 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     against its exponential target, an exponential-rate fit over lags up to
     3 tau, and a one-sample KS distance of fresh steady-state draws against
     the exact stationary law. The autocovariance is estimated once per lag
-    of the fit grid, which holds the three report lags. The two processes
-    run concurrently on the engine's workers. Raises ConfigError, before
-    any path is simulated, when tau / 4 is not a whole number of steps or
+    of the fit grid, which holds the three report lags, while the paths
+    are stepped: each worker holds a ring of the last 3 tau of steps and
+    one block of draws, never a path matrix. The two processes run
+    concurrently on the engine's workers. Raises ConfigError, before any
+    path is stepped, when tau / 4 is not a whole number of steps or
     3 tau exceeds the horizon, and InconclusiveError, before any file is
     written, when an autocovariance on the fit grid is not positive, since
     its logarithm would make the fitted rate NaN.
@@ -288,10 +293,18 @@ def _steady_ks(kind: NoiseKind, draws: np.ndarray) -> float:
     if kind.is_bounded:
         cdf = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
     else:
-        cdf = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
+        cdf = _normal_cdf(x)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
+
+
+def _normal_cdf(x: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 (1 + erf(x / sqrt 2)), with math.erf on each
+    value: numpy has no erf. The division is the one IEEE operation the
+    scalar form performs, done on the whole array."""
+    scaled = x / math.sqrt(2.0)
+    return 0.5 * (1.0 + np.fromiter(map(math.erf, scaled.tolist()), float, x.size))
 
 
 def run_frozen_limit(cfg: ExperimentConfig, outdir: str) -> list[str]:

@@ -20,11 +20,14 @@ frozen (constant-per-trajectory) variants of each:
 
 Initial values are drawn from the steady state. The engine
 (:mod:`suvsim.engine`) draws every field path and advances it with the
-update kernels defined here.
+update kernels defined here. :func:`autocorrelation` estimates the
+stationary autocovariance of paths streamed to it in time-major blocks as
+they are stepped, or of one path matrix, with the same bits either way.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +36,10 @@ import numpy as np
 from .errors import InvalidParameterError, NotApplicableError, check_integer
 
 __all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation"]
+
+# Time steps per window of the autocovariance estimator: the products of a
+# window, (_WINDOW_STEPS, n_traj), are formed and summed while in cache.
+_WINDOW_STEPS = 16
 
 
 class NoiseKind(str, Enum):
@@ -137,32 +144,102 @@ def autocorrelation(paths, lags) -> np.ndarray:
     per lag k of ``lags``.
 
     Averages over trajectories and over all time origins of steady-state
-    paths sampled on a uniform grid. The products of every lag are formed
-    in one reused buffer the size of the paths.
+    paths sampled on a uniform grid. The paths are streamed: the estimator
+    keeps a ring of the last max(lags) time steps plus one window of
+    _WINDOW_STEPS, and never the whole paths. Each window of absolute
+    time [a, a + _WINDOW_STEPS) adds, per lag k, the sum of x_(t-k) x_t
+    over its steps t >= k (formed in one window-sized buffer, so it stays
+    in cache), and, per step, the sum of x_t over trajectories; the lag
+    means are range sums of those step sums. Partial sums are added with
+    math.fsum. The windows are fixed by absolute time, so the estimates
+    are the same bits however the paths are split into blocks, and each
+    lag's estimate is the same whatever the other lags are.
 
     Parameters
     ----------
-    paths : array_like, shape (n_traj, n_times)
-        Noise paths started in the steady state.
+    paths : array_like of shape (n_traj, n_times), or an iterator of blocks
+        Noise paths started in the steady state: either one path matrix,
+        or an iterator (such as a generator) of time-major blocks of shape
+        (steps, n_traj) that starts at t = 0, each block read before the
+        next is requested.
     lags : sequence of int
-        Lags in grid steps, each 0 <= k < n_times.
+        Lags in grid steps, each 0 <= k < n_times. Their type and sign are
+        checked before any block is requested.
     """
-    arr = np.asarray(paths, dtype=float)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InvalidParameterError("paths must be a nonempty (n_traj, n_times) array")
-    n_times = arr.shape[1]
     if np.ndim(lags) != 1:
         raise InvalidParameterError(f"lags must be a sequence of steps, got {lags!r}")
     for k in lags:
-        if not isinstance(k, (int, np.integer)) or not 0 <= k < n_times:
+        if not isinstance(k, (int, np.integer)) or k < 0:
+            raise InvalidParameterError(f"lag must be a nonnegative whole number of steps, got {k}")
+    lags = [int(k) for k in lags]
+    if isinstance(paths, Iterator):
+        blocks = paths
+    else:
+        arr = np.asarray(paths, dtype=float)
+        if arr.ndim != 2 or arr.size == 0:
+            raise InvalidParameterError("paths must be a nonempty (n_traj, n_times) array")
+        _check_lags_within(lags, arr.shape[1])
+        blocks = (arr.T,)
+
+    w = _WINDOW_STEPS
+    ring = scratch = None  # allocated once the path count is known
+    step_sums = []  # sum over trajectories of x_t, per step t
+    products = [[] for _ in lags]  # per lag, each window's sum of x_(t-k) x_t
+    t = 0  # steps fed so far
+
+    def window(a, b):
+        now = ring[a % size : a % size + b - a]
+        step_sums.extend(now.sum(axis=1).tolist())
+        for k, sums in zip(lags, products):
+            lo = max(a, k)
+            if lo >= b:
+                continue
+            rows = b - lo
+            y = ring[lo % size : lo % size + rows]
+            s = (lo - k) % size
+            head = min(rows, size - s)  # the lagged rows may wrap around the ring
+            xy = scratch[:rows]
+            np.multiply(ring[s : s + head], y[:head], out=xy[:head])
+            np.multiply(ring[: rows - head], y[head:], out=xy[head:])
+            sums.append(float(xy.sum()))
+
+    for block in blocks:
+        block = np.asarray(block, dtype=float)
+        if ring is None:
+            if block.ndim != 2 or block.shape[1] == 0:
+                raise InvalidParameterError("blocks must be (steps, n_traj) arrays with n_traj >= 1")
+            n = block.shape[1]
+            # a whole number of windows that holds the longest lag's history
+            size = -(-(max(lags, default=0) + w) // w) * w
+            ring, scratch = np.empty((size, n)), np.empty((w, n))
+        elif block.ndim != 2 or block.shape[1] != n:
+            raise InvalidParameterError(f"every block must have {n} columns, got {block.shape}")
+        i = 0
+        while i < len(block):  # in pieces that end at window edges
+            take = min(len(block) - i, w - t % w)
+            ring[t % size : t % size + take] = block[i : i + take]
+            i += take
+            t += take
+            if t % w == 0:
+                window(t - w, t)
+    if t == 0:
+        raise InvalidParameterError("paths must hold at least one time step")
+    if t % w:
+        window(t - t % w, t)
+    _check_lags_within(lags, t)
+
+    estimates = np.empty(len(lags))
+    for j, (k, sums) in enumerate(zip(lags, products)):
+        count = n * (t - k)
+        mean_x = math.fsum(step_sums[: t - k]) / count
+        mean_y = math.fsum(step_sums[k:]) / count
+        estimates[j] = math.fsum(sums) / count - mean_x * mean_y
+    return estimates
+
+
+def _check_lags_within(lags, n_times):
+    for k in lags:
+        if k >= n_times:
             raise InvalidParameterError(
                 f"lag must be a whole number of steps in [0, {n_times}), got {k}"
             )
-    buffer = np.empty(arr.size)
-    estimates = np.empty(len(lags))
-    for j, k in enumerate(lags):
-        x = arr[:, : n_times - k] if k else arr
-        y = arr[:, k:]
-        xy = np.multiply(x, y, out=buffer[: x.size].reshape(x.shape))
-        estimates[j] = np.mean(xy) - np.mean(x) * np.mean(y)
-    return estimates

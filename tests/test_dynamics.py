@@ -24,6 +24,7 @@ from suvsim import (
     simulate_final_z,
 )
 from suvsim.dynamics import (
+    _aligned_rows,
     _renormalize,
     _sse_em,
     _suv_heun,
@@ -455,6 +456,16 @@ def test_kernels_match_allocating_expressions_bit_for_bit():
     assert np.array_equal(ka, ref_ka) and np.array_equal(kb, ref_kb)
     k = _z_colored_rate(z0, G * xi, J, np.empty(n), np.empty(n))
     assert np.array_equal(k, _ref_z_colored_rate(z0, xi, J, G))
+
+
+def test_step_vectors_start_on_cache_lines():
+    # Every row of the step loop's vectors starts on a 64-byte line, whatever
+    # the width, so kernel speed does not depend on malloc's placement.
+    for n, m in ((13, 1), (13, 7), (2, 2000), (6, 7501), (0, 5)):
+        rows = _aligned_rows(n, m)
+        assert rows.shape == (n, m)
+        assert all(row.ctypes.data % 64 == 0 and row.flags.c_contiguous for row in rows)
+    assert all(v.ctypes.data % 64 == 0 for v in _workspace(999))
 
 
 def _ref_defect(a, b):

@@ -387,17 +387,16 @@ def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path)
     # noise-validation's two noise kinds are tasks of the workers' pool,
     # as the chunks of fig1a's and fig1b's recorded ensembles are. At 1 and 2
     # workers every file, the single-trajectory dumps and the manifests
-    # included, is the same bytes. At 2 workers no path set is simulated
-    # in the caller, at 1 both are.
+    # included, is the same bytes. At 2 workers no path set is stepped in
+    # the caller, at 1 both are.
     log = tmp_path / "pids"
 
-    def logged(*args, _fn=experiments.simulate_paths):
-        if len(args[3]) > 1:  # a path set, not the field of a trajectory dump
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
+    def logged(*args, _fn=experiments._field_blocks):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
         return _fn(*args)
 
-    monkeypatch.setattr(experiments, "simulate_paths", logged)
+    monkeypatch.setattr(experiments, "_field_blocks", logged)
     runs = [
         ("fig1a", {"n_traj": 40, "T": 0.1}),
         ("fig1a", {"n_traj": 1, "T": 0.1}),
@@ -530,6 +529,52 @@ def test_recorded_run_holds_one_chunk_matrix_at_a_time(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.6 * matrix
+
+
+def test_recorded_chunks_are_folded_as_they_arrive(monkeypatch):
+    # At 2 workers the caller folds each chunk's group sums as it arrives,
+    # so it holds a few chunks' sums at a time, never all 8 chunks' (here
+    # 10 groups x 2504 columns, 200 KB per chunk).
+    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.5)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 160)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    engine._map_in_workers(abs, [0, 1])  # the pool's first imports are not the fold's
+    sums = 160 // engine._FOLD_ROWS * (4 * (cfg.n_steps + 1) + cfg.n_steps) * 8
+    tracemalloc.start()
+    try:
+        simulate_ensemble(cfg, 8 * 160, decimation=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * sums
+
+
+def _slow_square(i):
+    time.sleep(0.1 if i else 0.0)
+    return i * i
+
+
+def test_pool_stops_when_its_consumer_stops(monkeypatch):
+    # A consumer that raises after the first result (as noise-validation
+    # does on an unfittable rate) or returns early gets no more results:
+    # the queued tasks are cancelled and no worker outlives the call.
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    seen = []
+
+    def stop_at_first(results):
+        for result in results:
+            seen.append(result)
+            raise ValueError("stop")
+
+    with pytest.raises(ValueError, match="stop"):
+        engine._map_in_workers(_slow_square, list(range(40)), stop_at_first)
+    assert seen == [0]
+    assert multiprocessing.active_children() == []
+    started = time.monotonic()
+    assert engine._map_in_workers(_slow_square, list(range(40)), next) == 0
+    assert time.monotonic() - started < 1.0  # 39 slow tasks would take 2 s on 2 workers
+    assert multiprocessing.active_children() == []
+    assert engine._map_in_workers(_slow_square, [3, 1, 2]) == [9, 1, 4]
 
 
 _KILLED_WORKER = """

@@ -384,13 +384,13 @@ def test_noise_validation_writes_no_unfittable_rate(tmp_path, monkeypatch):
 def test_noise_validation_checks_its_lag_grid_before_simulating(tmp_path, monkeypatch):
     # The rate fit's lags are multiples of tau / 4 up to 3 tau: a grid that
     # is not whole steps of dt, or outruns the horizon, is refused before
-    # any path is simulated.
+    # any path is stepped.
     import suvsim.experiments as experiments
 
     def no_paths(*args, **kwargs):
-        raise AssertionError("simulate_paths called")
+        raise AssertionError("paths stepped")
 
-    monkeypatch.setattr(experiments, "simulate_paths", no_paths)
+    monkeypatch.setattr(experiments, "_field_blocks", no_paths)
     cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.31, "T": 2.0},
                       output_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="tau / 4 = 0.0775 is not a whole number of steps"):

@@ -20,6 +20,7 @@ from suvsim import (
 )
 from suvsim.dynamics import _renormalize, _sse_em, _workspace
 from suvsim.engine import _BLOCK_STEPS, _TILE_STREAMS, _field
+from suvsim.experiments import _normal_cdf, _noise_kind_statistics, _steady_ks
 from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
@@ -224,19 +225,82 @@ def test_autocorrelation_validates_lag_and_shape():
         autocorrelation(paths, 3)
     assert autocorrelation(paths, [9]).tolist() == [0.0]
     assert autocorrelation(paths, []).shape == (0,)
+    # Streamed blocks: the lags' type and sign are checked before the first
+    # block is requested, their range once the stream has ended.
+    requested = []
+
+    def blocks(shapes):
+        for shape in shapes:
+            requested.append(shape)
+            yield np.zeros(shape)
+
+    with pytest.raises(InvalidParameterError):
+        autocorrelation(blocks([(10, 3)]), [0, -1])
+    assert requested == []
+    with pytest.raises(InvalidParameterError, match=r"in \[0, 10\), got 10"):
+        autocorrelation(blocks([(1, 3), (9, 3)]), [10])
+    with pytest.raises(InvalidParameterError, match="every block must have 3 columns"):
+        autocorrelation(blocks([(1, 3), (9, 4)]), [0])
+    with pytest.raises(InvalidParameterError):
+        autocorrelation(blocks([(10,)]), [0])
+    with pytest.raises(InvalidParameterError):
+        autocorrelation(blocks([]), [0])
+    assert autocorrelation(blocks([(1, 3), (9, 3)]), [9]).tolist() == [0.0]
+
+
+def _ou_paths(seed, n, n_steps):
+    streams = [derive_stream(seed, i) for i in range(n)]
+    return simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=0.5), n_steps, 0.01, streams)
 
 
 def test_autocorrelation_of_a_lag_grid_matches_one_lag_at_a_time():
-    # The grid's products share one buffer; each lag still gets the plain
-    # estimate of its own fresh product, bit for bit, in any lag order.
-    streams = [derive_stream(33, i) for i in range(64)]
-    paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=0.5), 120, 0.01, streams)
-    lags = [100, 0, 25, 7, 50, 25]
-    expect = []
-    for k in lags:
+    # Each lag's estimate is the plain mean(x y) - mean(x) mean(y) over all
+    # time origins, summed in another order, so within a relative 1e-12; and
+    # its bits are its own, whatever the other lags and their order. Lags
+    # beyond the ring's length and beyond a window's wrap the lagged rows
+    # around the ring.
+    paths = _ou_paths(33, 64, 120)
+    lags = [100, 0, 25, 7, 50, 25, 120, 1, 16, 17]
+    got = autocorrelation(paths, lags)
+    for k, value in zip(lags, got):
         x, y = paths[:, : paths.shape[1] - k], paths[:, k:]
-        expect.append(np.mean(x * y) - np.mean(x) * np.mean(y))
-    assert np.array_equal(autocorrelation(paths, lags), expect)
+        assert value == pytest.approx(np.mean(x * y) - np.mean(x) * np.mean(y), rel=1e-12, abs=0)
+        assert autocorrelation(paths, [k])[0] == value
+    assert np.array_equal(autocorrelation(paths, lags[::-1]), got[::-1])
+
+
+def test_streamed_blocks_give_the_bits_of_the_path_matrix():
+    # The estimator's windows are fixed by absolute time, so feeding the
+    # paths as time-major blocks of any length gives the path matrix's bits.
+    paths = _ou_paths(34, 40, 600)
+    lags = [0, 1, 15, 16, 33, 250, 600]
+    expect = autocorrelation(paths, lags)
+    rows = paths.T
+    for size in (1, 7, 256):
+        blocks = (rows[i : i + size] for i in range(0, len(rows), size))
+        assert np.array_equal(autocorrelation(blocks, lags), expect)
+    assert np.array_equal(autocorrelation(iter([rows]), lags), expect)
+
+
+def test_noise_kind_statistics_stream_the_estimates_of_the_path_matrix():
+    # noise-validation's per-kind task never builds the path matrix, and
+    # still gives, bit for bit, the estimates of autocorrelation on the
+    # simulate_paths matrix of the same streams, for both evolving kinds.
+    for kind in (NoiseKind.OU, NoiseKind.SBM):
+        model = NoiseModel(kind=kind, tau=0.5)
+        values, ks = _noise_kind_statistics((model, 300, 0.01, 35, 10, 50, 13, (35, 0)))
+        paths = simulate_paths(model, 300, 0.01, [derive_stream(35, 10 + i) for i in range(50)])
+        assert np.array_equal(values, autocorrelation(paths, [13 * k for k in range(13)]))
+        draws = steady_samples(model, 100000, derive_stream(35, 0))
+        assert ks == _steady_ks(kind, draws)
+
+
+def test_normal_cdf_is_bit_for_bit_the_scalar_erf_loop():
+    # The steady KS distance of OU draws keeps the bits of the scalar form.
+    x = np.sort(steady_samples(NoiseModel(kind=NoiseKind.OU), 100000, derive_stream(36, 0)))
+    x = np.concatenate((x, [0.0, -0.0, 1e-300, -40.0, 40.0]))
+    expect = 0.5 * (1.0 + np.array([math.erf(v / math.sqrt(2.0)) for v in x]))
+    assert np.array_equal(_normal_cdf(x), expect)
 
 
 def test_frozen_paths_are_constant_rows():
