@@ -8,8 +8,9 @@ each at 1 and 2 engine workers: all eight presets at smoke sizes, each
 recorded preset (fig1a, fig1b, gksl-check) with one trajectory, which also
 writes the trajectory dumps, the four schemes that no preset records
 (unnormalized-suv and z-scalar-colored in fig1a, white-strat and
-z-scalar-white in gksl-check) at smoke size and with one trajectory, and,
-with chunks at most 7 trajectories wide, born-sweep and fdr-sweep once
+z-scalar-white in gksl-check) at smoke size and with one trajectory,
+fig1a under a frozen field for 600 steps, and, with chunks at most 7
+trajectories wide, born-sweep and fdr-sweep once
 more, so that chunks which share one lockstep batch among several sweep
 cells start and end inside cells, and the recorded presets once more, so
 that the reduction sees many chunk boundaries. For every run it compares
@@ -22,8 +23,8 @@ determinism contract, which must hold across a deliberate change of
 output bits too: every file digest of a run at 1 worker equals that at 2
 workers, and every digest of a narrow-chunk run (``<run>-narrow``) equals
 that of its default-cap twin, the run of the same experiment and
-overrides (fig1a, gksl-check, born-sweep and fdr-sweep have one). Each
-mismatch is printed on a line of its own, as ``in-tree:
+overrides (fig1a, fig1a-frozen, gksl-check, born-sweep and fdr-sweep
+have one). Each mismatch is printed on a line of its own, as ``in-tree:
 <run>/<file> differs from <twin>/<file>``. Exits 0 when nothing differs
 and no mismatch is found, and 1 otherwise.
 
@@ -61,6 +62,9 @@ RUNS = [
      {"n_traj": 1, "T": 0.3, "scheme": "unnormalized-suv"}, None),
     ("fig1a-z", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-colored"}, None),
     ("fig1a-z-single", "fig1a", {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-colored"}, None),
+    # A frozen field is one draw block of every step; 600 steps cross two
+    # of the recorded chunks' fold points.
+    ("fig1a-frozen", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, None),
     ("gksl-check-strat", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "white-strat"}, None),
     ("gksl-check-strat-single", "gksl-check",
      {"n_traj": 1, "T": 0.3, "scheme": "white-strat"}, None),
@@ -70,6 +74,7 @@ RUNS = [
     ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, 7),
     ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, 7),
     ("fig1a-narrow", "fig1a", {"n_traj": 100, "T": 0.3}, 7),
+    ("fig1a-frozen-narrow", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, 7),
     ("fig1b-narrow", "fig1b", {"n_traj": 23, "T": 0.3}, 7),
     ("gksl-check-narrow", "gksl-check", {"n_traj": 100, "T": 0.3}, 7),
 ]

@@ -34,35 +34,29 @@ couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 Ensemble statistics are reduced in an order fixed by trajectory index:
 trajectories fall into groups of _FOLD_ROWS consecutive indices, counted
 from the ensemble's first, and each chunk is whole groups. A recorded
-chunk returns, per group, the sums of its rows of recorded z, offdiag and
-squared amplitude increments, then z^2 and offdiag^2, added in index
-order; the caller folds the group rows in index order with compensated
-summation. So every output is bitwise independent of chunk width and
-worker count, and byte-identical across repeated runs.
+chunk sums each group's recorded z, offdiag, z^2 and offdiag^2 and squared
+amplitude increments in index order as it steps, holding a few hundred
+steps at a time, and the caller folds the group sums in index order with
+compensated summation. So every output is bitwise independent of chunk
+width and worker count, and byte-identical across repeated runs.
 
 Every ensemble, recorded or final-only, takes one chunk path: :func:`_tasks`
 cuts it into chunks of whole groups, and :func:`_chunk` derives a chunk's
-streams and steps it. A recorded chunk records z, offdiag and the
-amplitude increments, never the field: the field of a one-trajectory run
-is the path :func:`simulate_paths` gives on its stream. Independent units
-of work run through one fork pool, :func:`_map_in_workers`: at most
-_MAX_WORKERS forked worker processes, created and joined inside each
-call, with results, handed over as they arrive, and the first error in
-task order. Both :func:`simulate_ensemble`, which folds each chunk's
-group sums as it arrives, and :func:`simulate_final_z`, the one producer
-of final z, map their chunks over it. Consecutive final-only ensembles
-that differ only in z0 and J, on touching stream ranges (the cells of a
-sweep), share chunks: z0 enters a trajectory only through its initial
-state, and J only as one operand of an elementwise product, so a chunk
-takes both per row and every row keeps the bits of a run of its own. The
-noise-validation experiment maps its two noise kinds over the same pool.
-The worker count changes no chunk width, so no output bit and no error
-message depends on it.
+streams and steps it, on the one fork pool of :func:`_map_in_workers`,
+which noise validation's two noise kinds share. A recorded chunk never
+records the field: a one-trajectory run's field is the path
+:func:`simulate_paths` gives on its stream. Consecutive final-only
+ensembles that differ only in z0 and J, on touching stream ranges (the
+cells of a sweep), share chunks (see :func:`simulate_final_z`). The worker
+count changes no chunk width, so no output bit and no error message
+depends on it.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
+import time
 from dataclasses import replace
 from itertools import accumulate, chain
 
@@ -95,11 +89,9 @@ from .observables import CompensatedAccumulator, EnsembleSummary
 __all__ = ["derive_stream", "simulate_ensemble", "simulate_final_z", "simulate_paths"]
 
 # Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
-# at most _CHUNK_ELEMENT_BUDGET elements of its (m, 2 n_out + n_steps)
-# matrix of observations and squared amplitude increments (for the
-# quadratic variation), one per process that steps a chunk. A final-only
-# run holds no such matrix, so its width does not depend on the horizon.
-# A chunk is at least one group of _FOLD_ROWS, whatever the cap.
+# at most _CHUNK_ELEMENT_BUDGET elements of the (groups, 4 n_out + n_steps)
+# group sums a chunk returns. A chunk is at least one group of _FOLD_ROWS,
+# whatever the cap.
 _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
@@ -107,9 +99,10 @@ _MAX_WORKERS = 2
 # Trajectories per group: a recorded chunk sums each group's rows in index
 # order, and the caller folds the group sums. Chunks are whole groups.
 _FOLD_ROWS = 16
-# Time steps per block of drawn normals: a chunk holds one (_BLOCK_STEPS, m)
-# buffer instead of an (n_steps, m) matrix. A Philox stream yields the same
-# sequence however its draws are split into calls, so this sets memory only.
+# Time steps per block of drawn normals and per fold of a recorded chunk's
+# held rows, so a chunk holds (_BLOCK_STEPS, m) buffers, not (n_steps, m)
+# matrices. A Philox stream's sequence and a group sum's order do not depend
+# on how the steps are split, so this sets memory only.
 _BLOCK_STEPS = 256
 # Streams per tile: each stream draws its block into its own row of a
 # (_TILE_STREAMS, _BLOCK_STEPS) tile, which is then copied transposed into
@@ -174,39 +167,28 @@ def simulate_ensemble(
     n_steps = cfg.n_steps
     record_at = _record_at(n_steps, decimation)
     out_idx = np.flatnonzero(record_at)
-    times = out_idx * cfg.dt
     n_out = out_idx.size
 
-    cap = max(1, min(_MAX_CHUNK_WIDTH, _CHUNK_ELEMENT_BUDGET // (2 * n_out + n_steps)))
+    width = 4 * n_out + n_steps
+    cap = min(_MAX_CHUNK_WIDTH, _FOLD_ROWS * (_CHUNK_ELEMENT_BUDGET // width))
     tasks = list(_tasks([(cfg, n_traj, index_offset)], cap, record_at))
-    acc = CompensatedAccumulator(4 * n_out + n_steps)
+    acc = CompensatedAccumulator(width)
 
     def fold(chunks):  # each chunk's group rows as it arrives, in index order
         for sums in chunks:
             acc.add_rows(sums)
+            del sums  # not held while the next chunk steps
 
     _map_in_workers(_chunk, tasks, fold)
 
     total = acc.total
-    sum_z, sum_off = total[:n_out], total[n_out : 2 * n_out]
-    sum_z2, sum_off2 = total[-2 * n_out : -n_out], total[-n_out:]
-    mean_z = sum_z / n_traj
-    mean_off = sum_off / n_traj
-    if n_traj > 1:
-        stderr_z = _stderr(sum_z, sum_z2, n_traj)
-        stderr_off = _stderr(sum_off, sum_off2, n_traj)
-    else:
-        stderr_z = stderr_off = None
-    step_means = np.maximum(total[2 * n_out : 2 * n_out + n_steps] / n_traj, 0.0)
+    sum_z, sum_off, sum_z2, sum_off2 = total[: 4 * n_out].reshape(4, n_out)
+    step_means = np.maximum(total[4 * n_out :] / n_traj, 0.0)
     qv = np.cumsum(np.concatenate(([0.0], step_means)))[out_idx]
     return EnsembleSummary(
-        times=times,
-        mean_z=mean_z,
-        mean_offdiag=mean_off,
-        qv=qv,
-        n_traj=n_traj,
-        stderr_z=stderr_z,
-        stderr_offdiag=stderr_off,
+        times=out_idx * cfg.dt, mean_z=sum_z / n_traj, mean_offdiag=sum_off / n_traj, qv=qv,
+        n_traj=n_traj, stderr_z=_stderr(sum_z, sum_z2, n_traj),
+        stderr_offdiag=_stderr(sum_off, sum_off2, n_traj),
     )
 
 
@@ -375,11 +357,10 @@ def _tasks(run, cap, record_at=None):
 
 
 def _chunk(task):
-    """The final z of one chunk ``(cells, first_index, record_at)`` of
-    :func:`_tasks`, or, with a recording grid ``record_at``, the
-    :func:`_group_sums` of its recorded matrix. Each row starts from its
-    own cell's z0, as a float, and a per-row J is passed only when the
-    cells' J values differ, so a chunk of one config steps with scalar J."""
+    """Step one chunk ``(cells, first_index, record_at)`` of :func:`_tasks`,
+    recorded or final-only alike. Each row starts from its own cell's z0, as
+    a float, and a per-row J is passed only when the cells' J values differ,
+    so a chunk of one config steps with scalar J."""
     cells, first, record_at = task
     cfg = cells[0][0]
     counts = [rows for _, rows in cells]
@@ -387,21 +368,21 @@ def _chunk(task):
     z0 = np.repeat(np.array([c.z0 for c, _ in cells], dtype=float), counts)
     couplings = [c.params.J for c, _ in cells]
     J = np.repeat(couplings, counts) if len(set(couplings)) > 1 else None
-    out = _integrate_chunk(cfg, streams, record_at, first, z0, J)
-    return out if record_at is None else _group_sums(out, int(record_at.sum()))
+    return _integrate_chunk(cfg, streams, record_at, first, z0, J)
 
 
-def _group_sums(rows, n_out):
-    """One row per _FOLD_ROWS-row group of a chunk's [z | offdiag | dq] rows:
-    the group's sums of [z | offdiag | dq | z^2 | offdiag^2]. numpy sums a block
-    of 4 or more columns (2 n_out >= 4) over its leading axis a row at a time."""
-    width = rows.shape[1]
-    sums = np.empty((-(-len(rows) // _FOLD_ROWS), width + 2 * n_out))
-    for out, first in zip(sums, range(0, len(rows), _FOLD_ROWS)):
-        group = rows[first : first + _FOLD_ROWS]
-        group.sum(axis=0, out=out[:width])
-        np.square(group[:, : 2 * n_out]).sum(axis=0, out=out[width:])
-    return sums
+def _fold_groups(rows, out):
+    """Write into ``out`` the sum of each group of _FOLD_ROWS consecutive
+    trajectories (the last axis of ``rows``; the last group may be partial),
+    added one at a time in index order. It sums 16 steps (the second-last
+    axis) at a time into a contiguous buffer, so its strided reads hit cache."""
+    for t in range(0, rows.shape[-2], 16):
+        steps = rows[..., t : t + 16, :]
+        sums = steps[..., ::_FOLD_ROWS].copy()
+        for j in range(1, _FOLD_ROWS):
+            part = steps[..., j::_FOLD_ROWS]
+            sums[..., : part.shape[-1]] += part
+        out[..., t : t + 16, :] = sums
 
 
 def _map_in_workers(fn, tasks, consume=list):
@@ -419,7 +400,7 @@ def _map_in_workers(fn, tasks, consume=list):
     serial run raises, once the running tasks finish; queued ones are
     cancelled, as they are when ``consume`` raises or returns early. A
     worker that ends abruptly (killed by the OOM killer, say) raises a
-    SimulationError.
+    SimulationError; a killed caller's workers exit (:func:`_exit_with_parent`).
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
@@ -430,7 +411,8 @@ def _map_in_workers(fn, tasks, consume=list):
             from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
             context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent,
+                                     initargs=(os.getpid(),)) as pool:
                 try:
                     # map yields in task order, so the first error raised is
                     # the first failing task's, whichever worker failed first.
@@ -442,8 +424,22 @@ def _map_in_workers(fn, tasks, consume=list):
     return consume(map(fn, tasks))
 
 
-def _stderr(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray:
-    """Standard error of the mean from compensated sums of x and x^2."""
+def _exit_with_parent(parent):
+    """Pool worker initializer: a daemon thread ends the worker, idle or
+    busy, once its parent ``parent`` is gone. No thread runs in the caller."""
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.25)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _stderr(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray | None:
+    """Standard error of the mean from compensated sums of x and x^2 over n
+    samples, or None for one sample."""
+    if n == 1:
+        return None
     var = np.clip((s2 - s1 * s1 / n) / (n - 1), 0.0, None)
     return np.sqrt(var / n)
 
@@ -596,11 +592,13 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     own; the same holds for the per-row z0, since np.sqrt and math.sqrt are
     both correctly rounded.
 
-    Returns one array. With a grid ``record_at``, it is the (m, 2 n_out +
-    n_steps) matrix with columns [z | offdiag | squared amplitude
-    increments] recorded on that grid, whose last z column is the final z.
-    A final-only chunk (``record_at`` None) returns the final z of every
-    row.
+    Returns one array. With a grid ``record_at``, it is the chunk's (groups,
+    4 n_out + n_steps) group sums: per group of _FOLD_ROWS rows, the sums of
+    [z | offdiag | z^2 | offdiag^2] on that grid and of every step's
+    squared amplitude increment, added one row at a time in index order:
+    the loop holds them time-major and :func:`_fold_groups` adds them in
+    every _BLOCK_STEPS steps and at the last. A final-only chunk
+    (``record_at`` None) returns the final z of every row.
     """
     scheme = cfg.scheme
     step, amplitude, observe = _SCHEMES[scheme]
@@ -629,17 +627,23 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
         state = (np.sqrt(z0, out=a), np.sqrt(1.0 - z0, out=b))
         spare, raw = tuple(vectors[:2]), tuple(vectors[2:])
 
-    rows = None
+    sums = None
     if record_at is not None:  # the grid always starts at t = 0
-        n_out = int(record_at.sum())
-        rows = np.empty((m, 2 * n_out + n_steps))
-        z_rows, off_rows, dq_rows = np.split(rows, [n_out, 2 * n_out], axis=1)
+        out_idx = np.flatnonzero(record_at)
+        n_out = out_idx.size
+        sums = np.empty((-(-m // _FOLD_ROWS), 4 * n_out + n_steps))
+        grid = sums[:, : 4 * n_out].reshape(-1, 4, n_out).transpose(1, 2, 0)
+        increments = sums[:, 4 * n_out :].T
+        # the most grid points per fold; t = 0 folds with the first steps
+        held = np.bincount(np.maximum(out_idx - 1, 0) // _BLOCK_STEPS).max()
+        obs = _aligned_rows(2 * held, m).reshape(2, held, m)  # z, offdiag
+        dq = _aligned_rows(min(n_steps, _BLOCK_STEPS), m)
         alpha, alpha_spare = _aligned_rows(2, m)
         alpha = amplitude(state, alpha)
-        observe(state, z_rows[:, 0], off_rows[:, 0], ws)
-        pos = 1
+        observe(state, *obs[:, 0], ws)
+        pos, done = 1, 0  # grid points held, and folded
 
-    k = 0  # global step index across blocks
+    k = 0  # steps taken, across blocks
     try:
         for block in blocks:
             if not colored:
@@ -649,22 +653,31 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
                 state, spare = spare, state
                 if advance is not None:
                     advance(xi, draws, xi)
-                if rows is not None:
+                k += 1
+                if sums is not None:
                     new_alpha = amplitude(state, alpha_spare)
                     delta = np.subtract(new_alpha, alpha, out=ws[0])
-                    np.multiply(delta, delta, out=dq_rows[:, k])
+                    np.multiply(delta, delta, out=dq[(k - 1) % _BLOCK_STEPS])
                     alpha, alpha_spare = new_alpha, alpha
-                    if record_at[k + 1]:
-                        observe(state, z_rows[:, pos], off_rows[:, pos], ws)
+                    if record_at[k]:
+                        observe(state, *obs[:, pos], ws)
                         pos += 1
-                k += 1
+                    # A frozen field is one block of n_steps rows, so the
+                    # folds follow the step count, not the draw blocks.
+                    if k % _BLOCK_STEPS == 0 or k == n_steps:
+                        first = (k - 1) // _BLOCK_STEPS * _BLOCK_STEPS
+                        _fold_groups(dq[: k - first], increments[first:k])
+                        rec = obs[:, :pos]
+                        _fold_groups(rec, grid[:2, done : done + pos])
+                        _fold_groups(np.square(rec, out=rec), grid[2:, done : done + pos])
+                        pos, done = 0, done + pos
     except IntegratorInstabilityError as exc:
         raise IntegratorInstabilityError(
             f"trajectory {first_index + exc.row}, step {k + 1}: {exc}"
         ) from exc
 
-    if rows is not None:
-        return rows
+    if sums is not None:
+        return sums
     final_z = np.empty(m)
     observe(state, final_z, ws[1], ws)
     return final_z

@@ -18,10 +18,12 @@ from suvsim import (
     PhysicsParams,
     Scheme,
     TrajectoryConfig,
+    derive_stream,
     make_config,
     run_experiment,
     simulate_ensemble,
     simulate_final_z,
+    simulate_paths,
 )
 from suvsim.dynamics import (
     _aligned_rows,
@@ -318,6 +320,29 @@ def test_scalar_z_track_matches_amplitude_dynamics():
         a, b = _suv(a, b, 0.5, 1e-3)
         z = _fresh(_z_colored_heun, z, 0.5, 1e-3, P.J, P.G)
     assert abs(a[0] * a[0] - z[0]) < 1e-6
+
+
+@pytest.mark.parametrize("scheme", [Scheme.SUV_COLORED, Scheme.Z_COLORED], ids=lambda s: s.value)
+def test_colored_schemes_converge_at_second_order_on_the_exact_logistic(scheme):
+    # A frozen field and J = 0 make the colored ODE logistic,
+    # dz/dt = 2 G xi z (1 - z), solved by
+    # z(t) = z0 e^(2 G xi t) / (1 - z0 + z0 e^(2 G xi t)), with xi each
+    # trajectory's field on its stream. The Heun steps (with the
+    # renormalization, for the amplitudes) must reach T = 1 with an error
+    # that falls fourfold at each halving of dt from 0.02 to 0.0025.
+    n, z0 = 64, 0.6
+    noise = NoiseModel(kind=NoiseKind.FROZEN_OU)
+    xi = simulate_paths(noise, 1, 1.0, [derive_stream(3, i) for i in range(n)])[:, 0]
+    growth = np.exp(2.0 * xi)
+    exact = z0 * growth / (1.0 - z0 + z0 * growth)
+    errors = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        cfg = TrajectoryConfig(params=PhysicsParams(J=0.0, G=1.0), noise=noise, dt=dt, T=1.0,
+                               z0=z0, scheme=scheme, seed=3)
+        (final_z,) = simulate_final_z([(cfg, n, 0)])
+        errors.append(np.max(np.abs(final_z - exact)))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.6 <= r <= 4.4 for r in ratios), ratios
 
 
 def test_scalar_steps_validate_inputs():

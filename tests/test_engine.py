@@ -6,6 +6,7 @@ processes, for the chunks and for noise-validation's noise path sets."""
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -309,8 +310,9 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     # their stream ranges touch, and a run of jobs is cut into
     # chunks of whole groups of _FOLD_ROWS, as equal as groups allow,
     # whatever the worker count. A recorded run goes through the same
-    # planner, under the smaller of _MAX_CHUNK_WIDTH and its element
-    # budget's cap; no cap cuts a group.
+    # planner, under the smaller of _MAX_CHUNK_WIDTH and the cap at which
+    # the group sums a chunk returns fit its element budget; no cap cuts a
+    # group.
     log = tmp_path / "widths"
 
     def chunk(cfg, streams, record_at, first_index, z0, J):
@@ -318,7 +320,8 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
             fh.write(f"{first_index} {len(streams)}\n")
         if record_at is None:
             return np.zeros(len(streams))
-        return np.zeros((len(streams), 2 * int(record_at.sum()) + cfg.n_steps))
+        groups = -(-len(streams) // engine._FOLD_ROWS)
+        return np.zeros((groups, 4 * int(record_at.sum()) + cfg.n_steps))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     monkeypatch.setattr(engine, "derive_stream", lambda seed, index: None)  # unused by the stub
@@ -338,13 +341,15 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
         logged = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
         return [width for _, width in logged]
 
-    # recorded runs of 23 (1202 recorded columns): (cap, element budget, widths)
+    # recorded runs of 23 (101 grid points and 1000 steps, so group sums of
+    # 4 * 101 + 1000 = 1404 columns): (cap, element budget, widths)
     cap, budget = engine._MAX_CHUNK_WIDTH, engine._CHUNK_ELEMENT_BUDGET
     recorded = [
         (cap, budget, [23]),
         (7, budget, [16, 7]),  # whole groups, not 5 + 6 + 6 + 6
-        (cap, 16 * 1202 + 1, [16, 7]),  # the budget binds at 16
-        (cap, 32 * 1202 - 1, [16, 7]),  # and at 31, which holds one group only
+        (cap, 2 * 1404, [23]),  # the budget holds both groups' sums
+        (cap, 2 * 1404 - 1, [16, 7]),  # the budget binds at one group
+        (cap, 1403, [16, 7]),  # a chunk is one group even when none fits
     ]
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
@@ -513,22 +518,29 @@ def test_final_only_run_holds_no_per_step_draw_matrix():
     assert peak < m * cfg.n_steps * 8 / 4
 
 
-def test_recorded_run_holds_one_chunk_matrix_at_a_time(monkeypatch):
-    # A process that steps chunks reduces each chunk's (m, 2 n_out +
-    # n_steps) matrix to its group sums before the next chunk steps: at one
-    # worker, where every chunk steps in the caller, chunks of at most 200
-    # peak at well under two 200-wide matrices (7.68 MB each).
-    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=4.0)
+def test_recorded_run_holds_no_matrix_of_the_horizon(monkeypatch):
+    # A recorded chunk holds a few hundred steps' increments and grid points
+    # at a time and folds them into its group sums as it steps. At one
+    # worker, where both 200-wide chunks step in the caller, the peak grows
+    # from T = 1 to T = 4 by no more than the group sums a chunk returns
+    # (13 rows of 4 n_out + n_steps), and stays below what one
+    # (200, 2 n_out + n_steps) per-trajectory matrix took at T = 1.
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 200)
     monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
-    matrix = 200 * (2 * 401 + cfg.n_steps) * 8
-    tracemalloc.start()
-    try:
-        simulate_ensemble(cfg, 400, decimation=10)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.6 * matrix
+    peaks, sums = [], []
+    for T in (1.0, 4.0):
+        cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=T)
+        n_out = cfg.n_steps // 10 + 1
+        sums.append(13 * (4 * n_out + cfg.n_steps) * 8)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(cfg, 400, decimation=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 1.2 * (sums[1] - sums[0])
+    assert peaks[1] < 200 * (2 * 101 + 1000) * 8
 
 
 def test_recorded_chunks_are_folded_as_they_arrive(monkeypatch):
@@ -609,6 +621,56 @@ def test_a_killed_worker_raises_instead_of_hanging():
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "a worker process ended abruptly" in done.stdout
+
+
+_KILLED_CALLER = """
+import multiprocessing, time
+from suvsim.engine import _map_in_workers
+
+
+def consume(results):
+    next(results)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    time.sleep(60)  # killed here, its workers idle on the pool's queue
+
+
+_map_in_workers(abs, list(range(4)), consume)
+"""
+
+
+def _alive(pid):
+    """True while process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_no_worker_outlives_a_killed_caller():
+    # A caller killed with SIGKILL cannot shut its pool down; its workers
+    # notice that their parent is gone and exit within seconds.
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers = [int(pid) for pid in caller.stdout.readline().split()]
+        assert len(workers) == 2
+        caller.kill()
+        caller.wait(timeout=10)
+        deadline = time.monotonic() + 10.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        caller.kill()
+        caller.wait()
+        caller.stdout.close()
+        for pid in filter(_alive, workers):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
@@ -702,42 +764,61 @@ def _grouped_neumaier_sum(values):
     return total + comp
 
 
-def test_group_sums_add_each_groups_rows_one_at_a_time_in_order():
-    # numpy reduces a block of three or fewer columns pairwise, along the
-    # summed axis; the recorded widths are never that narrow (2 n_out >= 4),
-    # and at the narrowest ones, one step and four steps recorded at
-    # decimation 1, the group sums are the rows added in turn.
+def test_fold_groups_adds_each_groups_rows_one_at_a_time_in_order():
+    # Each group sum is the group's first trajectory plus the others in turn,
+    # for any number of held steps (the fold takes 16 at a time) and a
+    # partial last group, into a strided view like the chunk's transposed
+    # group sums. Trajectories are scaled by 1e-8 to 1e8, so any other
+    # order of the additions would round differently.
     rng = np.random.default_rng(5)
-    for n_out, n_steps in ((2, 1), (5, 4), (3, 40)):
-        rows = rng.standard_normal((37, 2 * n_out + n_steps))
-        rows *= 10.0 ** rng.integers(-8, 8, size=(37, 1))
-        full = np.hstack([rows, np.square(rows[:, : 2 * n_out])])
-        want = []
-        for first in range(0, 37, engine._FOLD_ROWS):
-            total = full[first].copy()
-            for row in full[first + 1 : first + engine._FOLD_ROWS]:
-                total = total + row
-            want.append(total)
-        assert np.array_equal(engine._group_sums(rows, n_out), np.array(want))
+    for shape in ((1, 37), (40, 37), (2, 3, 40), (2, 20, 16), (3, 5)):
+        rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, size=shape[-1])
+        groups = -(-shape[-1] // engine._FOLD_ROWS)
+        want = np.empty(shape[:-1] + (groups,))
+        for g in range(groups):
+            first = g * engine._FOLD_ROWS
+            total = rows[..., first].copy()
+            for col in range(first + 1, min(first + engine._FOLD_ROWS, shape[-1])):
+                total = total + rows[..., col]
+            want[..., g] = total
+        out = np.empty((groups,) + shape[:-1] + (3,))[..., 1]  # strided, groups first
+        engine._fold_groups(rows, np.moveaxis(out, 0, -1))
+        assert np.array_equal(np.moveaxis(out, 0, -1), want)
 
 
 def test_engine_qv_matches_observables_reconstruction():
     # Rebuild every amplitude increment through the per-step replay, sum
-    # each step's squares over trajectories in index order, in groups and
-    # then over the groups (two groups here), take the mean and its running
+    # each step's squares over trajectories in index order, in groups (of
+    # 16 and 1 here) and then over the groups, take the mean and its running
     # sum: the engine series must match bit for bit at the recorded grid
-    # points.
-    cfg = _cfg(Scheme.SUV_COLORED, T=0.02, seed=9)
-    n_traj, dec = 20, 7
-    res = simulate_ensemble(cfg, n_traj=n_traj, decimation=dec)
-    incs = np.empty((n_traj, cfg.n_steps))
-    for i in range(n_traj):
-        a = np.array([s[0][0] for s in _replay(cfg, i)[0]])
-        incs[i] = np.diff(a)
-    means = [max(_grouped_neumaier_sum(col * col) / n_traj, 0.0) for col in incs.T]
-    qv_full = np.cumsum([0.0] + means)
-    out_idx = np.array([0, 7, 14, 20])
-    assert np.array_equal(res.qv, qv_full[out_idx])
+    # points, and so must mean z. The horizons end inside the first draw
+    # block, exactly at its end, and inside the third, where a chunk folds
+    # its held steps at block ends; a frozen field is one block of every
+    # step, and its chunk folds at the same step counts.
+    n_traj, dec = 17, 7
+    cases = [
+        (NoiseKind.OU, 20),
+        (NoiseKind.OU, _BLOCK_STEPS),
+        (NoiseKind.OU, 2 * _BLOCK_STEPS + 7),
+        (NoiseKind.FROZEN_OU, 2 * _BLOCK_STEPS + 7),
+    ]
+    for kind, n_steps in cases:
+        cfg = _cfg(Scheme.SUV_COLORED, kind=kind, T=n_steps * 1e-3, seed=9)
+        assert cfg.n_steps == n_steps
+        res = simulate_ensemble(cfg, n_traj=n_traj, decimation=dec)
+        incs = np.empty((n_traj, n_steps))
+        zs = np.empty((n_traj, n_steps + 1))
+        for i in range(n_traj):
+            states = _replay(cfg, i)[0]
+            a = np.array([s[0][0] for s in states])
+            incs[i] = np.diff(a)
+            zs[i] = [_z(cfg.scheme, s) for s in states]
+        means = [max(_grouped_neumaier_sum(col * col) / n_traj, 0.0) for col in incs.T]
+        qv_full = np.cumsum([0.0] + means)
+        out_idx = np.append(np.arange(0, n_steps, dec), n_steps)
+        assert np.array_equal(res.qv, qv_full[out_idx]), (kind, n_steps)
+        mean_z = [_grouped_neumaier_sum(zs[:, t]) / n_traj for t in out_idx]
+        assert np.array_equal(res.mean_z, mean_z), (kind, n_steps)
 
 
 def test_stderr_matches_sample_formula():

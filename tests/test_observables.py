@@ -43,16 +43,17 @@ def test_compensated_sum_is_batch_invariant():
 def test_quadratic_variation_small_case(monkeypatch):
     # The engine's qv is the running sum of the per-step trajectory means of
     # the squared amplitude increments. Two trajectories with increments
-    # (0.1, 0.2) and (0.3, 0.4) come in as chunk rows
-    # [z | offdiag | squared increments] on a two-step grid.
+    # (0.1, 0.2) and (0.3, 0.4), one group, come in as the chunk's group
+    # sums [z | offdiag | z^2 | offdiag^2 | squared increments] on a
+    # two-step grid.
     import suvsim.engine as engine
 
     increments = {0: [0.1, 0.2], 1: [0.3, 0.4]}
 
     def chunk(cfg, streams, record_at, first_index, z0, J):
-        rows = [[0.6] * 3 + [0.4] * 3 + list(np.square(increments[first_index + i]))
-                for i in range(len(streams))]
-        return np.array(rows)
+        rows = [[0.6] * 3 + [0.4] * 3 + [0.36] * 3 + [0.16] * 3
+                + list(np.square(increments[first_index + i])) for i in range(len(streams))]
+        return np.sum(rows, axis=0, keepdims=True)
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     cfg = TrajectoryConfig(
