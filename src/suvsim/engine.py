@@ -17,9 +17,8 @@ rather than an (m, n_steps) matrix, and each step reads its draws as one
 contiguous row. A counter-based stream yields the same sequence however
 its draws are split into calls, so the block length changes no output bit.
 :func:`_field` is the one setup of a field's draws and advance, for the
-chunks and for the time-major noise path blocks of :func:`_field_blocks`,
-which :func:`simulate_paths` collects into a matrix and noise validation
-streams into its estimator.
+chunks and for the time-major noise path blocks of :func:`simulate_paths`,
+which noise validation streams into its estimator.
 
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk. The step loop allocates no arrays: once per chunk it sets up
@@ -58,7 +57,7 @@ import os
 import threading
 import time
 from dataclasses import replace
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -228,82 +227,51 @@ def simulate_final_z(jobs) -> list[np.ndarray]:
     return np.split(final_z, list(accumulate(n for run in runs for _, n, _ in run))[:-1])
 
 
-def simulate_paths(model, n_steps: int, dt: float, streams):
-    """Generate steady-state noise paths, one per random stream.
+def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, n: int):
+    """Steady-state noise paths, time-major: an iterator over the (1, n) row
+    at t = 0, then blocks of at most _BLOCK_STEPS steps, n_steps rows in all.
 
-    The paths are the time-major blocks of :func:`_field_blocks`, copied
-    into one matrix transposed, a tile of streams at a time. Each path is
-    drawn and advanced by :func:`_field`, as the field of a colored
-    ensemble is, from its own stream alone: it is a pure function of
-    (stream seed, model, dt, n_steps), whatever other paths run alongside
-    it, and equals the field a one-trajectory colored run on the same
-    stream sees. Noise validation streams the blocks into its estimator
-    instead and never builds this matrix.
-
-    Parameters
-    ----------
-    model : NoiseModel
-        Process to simulate; frozen kinds yield constant paths.
-    n_steps : int
-        Number of steps; output has n_steps + 1 columns including t = 0.
-    dt : float
-        Time step.
-    streams : sequence of numpy.random.Generator
-        One private stream per path, which also draws its initial value.
-
-    Returns
-    -------
-    numpy.ndarray, shape (len(streams), n_steps + 1)
-    """
-    blocks = _field_blocks(model, n_steps, dt, streams)
-    first = next(blocks)  # the t = 0 row, once the arguments pass their checks
-    n = first.shape[1]
-    out = np.empty((n, n_steps + 1))
-    k = 0
-    for block in chain((first,), blocks):
-        for tile in range(0, n, _TILE_STREAMS):
-            last = tile + _TILE_STREAMS
-            out[tile:last, k : k + len(block)] = block[:, tile:last].T
-        k += len(block)
-    return out
-
-
-def _field_blocks(model, n_steps: int, dt: float, streams):
-    """Yield one steady-state field path per stream, time-major: first the
-    (1, n) row at t = 0, then blocks of at most _BLOCK_STEPS steps, n_steps
-    rows in all. Column r is the path on ``streams[r]``, drawn and advanced
-    by :func:`_field`; each step writes the advanced field over the normals
-    it read. The blocks are views of buffers that later blocks overwrite,
-    so a consumer reads each block before it asks for the next. The
-    arguments are checked when the first block is requested.
+    Column r is the path on the stream (seed, first_index + r), drawn and
+    advanced by :func:`_field` as the field of a colored ensemble is: a pure
+    function of that stream, model, dt and n_steps, whatever other paths run
+    alongside it, and the field of a one-trajectory colored run at
+    index_offset first_index + r. Each step writes the advanced field over
+    the normals it read, and the blocks are views of buffers that later
+    blocks overwrite, so a consumer reads (or copies) each block before it
+    asks for the next. Frozen kinds yield constant rows. The arguments are
+    checked, and the steady-state values drawn, at the call.
     """
     if model.kind is NoiseKind.NONE:
         raise NotApplicableError("cannot simulate paths for noise kind 'none'")
-    check_integer("n_steps", n_steps)
-    if n_steps < 0:
-        raise InvalidParameterError(f"n_steps must be nonnegative, got {n_steps}")
+    for name, value in (("n_steps", n_steps), ("seed", seed), ("first_index", first_index)):
+        check_integer(name, value)
+        if value < 0:
+            raise InvalidParameterError(f"{name} must be nonnegative, got {value}")
+    check_integer("n", n)
+    if n < 1:
+        raise InvalidParameterError(f"n must be at least 1, got {n}")
     if not dt > 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    streams = list(streams)
-    n = len(streams)
-    if n == 0:
-        raise InvalidParameterError("at least one random stream is required")
-
+    streams = [derive_stream(seed, first_index + r) for r in range(n)]
     xi, blocks, advance = _field(model, dt, streams, n_steps, tuple(_aligned_rows(2, n)))
-    yield xi[None]
-    if advance is None:
-        if n_steps:
-            yield np.broadcast_to(xi, (n_steps, n))
-        return
-    # The advanced field overwrites the normals it consumed: both updates
-    # read their normals before they write ``out``.
-    for block in blocks:
-        prev = xi
-        for normals in block:
-            advance(prev, normals, normals)
-            prev = normals
-        np.copyto(xi, prev)  # the next block overwrites this one
-        yield block
+
+    def paths():
+        yield xi[None]
+        if advance is None:
+            if n_steps:
+                yield np.broadcast_to(xi, (n_steps, n))
+            return
+        # The advanced field overwrites the normals it consumed: both updates
+        # read their normals before they write ``out``.
+        for block in blocks:
+            prev = xi
+            for normals in block:
+                advance(prev, normals, normals)
+                prev = normals
+            np.copyto(xi, prev)  # the next block overwrites this one
+            yield block
+
+    return paths()
 
 
 def _check_range(n_traj, index_offset):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import _field_blocks, _map_in_workers, _record_at, derive_stream
+from .engine import _map_in_workers, _record_at, derive_stream
 from .engine import simulate_ensemble, simulate_final_z, simulate_paths
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
@@ -66,16 +66,18 @@ def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
     """Run a recorded ensemble of cfg.n_traj trajectories from stream index
     ``offset`` on and write its summary to ``csv_name``, and a single
     trajectory's series to ``<stem>_trajectory.csv``, with the colored
-    field that simulate_paths gives on its stream; the names written are
-    appended to ``written``. Returns the summary."""
+    field that simulate_paths gives on its stream, column 0 of each block
+    copied before the next is stepped; the names written are appended to
+    ``written``. Returns the summary."""
     summary = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
     write_ensemble_csv(os.path.join(outdir, csv_name), summary)
     written.append(csv_name)
     if summary.n_traj == 1:
         xi = None
         if traj_cfg.scheme.uses_colored_noise:
-            stream = derive_stream(traj_cfg.seed, offset)
-            (path,) = simulate_paths(traj_cfg.noise, traj_cfg.n_steps, traj_cfg.dt, [stream])
+            blocks = simulate_paths(traj_cfg.noise, traj_cfg.n_steps, traj_cfg.dt,
+                                    traj_cfg.seed, offset, 1)
+            path = np.concatenate([block[:, 0].copy() for block in blocks])
             xi = path[_record_at(traj_cfg.n_steps, cfg.decimation)]
         name = f"{stem}_trajectory.csv"
         write_trajectory_csv(os.path.join(outdir, name), summary.times, summary.mean_z, xi)
@@ -203,14 +205,11 @@ def _noise_kind_statistics(task):
     being tau / 4), and _STEADY_SAMPLES steady draws from the stream
     ``steady_stream = (seed, index)`` are compared with the exact
     stationary law. The paths' time-major blocks stream into
-    :func:`autocorrelation` as they are stepped, so no path matrix is
-    built: the estimates are those of ``autocorrelation(simulate_paths(...))``
-    on the same streams, bit for bit. Returns the estimates and the KS
-    distance.
+    :func:`autocorrelation` as they are stepped. Returns the estimates and
+    the KS distance.
     """
     model, n_steps, dt, seed, first_index, n, quarter_steps, steady_stream = task
-    streams = [derive_stream(seed, first_index + i) for i in range(n)]
-    fields = _field_blocks(model, n_steps, dt, streams)
+    fields = simulate_paths(model, n_steps, dt, seed, first_index, n)
     values = autocorrelation(fields, [k * quarter_steps for k in range(_FIT_LAGS)])
     draws = steady_samples(model, _STEADY_SAMPLES, derive_stream(*steady_stream))
     return values, _steady_ks(model.kind, draws)

@@ -22,12 +22,11 @@ Initial values are drawn from the steady state. The engine
 (:mod:`suvsim.engine`) draws every field path and advances it with the
 update kernels defined here. :func:`autocorrelation` estimates the
 stationary autocovariance of paths streamed to it in time-major blocks as
-they are stepped, or of one path matrix, with the same bits either way.
+they are stepped.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,7 +138,7 @@ def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
     raise NotApplicableError(f"no steady state defined for noise kind {kind.value!r}")
 
 
-def autocorrelation(paths, lags) -> np.ndarray:
+def autocorrelation(blocks, lags) -> np.ndarray:
     """Stationary autocovariance estimates E[xi_t xi_(t+k)] - E[xi]^2, one
     per lag k of ``lags``.
 
@@ -157,14 +156,14 @@ def autocorrelation(paths, lags) -> np.ndarray:
 
     Parameters
     ----------
-    paths : array_like of shape (n_traj, n_times), or an iterator of blocks
-        Noise paths started in the steady state: either one path matrix,
-        or an iterator (such as a generator) of time-major blocks of shape
-        (steps, n_traj) that starts at t = 0, each block read before the
-        next is requested.
+    blocks : iterable of arrays of shape (steps, n_traj)
+        Noise paths started in the steady state, as time-major blocks that
+        start at t = 0 (such as those of :func:`suvsim.engine.simulate_paths`),
+        each block read before the next is requested.
     lags : sequence of int
-        Lags in grid steps, each 0 <= k < n_times. Their type and sign are
-        checked before any block is requested.
+        Lags in grid steps, each 0 <= k < n_times, where n_times is the
+        blocks' total step count. Their type and sign are checked before
+        any block is requested.
     """
     if np.ndim(lags) != 1:
         raise InvalidParameterError(f"lags must be a sequence of steps, got {lags!r}")
@@ -172,14 +171,6 @@ def autocorrelation(paths, lags) -> np.ndarray:
         if not isinstance(k, (int, np.integer)) or k < 0:
             raise InvalidParameterError(f"lag must be a nonnegative whole number of steps, got {k}")
     lags = [int(k) for k in lags]
-    if isinstance(paths, Iterator):
-        blocks = paths
-    else:
-        arr = np.asarray(paths, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InvalidParameterError("paths must be a nonempty (n_traj, n_times) array")
-        _check_lags_within(lags, arr.shape[1])
-        blocks = (arr.T,)
 
     w = _WINDOW_STEPS
     ring = scratch = None  # allocated once the path count is known
@@ -207,7 +198,9 @@ def autocorrelation(paths, lags) -> np.ndarray:
         block = np.asarray(block, dtype=float)
         if ring is None:
             if block.ndim != 2 or block.shape[1] == 0:
-                raise InvalidParameterError("blocks must be (steps, n_traj) arrays with n_traj >= 1")
+                raise InvalidParameterError(
+                    f"blocks must be (steps, n_traj) arrays with n_traj >= 1, got {block.shape}"
+                )
             n = block.shape[1]
             # a whole number of windows that holds the longest lag's history
             size = -(-(max(lags, default=0) + w) // w) * w
@@ -223,10 +216,12 @@ def autocorrelation(paths, lags) -> np.ndarray:
             if t % w == 0:
                 window(t - w, t)
     if t == 0:
-        raise InvalidParameterError("paths must hold at least one time step")
+        raise InvalidParameterError("blocks must hold at least one time step")
     if t % w:
         window(t - t % w, t)
-    _check_lags_within(lags, t)
+    for k in lags:
+        if k >= t:
+            raise InvalidParameterError(f"lag must be a whole number of steps in [0, {t}), got {k}")
 
     estimates = np.empty(len(lags))
     for j, (k, sums) in enumerate(zip(lags, products)):
@@ -235,11 +230,3 @@ def autocorrelation(paths, lags) -> np.ndarray:
         mean_y = math.fsum(step_sums[k:]) / count
         estimates[j] = math.fsum(sums) / count - mean_x * mean_y
     return estimates
-
-
-def _check_lags_within(lags, n_times):
-    for k in lags:
-        if k >= n_times:
-            raise InvalidParameterError(
-                f"lag must be a whole number of steps in [0, {n_times}), got {k}"
-            )

@@ -41,6 +41,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {number}: {verdict} - {detail}")
 
 
+def path_matrix(blocks):
+    """The (n, n_steps + 1) matrix of simulate_paths' time-major blocks, each
+    block copied before the next is requested (later blocks overwrite it)."""
+    return np.concatenate([block.copy() for block in blocks]).T
+
+
 class StubRng:
     """Deterministic stand-in for a numpy Generator: returns queued values.
 

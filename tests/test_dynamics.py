@@ -332,7 +332,7 @@ def test_colored_schemes_converge_at_second_order_on_the_exact_logistic(scheme):
     # that falls fourfold at each halving of dt from 0.02 to 0.0025.
     n, z0 = 64, 0.6
     noise = NoiseModel(kind=NoiseKind.FROZEN_OU)
-    xi = simulate_paths(noise, 1, 1.0, [derive_stream(3, i) for i in range(n)])[:, 0]
+    (xi,) = next(simulate_paths(noise, 0, 1.0, 3, 0, n))  # the t = 0 row
     growth = np.exp(2.0 * xi)
     exact = z0 * growth / (1.0 - z0 + z0 * growth)
     errors = []
@@ -343,6 +343,39 @@ def test_colored_schemes_converge_at_second_order_on_the_exact_logistic(scheme):
         errors.append(np.max(np.abs(final_z - exact)))
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     assert all(3.6 <= r <= 4.4 for r in ratios), ratios
+
+
+@pytest.mark.parametrize(
+    "scheme, low, high",
+    [(Scheme.Z_WHITE, 1.6, 2.5), (Scheme.WHITE_STRAT, 1.6, 2.5), (Scheme.WHITE_ITO, 1.15, 1.7)],
+    ids=["z-scalar-white", "white-strat", "white-ito"],
+)
+def test_white_schemes_converge_at_their_strong_order_on_the_exact_logistic(scheme, low, high):
+    # At J = 0 the white z equation dz = 2 Deff z (1 - z) o dW solves as
+    # logit z(t) = logit z0 + 2 Deff W_t: the Stratonovich chain rule, which
+    # the Ito form with its conversion drift shares. Every dt steps on sums
+    # of one fine path's Wiener increments, so all see the same W. The RMS
+    # error at T = 1 must halve at each halving of dt from 0.02 to 0.0025
+    # for the Heun schemes (strong order 1 on scalar noise), and fall by
+    # about sqrt 2 for Euler-Maruyama (order 1/2). Bands hold over 40 seeds.
+    n, z0, deff, h = 512, 0.6, math.sqrt(2.0), 0.02 / 64  # h: the fine step
+    dw = math.sqrt(h) * derive_stream(4, 0).standard_normal((3200, n))
+    exact = 1.0 / (1.0 + (1.0 - z0) / z0 * np.exp(-2.0 * deff * dw.sum(axis=0)))
+    kernel = {Scheme.WHITE_STRAT: _white_strat_heun, Scheme.WHITE_ITO: _white_ito_em}.get(scheme)
+    errors = []
+    for per in (64, 32, 16, 8):  # fine steps per coarse step
+        z = np.full(n, z0)
+        a, b = np.sqrt(z), np.sqrt(1.0 - z)
+        for d in dw.reshape(-1, per, n).sum(axis=1):
+            if kernel is None:
+                z = _fresh(_z_white_heun, z, d, per * h, 0.0, deff)
+            else:
+                a, b = _norm(_fresh(kernel, a, b, d, per * h, 0.0, deff))
+        if kernel is not None:
+            z = a * a
+        errors.append(math.sqrt(np.mean((z - exact) ** 2)))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(low <= r <= high for r in ratios), ratios
 
 
 def test_scalar_steps_validate_inputs():

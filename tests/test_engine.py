@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import path_matrix
 
 import suvsim.engine as engine
 import suvsim.experiments as experiments
@@ -143,8 +144,7 @@ def _assert_engine_matches_replay(cfg, index=0):
     assert final_z[0] == zs[-1]
     if not cfg.scheme.uses_colored_noise:
         return None
-    stream = derive_stream(cfg.seed, index)
-    (path,) = simulate_paths(cfg.noise, cfg.n_steps, cfg.dt, [stream])
+    (path,) = path_matrix(simulate_paths(cfg.noise, cfg.n_steps, cfg.dt, cfg.seed, index, 1))
     assert np.array_equal(path, np.concatenate(xis))
     return path
 
@@ -392,16 +392,17 @@ def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path)
     # noise-validation's two noise kinds are tasks of the workers' pool,
     # as the chunks of fig1a's and fig1b's recorded ensembles are. At 1 and 2
     # workers every file, the single-trajectory dumps and the manifests
-    # included, is the same bytes. At 2 workers no path set is stepped in
-    # the caller, at 1 both are.
+    # included, is the same bytes. At 2 workers no noise-validation path
+    # set is stepped in the caller, at 1 both are; the three colored
+    # trajectory dumps step their one path in the caller.
     log = tmp_path / "pids"
 
-    def logged(*args, _fn=experiments._field_blocks):
+    def logged(*args, _fn=experiments.simulate_paths):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
+            fh.write(f"{args[5]} {os.getpid()}\n")  # paths, process
         return _fn(*args)
 
-    monkeypatch.setattr(experiments, "_field_blocks", logged)
+    monkeypatch.setattr(experiments, "simulate_paths", logged)
     runs = [
         ("fig1a", {"n_traj": 40, "T": 0.1}),
         ("fig1a", {"n_traj": 1, "T": 0.1}),
@@ -419,7 +420,9 @@ def test_worker_count_does_not_change_any_experiment_file(monkeypatch, tmp_path)
         log.write_text("")
         for i, (experiment, overrides) in enumerate(runs):
             run_experiment(make_config(experiment, overrides, output_dir=f"run{i}"))
-        pids = log.read_text().split()
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert [pid for n, pid in calls if n == "1"] == [str(os.getpid())] * 3
+        pids = [pid for n, pid in calls if n != "1"]
         assert len(pids) == 2
         if workers == 2 and parallel:
             assert str(os.getpid()) not in pids
@@ -873,7 +876,7 @@ def test_engine_input_guards():
         (lambda cfg: simulate_final_z([(cfg, 2.5, 0)]), "n_traj"),
         (lambda cfg: simulate_final_z([(cfg, 3, 0.5)]), "index_offset"),
         (lambda cfg: simulate_final_z([(cfg, 3, False)]), "index_offset"),
-        (lambda cfg: simulate_paths(cfg.noise, 2.5, cfg.dt, [derive_stream(0, 0)]), "n_steps"),
+        (lambda cfg: simulate_paths(cfg.noise, 2.5, cfg.dt, 0, 0, 1), "n_steps"),
         (lambda cfg: derive_stream(0.5, 0), "master_seed"),
         (lambda cfg: derive_stream(0, 1.0), "trajectory_index"),
         (lambda cfg: steady_samples(cfg.noise, 2.5, derive_stream(0, 0)), "n"),

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import path_matrix
 
 import suvsim.engine as engine
 from suvsim import (
@@ -25,7 +26,6 @@ from suvsim import (
     TrajectoryConfig,
     __version__,
     build_trajectory_config,
-    derive_stream,
     effective_diffusion,
     make_config,
     parse_config_file,
@@ -390,7 +390,7 @@ def test_noise_validation_checks_its_lag_grid_before_simulating(tmp_path, monkey
     def no_paths(*args, **kwargs):
         raise AssertionError("paths stepped")
 
-    monkeypatch.setattr(experiments, "_field_blocks", no_paths)
+    monkeypatch.setattr(experiments, "simulate_paths", no_paths)
     cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.31, "T": 2.0},
                       output_dir=str(tmp_path))
     with pytest.raises(ConfigError, match="tau / 4 = 0.0775 is not a whole number of steps"):
@@ -468,7 +468,7 @@ def test_single_trajectory_runs_dump_decimated_paths(tmp_path):
     run_experiment(cfg)
     traj_cfg = build_trajectory_config(cfg)
     assert traj_cfg.n_steps == 55 and cfg.decimation == 10
-    (path,) = simulate_paths(traj_cfg.noise, 55, traj_cfg.dt, [derive_stream(cfg.master_seed, 0)])
+    (path,) = path_matrix(simulate_paths(traj_cfg.noise, 55, traj_cfg.dt, cfg.master_seed, 0, 1))
     with open(out / "fig1a_suv_trajectory.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [float(t) for t, _, _ in rows] == [k * cfg.dt for k in (0, 10, 20, 30, 40, 50, 55)]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import path_matrix
 
 from suvsim import (
     InvalidParameterError,
@@ -90,7 +91,7 @@ def test_ou_step_innovation_variance_completes_steady_state():
 def test_ou_step_rejects_bad_grid():
     # An OU path needs a positive step and a positive correlation time.
     with pytest.raises(InvalidParameterError):
-        simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=1.0), 10, -0.1, [derive_stream(0, 0)])
+        simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=1.0), 10, -0.1, 0, 0, 1)
     with pytest.raises(InvalidParameterError):
         NoiseModel(kind=NoiseKind.OU, tau=0.0)
 
@@ -194,8 +195,7 @@ def test_ou_relaxation_from_sharp_initial_condition():
 def test_ou_autocorrelation_decays_exponentially():
     n, tau, dt = 3000, 1.0, 0.02
     n_steps = 250
-    streams = [derive_stream(31, i) for i in range(n)]
-    paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=tau), n_steps, dt, streams)
+    paths = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=tau), n_steps, dt, 31, 0, n)
     var, at_tau = autocorrelation(paths, [0, 50])  # tau / dt = 50 steps
     assert var == pytest.approx(1.0, rel=0.05)
     assert at_tau == pytest.approx(math.exp(-1.0), rel=0.08)
@@ -203,22 +203,26 @@ def test_ou_autocorrelation_decays_exponentially():
 
 def test_sbm_autocorrelation_starts_at_one_third():
     n, tau, dt = 3000, 1.0, 0.01
-    streams = [derive_stream(32, i) for i in range(n)]
-    paths = simulate_paths(NoiseModel(kind=NoiseKind.SBM, tau=tau), 150, dt, streams)
+    paths = path_matrix(simulate_paths(NoiseModel(kind=NoiseKind.SBM, tau=tau), 150, dt, 32, 0, n))
     assert np.all(np.abs(paths) <= 1.0)
-    assert autocorrelation(paths, [0])[0] == pytest.approx(1.0 / 3.0, rel=0.05)
+    assert autocorrelation([paths.T], [0])[0] == pytest.approx(1.0 / 3.0, rel=0.05)
 
 
 def test_autocorrelation_validates_lag_and_shape():
-    paths = np.zeros((3, 10))
+    paths = [np.zeros((10, 3))]  # one time-major block of 3 paths
     with pytest.raises(InvalidParameterError):
         autocorrelation(paths, [0, 1.5])  # not a whole number of steps
     with pytest.raises(InvalidParameterError):
         autocorrelation(paths, [10])  # longer than the paths
     with pytest.raises(InvalidParameterError):
-        autocorrelation(np.zeros(10), [0])  # not 2-d
+        autocorrelation([np.zeros(10)], [0])  # not 2-d
+    # A path matrix is no block stream: it iterates as 1-d rows, and its
+    # first row is refused by the block shape it lacks.
+    with pytest.raises(InvalidParameterError, match=r"^blocks must be \(steps, n_traj\) arrays "
+                       r"with n_traj >= 1, got \(10,\)$"):
+        autocorrelation(np.zeros((3, 10)), [0])
     with pytest.raises(InvalidParameterError):
-        autocorrelation(np.zeros((0, 10)), [0])  # empty
+        autocorrelation([np.zeros((10, 0))], [0])  # no path
     with pytest.raises(InvalidParameterError):
         autocorrelation(paths, [-1])
     with pytest.raises(InvalidParameterError, match="lags must be a sequence of steps, got 3"):
@@ -249,8 +253,8 @@ def test_autocorrelation_validates_lag_and_shape():
 
 
 def _ou_paths(seed, n, n_steps):
-    streams = [derive_stream(seed, i) for i in range(n)]
-    return simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=0.5), n_steps, 0.01, streams)
+    return path_matrix(simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=0.5), n_steps, 0.01,
+                                      seed, 0, n))
 
 
 def test_autocorrelation_of_a_lag_grid_matches_one_lag_at_a_time():
@@ -260,37 +264,40 @@ def test_autocorrelation_of_a_lag_grid_matches_one_lag_at_a_time():
     # beyond the ring's length and beyond a window's wrap the lagged rows
     # around the ring.
     paths = _ou_paths(33, 64, 120)
+    rows = [paths.T]
     lags = [100, 0, 25, 7, 50, 25, 120, 1, 16, 17]
-    got = autocorrelation(paths, lags)
+    got = autocorrelation(rows, lags)
     for k, value in zip(lags, got):
         x, y = paths[:, : paths.shape[1] - k], paths[:, k:]
         assert value == pytest.approx(np.mean(x * y) - np.mean(x) * np.mean(y), rel=1e-12, abs=0)
-        assert autocorrelation(paths, [k])[0] == value
-    assert np.array_equal(autocorrelation(paths, lags[::-1]), got[::-1])
+        assert autocorrelation(rows, [k])[0] == value
+    assert np.array_equal(autocorrelation(rows, lags[::-1]), got[::-1])
 
 
 def test_streamed_blocks_give_the_bits_of_the_path_matrix():
     # The estimator's windows are fixed by absolute time, so feeding the
-    # paths as time-major blocks of any length gives the path matrix's bits.
+    # paths as time-major blocks of any length, simulate_paths' own blocks
+    # included, gives the bits of the whole path matrix as one block.
     paths = _ou_paths(34, 40, 600)
     lags = [0, 1, 15, 16, 33, 250, 600]
-    expect = autocorrelation(paths, lags)
     rows = paths.T
+    expect = autocorrelation([rows], lags)
     for size in (1, 7, 256):
         blocks = (rows[i : i + size] for i in range(0, len(rows), size))
         assert np.array_equal(autocorrelation(blocks, lags), expect)
-    assert np.array_equal(autocorrelation(iter([rows]), lags), expect)
+    blocks = simulate_paths(NoiseModel(kind=NoiseKind.OU, tau=0.5), 600, 0.01, 34, 0, 40)
+    assert np.array_equal(autocorrelation(blocks, lags), expect)
 
 
 def test_noise_kind_statistics_stream_the_estimates_of_the_path_matrix():
     # noise-validation's per-kind task never builds the path matrix, and
     # still gives, bit for bit, the estimates of autocorrelation on the
-    # simulate_paths matrix of the same streams, for both evolving kinds.
+    # matrix of the same simulate_paths range, for both evolving kinds.
     for kind in (NoiseKind.OU, NoiseKind.SBM):
         model = NoiseModel(kind=kind, tau=0.5)
         values, ks = _noise_kind_statistics((model, 300, 0.01, 35, 10, 50, 13, (35, 0)))
-        paths = simulate_paths(model, 300, 0.01, [derive_stream(35, 10 + i) for i in range(50)])
-        assert np.array_equal(values, autocorrelation(paths, [13 * k for k in range(13)]))
+        paths = path_matrix(simulate_paths(model, 300, 0.01, 35, 10, 50))
+        assert np.array_equal(values, autocorrelation([paths.T], [13 * k for k in range(13)]))
         draws = steady_samples(model, 100000, derive_stream(35, 0))
         assert ks == _steady_ks(kind, draws)
 
@@ -304,8 +311,7 @@ def test_normal_cdf_is_bit_for_bit_the_scalar_erf_loop():
 
 
 def test_frozen_paths_are_constant_rows():
-    streams = [derive_stream(41, i) for i in range(5)]
-    paths = simulate_paths(NoiseModel(kind=NoiseKind.FROZEN_SBM), 20, 0.1, streams)
+    paths = path_matrix(simulate_paths(NoiseModel(kind=NoiseKind.FROZEN_SBM), 20, 0.1, 41, 0, 5))
     assert paths.shape == (5, 21)
     assert np.all(paths == paths[:, :1])
     assert np.all(np.abs(paths[:, 0]) <= 1.0)
@@ -314,20 +320,30 @@ def test_frozen_paths_are_constant_rows():
 
 
 def test_paths_are_pure_functions_of_their_stream():
-    # Simulating a path alongside others must not change it.
+    # Simulating a path alongside others must not change it: path 2 of a
+    # batch from index 0 is the one path from index 2.
     model = NoiseModel(kind=NoiseKind.OU, tau=0.5)
-    batch = simulate_paths(model, 50, 0.01, [derive_stream(51, i) for i in range(4)])
-    solo = simulate_paths(model, 50, 0.01, [derive_stream(51, 2)])
+    batch = path_matrix(simulate_paths(model, 50, 0.01, 51, 0, 4))
+    solo = path_matrix(simulate_paths(model, 50, 0.01, 51, 2, 1))
     assert np.array_equal(batch[2], solo[0])
 
 
 def test_simulate_paths_validations():
+    # Bad arguments are refused by name at the call, before any block is
+    # requested.
     model = NoiseModel(kind=NoiseKind.OU, tau=1.0)
-    with pytest.raises(InvalidParameterError):
-        simulate_paths(model, -1, 0.01, [derive_stream(0, 0)])
-    with pytest.raises(InvalidParameterError):
-        simulate_paths(model, 10, 0.0, [derive_stream(0, 0)])
-    with pytest.raises(InvalidParameterError):
-        simulate_paths(model, 10, 0.01, [])
+    with pytest.raises(InvalidParameterError, match="^n_steps must be nonnegative, got -1$"):
+        simulate_paths(model, -1, 0.01, 0, 0, 1)
+    with pytest.raises(InvalidParameterError, match="^dt must be positive"):
+        simulate_paths(model, 10, 0.0, 0, 0, 1)
+    with pytest.raises(InvalidParameterError, match="^seed must be nonnegative, got -1$"):
+        simulate_paths(model, 10, 0.01, -1, 0, 1)
+    with pytest.raises(InvalidParameterError, match="^first_index must be nonnegative, got -2$"):
+        simulate_paths(model, 10, 0.01, 0, -2, 1)
+    with pytest.raises(InvalidParameterError, match="^n must be at least 1, got 0$"):
+        simulate_paths(model, 10, 0.01, 0, 0, 0)
+    for args, name in (((0.5, 0, 1), "seed"), ((0, 1.0, 1), "first_index"), ((0, 0, True), "n")):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be an integer"):
+            simulate_paths(model, 10, 0.01, *args)
     with pytest.raises(NotApplicableError):
-        simulate_paths(NoiseModel(kind=NoiseKind.NONE), 10, 0.01, [derive_stream(0, 0)])
+        simulate_paths(NoiseModel(kind=NoiseKind.NONE), 10, 0.01, 0, 0, 1)
