@@ -9,8 +9,9 @@ recorded preset (fig1a, fig1b, gksl-check) with one trajectory, which also
 writes the trajectory dumps, the four schemes that no preset records
 (unnormalized-suv and z-scalar-colored in fig1a, white-strat and
 z-scalar-white in gksl-check) at smoke size and with one trajectory,
-fig1a under a frozen field for 600 steps, and, with chunks at most 7
-trajectories wide, born-sweep and fdr-sweep once
+fig1a under a frozen field for 600 steps, fig1b with 23 trajectories
+(its companion ensemble starts inside a group of 16, at index 23), and,
+with chunks at most 7 trajectories wide, born-sweep and fdr-sweep once
 more, so that chunks which share one lockstep batch among several sweep
 cells start and end inside cells, and the recorded presets once more, so
 that the reduction sees many chunk boundaries. For every run it compares
@@ -23,10 +24,10 @@ determinism contract, which must hold across a deliberate change of
 output bits too: every file digest of a run at 1 worker equals that at 2
 workers, and every digest of a narrow-chunk run (``<run>-narrow``) equals
 that of its default-cap twin, the run of the same experiment and
-overrides (fig1a, fig1a-frozen, gksl-check, born-sweep and fdr-sweep
-have one). Each mismatch is printed on a line of its own, as ``in-tree:
-<run>/<file> differs from <twin>/<file>``. Exits 0 when nothing differs
-and no mismatch is found, and 1 otherwise.
+overrides (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep and
+fdr-sweep have one). Each mismatch is printed on a line of its own, as
+``in-tree: <run>/<file> differs from <twin>/<file>``. Exits 0 when nothing
+differs and no mismatch is found, and 1 otherwise.
 
 Needs only git and the package's own dependencies. Horizons are short, so
 the whole check takes well under a minute on two cores.
@@ -65,6 +66,9 @@ RUNS = [
     # A frozen field is one draw block of every step; 600 steps cross two
     # of the recorded chunks' fold points.
     ("fig1a-frozen", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, None),
+    # The twin of fig1b-narrow: 23 trajectories, so the companion ensemble
+    # starts mid-group.
+    ("fig1b-23", "fig1b", {"n_traj": 23, "T": 0.3}, None),
     ("gksl-check-strat", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "white-strat"}, None),
     ("gksl-check-strat-single", "gksl-check",
      {"n_traj": 1, "T": 0.3, "scheme": "white-strat"}, None),

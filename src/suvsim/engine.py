@@ -3,22 +3,23 @@
 Trajectories are integrated in lockstep over chunks of the ensemble,
 whose width the engine picks (see _MAX_CHUNK_WIDTH), but every
 per-trajectory quantity is a pure function of (master seed, trajectory
-index): each trajectory owns a private counter-based stream, and its draw
-order is fixed by scheme and noise kind:
+index): trajectory i reads lane i % 16 of the stream of group i // 16
+(:func:`derive_stream`). A stream draws all 16 lanes in every call, in an
+order fixed by scheme and noise kind:
 
-* colored schemes: the field draws of :func:`_field`, a steady-state
-  initial value (standard normal for OU kinds, uniform for SBM kinds), then
-  one standard normal per step for evolving kinds;
-* Wiener-driven schemes: one standard normal per step (scaled by sqrt(dt)).
+* colored schemes: the field draws of :func:`_field`, 16 steady-state
+  values (standard normal for OU kinds, uniform for SBM kinds), then
+  16 standard normals per step for evolving kinds;
+* Wiener-driven schemes: 16 standard normals per step (scaled by sqrt(dt)).
 
 The per-step normals are drawn in time-major blocks of a few hundred steps
-as the step loop reaches them, so a chunk holds one (block, m) buffer
-rather than an (m, n_steps) matrix, and each step reads its draws as one
-contiguous row. A counter-based stream yields the same sequence however
-its draws are split into calls, so the block length changes no output bit.
-:func:`_field` is the one setup of a field's draws and advance, for the
-chunks and for the time-major noise path blocks of :func:`simulate_paths`,
-which noise validation streams into its estimator.
+as the step loop reaches them, and a chunk copies the lanes it holds into
+one (block, m) buffer, so each step reads its draws as one contiguous row.
+The contract relies on one property of the streams: each is keyed on
+(seed, group), drawn from its start, and yields the same sequence however
+its draws are split into calls, so neither the block length nor the cut
+of the chunks changes an output bit. :func:`_field` is the one setup of a
+field's draws and advance, for the chunks and for :func:`simulate_paths`.
 
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk. The step loop allocates no arrays: once per chunk it sets up
@@ -31,8 +32,8 @@ different J under a white-noise scheme: its kernels form the scaled
 couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 
 Ensemble statistics are reduced in an order fixed by trajectory index:
-trajectories fall into groups of _FOLD_ROWS consecutive indices, counted
-from the ensemble's first, and each chunk is whole groups. A recorded
+a chunk holds whole stream groups (an ensemble's first and last may be
+partial), and a recorded
 chunk sums each group's recorded z, offdiag, z^2 and offdiag^2 and squared
 amplitude increments in index order as it steps, holding a few hundred
 steps at a time, and the caller folds the group sums in index order with
@@ -40,11 +41,11 @@ compensated summation. So every output is bitwise independent of chunk
 width and worker count, and byte-identical across repeated runs.
 
 Every ensemble, recorded or final-only, takes one chunk path: :func:`_tasks`
-cuts it into chunks of whole groups, and :func:`_chunk` derives a chunk's
-streams and steps it, on the one fork pool of :func:`_map_in_workers`,
-which noise validation's two noise kinds share. A recorded chunk never
-records the field: a one-trajectory run's field is the path
-:func:`simulate_paths` gives on its stream. Consecutive final-only
+cuts it into chunks of whole groups, and :func:`_chunk` steps each one,
+deriving the streams of its groups, on the one fork pool of
+:func:`_map_in_workers`, which noise validation's two noise kinds share.
+A recorded chunk never records the field: a one-trajectory run's field is
+the path :func:`simulate_paths` gives at its index. Consecutive final-only
 ensembles that differ only in z0 and J, on touching stream ranges (the
 cells of a sweep), share chunks (see :func:`simulate_final_z`). The worker
 count changes no chunk width, so no output bit and no error message
@@ -95,36 +96,27 @@ _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
 _MAX_WORKERS = 2
-# Trajectories per group: a recorded chunk sums each group's rows in index
-# order, and the caller folds the group sums. Chunks are whole groups.
+# Trajectories per group: the lanes of one stream. A recorded chunk sums each
+# group's rows in index order, and the caller folds the group sums.
 _FOLD_ROWS = 16
 # Time steps per block of drawn normals and per fold of a recorded chunk's
 # held rows, so a chunk holds (_BLOCK_STEPS, m) buffers, not (n_steps, m)
 # matrices. A Philox stream's sequence and a group sum's order do not depend
 # on how the steps are split, so this sets memory only.
 _BLOCK_STEPS = 256
-# Streams per tile: each stream draws its block into its own row of a
-# (_TILE_STREAMS, _BLOCK_STEPS) tile, which is then copied transposed into
-# the block; a tile this small keeps the transposing copy within cache.
-_TILE_STREAMS = 32
 
 
-def derive_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
-    """Private random stream for one trajectory.
-
-    Streams come from a counter-based generator keyed on (seed, index), so
-    they are statistically independent across indices, reproducible, and
-    independent of execution order.
+def derive_stream(master_seed: int, group_index: int) -> np.random.Generator:
+    """Random stream of group g, whose lanes 0 to 15 are the draws of
+    trajectories 16 g to 16 g + 15: a counter-based generator (Philox) keyed
+    on (seed, g), so streams are statistically independent across groups,
+    reproducible, and independent of execution order.
     """
-    check_integer("master_seed", master_seed)
-    check_integer("trajectory_index", trajectory_index)
-    if master_seed < 0:
-        raise InvalidParameterError(f"master_seed must be nonnegative, got {master_seed}")
-    if trajectory_index < 0:
-        raise InvalidParameterError(
-            f"trajectory_index must be nonnegative, got {trajectory_index}"
-        )
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(trajectory_index,))
+    for name, value in (("master_seed", master_seed), ("group_index", group_index)):
+        check_integer(name, value)
+        if value < 0:
+            raise InvalidParameterError(f"{name} must be nonnegative, got {value}")
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(group_index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -141,8 +133,7 @@ def simulate_ensemble(
     cfg : TrajectoryConfig
         Scheme, physics, grid and master seed.
     n_traj : int
-        Ensemble size; trajectory i uses the stream derived from
-        (cfg.seed, index_offset + i).
+        Ensemble size; trajectory i has the stream index index_offset + i.
     decimation : int
         Statistics are emitted every ``decimation`` steps (plus the final
         step); internal updates still happen every step.
@@ -150,13 +141,13 @@ def simulate_ensemble(
         Offset of the stream indices, used to draw disjoint independent
         ensembles under one master seed.
 
-    The engine cuts the run into lockstep chunks of whole groups of
-    _FOLD_ROWS trajectories under its caps (see _MAX_CHUNK_WIDTH) and runs
-    them on the fork pool; every output is bitwise the same for any chunk
-    width and worker count. With one trajectory, mean_z is its z series bit
-    for bit, and its colored field the path :func:`simulate_paths` gives on
-    the same stream. An IntegratorInstabilityError names the trajectory
-    index and the step at which the first failing chunk degenerated.
+    The engine cuts the run into lockstep chunks of whole stream groups
+    under its caps (see _MAX_CHUNK_WIDTH) and runs them on the fork pool;
+    every output is bitwise the same for any chunk width and worker count.
+    With one trajectory, mean_z is its z series bit for bit, and its field
+    the path of :func:`simulate_paths` at its index. An instability error
+    (IntegratorInstabilityError) names the first failing chunk's trajectory
+    and step.
     """
     _check_range(n_traj, index_offset)
     check_integer("decimation", decimation)
@@ -194,22 +185,20 @@ def simulate_ensemble(
 def simulate_final_z(jobs) -> list[np.ndarray]:
     """Final z of several final-only ensembles, one array per job.
 
-    Each job is ``(cfg, n_traj, index_offset)``; trajectory i of a job uses
-    the stream (cfg.seed, index_offset + i), and its final z is, bit for
-    bit, the last mean_z of the one-trajectory recorded run
-    ``simulate_ensemble(cfg, 1, index_offset=index_offset + i)``. A run of
-    consecutive jobs shares lockstep chunks when each job's config equals
-    the previous one's except in z0 and J, and its index_offset is the
-    previous one's index_offset + n_traj, so that the run's stream indices
-    are contiguous; each row of a shared chunk starts from its own job's
-    z0 and steps with its own job's J. :func:`_tasks` cuts each such run (a
+    Each job is ``(cfg, n_traj, index_offset)``; trajectory i of a job has
+    the stream index index_offset + i, and its final z is, bit for bit, the
+    last mean_z of ``simulate_ensemble(cfg, 1, index_offset=index_offset + i)``.
+    Consecutive jobs whose configs differ only in z0 and J, on contiguous
+    stream indices (each index_offset the previous one's + n_traj), form a
+    run that shares lockstep chunks, each row starting from its own job's
+    z0 and stepping with its own job's J. :func:`_tasks` cuts each run (a
     lone job is a run of one) under _MAX_CHUNK_WIDTH, and all the chunks
     step on the fork pool. When chunks fail, the IntegratorInstabilityError
     raised is that of the first failing chunk in job and index order; within
     a chunk it names the earliest failing step and, at that step, the lowest
-    failing row, which may belong to a later job than another row that would
-    fail at a later step. No chunk width depends on the worker count, so
-    neither does the error.
+    failing row, which may belong to a later job than a row failing at a
+    later step. No chunk width depends on the worker count, so neither does
+    the error.
     """
     runs = []  # lists of consecutive jobs that share chunks
     for job in jobs:
@@ -231,11 +220,11 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     """Steady-state noise paths, time-major: an iterator over the (1, n) row
     at t = 0, then blocks of at most _BLOCK_STEPS steps, n_steps rows in all.
 
-    Column r is the path on the stream (seed, first_index + r), drawn and
-    advanced by :func:`_field` as the field of a colored ensemble is: a pure
-    function of that stream, model, dt and n_steps, whatever other paths run
-    alongside it, and the field of a one-trajectory colored run at
-    index_offset first_index + r. Each step writes the advanced field over
+    Column r is the path of stream index i = first_index + r (lane i % 16 of
+    group i // 16), drawn and advanced by :func:`_field` as the field of a
+    colored ensemble is: a pure function of seed, i, model, dt and n_steps,
+    whatever other paths run alongside it, and the field of a
+    one-trajectory colored run at index_offset i. Each step writes the advanced field over
     the normals it read, and the blocks are views of buffers that later
     blocks overwrite, so a consumer reads (or copies) each block before it
     asks for the next. Frozen kinds yield constant rows. The arguments are
@@ -252,8 +241,8 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
         raise InvalidParameterError(f"n must be at least 1, got {n}")
     if not dt > 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    streams = [derive_stream(seed, first_index + r) for r in range(n)]
-    xi, blocks, advance = _field(model, dt, streams, n_steps, tuple(_aligned_rows(2, n)))
+    ws = tuple(_aligned_rows(2, n))
+    xi, blocks, advance = _field(model, dt, seed, first_index, n, n_steps, ws)
 
     def paths():
         yield xi[None]
@@ -307,21 +296,22 @@ def _record_at(n_steps, decimation):
 def _tasks(run, cap, record_at=None):
     """Yield the chunks ``(cells, first_index, record_at)`` of a run of jobs
     that share lockstep chunks: ceil(groups / max(1, cap // _FOLD_ROWS))
-    chunks of whole groups of _FOLD_ROWS rows, counted from the run's first
-    row, that differ by at most one group. ``cells`` holds ``(cfg, rows)``
-    pairs in row order; the rows are the streams first_index, first_index + 1, ..."""
+    chunks of the stream groups the run touches, that differ by at most one
+    group. ``cells`` holds ``(cfg, rows)`` pairs in row order; the rows are
+    the stream indices first_index, first_index + 1, ..."""
     ends = list(accumulate(n for _, n, _ in run))
-    total = ends[-1]
-    groups = -(-total // _FOLD_ROWS)
+    first, total = int(run[0][2]), ends[-1]
+    lane = first % _FOLD_ROWS
+    groups = (lane + total - 1) // _FOLD_ROWS + 1
     k = -(-groups // max(1, cap // _FOLD_ROWS))
-    bounds = [min(total, groups * i // k * _FOLD_ROWS) for i in range(k + 1)]
+    bounds = [min(total, max(0, groups * i // k * _FOLD_ROWS - lane)) for i in range(k + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
         cells = tuple(
             (cfg, min(hi, end) - max(lo, end - n))
             for (cfg, n, _), end in zip(run, ends)
             if end - n < hi and end > lo
         )
-        yield cells, run[0][2] + lo, record_at
+        yield cells, first + lo, record_at
 
 
 def _chunk(task):
@@ -332,18 +322,22 @@ def _chunk(task):
     cells, first, record_at = task
     cfg = cells[0][0]
     counts = [rows for _, rows in cells]
-    streams = [derive_stream(cfg.seed, first + i) for i in range(sum(counts))]
     z0 = np.repeat(np.array([c.z0 for c, _ in cells], dtype=float), counts)
     couplings = [c.params.J for c, _ in cells]
     J = np.repeat(couplings, counts) if len(set(couplings)) > 1 else None
-    return _integrate_chunk(cfg, streams, record_at, first, z0, J)
+    return _integrate_chunk(cfg, z0, record_at, first, J)
 
 
-def _fold_groups(rows, out):
+def _fold_groups(rows, out, lane=0):
     """Write into ``out`` the sum of each group of _FOLD_ROWS consecutive
-    trajectories (the last axis of ``rows``; the last group may be partial),
-    added one at a time in index order. It sums 16 steps (the second-last
-    axis) at a time into a contiguous buffer, so its strided reads hit cache."""
+    trajectories (the last axis of ``rows``, whose first trajectory is on
+    lane ``lane``, so the first and last groups may be partial), added one
+    at a time in index order. It sums 16 steps (the second-last axis) at a
+    time into a contiguous buffer, so its strided reads hit cache."""
+    head = -lane % _FOLD_ROWS  # the rows of a partial first group
+    if head:
+        _fold_groups(rows[..., :head], out[..., :1])
+        rows, out = rows[..., head:], out[..., 1:]
     for t in range(0, rows.shape[-2], 16):
         steps = rows[..., t : t + 16, :]
         sums = steps[..., ::_FOLD_ROWS].copy()
@@ -504,42 +498,51 @@ _SCHEMES = {
 }
 
 
-def _stream_normals(streams, n_steps: int):
-    """Yield standard normals for ``n_steps`` steps in time-major blocks.
+def _spread(streams, lane, out, draw):
+    """Write into ``out`` (..., m) the lanes of ``draw(stream)``, an array
+    (..., _FOLD_ROWS) drawn once per group stream in order: column c takes
+    lane (lane + c) % _FOLD_ROWS of stream (lane + c) // _FOLD_ROWS."""
+    m = out.shape[-1]
+    for col, g in zip(range(-lane, m, _FOLD_ROWS), streams):
+        lo = max(col, 0)
+        out[..., lo : col + _FOLD_ROWS] = draw(g)[..., lo - col : m - col]
 
-    Each block has shape (width, len(streams)) with width at most
-    ``_BLOCK_STEPS``, so the draws of one step are a contiguous row; column
-    r continues stream r's sequence. The blocks are views of one buffer
-    that the next block overwrites, so a consumer uses (or copies) each
-    block before asking for the next.
-    """
-    m = len(streams)
+
+def _stream_normals(streams, lane, m, n_steps: int):
+    """Yield standard normals for ``n_steps`` steps in time-major (width, m)
+    blocks, width at most ``_BLOCK_STEPS``, each group stream drawing
+    (width, _FOLD_ROWS) in one call (see :func:`_spread`). The blocks are
+    views of one buffer that the next block overwrites, so a consumer uses
+    (or copies) each block before asking for the next."""
     buf = _aligned_rows(min(n_steps, _BLOCK_STEPS), m)
-    tile = np.empty((min(m, _TILE_STREAMS), buf.shape[0]))
+    tile = np.empty((buf.shape[0], _FOLD_ROWS))
     for start in range(0, n_steps, _BLOCK_STEPS):
-        width = min(_BLOCK_STEPS, n_steps - start)
-        for first in range(0, m, _TILE_STREAMS):
-            group = streams[first : first + _TILE_STREAMS]
-            rows = tile[: len(group), :width]
-            for row, g in zip(rows, group):
-                g.standard_normal(out=row)
-            buf[:width, first : first + len(group)] = rows.T
-        yield buf[:width]
+        block = buf[: min(_BLOCK_STEPS, n_steps - start)]
+        _spread(streams, lane, block, lambda g: g.standard_normal(out=tile[: len(block)]))
+        yield block
 
 
-def _field(model, dt, streams, n_steps, ws):
-    """``(xi, blocks, advance)`` of one field path per stream.
+def _field(model, dt, seed, first, m, n_steps, ws):
+    """``(xi, blocks, advance)``: the draws of the m trajectories from stream
+    index ``first`` on, from the streams of the groups they touch.
 
-    Each stream draws its steady-state value into ``xi`` (uniform on
-    [-1, 1] for bounded kinds, N(0, 1) otherwise), then, if the kind
-    evolves, one normal per step into the :func:`_stream_normals` blocks.
-    ``advance(xi, normals, out)`` writes the next field into ``out`` (``xi``
-    or ``normals``) through the scratch vectors ``ws``, looking the update
-    kernels up in this module's globals on every call. A frozen field draws
-    nothing more: ``advance`` is None and one empty block spans every step.
+    For a field ``model``, each stream draws _FOLD_ROWS steady-state values,
+    whose lanes go into ``xi`` (uniform on [-1, 1] for bounded kinds,
+    N(0, 1) otherwise), then, if the kind evolves, the normals of the
+    :func:`_stream_normals` blocks. ``advance(xi, normals, out)`` writes the
+    next field into ``out`` (``xi`` or ``normals``) through the scratch
+    vectors ``ws``, looking the update kernels up in this module's globals
+    on every call. A frozen field draws nothing more: ``advance`` is None
+    and one empty block spans every step. With ``model`` None (a
+    Wiener-driven scheme), ``xi`` and ``advance`` are None and the blocks
+    are the normals.
     """
-    xi = _aligned_rows(1, len(streams))[0]
-    xi[:] = [steady_samples(model, 1, g)[0] for g in streams]
+    g0, lane = divmod(int(first), _FOLD_ROWS)
+    streams = [derive_stream(seed, g0 + g) for g in range((lane + m - 1) // _FOLD_ROWS + 1)]
+    if model is None:
+        return None, _stream_normals(streams, lane, m, n_steps), None
+    xi = _aligned_rows(1, m)[0]
+    _spread(streams, lane, xi, lambda g: steady_samples(model, _FOLD_ROWS, g))
     if model.kind.is_frozen:
         return xi, (np.empty((n_steps, 0)),), None
     if model.kind is NoiseKind.OU:
@@ -547,10 +550,10 @@ def _field(model, dt, streams, n_steps, ws):
         advance = lambda x, n, out: _ou_update(x, decay, sigma, n, out, ws)  # noqa: E731
     else:
         advance = lambda x, n, out: _sbm_update(x, dt, model.tau, n, out, ws)  # noqa: E731
-    return xi, _stream_normals(streams, n_steps), advance
+    return xi, _stream_normals(streams, lane, m, n_steps), advance
 
 
-def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
+def _integrate_chunk(cfg, z0, record_at, first_index, J):
     """Integrate one lockstep batch (row 0 has stream index first_index).
 
     ``z0`` is the per-row float array of initial populations, and ``J``,
@@ -561,7 +564,7 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     both correctly rounded.
 
     Returns one array. With a grid ``record_at``, it is the chunk's (groups,
-    4 n_out + n_steps) group sums: per group of _FOLD_ROWS rows, the sums of
+    4 n_out + n_steps) group sums: per group it touches, the sums of
     [z | offdiag | z^2 | offdiag^2] on that grid and of every step's
     squared amplitude increment, added one row at a time in index order:
     the loop holds them time-major and :func:`_fold_groups` adds them in
@@ -573,16 +576,13 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     p = cfg.params if J is None else replace(cfg.params, J=J)
     dt = cfg.dt
     n_steps = cfg.n_steps
-    m = len(streams)
+    m, lane = len(z0), first_index % _FOLD_ROWS
 
     ws = _workspace(m)
     colored = scheme.uses_colored_noise
-    xi = advance = None
-    if colored:
-        xi, blocks, advance = _field(cfg.noise, dt, streams, n_steps, ws)
-    else:
-        blocks = _stream_normals(streams, n_steps)
-        sqrt_dt = math.sqrt(dt)
+    noise = cfg.noise if colored else None
+    xi, blocks, advance = _field(noise, dt, cfg.seed, first_index, m, n_steps, ws)
+    sqrt_dt = math.sqrt(dt)
 
     # The state alternates between two buffers: a step reads one and writes
     # the other, so the previous amplitude stays intact for the increment.
@@ -599,7 +599,7 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
     if record_at is not None:  # the grid always starts at t = 0
         out_idx = np.flatnonzero(record_at)
         n_out = out_idx.size
-        sums = np.empty((-(-m // _FOLD_ROWS), 4 * n_out + n_steps))
+        sums = np.empty(((lane + m - 1) // _FOLD_ROWS + 1, 4 * n_out + n_steps))
         grid = sums[:, : 4 * n_out].reshape(-1, 4, n_out).transpose(1, 2, 0)
         increments = sums[:, 4 * n_out :].T
         # the most grid points per fold; t = 0 folds with the first steps
@@ -634,10 +634,10 @@ def _integrate_chunk(cfg, streams, record_at, first_index, z0, J):
                     # folds follow the step count, not the draw blocks.
                     if k % _BLOCK_STEPS == 0 or k == n_steps:
                         first = (k - 1) // _BLOCK_STEPS * _BLOCK_STEPS
-                        _fold_groups(dq[: k - first], increments[first:k])
+                        _fold_groups(dq[: k - first], increments[first:k], lane)
                         rec = obs[:, :pos]
-                        _fold_groups(rec, grid[:2, done : done + pos])
-                        _fold_groups(np.square(rec, out=rec), grid[2:, done : done + pos])
+                        _fold_groups(rec, grid[:2, done : done + pos], lane)
+                        _fold_groups(np.square(rec, out=rec), grid[2:, done : done + pos], lane)
                         pos, done = 0, done + pos
     except IntegratorInstabilityError as exc:
         raise IntegratorInstabilityError(

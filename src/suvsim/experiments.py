@@ -66,7 +66,7 @@ def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
     """Run a recorded ensemble of cfg.n_traj trajectories from stream index
     ``offset`` on and write its summary to ``csv_name``, and a single
     trajectory's series to ``<stem>_trajectory.csv``, with the colored
-    field that simulate_paths gives on its stream, column 0 of each block
+    field that simulate_paths gives at its index, column 0 of each block
     copied before the next is stepped; the names written are appended to
     ``written``. Returns the summary."""
     summary = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
@@ -200,10 +200,10 @@ def _noise_kind_statistics(task):
 
     ``task`` is ``(model, n_steps, dt, seed, first_index, n, quarter_steps,
     steady_stream)``: ``n`` steady-state paths of ``n_steps`` steps, path i
-    from the stream (seed, first_index + i), are estimated at the
+    of stream index first_index + i, are estimated at the
     _FIT_LAGS lags k * quarter_steps of their grid (quarter_steps steps
     being tau / 4), and _STEADY_SAMPLES steady draws from the stream
-    ``steady_stream = (seed, index)`` are compared with the exact
+    ``derive_stream(*steady_stream)`` are compared with the exact
     stationary law. The paths' time-major blocks stream into
     :func:`autocorrelation` as they are stepped. Returns the estimates and
     the KS distance.

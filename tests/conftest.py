@@ -1,8 +1,12 @@
 """Shared test fixtures and the acceptance-criteria terminal report."""
+import math
 import multiprocessing
 
 import numpy as np
 import pytest
+
+from suvsim import derive_stream
+from suvsim.dynamics import _unnormalized_heun, _workspace
 
 # Verdicts recorded by the acceptance suite, printed one line per criterion
 # at the end of the test session.
@@ -45,6 +49,47 @@ def path_matrix(blocks):
     """The (n, n_steps + 1) matrix of simulate_paths' time-major blocks, each
     block copied before the next is requested (later blocks overwrite it)."""
     return np.concatenate([block.copy() for block in blocks]).T
+
+
+def lane_draws(seed, index, n_steps, steady=None):
+    """Trajectory ``index``'s draws under ``seed``, replayed from lane
+    index % 16 of the stream of group index // 16, which draws all 16
+    lanes in every call: its steady-state value (``steady`` "normal" or
+    "uniform"; None draws none, as Wiener-driven schemes do) and its
+    ``n_steps`` per-step standard normals."""
+    rng, lane = derive_stream(seed, index // 16), index % 16
+    value = None
+    if steady == "uniform":
+        value = rng.uniform(-1.0, 1.0, 16)[lane]
+    elif steady == "normal":
+        value = rng.standard_normal(16)[lane]
+    return value, rng.standard_normal((n_steps, 16))[:, lane]
+
+
+def overflow_steps(cfg, indices):
+    """Replay of an unnormalized run under a frozen OU field: {index: step}
+    for each trajectory of ``indices`` whose amplitudes overflow alone
+    within cfg.n_steps, at that step. A trajectory's field is its lane's
+    steady draw, and the kernel acts elementwise, so the rows step
+    together, each with the bits of a run of its own."""
+    n, p = len(indices), cfg.params
+    xi = np.array([lane_draws(cfg.seed, i, 0, "normal")[0] for i in indices])
+    a, b = np.full(n, math.sqrt(cfg.z0)), np.full(n, math.sqrt(1.0 - cfg.z0))
+    ws, steps = _workspace(n), np.zeros(n, dtype=int)
+    for k in range(1, cfg.n_steps + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = _unnormalized_heun(a, b, xi, cfg.dt, p.J, p.G, (np.empty(n), np.empty(n)), ws)
+        steps[(steps == 0) & ~(np.isfinite(a) & np.isfinite(b))] = k
+        if steps.all():
+            break
+    return {i: int(k) for i, k in zip(indices, steps) if k}
+
+
+def first_overflow(steps, indices):
+    """``trajectory i, step k``, the error of one chunk of ``indices``: its
+    earliest overflow step in ``steps``, at the lowest index failing then."""
+    k, i = min((steps[i], i) for i in indices if i in steps)
+    return f"trajectory {i}, step {k}"
 
 
 class StubRng:

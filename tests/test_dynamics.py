@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import first_overflow, overflow_steps
 
 import suvsim.engine as engine
 from suvsim import (
@@ -276,10 +277,15 @@ def test_unnormalized_step_flags_overflow(monkeypatch):
         scheme=Scheme.UNNORMALIZED_SUV,
         seed=2,
     )
-    # Alone, trajectories 0, 1 and 2 overflow at steps 9004, 6927 and 6760;
-    # of trajectories 19 to 34, 23 fails first, at step 6759, and of 35 to
-    # 47, 36, at step 6394.
+    # Each trajectory's overflow step comes from a replay. 19 to 47 fill
+    # groups 1 (19 to 31) and 2 (32 to 47).
     short = dataclasses.replace(cfg, T=80.0)
+    steps = overflow_steps(cfg, range(3))
+    short_steps = overflow_steps(short, range(19, 48))
+    first_chunk = first_overflow(short_steps, range(19, 32))
+    earliest = [min(k for i, k in short_steps.items() if lo <= i < hi)
+                for lo, hi in ((19, 32), (32, 48))]
+    assert earliest[1] < earliest[0]  # the second group fails first
     wide = engine._MAX_CHUNK_WIDTH
     def recorded():
         simulate_ensemble(short, 29, index_offset=19)
@@ -288,17 +294,17 @@ def test_unnormalized_step_flags_overflow(monkeypatch):
         simulate_final_z([(short, 29, 19)])
 
     cases = [  # run, chunk width cap, workers, failure
-        (lambda: simulate_ensemble(cfg, 3), wide, 2, "trajectory 2, step 6760"),  # row 2 of one batch
+        (lambda: simulate_ensemble(cfg, 3), wide, 2, first_overflow(steps, range(3))),
         (lambda: simulate_ensemble(cfg, 2, index_offset=1), wide, 2,
-         "trajectory 2, step 6760"),  # offset + row 1
-        (recorded, wide, 2, "trajectory 36, step 6394"),  # one batch: the earliest step
-        # One group of 16 per chunk: 19 to 34, then 35 to 47. On two workers
-        # the second chunk, which fails at an earlier step, may fail first;
+         first_overflow(steps, range(1, 3))),  # offset + row
+        (recorded, wide, 2, first_overflow(short_steps, range(19, 48))),  # one batch
+        # One group per chunk: 19 to 31, then 32 to 47. On two workers the
+        # second chunk, which fails at an earlier step, may fail first;
         # the first failing chunk's error wins, recorded or final-only.
-        (recorded, 1, 1, "trajectory 23, step 6759"),
-        (recorded, 1, 2, "trajectory 23, step 6759"),
-        (final_only, 1, 1, "trajectory 23, step 6759"),
-        (final_only, 1, 2, "trajectory 23, step 6759"),
+        (recorded, 1, 1, first_chunk),
+        (recorded, 1, 2, first_chunk),
+        (final_only, 1, 1, first_chunk),
+        (final_only, 1, 2, first_chunk),
     ]
     for run, width, workers, where in cases:
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)

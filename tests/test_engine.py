@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import path_matrix
+from conftest import first_overflow, lane_draws, overflow_steps, path_matrix
 
 import suvsim.engine as engine
 import suvsim.experiments as experiments
@@ -73,16 +73,16 @@ def test_derive_stream_is_deterministic_and_index_separated():
 
 
 def _replay(cfg, index=0):
-    """Step trajectory ``index`` alone, drawing one scalar normal per step.
+    """Step trajectory ``index`` alone, one scalar normal per step.
 
-    The engine draws each stream's normals in time blocks; this replay takes
-    them one at a time from the same stream (after the steady-state field
-    value of a colored scheme) and steps length-1 arrays through the
-    kernels, into fresh buffers at every step. Returns the state after
-    every step, initial state first, as (a, b) or (z,) tuples, and the
-    field value the next step would see.
+    The engine draws each group stream's normals in time blocks of all 16
+    lanes; this replay takes trajectory ``index``'s lane of them
+    (:func:`lane_draws`, after the steady-state field value of a colored
+    scheme) and steps length-1 arrays through the kernels, into fresh
+    buffers at every step. Returns the state after every step, initial
+    state first, as (a, b) or (z,) tuples, and the field value the next
+    step would see.
     """
-    rng = derive_stream(cfg.seed, index)
     p, dt, kind, tau = cfg.params, cfg.dt, cfg.noise.kind, cfg.noise.tau
 
     def pair():
@@ -101,23 +101,23 @@ def _replay(cfg, index=0):
         Scheme.Z_WHITE: lambda s, d: (_z_white_heun(s[0], d, dt, p.J, p.Deff, np.empty(1), _workspace(1)),),
     }[cfg.scheme]
     colored = cfg.scheme.uses_colored_noise
-    xi = None
-    if colored:
-        xi = np.array([rng.uniform(-1.0, 1.0) if kind.is_bounded else rng.standard_normal()])
+    steady = ("uniform" if kind.is_bounded else "normal") if colored else None
+    value, normals = lane_draws(cfg.seed, index, cfg.n_steps, steady)
+    xi = np.array([value]) if colored else None
     if cfg.scheme.is_scalar:
         state = (np.array([cfg.z0]),)
     else:
         state = (np.array([math.sqrt(cfg.z0)]), np.array([math.sqrt(1.0 - cfg.z0)]))
     states, xis = [state], [xi]
-    for _ in range(cfg.n_steps):
+    for normal in normals:
         if not colored:
-            state = step(state, math.sqrt(dt) * rng.standard_normal())
+            state = step(state, math.sqrt(dt) * normal)
         else:
             state = step(state, xi)
             if kind is NoiseKind.OU:
-                xi = _ou_update(xi, *_ou_coefficients(dt, tau), rng.standard_normal(), np.empty(1), pair())
+                xi = _ou_update(xi, *_ou_coefficients(dt, tau), normal, np.empty(1), pair())
             elif kind is NoiseKind.SBM:
-                xi = _sbm_update(xi, dt, tau, rng.standard_normal(), np.empty(1), pair())
+                xi = _sbm_update(xi, dt, tau, normal, np.empty(1), pair())
         states.append(state)
         xis.append(xi)
     return states, xis
@@ -229,8 +229,9 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
 
 def _final_only_jobs():
     """(cfg, n_traj, index_offset) jobs of a colored OU, a colored SBM and a
-    white Ito ensemble, of 40 trajectories each: three groups of _FOLD_ROWS
-    (16 + 16 + 8), so that narrow caps cut each job into three chunks."""
+    white Ito ensemble, of 40 trajectories each from indices 0, 5 and 10:
+    they touch 3, 3 and 4 groups of _FOLD_ROWS (16 + 16 + 8, 11 + 16 + 13
+    and 6 + 16 + 16 + 2), so that narrow caps cut them into 10 chunks."""
     cfgs = (
         _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.05),
         _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5, T=0.05),
@@ -315,16 +316,15 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     # group.
     log = tmp_path / "widths"
 
-    def chunk(cfg, streams, record_at, first_index, z0, J):
+    def chunk(cfg, z0, record_at, first_index, J):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{first_index} {len(streams)}\n")
+            fh.write(f"{first_index} {len(z0)}\n")
         if record_at is None:
-            return np.zeros(len(streams))
-        groups = -(-len(streams) // engine._FOLD_ROWS)
+            return np.zeros(len(z0))
+        groups = (first_index + len(z0) - 1) // 16 - first_index // 16 + 1
         return np.zeros((groups, 4 * int(record_at.sum()) + cfg.n_steps))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
-    monkeypatch.setattr(engine, "derive_stream", lambda seed, index: None)  # unused by the stub
     cfg = _cfg(Scheme.SUV_COLORED, T=1.0)
     other = _cfg(Scheme.SUV_COLORED, T=1.0, z0=0.25, J=3.0)
     cases = [
@@ -344,12 +344,12 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     # recorded runs of 23 (101 grid points and 1000 steps, so group sums of
     # 4 * 101 + 1000 = 1404 columns): (cap, element budget, widths)
     cap, budget = engine._MAX_CHUNK_WIDTH, engine._CHUNK_ELEMENT_BUDGET
-    recorded = [
+    recorded = [  # from index 4: 12 rows of group 0, 11 of group 1
         (cap, budget, [23]),
-        (7, budget, [16, 7]),  # whole groups, not 5 + 6 + 6 + 6
+        (7, budget, [12, 11]),  # whole groups, not 5 + 6 + 6 + 6
         (cap, 2 * 1404, [23]),  # the budget holds both groups' sums
-        (cap, 2 * 1404 - 1, [16, 7]),  # the budget binds at one group
-        (cap, 1403, [16, 7]),  # a chunk is one group even when none fits
+        (cap, 2 * 1404 - 1, [12, 11]),  # the budget binds at one group
+        (cap, 1403, [12, 11]),  # a chunk is one group even when none fits
     ]
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
@@ -369,18 +369,21 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
 
 
 def test_failing_merged_chunk_names_its_earliest_failing_step(monkeypatch):
-    # Two unnormalized cells share one chunk; alone, the first overflows at
-    # trajectory 1, step 7673, the second at trajectory 2, step 6219. The
-    # shared chunk raises the earliest failing step's error, at 1 and 2
-    # workers, beside a third job that runs to its horizon.
+    # Two unnormalized cells share one chunk; alone, each overflows at the
+    # step its replay gives, the second at an earlier one. The shared chunk
+    # raises the earliest failing step's error, at 1 and 2 workers, beside
+    # a third job that runs to its horizon.
     def cfg(J, z0, T=120.0):
         return _cfg(Scheme.UNNORMALIZED_SUV, kind=NoiseKind.FROZEN_OU, dt=0.01, T=T, z0=z0,
                     J=J, seed=2)
 
     first, second = (cfg(8.0, 0.6), 2, 0), (cfg(9.9, 0.9), 2, 2)
-    message = "trajectory 2, step 6219: unnormalized amplitudes overflowed"
-    with pytest.raises(IntegratorInstabilityError, match="^trajectory 1, step 7673: "):
+    steps = [overflow_steps(c, range(i, i + n)) for c, n, i in (first, second)]
+    assert min(steps[1].values()) < min(steps[0].values())  # the second fails first
+    with pytest.raises(IntegratorInstabilityError,
+                       match=f"^{first_overflow(steps[0], range(0, 2))}: "):
         simulate_final_z([first])
+    message = f"{first_overflow(steps[1], range(2, 4))}: unnormalized amplitudes overflowed"
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         with pytest.raises(IntegratorInstabilityError) as info:
@@ -447,14 +450,14 @@ def test_final_only_chunks_run_in_worker_processes(monkeypatch, tmp_path):
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
-    jobs = _final_only_jobs()  # 3 jobs of 40, a chunk per group: 9 chunks
+    jobs = _final_only_jobs()  # 3 jobs of 40, a chunk per group: 10 chunks
     parallel = len(os.sched_getaffinity(0)) >= 2
     for workers in (1, 2):
         log.write_text("")
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         simulate_final_z(jobs)
         pids = log.read_text().split()
-        assert len(pids) == 9
+        assert len(pids) == 10
         if workers == 2 and parallel:
             assert str(os.getpid()) not in pids and len(set(pids)) <= 2
         else:
@@ -471,9 +474,9 @@ def test_no_worker_outlives_the_call(monkeypatch):
     simulate_final_z([(cfg, 48, 0)])  # three chunks of one group each
     assert multiprocessing.active_children() == []
 
-    def failing(cfg, streams, record_at, first_index, z0, J):
+    def failing(cfg, z0, record_at, first_index, J):
         if first_index == 0:
-            return np.zeros(len(streams))
+            return np.zeros(len(z0))
         if first_index == 16:
             time.sleep(0.5)  # the chunk at 32 fails first
         raise IntegratorInstabilityError(f"trajectory {first_index}, step 1: failed")
@@ -681,9 +684,9 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
     # the same at 1000 steps as at 16000.
     widths = []
 
-    def chunk(cfg, streams, record_at, first_index, z0, J):
-        widths.append(len(streams))
-        return np.zeros(len(streams))
+    def chunk(cfg, z0, record_at, first_index, J):
+        widths.append(len(z0))
+        return np.zeros(len(z0))
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     by_horizon = []
@@ -697,18 +700,20 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
 def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
     # At every chunk cap and worker count, recorded summaries and final z
     # are the same bits. Chunks are whole groups of _FOLD_ROWS, so at caps
-    # 1 and 7 the 23 trajectories step 2 chunks (16 + 7) and the 50 step 4
-    # (16 + 16 + 16 + 2), which the pool splits between 2 workers.
+    # 1 and 7 the 23 trajectories step 2 chunks (16 + 7), the 50 step 4
+    # (16 + 16 + 16 + 2), which the pool splits between 2 workers, and the
+    # 41 from index 5 step 3 (11 + 16 + 14), partial groups at both ends.
     cfg = _cfg(Scheme.SUV_COLORED, T=0.1, seed=321)
     default = engine._MAX_CHUNK_WIDTH
-    for n_traj in (23, 50):
+    for n_traj, offset in ((23, 0), (50, 0), (41, 5)):
         runs = []
         for workers in (1, 2):
             monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
             for width in (1, 7, default):
                 monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-                runs.append((simulate_ensemble(cfg, n_traj=n_traj, decimation=10),
-                             *simulate_final_z([(cfg, n_traj, 0)])))
+                runs.append((simulate_ensemble(cfg, n_traj=n_traj, decimation=10,
+                                               index_offset=offset),
+                             *simulate_final_z([(cfg, n_traj, offset)])))
         ref, ref_z = runs[0]
         for other, final_z in runs[1:]:
             assert np.array_equal(ref_z, final_z)
@@ -719,10 +724,65 @@ def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
             assert np.array_equal(ref.qv, other.qv)
 
 
+def _lane_cfgs():
+    """A colored OU, a colored SBM, a frozen and a white Ito config."""
+    return (
+        _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.05),
+        _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5, T=0.05),
+        _cfg(Scheme.Z_COLORED, kind=NoiseKind.FROZEN_OU, T=0.05),
+        _cfg(Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=0.05),
+    )
+
+
+def test_a_chunk_derives_one_stream_per_group_it_touches(monkeypatch):
+    # Streams are derived per group of 16, never per trajectory: each chunk
+    # derives, once, the stream of every group its rows touch, at any chunk
+    # cap, recorded or final-only; simulate_paths derives its range's. Two
+    # jobs that do not share chunks each derive the group they share.
+    keys = []
+
+    def counted(seed, group, _fn=engine.derive_stream):
+        keys.append(group)
+        return _fn(seed, group)
+
+    monkeypatch.setattr(engine, "derive_stream", counted)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 1)  # chunks run in the caller, in order
+    colored, sbm, _, white = _lane_cfgs()
+    cases = [  # run, chunk cap, group keys
+        (lambda: simulate_final_z([(colored, 40, 5)]), None, [0, 1, 2]),
+        (lambda: simulate_final_z([(colored, 40, 5)]), 16, [0, 1, 2]),
+        (lambda: simulate_final_z([(white, 40, 5)]), 1, [0, 1, 2]),
+        (lambda: simulate_ensemble(sbm, 40, index_offset=5), None, [0, 1, 2]),
+        (lambda: simulate_ensemble(sbm, 40, index_offset=5), 32, [0, 1, 2]),
+        (lambda: simulate_final_z([(colored, 1, 37)]), None, [2]),
+        (lambda: simulate_final_z([(colored, 10, 0), (white, 10, 10)]), None, [0, 0, 1]),
+        (lambda: simulate_paths(sbm.noise, 10, sbm.dt, sbm.seed, 5, 40), None, [0, 1, 2]),
+    ]
+    default = engine._MAX_CHUNK_WIDTH
+    for run, cap, want in cases:
+        monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", cap or default)
+        keys.clear()
+        run()
+        assert keys == want
+
+
 def test_index_offset_selects_the_same_subensemble():
+    # Trajectory i reads lane i % 16 of the stream of group i // 16, so a
+    # sub-ensemble steps as its rows of a batch from index 0 do: from 3 and
+    # from 10 (inside groups), and alone at index_offset 15, 16 and 17 (the
+    # last lane of group 0, the first two of group 1), recorded or
+    # final-only, for every draw order.
     cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05)
     full, part = simulate_final_z([(cfg, 8, 0), (cfg, 5, 3)])
     assert np.array_equal(full[3:8], part)
+    for cfg in _lane_cfgs():
+        (batch,) = simulate_final_z([(cfg, 40, 0)])
+        (inner,) = simulate_final_z([(cfg, 20, 10)])
+        assert np.array_equal(inner, batch[10:30])
+        for i in (15, 16, 17):
+            (alone,) = simulate_final_z([(cfg, 1, i)])
+            recorded = simulate_ensemble(cfg, 1, decimation=cfg.n_steps, index_offset=i)
+            assert alone[0] == recorded.mean_z[-1] == batch[i]
 
 
 def test_repeat_run_is_bitwise_identical():
@@ -878,7 +938,7 @@ def test_engine_input_guards():
         (lambda cfg: simulate_final_z([(cfg, 3, False)]), "index_offset"),
         (lambda cfg: simulate_paths(cfg.noise, 2.5, cfg.dt, 0, 0, 1), "n_steps"),
         (lambda cfg: derive_stream(0.5, 0), "master_seed"),
-        (lambda cfg: derive_stream(0, 1.0), "trajectory_index"),
+        (lambda cfg: derive_stream(0, 1.0), "group_index"),
         (lambda cfg: steady_samples(cfg.noise, 2.5, derive_stream(0, 0)), "n"),
     ],
 )
@@ -930,8 +990,8 @@ def test_negated_draws_from_the_mirrored_state_mirror_every_amplitude_scheme(mon
         (Scheme.UNNORMALIZED_SUV, dict(kind=NoiseKind.FROZEN_OU)),
     ]
 
-    def negated_normals(streams, n_steps, _fn=engine._stream_normals):
-        for block in _fn(streams, n_steps):
+    def negated_normals(*args, _fn=engine._stream_normals):
+        for block in _fn(*args):
             yield np.negative(block, out=block)
 
     def negated_steady(model, n, rng, _fn=engine.steady_samples):

@@ -360,15 +360,15 @@ def test_failed_run_leaves_no_stale_manifest(tmp_path):
 
 
 def test_noise_validation_writes_no_unfittable_rate(tmp_path, monkeypatch):
-    # At this size an OU autocovariance on the rate-fit grid is negative,
-    # and its logarithm would be written as a NaN rate: the run stops
-    # before any file is written, with the OU error although both kinds
-    # ran, at one worker or two.
+    # With 4 paths per kind, autocovariances on the rate-fit grid are
+    # negative for both kinds, and a logarithm would be written as a NaN
+    # rate: the run stops before any file is written, with the error of
+    # the first kind, OU, although both kinds ran, at one worker or two.
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
-        cfg = make_config("noise-validation", {"n_traj": 64, "tau": 0.5, "T": 2.0},
+        cfg = make_config("noise-validation", {"n_traj": 4, "tau": 0.5, "T": 2.0},
                           output_dir=str(tmp_path))
-        with pytest.raises(InconclusiveError, match="ou autocovariance at lag 1.25 is -0.0045"):
+        with pytest.raises(InconclusiveError, match="ou autocovariance at lag 0.5 is -0.0325"):
             run_experiment(cfg)
         assert not any(tmp_path.iterdir())
     # Its paths, like every ensemble, span a positive whole number of steps.

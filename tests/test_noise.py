@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import path_matrix
+from conftest import lane_draws, path_matrix
 
 from suvsim import (
     InvalidParameterError,
@@ -20,7 +20,7 @@ from suvsim import (
     steady_samples,
 )
 from suvsim.dynamics import _renormalize, _sse_em, _workspace
-from suvsim.engine import _BLOCK_STEPS, _TILE_STREAMS, _field
+from suvsim.engine import _BLOCK_STEPS, _field
 from suvsim.experiments import _normal_cdf, _noise_kind_statistics, _steady_ks
 from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
@@ -142,28 +142,29 @@ def test_sbm_diffusion_vanishes_at_boundary():
 
 
 def test_sample_steady_state_distributions():
-    # Each stream's first draw is its path's steady-state initial value:
-    # uniform on [-1, 1] for SBM kinds, standard normal for OU kinds.
-    streams = [derive_stream(2024, i) for i in range(500)]
-    xs, blocks, advance = _field(NoiseModel(kind=NoiseKind.FROZEN_SBM), 0.1, streams, 10, None)
+    # Each group stream's first 16 draws are its lanes' steady-state initial
+    # values: uniform on [-1, 1] for SBM kinds, standard normal for OU kinds.
+    frozen = NoiseModel(kind=NoiseKind.FROZEN_SBM)
+    xs, blocks, advance = _field(frozen, 0.1, 2024, 0, 500, 10, None)
     assert advance is None and [b.shape for b in blocks] == [(10, 0)]
     assert np.all(np.abs(xs) <= 1.0)
-    assert xs[7] == derive_stream(2024, 7).uniform(-1.0, 1.0)
+    assert xs[7] == lane_draws(2024, 7, 0, "uniform")[0]
+    assert xs[499] == lane_draws(2024, 499, 0, "uniform")[0]
     # An evolving kind then draws its per-step normals in time-major blocks
-    # whose column r continues stream r: two full blocks and a partial one,
-    # over two full tiles of streams and a partial one. Blocks share one
-    # buffer, so each is copied before the next is drawn.
+    # whose column r continues lane r of its group stream: two full blocks
+    # and a partial one, over a partial first group (from lane 5), a whole
+    # one and a partial last one. Blocks share one buffer, so each is
+    # copied before the next is drawn.
     n_steps = 2 * _BLOCK_STEPS + 7
-    m = 2 * _TILE_STREAMS + 5
-    streams = [derive_stream(5, i) for i in range(m)]
-    ou, blocks, _ = _field(NoiseModel(kind=NoiseKind.OU), 0.1, streams, n_steps, _workspace(m))
+    m = 2 * 16 + 7
+    ou, blocks, _ = _field(NoiseModel(kind=NoiseKind.OU), 0.1, 5, 5, m, n_steps, _workspace(m))
     blocks = [b.copy() for b in blocks]
     assert [b.shape for b in blocks] == [(_BLOCK_STEPS, m), (_BLOCK_STEPS, m), (7, m)]
     normals = np.concatenate(blocks, axis=0)
     for r in range(m):
-        fresh = derive_stream(5, r)
-        assert ou[r] == fresh.standard_normal()
-        assert np.array_equal(normals[:, r], fresh.standard_normal(n_steps))
+        steady, lane = lane_draws(5, 5 + r, n_steps, "normal")
+        assert ou[r] == steady
+        assert np.array_equal(normals[:, r], lane)
     with pytest.raises(NotApplicableError):
         steady_samples(NoiseModel(kind=NoiseKind.NONE), 1, derive_stream(2024, 0))
 
@@ -320,12 +321,17 @@ def test_frozen_paths_are_constant_rows():
 
 
 def test_paths_are_pure_functions_of_their_stream():
-    # Simulating a path alongside others must not change it: path 2 of a
-    # batch from index 0 is the one path from index 2.
-    model = NoiseModel(kind=NoiseKind.OU, tau=0.5)
-    batch = path_matrix(simulate_paths(model, 50, 0.01, 51, 0, 4))
-    solo = path_matrix(simulate_paths(model, 50, 0.01, 51, 2, 1))
-    assert np.array_equal(batch[2], solo[0])
+    # Simulating a path alongside others must not change it: column r of a
+    # range is lane (first + r) % 16 of its group's stream, so a range that
+    # starts or ends inside a group of 16, or holds one path, gives the
+    # columns of a wider range, across a draw-block boundary, for every kind.
+    n_steps = _BLOCK_STEPS + 7
+    for kind in (NoiseKind.OU, NoiseKind.SBM, NoiseKind.FROZEN_OU):
+        model = NoiseModel(kind=kind, tau=0.5)
+        wide = path_matrix(simulate_paths(model, n_steps, 0.01, 51, 0, 50))
+        for first, n in ((2, 1), (3, 10), (15, 2), (16, 16), (17, 30), (31, 19), (49, 1)):
+            part = path_matrix(simulate_paths(model, n_steps, 0.01, 51, first, n))
+            assert np.array_equal(part, wide[first : first + n])
 
 
 def test_simulate_paths_validations():

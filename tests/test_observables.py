@@ -50,9 +50,9 @@ def test_quadratic_variation_small_case(monkeypatch):
 
     increments = {0: [0.1, 0.2], 1: [0.3, 0.4]}
 
-    def chunk(cfg, streams, record_at, first_index, z0, J):
+    def chunk(cfg, z0, record_at, first_index, J):
         rows = [[0.6] * 3 + [0.4] * 3 + [0.36] * 3 + [0.16] * 3
-                + list(np.square(increments[first_index + i])) for i in range(len(streams))]
+                + list(np.square(increments[first_index + i])) for i in range(len(z0))]
         return np.sum(rows, axis=0, keepdims=True)
 
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
