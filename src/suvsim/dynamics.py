@@ -461,30 +461,37 @@ def _z_white_heun(z, dw, dt, J, deff, out, ws):
 
 def _renormalize(a, b, out, ws):
     """Rescale amplitudes to unit norm into ``out``, raising if the state
-    degenerated; uses ws[0:2]."""
+    degenerated; uses ws[0:2].
+
+    The defect |a'^2 + b'^2 - 1| is checked only when the smallest squared
+    norm n = a^2 + b^2 is below 2^-1022, the smallest normal double, since
+    it cannot exceed NORM_ENFORCED_TOL otherwise. Each operation is
+    correctly rounded, so its result is the exact one times (1 + d),
+    |d| <= u = 2^-53, plus at most 2^-1075 where it is subnormal (a
+    subnormal sum is exact); the first check admits only a finite n, so
+    nothing overflows. For n >= 2^-1022 subnormal squares lose at most 2u
+    of n, so n is off by at most 4u, sqrt(n) adds 2u, the quotients 2u,
+    their squares u (plus 2^-1074) and their sum u: the defect is at most
+    10u + O(u^2), about 1.1e-15.
+    """
     nrm2, t = ws[0], ws[1]
     np.multiply(a, a, out=nrm2)
     np.multiply(b, b, out=t)
     np.add(nrm2, t, out=nrm2)
     # min propagates NaN, so one pair of reductions catches NaN, inf and zero.
-    if not (nrm2.min() > 0.0 and nrm2.max() < math.inf):
+    lowest = nrm2.min()
+    if not (lowest > 0.0 and nrm2.max() < math.inf):
         bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
         raise IntegratorInstabilityError("non-finite or zero-norm state", row=int(np.argmax(bad)))
     np.sqrt(nrm2, out=nrm2)
     oa, ob = out
     np.divide(a, nrm2, out=oa)
     np.divide(b, nrm2, out=ob)
-    s = nrm2
-    np.multiply(oa, oa, out=s)
-    np.multiply(ob, ob, out=t)
-    np.add(s, t, out=s)
-    # s - 1 is exact near 1 and rounds monotonically elsewhere, so this is
-    # max |s - 1| > tol.
-    if s.max() - 1.0 > NORM_ENFORCED_TOL or 1.0 - s.min() > NORM_ENFORCED_TOL:
-        defect = np.abs(s - 1.0)
-        worst = np.max(defect)
-        raise IntegratorInstabilityError(
-            f"norm defect {worst:.3g} after renormalization exceeds {NORM_ENFORCED_TOL}",
-            row=int(np.argmax(defect)),
-        )
+    if lowest < 2.0**-1022:
+        defect = np.abs(oa * oa + ob * ob - 1.0)
+        if defect.max() > NORM_ENFORCED_TOL:
+            raise IntegratorInstabilityError(
+                f"norm defect {defect.max():.3g} after renormalization exceeds {NORM_ENFORCED_TOL}",
+                row=int(np.argmax(defect)),
+            )
     return out

@@ -33,23 +33,23 @@ couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 
 Ensemble statistics are reduced in an order fixed by trajectory index:
 a chunk holds whole stream groups (an ensemble's first and last may be
-partial), and a recorded
-chunk sums each group's recorded z, offdiag, z^2 and offdiag^2 and squared
-amplitude increments in index order as it steps, holding a few hundred
-steps at a time, and the caller folds the group sums in index order with
-compensated summation. So every output is bitwise independent of chunk
-width and worker count, and byte-identical across repeated runs.
+partial), and a recorded chunk sums each group's recorded z, offdiag, z^2
+and offdiag^2 and squared amplitude increments in index order as it steps,
+holding a few hundred steps at a time, and the caller folds the group sums
+in index order with compensated summation. So every output is bitwise
+independent of chunk width and worker count, and byte-identical across
+repeated runs.
 
-Every ensemble, recorded or final-only, takes one chunk path: :func:`_tasks`
-cuts it into chunks of whole groups, and :func:`_chunk` steps each one,
-deriving the streams of its groups, on the one fork pool of
-:func:`_map_in_workers`, which noise validation's two noise kinds share.
-A recorded chunk never records the field: a one-trajectory run's field is
-the path :func:`simulate_paths` gives at its index. Consecutive final-only
-ensembles that differ only in z0 and J, on touching stream ranges (the
-cells of a sweep), share chunks (see :func:`simulate_final_z`). The worker
-count changes no chunk width, so no output bit and no error message
-depends on it.
+Every ensemble takes one path, :func:`_simulate`, which runs all the
+ensembles of a call, recorded or final-only, on one task list:
+:func:`_tasks` cuts them into chunks of whole groups, the cells of a sweep
+sharing chunks, and :func:`_chunk` steps each chunk, deriving the streams
+of its groups, on the one fork pool of :func:`_map_in_workers`, which
+noise validation's two noise kinds share. So fig1a's two ensembles step
+side by side. A recorded chunk never records the field: a one-trajectory
+run's field is the path :func:`simulate_paths` gives at its index. The
+worker count changes no chunk width, so no output bit and no error
+message depends on it.
 """
 from __future__ import annotations
 
@@ -113,107 +113,36 @@ def derive_stream(master_seed: int, group_index: int) -> np.random.Generator:
     reproducible, and independent of execution order.
     """
     for name, value in (("master_seed", master_seed), ("group_index", group_index)):
-        check_integer(name, value)
-        if value < 0:
-            raise InvalidParameterError(f"{name} must be nonnegative, got {value}")
+        check_integer(name, value, 0)
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(group_index,))
     return np.random.Generator(np.random.Philox(seq))
 
 
-def simulate_ensemble(
-    cfg: TrajectoryConfig,
-    n_traj: int,
-    decimation: int = 10,
-    index_offset: int = 0,
-) -> EnsembleSummary:
+def simulate_ensemble(cfg: TrajectoryConfig, n_traj: int, decimation: int = 10,
+                      index_offset: int = 0) -> EnsembleSummary:
     """Run an ensemble of trajectories and reduce it deterministically.
 
-    Parameters
-    ----------
-    cfg : TrajectoryConfig
-        Scheme, physics, grid and master seed.
-    n_traj : int
-        Ensemble size; trajectory i has the stream index index_offset + i.
-    decimation : int
-        Statistics are emitted every ``decimation`` steps (plus the final
-        step); internal updates still happen every step.
-    index_offset : int
-        Offset of the stream indices, used to draw disjoint independent
-        ensembles under one master seed.
-
-    The engine cuts the run into lockstep chunks of whole stream groups
-    under its caps (see _MAX_CHUNK_WIDTH) and runs them on the fork pool;
-    every output is bitwise the same for any chunk width and worker count.
-    With one trajectory, mean_z is its z series bit for bit, and its field
-    the path of :func:`simulate_paths` at its index. An instability error
-    (IntegratorInstabilityError) names the first failing chunk's trajectory
-    and step.
+    Trajectory i of the ``n_traj`` has the stream index index_offset + i
+    (disjoint offsets draw independent ensembles under one master seed).
+    Statistics are recorded every ``decimation`` steps and at the last; the
+    state is updated every step. Every output is bitwise the same for any
+    chunk width and worker count (see :func:`_simulate`). With one
+    trajectory, mean_z is its z series bit for bit, and its field the path
+    of :func:`simulate_paths` at its index. An IntegratorInstabilityError
+    names the first failing chunk's trajectory and step.
     """
-    _check_range(n_traj, index_offset)
-    check_integer("decimation", decimation)
-    if decimation < 1:
-        raise InvalidParameterError(f"decimation must be at least 1, got {decimation}")
-
-    n_steps = cfg.n_steps
-    record_at = _record_at(n_steps, decimation)
-    out_idx = np.flatnonzero(record_at)
-    n_out = out_idx.size
-
-    width = 4 * n_out + n_steps
-    cap = min(_MAX_CHUNK_WIDTH, _FOLD_ROWS * (_CHUNK_ELEMENT_BUDGET // width))
-    tasks = list(_tasks([(cfg, n_traj, index_offset)], cap, record_at))
-    acc = CompensatedAccumulator(width)
-
-    def fold(chunks):  # each chunk's group rows as it arrives, in index order
-        for sums in chunks:
-            acc.add_rows(sums)
-            del sums  # not held while the next chunk steps
-
-    _map_in_workers(_chunk, tasks, fold)
-
-    total = acc.total
-    sum_z, sum_off, sum_z2, sum_off2 = total[: 4 * n_out].reshape(4, n_out)
-    step_means = np.maximum(total[4 * n_out :] / n_traj, 0.0)
-    qv = np.cumsum(np.concatenate(([0.0], step_means)))[out_idx]
-    return EnsembleSummary(
-        times=out_idx * cfg.dt, mean_z=sum_z / n_traj, mean_offdiag=sum_off / n_traj, qv=qv,
-        n_traj=n_traj, stderr_z=_stderr(sum_z, sum_z2, n_traj),
-        stderr_offdiag=_stderr(sum_off, sum_off2, n_traj),
-    )
+    return _simulate([(cfg, n_traj, index_offset, decimation)])[0]
 
 
 def simulate_final_z(jobs) -> list[np.ndarray]:
     """Final z of several final-only ensembles, one array per job.
 
-    Each job is ``(cfg, n_traj, index_offset)``; trajectory i of a job has
-    the stream index index_offset + i, and its final z is, bit for bit, the
-    last mean_z of ``simulate_ensemble(cfg, 1, index_offset=index_offset + i)``.
-    Consecutive jobs whose configs differ only in z0 and J, on contiguous
-    stream indices (each index_offset the previous one's + n_traj), form a
-    run that shares lockstep chunks, each row starting from its own job's
-    z0 and stepping with its own job's J. :func:`_tasks` cuts each run (a
-    lone job is a run of one) under _MAX_CHUNK_WIDTH, and all the chunks
-    step on the fork pool. When chunks fail, the IntegratorInstabilityError
-    raised is that of the first failing chunk in job and index order; within
-    a chunk it names the earliest failing step and, at that step, the lowest
-    failing row, which may belong to a later job than a row failing at a
-    later step. No chunk width depends on the worker count, so neither does
-    the error.
+    Each job is ``(cfg, n_traj, index_offset)``; the final z of trajectory
+    i of a job is, bit for bit, the last mean_z of
+    ``simulate_ensemble(cfg, 1, index_offset=index_offset + i)``. Jobs run
+    as :func:`_simulate` runs them, consecutive sweep cells in shared chunks.
     """
-    runs = []  # lists of consecutive jobs that share chunks
-    for job in jobs:
-        _, n_traj, index_offset = job
-        _check_range(n_traj, index_offset)
-        if runs and _continues(runs[-1][-1], job):
-            runs[-1].append(job)
-        else:
-            runs.append([job])
-    if not runs:
-        return []
-    tasks = [task for run in runs for task in _tasks(run, _MAX_CHUNK_WIDTH)]
-    # The chunks' rows are every job's rows in job order.
-    final_z = np.concatenate(_map_in_workers(_chunk, tasks))
-    return np.split(final_z, list(accumulate(n for run in runs for _, n, _ in run))[:-1])
+    return _simulate([(*job, None) for job in jobs])
 
 
 def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, n: int):
@@ -223,8 +152,8 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     Column r is the path of stream index i = first_index + r (lane i % 16 of
     group i // 16), drawn and advanced by :func:`_field` as the field of a
     colored ensemble is: a pure function of seed, i, model, dt and n_steps,
-    whatever other paths run alongside it, and the field of a
-    one-trajectory colored run at index_offset i. Each step writes the advanced field over
+    whatever other paths run alongside it, and the field of a one-trajectory
+    colored run at index_offset i. Each step writes the advanced field over
     the normals it read, and the blocks are views of buffers that later
     blocks overwrite, so a consumer reads (or copies) each block before it
     asks for the next. Frozen kinds yield constant rows. The arguments are
@@ -233,12 +162,8 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     if model.kind is NoiseKind.NONE:
         raise NotApplicableError("cannot simulate paths for noise kind 'none'")
     for name, value in (("n_steps", n_steps), ("seed", seed), ("first_index", first_index)):
-        check_integer(name, value)
-        if value < 0:
-            raise InvalidParameterError(f"{name} must be nonnegative, got {value}")
-    check_integer("n", n)
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n}")
+        check_integer(name, value, 0)
+    check_integer("n", n, 1)
     if not dt > 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     ws = tuple(_aligned_rows(2, n))
@@ -263,26 +188,76 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     return paths()
 
 
-def _check_range(n_traj, index_offset):
-    check_integer("n_traj", n_traj)
-    check_integer("index_offset", index_offset)
-    if n_traj < 1:
-        raise InvalidParameterError(f"n_traj must be at least 1, got {n_traj}")
-    if index_offset < 0:
-        raise InvalidParameterError(f"index_offset must be nonnegative, got {index_offset}")
+def _simulate(jobs) -> list:
+    """Run every job on one task list: per job, in order, an EnsembleSummary
+    if it is recorded, its array of final z if not.
+
+    A job is ``(cfg, n_traj, index_offset, decimation)``, final-only when
+    decimation is None. Consecutive final-only jobs that :func:`_continues`
+    joins (the cells of a sweep) form a run that shares lockstep chunks;
+    any other job is a run of its own. :func:`_tasks` cuts every run into
+    chunks, all stepped in one :func:`_map_in_workers` call whose consumer
+    folds each recorded chunk into its job's accumulator as it arrives, so
+    each output has the bits of its job run alone. The error raised is the
+    first failing chunk's in job and index order, as in a serial run; a
+    shared chunk's names its earliest failing step and, at it, the lowest
+    failing row, whichever job that row belongs to.
+    """
+    runs = []  # (jobs that share chunks, record_at or None, chunk cap, results)
+    for job in jobs:
+        cfg, n_traj, index_offset, decimation = job
+        check_integer("n_traj", n_traj, 1)
+        check_integer("index_offset", index_offset, 0)
+        if decimation is not None:
+            check_integer("decimation", decimation, 1)
+            record_at = _record_at(cfg.n_steps, decimation)
+            width = 4 * np.count_nonzero(record_at) + cfg.n_steps  # of the group sums
+            cap = min(_MAX_CHUNK_WIDTH, _FOLD_ROWS * (_CHUNK_ELEMENT_BUDGET // width))
+            runs.append(([job], record_at, cap, CompensatedAccumulator(width)))
+        elif runs and runs[-1][1] is None and _continues(runs[-1][0][-1], job):
+            runs[-1][0].append(job)
+        else:
+            runs.append(([job], None, _MAX_CHUNK_WIDTH, []))
+
+    tasks, takers = [], []
+    for run, record_at, cap, sink in runs:
+        take = sink.append if record_at is None else sink.add_rows
+        for task in _tasks(run, cap, record_at):
+            tasks.append(task)
+            takers.append(take)
+
+    def consume(results):  # each chunk's result as it arrives, in task order
+        take = iter(takers)
+        for result in results:
+            next(take)(result)
+            del result  # not held while the next chunk steps
+
+    _map_in_workers(_chunk, tasks, consume)
+    out = []
+    for run, record_at, _, sink in runs:
+        if record_at is None:  # the chunks' rows are the run's jobs' rows in job order
+            out += np.split(np.concatenate(sink), list(accumulate(job[1] for job in run))[:-1])
+            continue
+        (cfg, n_traj, _, _), total = run[0], sink.total
+        out_idx = np.flatnonzero(record_at)
+        sum_z, sum_off, sum_z2, sum_off2 = total[: 4 * out_idx.size].reshape(4, -1)
+        step_means = np.maximum(total[4 * out_idx.size :] / n_traj, 0.0)
+        out.append(EnsembleSummary(
+            times=out_idx * cfg.dt, mean_z=sum_z / n_traj, mean_offdiag=sum_off / n_traj,
+            qv=np.cumsum(np.concatenate(([0.0], step_means)))[out_idx], n_traj=n_traj,
+            stderr_z=_stderr(sum_z, sum_z2, n_traj),
+            stderr_offdiag=_stderr(sum_off, sum_off2, n_traj),
+        ))
+    return out
 
 
 def _continues(prev, job):
-    """True when ``job`` can share lockstep chunks with the job ``prev``
-    before it: its configuration differs at most in z0 and J, and its
-    stream indices start where prev's end."""
-    (a, n, offset), (b, _, next_offset) = prev, job
-    return next_offset == offset + n and _lockstep_key(a) == _lockstep_key(b)
-
-
-def _lockstep_key(cfg):
-    # everything of cfg that a chunk cannot hold per row
-    return {**vars(cfg), "z0": None, "params": {**vars(cfg.params), "J": None}}
+    """True when the final-only ``job`` can share lockstep chunks with the
+    job ``prev`` before it: their configs differ at most in z0 and J, which
+    a chunk holds per row, and job's stream indices start where prev's end."""
+    (a, n, offset, _), (b, _, next_offset, _) = prev, job
+    key = lambda c: {**vars(c), "z0": None, "params": {**vars(c.params), "J": None}}  # noqa: E731
+    return next_offset == offset + n and key(a) == key(b)
 
 
 def _record_at(n_steps, decimation):
@@ -293,13 +268,13 @@ def _record_at(n_steps, decimation):
     return record_at
 
 
-def _tasks(run, cap, record_at=None):
+def _tasks(run, cap, record_at):
     """Yield the chunks ``(cells, first_index, record_at)`` of a run of jobs
     that share lockstep chunks: ceil(groups / max(1, cap // _FOLD_ROWS))
     chunks of the stream groups the run touches, that differ by at most one
     group. ``cells`` holds ``(cfg, rows)`` pairs in row order; the rows are
     the stream indices first_index, first_index + 1, ..."""
-    ends = list(accumulate(n for _, n, _ in run))
+    ends = list(accumulate(n for _, n, *_ in run))
     first, total = int(run[0][2]), ends[-1]
     lane = first % _FOLD_ROWS
     groups = (lane + total - 1) // _FOLD_ROWS + 1
@@ -308,7 +283,7 @@ def _tasks(run, cap, record_at=None):
     for lo, hi in zip(bounds, bounds[1:]):
         cells = tuple(
             (cfg, min(hi, end) - max(lo, end - n))
-            for (cfg, n, _), end in zip(run, ends)
+            for (cfg, n, *_), end in zip(run, ends)
             if end - n < hi and end > lo
         )
         yield cells, first + lo, record_at
@@ -318,14 +293,20 @@ def _chunk(task):
     """Step one chunk ``(cells, first_index, record_at)`` of :func:`_tasks`,
     recorded or final-only alike. Each row starts from its own cell's z0, as
     a float, and a per-row J is passed only when the cells' J values differ,
-    so a chunk of one config steps with scalar J."""
+    so a chunk of one config steps with scalar J. A MemoryError becomes a
+    SimulationError that names the chunk, in a worker as in the caller."""
     cells, first, record_at = task
     cfg = cells[0][0]
     counts = [rows for _, rows in cells]
     z0 = np.repeat(np.array([c.z0 for c, _ in cells], dtype=float), counts)
     couplings = [c.params.J for c, _ in cells]
     J = np.repeat(couplings, counts) if len(set(couplings)) > 1 else None
-    return _integrate_chunk(cfg, z0, record_at, first, J)
+    try:
+        return _integrate_chunk(cfg, z0, record_at, first, J)
+    except MemoryError as exc:
+        raise SimulationError(
+            f"out of memory stepping the chunk of {len(z0)} trajectories from trajectory {first}"
+        ) from exc
 
 
 def _fold_groups(rows, out, lane=0):

@@ -15,12 +15,15 @@ class InvalidParameterError(SimulationError):
     """An argument violates a documented precondition."""
 
 
-def check_integer(name: str, value) -> None:
+def check_integer(name: str, value, low: int | None = None) -> None:
     """Raise an InvalidParameterError naming ``name`` unless ``value`` is an
-    integer: bools are refused (Integral, but no size or index), numpy
-    integers are accepted."""
+    integer, and at least ``low`` when that is given: bools are refused
+    (Integral, but no size or index), numpy integers are accepted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        bound = "nonnegative" if low == 0 else f"at least {low}"
+        raise InvalidParameterError(f"{name} must be {bound}, got {value}")
 
 
 class IntegratorInstabilityError(SimulationError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import _map_in_workers, _record_at, derive_stream
+from .engine import _map_in_workers, _record_at, _simulate, derive_stream
 from .engine import simulate_ensemble, simulate_final_z, simulate_paths
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
@@ -62,27 +62,33 @@ def _born_row(z0, stats):
     ]
 
 
-def _write_recorded(cfg, traj_cfg, offset, outdir, csv_name, stem, written):
-    """Run a recorded ensemble of cfg.n_traj trajectories from stream index
-    ``offset`` on and write its summary to ``csv_name``, and a single
-    trajectory's series to ``<stem>_trajectory.csv``, with the colored
-    field that simulate_paths gives at its index, column 0 of each block
-    copied before the next is stepped; the names written are appended to
-    ``written``. Returns the summary."""
-    summary = simulate_ensemble(traj_cfg, cfg.n_traj, decimation=cfg.decimation, index_offset=offset)
-    write_ensemble_csv(os.path.join(outdir, csv_name), summary)
-    written.append(csv_name)
-    if summary.n_traj == 1:
-        xi = None
-        if traj_cfg.scheme.uses_colored_noise:
-            blocks = simulate_paths(traj_cfg.noise, traj_cfg.n_steps, traj_cfg.dt,
-                                    traj_cfg.seed, offset, 1)
-            path = np.concatenate([block[:, 0].copy() for block in blocks])
-            xi = path[_record_at(traj_cfg.n_steps, cfg.decimation)]
-        name = f"{stem}_trajectory.csv"
-        write_trajectory_csv(os.path.join(outdir, name), summary.times, summary.mean_z, xi)
-        written.append(name)
-    return summary
+def _recorded_jobs(cfg, *traj_cfgs):
+    """Recorded jobs of cfg.n_traj trajectories, the k-th from index k n_traj."""
+    n = cfg.n_traj
+    return [(traj_cfg, n, k * n, cfg.decimation) for k, traj_cfg in enumerate(traj_cfgs)]
+
+
+def _write_recorded(cfg, outdir, jobs, summaries, names):
+    """Write each recorded job's summary to its ``(csv_name, stem)`` of
+    ``names`` and, for one trajectory, its series to
+    ``<stem>_trajectory.csv``, with the colored field that simulate_paths
+    gives at its index, column 0 of each block copied before the next is
+    stepped. Returns the names written."""
+    written = []
+    for (traj_cfg, _, offset, _), summary, (csv_name, stem) in zip(jobs, summaries, names):
+        write_ensemble_csv(os.path.join(outdir, csv_name), summary)
+        written.append(csv_name)
+        if summary.n_traj == 1:
+            xi = None
+            if traj_cfg.scheme.uses_colored_noise:
+                blocks = simulate_paths(traj_cfg.noise, traj_cfg.n_steps, traj_cfg.dt,
+                                        traj_cfg.seed, offset, 1)
+                path = np.concatenate([block[:, 0].copy() for block in blocks])
+                xi = path[_record_at(traj_cfg.n_steps, cfg.decimation)]
+            name = f"{stem}_trajectory.csv"
+            write_trajectory_csv(os.path.join(outdir, name), summary.times, summary.mean_z, xi)
+            written.append(name)
+    return written
 
 
 def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -92,12 +98,11 @@ def run_fig1a(cfg: ExperimentConfig, outdir: str) -> list[str]:
     with the same initial state, writing one ensemble CSV for each. With
     n_traj = 1 the decimated single trajectories are written too.
     """
-    written = []
-    suv_cfg = build_trajectory_config(cfg)
-    _write_recorded(cfg, suv_cfg, 0, outdir, "fig1a_suv.csv", "fig1a_suv", written)
-    sse_cfg = build_trajectory_config(cfg, scheme=Scheme.SSE)
-    _write_recorded(cfg, sse_cfg, cfg.n_traj, outdir, "fig1a_sse.csv", "fig1a_sse", written)
-    return written
+    jobs = _recorded_jobs(
+        cfg, build_trajectory_config(cfg), build_trajectory_config(cfg, scheme=Scheme.SSE)
+    )
+    names = [("fig1a_suv.csv", "fig1a_suv"), ("fig1a_sse.csv", "fig1a_sse")]
+    return _write_recorded(cfg, outdir, jobs, _simulate(jobs), names)
 
 
 def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -107,12 +112,12 @@ def run_fig1b(cfg: ExperimentConfig, outdir: str) -> list[str]:
     is named after it, ``fig1b_<noise>.csv``; a companion run swaps in the
     bounded process at the same couplings, ``fig1b_sbm.csv``.
     """
-    written = []
+    jobs = _recorded_jobs(
+        cfg, build_trajectory_config(cfg), build_trajectory_config(cfg, noise=NoiseKind.SBM)
+    )
     stem = f"fig1b_{cfg.noise.value}"
-    _write_recorded(cfg, build_trajectory_config(cfg), 0, outdir, f"{stem}.csv", stem, written)
-    sbm_cfg = build_trajectory_config(cfg, noise=NoiseKind.SBM)
-    _write_recorded(cfg, sbm_cfg, cfg.n_traj, outdir, "fig1b_sbm.csv", "fig1b_sbm", written)
-    return written
+    names = [(f"{stem}.csv", stem), ("fig1b_sbm.csv", "fig1b_sbm")]
+    return _write_recorded(cfg, outdir, jobs, _simulate(jobs), names)
 
 
 def run_born_sweep(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -319,9 +324,10 @@ def run_frozen_limit(cfg: ExperimentConfig, outdir: str) -> list[str]:
 
 def run_gksl_check(cfg: ExperimentConfig, outdir: str) -> list[str]:
     """Ensemble means against the analytic dephasing master equation."""
-    written = []
     traj_cfg = build_trajectory_config(cfg)
-    summary = _write_recorded(cfg, traj_cfg, 0, outdir, "gksl_ensemble.csv", "gksl", written)
+    summary = simulate_ensemble(traj_cfg, cfg.n_traj, cfg.decimation)
+    jobs = _recorded_jobs(cfg, traj_cfg)
+    written = _write_recorded(cfg, outdir, jobs, [summary], [("gksl_ensemble.csv", "gksl")])
 
     res_z, res_off = gksl_residual(summary, traj_cfg.params.Deff)
     rows = zip(summary.times, res_z, res_off)

@@ -27,6 +27,7 @@ from suvsim import (
     simulate_final_z,
 )
 from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun, _workspace
+from suvsim.engine import _simulate
 from suvsim.experiments import (
     _REPORT_ENTRIES,
     EPS_COLLAPSE,
@@ -54,20 +55,13 @@ def _traj(scheme, *, seed, J=2.0, G=1.0, gamma=0.0, deff=0.0, kind=NoiseKind.OU,
 def test_smooth_collapse_has_vanishing_quadratic_variation(criterion_report):
     # Colored-noise paths are differentiable: their quadratic variation
     # scales linearly to zero with dt. The diffusive unraveling keeps a
-    # finite quadratic variation at the same step size.
+    # finite quadratic variation at the same step size. The four ensembles
+    # run in one engine call, so their chunks share the pool.
     n = 2000
-
-    def qv_final(cfg):
-        return simulate_ensemble(cfg, n, decimation=cfg.n_steps).qv[-1]
-
     dts = (1e-2, 1e-3, 1e-4)
-    colored = [
-        qv_final(_traj(Scheme.SUV_COLORED, seed=8, J=2.0, G=1.0, tau=1.0, dt=dt))
-        for dt in dts
-    ]
-    diffusive = qv_final(
-        _traj(Scheme.SSE, seed=7, J=0.0, G=0.0, gamma=0.5, kind=NoiseKind.NONE, dt=1e-3)
-    )
+    cfgs = [_traj(Scheme.SUV_COLORED, seed=8, J=2.0, G=1.0, tau=1.0, dt=dt) for dt in dts]
+    cfgs.append(_traj(Scheme.SSE, seed=7, J=0.0, G=0.0, gamma=0.5, kind=NoiseKind.NONE, dt=1e-3))
+    *colored, diffusive = (s.qv[-1] for s in _simulate([(c, n, 0, c.n_steps) for c in cfgs]))
     ratio = diffusive / colored[1]
     slope = np.polyfit(np.log(dts), np.log(colored), 1)[0]
     ok = ratio >= 100.0 and 0.8 <= slope <= 1.2

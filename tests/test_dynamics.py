@@ -561,3 +561,24 @@ def test_renormalize_rejects_degenerate_rows_by_name():
             f"norm defect {np.max(defect):.3g} after renormalization exceeds 1e-09"
         )
         assert info.value.row == 2
+
+
+def test_renormalize_defect_stays_within_its_docstring_bound():
+    # _renormalize checks the defect only below a squared norm of 2^-1022;
+    # above it, its docstring bounds the defect by 10u + O(u^2). Amplitudes
+    # over the whole range of finite squared norms from 2^-1022 up, one in
+    # four with one component that squares to a subnormal or to zero, stay
+    # within 11u.
+    rng = np.random.default_rng(3)
+    size = 200_000
+    radius = np.exp2(rng.uniform(-511.0, 512.0, size))
+    angle = rng.uniform(0.0, 0.5 * math.pi, size)
+    angle[::4] = np.exp2(rng.uniform(-1100.0, -500.0, size)[::4])
+    a, b = radius * np.cos(angle), radius * np.sin(angle)
+    with np.errstate(over="ignore"):
+        nrm2 = a * a + b * b
+    keep = (nrm2 >= 2.0**-1022) & (nrm2 < math.inf)
+    a, b = a[keep], b[keep]
+    assert a.size > size // 2 and np.count_nonzero(b * b < 2.0**-1022) > size // 8
+    oa, ob = _norm((a, b))
+    assert np.max(np.abs(oa * oa + ob * ob - 1.0)) <= 11 * 2.0**-53

@@ -25,6 +25,7 @@ from suvsim import (
     NoiseModel,
     PhysicsParams,
     Scheme,
+    SimulationError,
     TrajectoryConfig,
     derive_stream,
     make_config,
@@ -45,7 +46,8 @@ from suvsim.dynamics import (
     _z_colored_heun,
     _z_white_heun,
 )
-from suvsim.engine import _BLOCK_STEPS
+from suvsim.cli import main
+from suvsim.engine import _BLOCK_STEPS, _simulate
 from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
@@ -462,6 +464,110 @@ def test_final_only_chunks_run_in_worker_processes(monkeypatch, tmp_path):
             assert str(os.getpid()) not in pids and len(set(pids)) <= 2
         else:
             assert set(pids) == {str(os.getpid())}
+
+
+def _assert_same_summary(want, got):
+    assert want.n_traj == got.n_traj
+    for name in ("times", "mean_z", "mean_offdiag", "qv", "stderr_z", "stderr_offdiag"):
+        assert np.array_equal(getattr(want, name), getattr(got, name)), name
+
+
+def test_one_call_of_mixed_jobs_matches_separate_calls_bit_for_bit(monkeypatch):
+    # One _simulate call maps every job's chunks on one task list: recorded
+    # jobs, a run of final-only jobs that share chunks, and final-only jobs
+    # on their own, interleaved. At 1 and 2 workers, and at a cap of 7 that
+    # cuts every job into several chunks, each output is bit for bit what a
+    # separate simulate_ensemble or simulate_final_z call returns.
+    recorded = [
+        (_cfg(Scheme.SUV_COLORED, T=0.05), 40, 5, 3),
+        (_cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05), 23, 45, 10),
+        (_cfg(Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=0.05), 30, 0, 1),
+    ]
+    final_only = [(*job, None) for job in _sweep_jobs()[:6] + _final_only_jobs()]
+    jobs = [recorded[0], *final_only[:6], recorded[1], *final_only[6:], recorded[2]]
+    summaries = [
+        simulate_ensemble(cfg, n, decimation=dec, index_offset=off) for cfg, n, off, dec in recorded
+    ]
+    finals = simulate_final_z([job[:3] for job in final_only[:6]])
+    finals += [simulate_final_z([job[:3]])[0] for job in final_only[6:]]
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        for width in (7, engine._MAX_CHUNK_WIDTH):
+            monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
+            out = _simulate(jobs)
+            assert len(out) == len(jobs)
+            for want, got in zip(summaries, (out[0], out[7], out[-1])):
+                _assert_same_summary(want, got)
+            for want, got in zip(finals, out[1:7] + out[8:-1]):
+                assert np.array_equal(want, got)
+
+
+def test_fig1a_steps_both_ensembles_in_worker_processes(monkeypatch, tmp_path):
+    # fig1a's two recorded ensembles are one chunk each, and one engine call
+    # maps both: with two usable cores both chunks step in workers, none in
+    # the caller; with one worker, both step in the caller.
+    log = tmp_path / "pids"
+
+    def chunk(*args, _fn=engine._integrate_chunk, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_integrate_chunk", chunk)
+    parallel = len(os.sched_getaffinity(0)) >= 2
+    for workers in (1, 2):
+        log.write_text("")
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        out = tmp_path / f"workers{workers}"
+        run_experiment(make_config("fig1a", {"n_traj": 40, "T": 0.1}, output_dir=str(out)))
+        pids = log.read_text().split()
+        assert len(pids) == 2
+        if workers == 2 and parallel:
+            assert str(os.getpid()) not in pids
+        else:
+            assert set(pids) == {str(os.getpid())}
+
+
+def test_failing_jobs_raise_the_earlier_jobs_error(monkeypatch):
+    # Two unnormalized jobs that do not share chunks, a recorded one and a
+    # final-only one, both overflow; the later job overflows at an earlier
+    # step. At 1 and 2 workers, one call raises the earlier job's error,
+    # the one a serial run raises.
+    def cfg(J, z0):
+        return _cfg(Scheme.UNNORMALIZED_SUV, kind=NoiseKind.FROZEN_OU, dt=0.01, T=120.0, z0=z0,
+                    J=J, seed=2)
+
+    first, second = (cfg(8.0, 0.6), 2, 0, 12000), (cfg(9.9, 0.9), 2, 2, None)
+    steps = [overflow_steps(c, range(i, i + n)) for c, n, i, _ in (first, second)]
+    assert min(steps[1].values()) < min(steps[0].values())
+    message = f"{first_overflow(steps[0], range(0, 2))}: unnormalized amplitudes overflowed"
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        with pytest.raises(IntegratorInstabilityError) as info:
+            _simulate([first, second])
+        assert str(info.value) == message
+
+
+def test_memory_error_in_a_chunk_names_the_chunk(monkeypatch, tmp_path, capsys):
+    # A MemoryError while a chunk steps becomes a SimulationError naming the
+    # chunk's first trajectory and width, in a worker as in the caller, and
+    # the command line reports it as an error. At a cap of 16, the 40
+    # trajectories from index 5 step chunks of 11, 16 and 13.
+    def chunk(cfg, z0, record_at, first_index, J):
+        raise MemoryError
+
+    monkeypatch.setattr(engine, "_integrate_chunk", chunk)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 16)
+    message = "^out of memory stepping the chunk of 11 trajectories from trajectory 5$"
+    for workers in (1, 2):
+        monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+        with pytest.raises(SimulationError, match=message):
+            simulate_final_z([(_cfg(Scheme.SUV_COLORED), 40, 5)])
+        with pytest.raises(SimulationError, match=message):
+            simulate_ensemble(_cfg(Scheme.SUV_COLORED), 40, index_offset=5)
+    assert main(["run", "fig1a", "--n-traj", "4", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory stepping the chunk of 4 trajectories from trajectory 0\n"
 
 
 def test_no_worker_outlives_the_call(monkeypatch):
