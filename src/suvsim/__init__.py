@@ -18,7 +18,7 @@ from .config import (
     parse_config_file,
 )
 from .dynamics import PhysicsParams, Scheme, TrajectoryConfig
-from .engine import derive_stream, simulate_ensemble, simulate_final_z, simulate_paths
+from .engine import derive_stream, simulate, simulate_paths
 from .errors import (
     ConfigError,
     InconclusiveError,
@@ -63,8 +63,7 @@ __all__ = [
     "gksl_residual",
     # engine
     "derive_stream",
-    "simulate_ensemble",
-    "simulate_final_z",
+    "simulate",
     "simulate_paths",
     # configuration and orchestration
     "Experiment",

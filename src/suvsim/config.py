@@ -260,6 +260,14 @@ def _check_ignored_overrides(experiment: Experiment, settings: dict) -> None:
                 f"weak-equivalence always compares the white-strat and suv-colored "
                 f"schemes, so it does not take --scheme (got --scheme {scheme.value})"
             )
+    if experiment in (Experiment.FDR_SWEEP, Experiment.WEAK_EQUIVALENCE):
+        kind = NoiseKind(settings["noise"])
+        if not kind.is_evolving:
+            raise ConfigError(
+                f"{experiment.value} sets its couplings from the effective diffusion Deff "
+                f"of an evolving noise kind (ou or sbm), so it does not take "
+                f"--noise {kind.value}"
+            )
     if experiment is Experiment.FIG1B and settings["noise"] == NoiseKind.SBM:
         raise ConfigError(
             "fig1b does not take --noise sbm: its companion ensemble already uses "
@@ -267,12 +275,15 @@ def _check_ignored_overrides(experiment: Experiment, settings: dict) -> None:
         )
 
 
-def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryConfig:
+def build_trajectory_config(
+    cfg: ExperimentConfig, *, J=None, G=None, tau=None, z0=None, noise=None, scheme=None,
+    seed=None,
+) -> TrajectoryConfig:
     """Translate experiment settings into one integrator configuration.
 
-    Keyword overrides (J, G, gamma, tau, dt, T, z0, noise, scheme, seed)
-    replace the corresponding experiment-level value; runners use them to
-    span parameter grids and companion schemes under one master seed.
+    Each keyword that is not None replaces the corresponding experiment-level
+    value (seed replaces master_seed); runners use them to span parameter
+    grids and companion schemes under one master seed.
 
     The white-noise diffusion constant Deff is derived here from the
     steady-state variance of the selected noise kind, so this is where a
@@ -281,17 +292,13 @@ def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryCon
     that a colored scheme has a noise process, and make_config that the
     experiment can honour the noise and scheme.
     """
-    get = lambda name, default: overrides.get(name, default)  # noqa: E731
-    J = float(get("J", cfg.J))
-    G = float(get("G", cfg.G))
-    gamma = float(get("gamma", cfg.gamma))
-    tau = float(get("tau", cfg.tau))
-    dt = float(get("dt", cfg.dt))
-    T = float(get("T", cfg.T))
-    z0 = float(get("z0", cfg.z0))
-    kind = NoiseKind(get("noise", cfg.noise))
-    scheme = Scheme(get("scheme", cfg.scheme))
-    seed = int(get("seed", cfg.master_seed))
+    J = float(cfg.J if J is None else J)
+    G = float(cfg.G if G is None else G)
+    tau = float(cfg.tau if tau is None else tau)
+    z0 = float(cfg.z0 if z0 is None else z0)
+    kind = NoiseKind(cfg.noise if noise is None else noise)
+    scheme = Scheme(cfg.scheme if scheme is None else scheme)
+    seed = int(cfg.master_seed if seed is None else seed)
 
     if scheme.uses_deff and not kind.is_evolving:
         raise ConfigError(
@@ -299,8 +306,8 @@ def build_trajectory_config(cfg: ExperimentConfig, **overrides) -> TrajectoryCon
             f"define its diffusion strength, got {kind.value!r}"
         )
     deff = effective_diffusion(G, tau, kind) if kind.is_evolving else 0.0
-    params = PhysicsParams(J=J, G=G, gamma=gamma, Deff=deff)
+    params = PhysicsParams(J=J, G=G, gamma=cfg.gamma, Deff=deff)
     noise_model = NoiseModel(kind=kind, tau=tau)
     return TrajectoryConfig(
-        params=params, noise=noise_model, dt=dt, T=T, z0=z0, scheme=scheme, seed=seed
+        params=params, noise=noise_model, dt=cfg.dt, T=cfg.T, z0=z0, scheme=scheme, seed=seed
     )

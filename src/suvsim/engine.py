@@ -40,7 +40,7 @@ in index order with compensated summation. So every output is bitwise
 independent of chunk width and worker count, and byte-identical across
 repeated runs.
 
-Every ensemble takes one path, :func:`_simulate`, which runs all the
+The one public entry point is :func:`simulate`, which runs all the
 ensembles of a call, recorded or final-only, on one task list:
 :func:`_tasks` cuts them into chunks of whole groups, the cells of a sweep
 sharing chunks, and :func:`_chunk` steps each chunk, deriving the streams
@@ -86,7 +86,7 @@ from .errors import (
 from .noise import NoiseKind, _ou_coefficients, _ou_update, _sbm_update, steady_samples
 from .observables import CompensatedAccumulator, EnsembleSummary
 
-__all__ = ["derive_stream", "simulate_ensemble", "simulate_final_z", "simulate_paths"]
+__all__ = ["derive_stream", "simulate", "simulate_paths"]
 
 # Chunk width: at most _MAX_CHUNK_WIDTH trajectories, and for a recorded run
 # at most _CHUNK_ELEMENT_BUDGET elements of the (groups, 4 n_out + n_steps)
@@ -116,33 +116,6 @@ def derive_stream(master_seed: int, group_index: int) -> np.random.Generator:
         check_integer(name, value, 0)
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(group_index,))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def simulate_ensemble(cfg: TrajectoryConfig, n_traj: int, decimation: int = 10,
-                      index_offset: int = 0) -> EnsembleSummary:
-    """Run an ensemble of trajectories and reduce it deterministically.
-
-    Trajectory i of the ``n_traj`` has the stream index index_offset + i
-    (disjoint offsets draw independent ensembles under one master seed).
-    Statistics are recorded every ``decimation`` steps and at the last; the
-    state is updated every step. Every output is bitwise the same for any
-    chunk width and worker count (see :func:`_simulate`). With one
-    trajectory, mean_z is its z series bit for bit, and its field the path
-    of :func:`simulate_paths` at its index. An IntegratorInstabilityError
-    names the first failing chunk's trajectory and step.
-    """
-    return _simulate([(cfg, n_traj, index_offset, decimation)])[0]
-
-
-def simulate_final_z(jobs) -> list[np.ndarray]:
-    """Final z of several final-only ensembles, one array per job.
-
-    Each job is ``(cfg, n_traj, index_offset)``; the final z of trajectory
-    i of a job is, bit for bit, the last mean_z of
-    ``simulate_ensemble(cfg, 1, index_offset=index_offset + i)``. Jobs run
-    as :func:`_simulate` runs them, consecutive sweep cells in shared chunks.
-    """
-    return _simulate([(*job, None) for job in jobs])
 
 
 def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, n: int):
@@ -188,24 +161,41 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     return paths()
 
 
-def _simulate(jobs) -> list:
-    """Run every job on one task list: per job, in order, an EnsembleSummary
-    if it is recorded, its array of final z if not.
+def simulate(jobs) -> list:
+    """Run each job's ensemble and reduce it deterministically: per job, in
+    order, an EnsembleSummary if it is recorded, its array of final z if not.
 
-    A job is ``(cfg, n_traj, index_offset, decimation)``, final-only when
-    decimation is None. Consecutive final-only jobs that :func:`_continues`
-    joins (the cells of a sweep) form a run that shares lockstep chunks;
-    any other job is a run of its own. :func:`_tasks` cuts every run into
+    A job is ``(cfg, n_traj, index_offset, decimation)``; trajectory i has
+    the stream index index_offset + i, so disjoint offsets draw independent
+    ensembles under one master seed. A recorded job records every
+    ``decimation`` steps and at the last. A final-only job (decimation None)
+    gives, as the final z of trajectory i, the last mean_z of the recorded
+    job ``(cfg, 1, index_offset + i, d)`` bit for bit. With one trajectory,
+    mean_z is its z series and its field the path of :func:`simulate_paths`
+    at its index. No output bit depends on the chunk width, the worker
+    count or the other jobs of the call.
+
+    Consecutive final-only jobs that :func:`_continues` joins (the cells of
+    a sweep) share lockstep chunks. :func:`_tasks` cuts every job into
     chunks, all stepped in one :func:`_map_in_workers` call whose consumer
-    folds each recorded chunk into its job's accumulator as it arrives, so
-    each output has the bits of its job run alone. The error raised is the
-    first failing chunk's in job and index order, as in a serial run; a
-    shared chunk's names its earliest failing step and, at it, the lowest
-    failing row, whichever job that row belongs to.
+    folds each recorded chunk into its job's sums as it arrives. A malformed
+    job raises an InvalidParameterError naming its position before any
+    chunk steps. The IntegratorInstabilityError raised is the first failing
+    chunk's in job and index order, as in a serial run; a shared chunk's
+    names its earliest failing step and, at it, the lowest failing row.
     """
     runs = []  # (jobs that share chunks, record_at or None, chunk cap, results)
-    for job in jobs:
-        cfg, n_traj, index_offset, decimation = job
+    for k, job in enumerate(jobs):
+        try:
+            cfg, n_traj, index_offset, decimation = job
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(
+                f"job {k} is not (cfg, n_traj, index_offset, decimation or None): {exc}"
+            ) from None
+        if not isinstance(cfg, TrajectoryConfig):
+            raise InvalidParameterError(
+                f"job {k}: cfg must be a TrajectoryConfig, got {type(cfg).__name__}"
+            )
         check_integer("n_traj", n_traj, 1)
         check_integer("index_offset", index_offset, 0)
         if decimation is not None:

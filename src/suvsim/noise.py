@@ -127,9 +127,7 @@ def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
 
     N(0, 1) for OU-family kinds, uniform on [-1, 1] for SBM-family kinds.
     """
-    check_integer("n", n)
-    if n < 1:
-        raise InvalidParameterError(f"n must be positive, got {n}")
+    check_integer("n", n, 1)
     kind = model.kind
     if kind in (NoiseKind.OU, NoiseKind.FROZEN_OU):
         return rng.standard_normal(n)

@@ -23,11 +23,9 @@ from suvsim import (
     ks_distance,
     make_config,
     run_experiment,
-    simulate_ensemble,
-    simulate_final_z,
+    simulate,
 )
 from suvsim.dynamics import _renormalize, _suv_heun, _unnormalized_heun, _workspace
-from suvsim.engine import _simulate
 from suvsim.experiments import (
     _REPORT_ENTRIES,
     EPS_COLLAPSE,
@@ -61,7 +59,7 @@ def test_smooth_collapse_has_vanishing_quadratic_variation(criterion_report):
     dts = (1e-2, 1e-3, 1e-4)
     cfgs = [_traj(Scheme.SUV_COLORED, seed=8, J=2.0, G=1.0, tau=1.0, dt=dt) for dt in dts]
     cfgs.append(_traj(Scheme.SSE, seed=7, J=0.0, G=0.0, gamma=0.5, kind=NoiseKind.NONE, dt=1e-3))
-    *colored, diffusive = (s.qv[-1] for s in _simulate([(c, n, 0, c.n_steps) for c in cfgs]))
+    *colored, diffusive = (s.qv[-1] for s in simulate([(c, n, 0, c.n_steps) for c in cfgs]))
     ratio = diffusive / colored[1]
     slope = np.polyfit(np.log(dts), np.log(colored), 1)[0]
     ok = ratio >= 100.0 and 0.8 <= slope <= 1.2
@@ -81,7 +79,7 @@ def test_fast_noise_ensemble_dephases_at_the_analytic_rate(criterion_report):
     cfg = _traj(
         Scheme.SUV_COLORED, seed=41, J=2.0, G=10.0, tau=0.01, dt=1e-3, T=2.5
     )
-    s = simulate_ensemble(cfg, 10000, decimation=100)
+    (s,) = simulate([(cfg, 10000, 0, 100)])
     dev = np.abs(s.mean_z - 0.6)
     margin = 3.0 * s.stderr_z + 1e-12
     z_ok = bool(np.all(dev <= margin))
@@ -155,7 +153,7 @@ def test_frozen_field_reproduces_initial_weights(criterion_report):
         Scheme.SUV_COLORED, seed=55, J=1.0, G=1.0, kind=NoiseKind.FROZEN_SBM,
         dt=0.01, T=25.0,
     )
-    (final_z,) = simulate_final_z([(cfg, n, 0)])
+    (final_z,) = simulate([(cfg, n, 0, None)])
     stats = collapse_statistics(final_z, EPS_COLLAPSE)
     dev = born_deviation(stats, 0.6)  # raises if >= 1% unresolved
     bound = 3.0 * math.sqrt(0.6 * 0.4 / n)
@@ -181,7 +179,7 @@ def test_born_rule_holds_exactly_at_the_balance_point(criterion_report):
     detuned_cfg = _traj(
         Scheme.SUV_COLORED, seed=101, J=8.0, G=10.0, tau=0.01, dt=1e-3, T=4.0
     )
-    balanced, detuned = simulate_final_z([(balanced_cfg, n, 0), (detuned_cfg, n, 0)])
+    balanced, detuned = simulate([(balanced_cfg, n, 0, None), (detuned_cfg, n, 0, None)])
     dev_bal = born_deviation(collapse_statistics(balanced, EPS_COLLAPSE), 0.6)
     dev_det = born_deviation(collapse_statistics(detuned, EPS_COLLAPSE), 0.6)
 
@@ -205,9 +203,10 @@ def test_short_correlation_times_converge_to_the_white_limit(criterion_report):
                       kind=NoiseKind.NONE)
     fast_cfg = _traj(Scheme.SUV_COLORED, seed=777, J=2.0, G=10.0, tau=0.01)
     slow_cfg = _traj(Scheme.SUV_COLORED, seed=778, J=2.0, G=1.0, tau=1.0)
-    white_a, white_b, fast, slow = simulate_final_z(
-        [(white_cfg, n, 0), (white_cfg, n, n), (fast_cfg, n, 0), (slow_cfg, n, 0)]
-    )
+    white_a, white_b, fast, slow = simulate([
+        (white_cfg, n, 0, None), (white_cfg, n, n, None), (fast_cfg, n, 0, None),
+        (slow_cfg, n, 0, None),
+    ])
     ks_self = ks_distance(white_a, white_b)
     ks_fast = ks_distance(fast, white_a)
     ks_slow = ks_distance(slow, white_a)
@@ -230,8 +229,8 @@ def test_ito_and_stratonovich_forms_agree_in_law(criterion_report):
     base = dict(J=2.0, G=10.0, deff=DEFF, kind=NoiseKind.NONE)
     strat_cfg = _traj(Scheme.WHITE_STRAT, seed=401, **base)
     ito_cfg = _traj(Scheme.WHITE_ITO, seed=401, **base)
-    strat, ito, strat_b = simulate_final_z(
-        [(strat_cfg, n, 0), (ito_cfg, n, n), (strat_cfg, n, 2 * n)]
+    strat, ito, strat_b = simulate(
+        [(strat_cfg, n, 0, None), (ito_cfg, n, n, None), (strat_cfg, n, 2 * n, None)]
     )
     ks_self = ks_distance(strat, strat_b)
     ks_cross = ks_distance(strat, ito)
@@ -254,7 +253,7 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
     runs = []
     for width in (1, 13, engine._MAX_CHUNK_WIDTH):  # the default width last
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-        runs.append((simulate_ensemble(cfg, 60, decimation=10), *simulate_final_z([(cfg, 60, 0)])))
+        runs.append((simulate([(cfg, 60, 0, 10)])[0], *simulate([(cfg, 60, 0, None)])))
     ref, ref_z = runs[0]
     if not all(
         np.array_equal(ref_z, final_z)
@@ -264,7 +263,7 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
     ):
         failures.append("chunk invariance")
 
-    full, part = simulate_final_z([(cfg, 9, 0), (cfg, 5, 4)])
+    full, part = simulate([(cfg, 9, 0, None), (cfg, 5, 4, None)])
     if not np.array_equal(full[4:9], part):
         failures.append("stream purity")
 
@@ -313,13 +312,13 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
 
     # The qv at every recorded step is the running sum over all steps, so a
     # coarser recording grid reads the same values at the steps it keeps.
-    fine = simulate_ensemble(cfg, 9, decimation=1).qv
+    fine = simulate([(cfg, 9, 0, 1)])[0].qv
     for dec in (3, 7, 13):
-        coarse = simulate_ensemble(cfg, 9, decimation=dec).qv
+        coarse = simulate([(cfg, 9, 0, dec)])[0].qv
         if not np.array_equal(coarse, fine[np.r_[0 : cfg.n_steps : dec, cfg.n_steps]]):
             failures.append(f"qv additivity at decimation {dec}")
 
-    res = simulate_ensemble(_traj(Scheme.SUV_COLORED, seed=5, T=0.02), 6, decimation=5)
+    (res,) = simulate([(_traj(Scheme.SUV_COLORED, seed=5, T=0.02), 6, 0, 5)])
     csv_path = tmp_path / "round_trip.csv"
     write_ensemble_csv(str(csv_path), res)
     lines = csv_path.read_text().strip().splitlines()[1:]

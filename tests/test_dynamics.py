@@ -22,8 +22,7 @@ from suvsim import (
     derive_stream,
     make_config,
     run_experiment,
-    simulate_ensemble,
-    simulate_final_z,
+    simulate,
     simulate_paths,
 )
 from suvsim.dynamics import (
@@ -186,7 +185,7 @@ def test_sse_z_is_statistically_a_martingale():
         scheme=Scheme.SSE,
         seed=61,
     )
-    (finals,) = simulate_final_z([(cfg, n, 0)])
+    (finals,) = simulate([(cfg, n, 0, None)])
     se = finals.std(ddof=1) / math.sqrt(n)
     assert abs(finals.mean() - 0.6) < 3.0 * se
 
@@ -288,14 +287,14 @@ def test_unnormalized_step_flags_overflow(monkeypatch):
     assert earliest[1] < earliest[0]  # the second group fails first
     wide = engine._MAX_CHUNK_WIDTH
     def recorded():
-        simulate_ensemble(short, 29, index_offset=19)
+        simulate([(short, 29, 19, 10)])
 
     def final_only():
-        simulate_final_z([(short, 29, 19)])
+        simulate([(short, 29, 19, None)])
 
     cases = [  # run, chunk width cap, workers, failure
-        (lambda: simulate_ensemble(cfg, 3), wide, 2, first_overflow(steps, range(3))),
-        (lambda: simulate_ensemble(cfg, 2, index_offset=1), wide, 2,
+        (lambda: simulate([(cfg, 3, 0, 10)]), wide, 2, first_overflow(steps, range(3))),
+        (lambda: simulate([(cfg, 2, 1, 10)]), wide, 2,
          first_overflow(steps, range(1, 3))),  # offset + row
         (recorded, wide, 2, first_overflow(short_steps, range(19, 48))),  # one batch
         # One group per chunk: 19 to 31, then 32 to 47. On two workers the
@@ -345,7 +344,7 @@ def test_colored_schemes_converge_at_second_order_on_the_exact_logistic(scheme):
     for dt in (0.02, 0.01, 0.005, 0.0025):
         cfg = TrajectoryConfig(params=PhysicsParams(J=0.0, G=1.0), noise=noise, dt=dt, T=1.0,
                                z0=z0, scheme=scheme, seed=3)
-        (final_z,) = simulate_final_z([(cfg, n, 0)])
+        (final_z,) = simulate([(cfg, n, 0, None)])
         errors.append(np.max(np.abs(final_z - exact)))
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     assert all(3.6 <= r <= 4.4 for r in ratios), ratios
@@ -437,7 +436,7 @@ def test_trajectory_config_validations(tmp_path):
     # A numpy integer seed is stored as an int, as ExperimentConfig does.
     numpy_seed = _config(seed=np.int64(3), T=0.05)
     assert type(numpy_seed.seed) is int and numpy_seed == _config(seed=3, T=0.05)
-    want, got = simulate_final_z([(_config(seed=3, T=0.05), 4, 0), (numpy_seed, 4, 0)])
+    want, got = simulate([(_config(seed=3, T=0.05), 4, 0, None), (numpy_seed, 4, 0, None)])
     assert np.array_equal(want, got)
     # Stability guard: dt * max(J, G, gamma, Deff^2) must stay below 0.1.
     with pytest.raises(ConfigError):

@@ -30,8 +30,7 @@ from suvsim import (
     derive_stream,
     make_config,
     run_experiment,
-    simulate_ensemble,
-    simulate_final_z,
+    simulate,
     simulate_paths,
     steady_samples,
 )
@@ -47,7 +46,7 @@ from suvsim.dynamics import (
     _z_white_heun,
 )
 from suvsim.cli import main
-from suvsim.engine import _BLOCK_STEPS, _simulate
+from suvsim.engine import _BLOCK_STEPS
 from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
@@ -138,11 +137,11 @@ def _assert_engine_matches_replay(cfg, index=0):
     final-only, steps as the replay does, and for a colored scheme the
     simulate_paths path on its stream is the replay's field; returns that
     path (None for other schemes)."""
-    res = simulate_ensemble(cfg, n_traj=1, decimation=1, index_offset=index)
+    (res,) = simulate([(cfg, 1, index, 1)])
     states, xis = _replay(cfg, index)
     zs = np.array([_z(cfg.scheme, s) for s in states])
     assert np.array_equal(res.mean_z, zs)
-    (final_z,) = simulate_final_z([(cfg, 1, index)])
+    (final_z,) = simulate([(cfg, 1, index, None)])
     assert final_z[0] == zs[-1]
     if not cfg.scheme.uses_colored_noise:
         return None
@@ -197,7 +196,7 @@ def test_streamed_draws_match_replay_across_block_boundaries(monkeypatch):
         replayed = [_z(cfg.scheme, _replay(cfg, i)[0][-1]) for i in range(3)]
         for width in (1, 2, engine._MAX_CHUNK_WIDTH):
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-            (final_z,) = simulate_final_z([(cfg, 3, 0)])
+            (final_z,) = simulate([(cfg, 3, 0, None)])
             assert final_z.tolist() == replayed
 
 
@@ -221,17 +220,15 @@ def test_engine_calls_each_traced_layer_once_per_step_per_chunk(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 1)
     monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
     n = 3 * engine._FOLD_ROWS
-    recorded, final_only = (lambda: simulate_ensemble(cfg, n_traj=n),
-                            lambda: simulate_final_z([(cfg, n, 0)]))
-    for run in (recorded, final_only):
+    for decimation in (10, None):  # recorded, then final-only
         counts.update(dict.fromkeys(names, 0))
-        run()
+        simulate([(cfg, n, 0, decimation)])
         assert counts == dict.fromkeys(names, 3 * 300)
 
 
 def _final_only_jobs():
-    """(cfg, n_traj, index_offset) jobs of a colored OU, a colored SBM and a
-    white Ito ensemble, of 40 trajectories each from indices 0, 5 and 10:
+    """Final-only jobs of a colored OU, a colored SBM and a white Ito
+    ensemble, of 40 trajectories each from indices 0, 5 and 10:
     they touch 3, 3 and 4 groups of _FOLD_ROWS (16 + 16 + 8, 11 + 16 + 13
     and 6 + 16 + 16 + 2), so that narrow caps cut them into 10 chunks."""
     cfgs = (
@@ -239,7 +236,7 @@ def _final_only_jobs():
         _cfg(Scheme.SUV_COLORED, kind=NoiseKind.SBM, tau=0.5, T=0.05),
         _cfg(Scheme.WHITE_ITO, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=0.05),
     )
-    return [(cfg, 40, 5 * i) for i, cfg in enumerate(cfgs)]
+    return [(cfg, 40, 5 * i, None) for i, cfg in enumerate(cfgs)]
 
 
 def test_worker_count_does_not_change_any_output_bit(monkeypatch):
@@ -250,18 +247,18 @@ def test_worker_count_does_not_change_any_output_bit(monkeypatch):
     jobs = _final_only_jobs()
     expect = [
         np.array([
-            simulate_ensemble(cfg, 1, decimation=cfg.n_steps, index_offset=off + i).mean_z[-1]
+            simulate([(cfg, 1, off + i, cfg.n_steps)])[0].mean_z[-1]
             for i in range(n)
         ])
-        for cfg, n, off in jobs
+        for cfg, n, off, _ in jobs
     ]
     default = engine._MAX_CHUNK_WIDTH
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         for width in (1, 7, default):
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-            batch = simulate_final_z(jobs)
-            alone = [simulate_final_z([job])[0] for job in jobs]
+            batch = simulate(jobs)
+            alone = [simulate([job])[0] for job in jobs]
             for want, got, single in zip(expect, batch, alone):
                 assert np.array_equal(want, got) and np.array_equal(want, single)
 
@@ -285,7 +282,7 @@ def _sweep_jobs():
     jobs, offset = [], 0
     for family in families:
         for z0, J in cells:
-            jobs.append((_cfg(T=0.02, z0=z0, J=J, **family), 5, offset))
+            jobs.append((_cfg(T=0.02, z0=z0, J=J, **family), 5, offset, None))
             offset += 5
     return jobs
 
@@ -296,12 +293,12 @@ def test_jobs_that_differ_in_z0_and_j_share_chunks_bit_for_bit(monkeypatch):
     # own J. At any chunk cap (1 and 7 cut chunks inside jobs) and worker count,
     # every job equals its own separate call bit for bit.
     jobs = _sweep_jobs()
-    alone = [simulate_final_z([job])[0] for job in jobs]
+    alone = [simulate([job])[0] for job in jobs]
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         for width in (1, 7, engine._MAX_CHUNK_WIDTH):
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-            batch = simulate_final_z(jobs)
+            batch = simulate(jobs)
             assert len(batch) == len(jobs)
             for want, got in zip(alone, batch):
                 assert np.array_equal(want, got)
@@ -329,14 +326,16 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
     monkeypatch.setattr(engine, "_integrate_chunk", chunk)
     cfg = _cfg(Scheme.SUV_COLORED, T=1.0)
     other = _cfg(Scheme.SUV_COLORED, T=1.0, z0=0.25, J=3.0)
-    cases = [
-        ([(cfg, 3, 0), (other, 3, 3)], [6]),  # merged: only z0 and J differ
-        ([(cfg, 3, 0), (_cfg(Scheme.SUV_COLORED, T=2.0), 3, 3)], [3, 3]),  # T differs
-        ([(cfg, 3, 0), (_cfg(Scheme.SUV_COLORED, T=1.0, G=2.0), 3, 3)], [3, 3]),  # G differs
-        ([(cfg, 3, 0), (other, 3, 4)], [3, 3]),  # a gap between the ranges
-        ([(cfg, 4000, 0), (other, 4000, 0)], [4000, 4000]),  # both from 0, as in criterion 5
-        ([(cfg, 4000, 0)], [4000]),
-        ([(cfg, 6000, 0), (other, 9000, 6000)], [7504, 7496]),  # 469 + 469 groups
+    cases = [  # final-only jobs, chunk widths
+        ([(cfg, 3, 0, None), (other, 3, 3, None)], [6]),  # merged: only z0 and J differ
+        ([(cfg, 3, 0, None), (_cfg(Scheme.SUV_COLORED, T=2.0), 3, 3, None)], [3, 3]),  # T differs
+        ([(cfg, 3, 0, None), (_cfg(Scheme.SUV_COLORED, T=1.0, G=2.0), 3, 3, None)],
+         [3, 3]),  # G differs
+        ([(cfg, 3, 0, None), (other, 3, 4, None)], [3, 3]),  # a gap between the ranges
+        # both from 0, as in criterion 5
+        ([(cfg, 4000, 0, None), (other, 4000, 0, None)], [4000, 4000]),
+        ([(cfg, 4000, 0, None)], [4000]),
+        ([(cfg, 6000, 0, None), (other, 9000, 6000, None)], [7504, 7496]),  # 469 + 469 groups
     ]
 
     def logged_widths():
@@ -357,14 +356,14 @@ def test_only_jobs_that_can_share_chunks_are_merged(monkeypatch, tmp_path):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         for jobs, widths in cases:
             log.write_text("")
-            finals = simulate_final_z(jobs)
-            assert [len(z) for z in finals] == [n for _, n, _ in jobs]
+            finals = simulate(jobs)
+            assert [len(z) for z in finals] == [n for _, n, _, _ in jobs]
             assert logged_widths() == widths
         for width, elements, widths in recorded:
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
             monkeypatch.setattr(engine, "_CHUNK_ELEMENT_BUDGET", elements)
             log.write_text("")
-            assert simulate_ensemble(cfg, 23, decimation=10, index_offset=4).n_traj == 23
+            assert simulate([(cfg, 23, 4, 10)])[0].n_traj == 23
             assert logged_widths() == widths
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", cap)
         monkeypatch.setattr(engine, "_CHUNK_ELEMENT_BUDGET", budget)
@@ -379,17 +378,17 @@ def test_failing_merged_chunk_names_its_earliest_failing_step(monkeypatch):
         return _cfg(Scheme.UNNORMALIZED_SUV, kind=NoiseKind.FROZEN_OU, dt=0.01, T=T, z0=z0,
                     J=J, seed=2)
 
-    first, second = (cfg(8.0, 0.6), 2, 0), (cfg(9.9, 0.9), 2, 2)
-    steps = [overflow_steps(c, range(i, i + n)) for c, n, i in (first, second)]
+    first, second = (cfg(8.0, 0.6), 2, 0, None), (cfg(9.9, 0.9), 2, 2, None)
+    steps = [overflow_steps(c, range(i, i + n)) for c, n, i, _ in (first, second)]
     assert min(steps[1].values()) < min(steps[0].values())  # the second fails first
     with pytest.raises(IntegratorInstabilityError,
                        match=f"^{first_overflow(steps[0], range(0, 2))}: "):
-        simulate_final_z([first])
+        simulate([first])
     message = f"{first_overflow(steps[1], range(2, 4))}: unnormalized amplitudes overflowed"
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         with pytest.raises(IntegratorInstabilityError) as info:
-            simulate_final_z([first, second, (cfg(9.9, 0.9, T=1.0), 1, 4)])
+            simulate([first, second, (cfg(9.9, 0.9, T=1.0), 1, 4, None)])
         assert str(info.value) == message
 
 
@@ -457,7 +456,7 @@ def test_final_only_chunks_run_in_worker_processes(monkeypatch, tmp_path):
     for workers in (1, 2):
         log.write_text("")
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
-        simulate_final_z(jobs)
+        simulate(jobs)
         pids = log.read_text().split()
         assert len(pids) == 10
         if workers == 2 and parallel:
@@ -473,33 +472,30 @@ def _assert_same_summary(want, got):
 
 
 def test_one_call_of_mixed_jobs_matches_separate_calls_bit_for_bit(monkeypatch):
-    # One _simulate call maps every job's chunks on one task list: recorded
+    # One simulate call maps every job's chunks on one task list: recorded
     # jobs, a run of final-only jobs that share chunks, and final-only jobs
     # on their own, interleaved. At 1 and 2 workers, and at a cap of 7 that
     # cuts every job into several chunks, each output is bit for bit what a
-    # separate simulate_ensemble or simulate_final_z call returns.
+    # call of its job alone returns.
     recorded = [
         (_cfg(Scheme.SUV_COLORED, T=0.05), 40, 5, 3),
         (_cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05), 23, 45, 10),
         (_cfg(Scheme.Z_WHITE, kind=NoiseKind.NONE, Deff=math.sqrt(2.0), T=0.05), 30, 0, 1),
     ]
-    final_only = [(*job, None) for job in _sweep_jobs()[:6] + _final_only_jobs()]
+    final_only = _sweep_jobs()[:6] + _final_only_jobs()
     jobs = [recorded[0], *final_only[:6], recorded[1], *final_only[6:], recorded[2]]
-    summaries = [
-        simulate_ensemble(cfg, n, decimation=dec, index_offset=off) for cfg, n, off, dec in recorded
-    ]
-    finals = simulate_final_z([job[:3] for job in final_only[:6]])
-    finals += [simulate_final_z([job[:3]])[0] for job in final_only[6:]]
+    alone = [simulate([job])[0] for job in jobs]
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         for width in (7, engine._MAX_CHUNK_WIDTH):
             monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-            out = _simulate(jobs)
+            out = simulate(jobs)
             assert len(out) == len(jobs)
-            for want, got in zip(summaries, (out[0], out[7], out[-1])):
-                _assert_same_summary(want, got)
-            for want, got in zip(finals, out[1:7] + out[8:-1]):
-                assert np.array_equal(want, got)
+            for (*_, decimation), want, got in zip(jobs, alone, out):
+                if decimation is None:
+                    assert np.array_equal(want, got)
+                else:
+                    _assert_same_summary(want, got)
 
 
 def test_fig1a_steps_both_ensembles_in_worker_processes(monkeypatch, tmp_path):
@@ -544,7 +540,7 @@ def test_failing_jobs_raise_the_earlier_jobs_error(monkeypatch):
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         with pytest.raises(IntegratorInstabilityError) as info:
-            _simulate([first, second])
+            simulate([first, second])
         assert str(info.value) == message
 
 
@@ -562,9 +558,9 @@ def test_memory_error_in_a_chunk_names_the_chunk(monkeypatch, tmp_path, capsys):
     for workers in (1, 2):
         monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
         with pytest.raises(SimulationError, match=message):
-            simulate_final_z([(_cfg(Scheme.SUV_COLORED), 40, 5)])
+            simulate([(_cfg(Scheme.SUV_COLORED), 40, 5, None)])
         with pytest.raises(SimulationError, match=message):
-            simulate_ensemble(_cfg(Scheme.SUV_COLORED), 40, index_offset=5)
+            simulate([(_cfg(Scheme.SUV_COLORED), 40, 5, 10)])
     assert main(["run", "fig1a", "--n-traj", "4", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err == "error: out of memory stepping the chunk of 4 trajectories from trajectory 0\n"
@@ -577,7 +573,7 @@ def test_no_worker_outlives_the_call(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
     cfg = _cfg(Scheme.SUV_COLORED)
-    simulate_final_z([(cfg, 48, 0)])  # three chunks of one group each
+    simulate([(cfg, 48, 0, None)])  # three chunks of one group each
     assert multiprocessing.active_children() == []
 
     def failing(cfg, z0, record_at, first_index, J):
@@ -589,13 +585,13 @@ def test_no_worker_outlives_the_call(monkeypatch):
 
     monkeypatch.setattr(engine, "_integrate_chunk", failing)
     with pytest.raises(IntegratorInstabilityError, match="^trajectory 16, step 1: failed$"):
-        simulate_final_z([(cfg, 48, 0)])
+        simulate([(cfg, 48, 0, None)])
     assert multiprocessing.active_children() == []
 
 
-def _final_z_in_daemon(jobs):
+def _run_in_daemon(jobs):
     assert multiprocessing.current_process().daemon
-    return simulate_final_z(jobs)
+    return simulate(jobs)
 
 
 def test_daemonic_caller_runs_its_chunks_in_process(monkeypatch):
@@ -604,10 +600,10 @@ def test_daemonic_caller_runs_its_chunks_in_process(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 3)
     jobs = _final_only_jobs()
-    expect = simulate_final_z(jobs)
+    expect = simulate(jobs)
     pool = multiprocessing.get_context("fork").Pool(1)
     try:
-        got = pool.apply_async(_final_z_in_daemon, (jobs,)).get(timeout=60)
+        got = pool.apply_async(_run_in_daemon, (jobs,)).get(timeout=60)
     finally:
         pool.terminate()
         pool.join()
@@ -623,7 +619,7 @@ def test_final_only_run_holds_no_per_step_draw_matrix():
     m = 500
     tracemalloc.start()
     try:
-        simulate_final_z([(cfg, m, 0)])
+        simulate([(cfg, m, 0, None)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -646,7 +642,7 @@ def test_recorded_run_holds_no_matrix_of_the_horizon(monkeypatch):
         sums.append(13 * (4 * n_out + cfg.n_steps) * 8)
         tracemalloc.start()
         try:
-            simulate_ensemble(cfg, 400, decimation=10)
+            simulate([(cfg, 400, 0, 10)])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -666,7 +662,7 @@ def test_recorded_chunks_are_folded_as_they_arrive(monkeypatch):
     sums = 160 // engine._FOLD_ROWS * (4 * (cfg.n_steps + 1) + cfg.n_steps) * 8
     tracemalloc.start()
     try:
-        simulate_ensemble(cfg, 8 * 160, decimation=1)
+        simulate([(cfg, 8 * 160, 0, 1)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -798,7 +794,7 @@ def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
     by_horizon = []
     for T in (1.0, 16.0):
         widths.clear()
-        simulate_final_z([(_cfg(Scheme.SUV_COLORED, T=T), 4000, 0)])
+        simulate([(_cfg(Scheme.SUV_COLORED, T=T), 4000, 0, None)])
         by_horizon.append(list(widths))
     assert by_horizon[0] == by_horizon[1] == [4000]
 
@@ -817,9 +813,8 @@ def test_chunk_size_does_not_change_any_output_bit(monkeypatch):
             monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
             for width in (1, 7, default):
                 monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-                runs.append((simulate_ensemble(cfg, n_traj=n_traj, decimation=10,
-                                               index_offset=offset),
-                             *simulate_final_z([(cfg, n_traj, offset)])))
+                runs.append((simulate([(cfg, n_traj, offset, 10)])[0],
+                             *simulate([(cfg, n_traj, offset, None)])))
         ref, ref_z = runs[0]
         for other, final_z in runs[1:]:
             assert np.array_equal(ref_z, final_z)
@@ -855,13 +850,13 @@ def test_a_chunk_derives_one_stream_per_group_it_touches(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_WORKERS", 1)  # chunks run in the caller, in order
     colored, sbm, _, white = _lane_cfgs()
     cases = [  # run, chunk cap, group keys
-        (lambda: simulate_final_z([(colored, 40, 5)]), None, [0, 1, 2]),
-        (lambda: simulate_final_z([(colored, 40, 5)]), 16, [0, 1, 2]),
-        (lambda: simulate_final_z([(white, 40, 5)]), 1, [0, 1, 2]),
-        (lambda: simulate_ensemble(sbm, 40, index_offset=5), None, [0, 1, 2]),
-        (lambda: simulate_ensemble(sbm, 40, index_offset=5), 32, [0, 1, 2]),
-        (lambda: simulate_final_z([(colored, 1, 37)]), None, [2]),
-        (lambda: simulate_final_z([(colored, 10, 0), (white, 10, 10)]), None, [0, 0, 1]),
+        (lambda: simulate([(colored, 40, 5, None)]), None, [0, 1, 2]),
+        (lambda: simulate([(colored, 40, 5, None)]), 16, [0, 1, 2]),
+        (lambda: simulate([(white, 40, 5, None)]), 1, [0, 1, 2]),
+        (lambda: simulate([(sbm, 40, 5, 10)]), None, [0, 1, 2]),
+        (lambda: simulate([(sbm, 40, 5, 10)]), 32, [0, 1, 2]),
+        (lambda: simulate([(colored, 1, 37, None)]), None, [2]),
+        (lambda: simulate([(colored, 10, 0, None), (white, 10, 10, None)]), None, [0, 0, 1]),
         (lambda: simulate_paths(sbm.noise, 10, sbm.dt, sbm.seed, 5, 40), None, [0, 1, 2]),
     ]
     default = engine._MAX_CHUNK_WIDTH
@@ -879,25 +874,25 @@ def test_index_offset_selects_the_same_subensemble():
     # last lane of group 0, the first two of group 1), recorded or
     # final-only, for every draw order.
     cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05)
-    full, part = simulate_final_z([(cfg, 8, 0), (cfg, 5, 3)])
+    full, part = simulate([(cfg, 8, 0, None), (cfg, 5, 3, None)])
     assert np.array_equal(full[3:8], part)
     for cfg in _lane_cfgs():
-        (batch,) = simulate_final_z([(cfg, 40, 0)])
-        (inner,) = simulate_final_z([(cfg, 20, 10)])
+        (batch,) = simulate([(cfg, 40, 0, None)])
+        (inner,) = simulate([(cfg, 20, 10, None)])
         assert np.array_equal(inner, batch[10:30])
         for i in (15, 16, 17):
-            (alone,) = simulate_final_z([(cfg, 1, i)])
-            recorded = simulate_ensemble(cfg, 1, decimation=cfg.n_steps, index_offset=i)
+            (alone,) = simulate([(cfg, 1, i, None)])
+            (recorded,) = simulate([(cfg, 1, i, cfg.n_steps)])
             assert alone[0] == recorded.mean_z[-1] == batch[i]
 
 
 def test_repeat_run_is_bitwise_identical():
     cfg = _cfg(Scheme.WHITE_STRAT, kind=NoiseKind.NONE, Deff=1.0, T=0.1)
-    a = simulate_ensemble(cfg, n_traj=40, decimation=20)
-    b = simulate_ensemble(cfg, n_traj=40, decimation=20)
+    (a,) = simulate([(cfg, 40, 0, 20)])
+    (b,) = simulate([(cfg, 40, 0, 20)])
     assert np.array_equal(a.mean_z, b.mean_z)
     assert np.array_equal(a.qv, b.qv)
-    assert np.array_equal(*(simulate_final_z([(cfg, 40, 0)])[0] for _ in range(2)))
+    assert np.array_equal(*(simulate([(cfg, 40, 0, None)])[0] for _ in range(2)))
 
 
 def test_quadratic_variation_separates_smooth_from_rough_paths():
@@ -905,7 +900,7 @@ def test_quadratic_variation_separates_smooth_from_rough_paths():
     # dt. Wiener-driven paths accumulate QV independent of dt.
     def qv_at(scheme, kind, dt, **kw):
         cfg = _cfg(scheme, kind=kind, dt=dt, T=0.5, seed=77, **kw)
-        return simulate_ensemble(cfg, n_traj=300, decimation=cfg.n_steps).qv[-1]
+        return simulate([(cfg, 300, 0, cfg.n_steps)])[0].qv[-1]
 
     smooth = [qv_at(Scheme.SUV_COLORED, NoiseKind.OU, dt) for dt in (1e-3, 5e-4)]
     assert 0.35 < smooth[1] / smooth[0] < 0.65
@@ -974,7 +969,7 @@ def test_engine_qv_matches_observables_reconstruction():
     for kind, n_steps in cases:
         cfg = _cfg(Scheme.SUV_COLORED, kind=kind, T=n_steps * 1e-3, seed=9)
         assert cfg.n_steps == n_steps
-        res = simulate_ensemble(cfg, n_traj=n_traj, decimation=dec)
+        (res,) = simulate([(cfg, n_traj, 0, dec)])
         incs = np.empty((n_traj, n_steps))
         zs = np.empty((n_traj, n_steps + 1))
         for i in range(n_traj):
@@ -993,8 +988,8 @@ def test_engine_qv_matches_observables_reconstruction():
 def test_stderr_matches_sample_formula():
     cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05)
     n = 50
-    res = simulate_ensemble(cfg, n_traj=n, decimation=cfg.n_steps)
-    (final_z,) = simulate_final_z([(cfg, n, 0)])
+    (res,) = simulate([(cfg, n, 0, cfg.n_steps)])
+    (final_z,) = simulate([(cfg, n, 0, None)])
     expected = np.std(final_z, ddof=1) / math.sqrt(n)
     assert res.stderr_z[-1] == pytest.approx(expected, rel=1e-10)
     assert res.mean_z[-1] == pytest.approx(np.mean(final_z), rel=1e-12)
@@ -1002,46 +997,61 @@ def test_stderr_matches_sample_formula():
 
 def test_recording_grid_includes_start_stride_and_final_step():
     cfg = _cfg(Scheme.SUV_COLORED, T=0.01)  # 10 steps
-    res = simulate_ensemble(cfg, n_traj=2, decimation=3)
+    (res,) = simulate([(cfg, 2, 0, 3)])
     assert np.array_equal(res.times, np.array([0, 3, 6, 9, 10]) * cfg.dt)
-    only_final = simulate_ensemble(cfg, n_traj=2, decimation=100)
+    (only_final,) = simulate([(cfg, 2, 0, 100)])
     assert np.array_equal(only_final.times, np.array([0, 10]) * cfg.dt)
 
 
 def test_result_flags_and_minimal_outputs():
     cfg = _cfg(Scheme.SUV_COLORED, T=0.01)
-    multi = simulate_ensemble(cfg, n_traj=2, decimation=1)
+    (multi,) = simulate([(cfg, 2, 0, 1)])
     assert multi.stderr_z is not None
 
-    single = simulate_ensemble(cfg, n_traj=1, decimation=1)
+    (single,) = simulate([(cfg, 1, 0, 1)])
     assert single.stderr_z is None
     assert single.n_traj == 1
 
-    (bare,) = simulate_final_z([(cfg, 3, 0)])
+    (bare,) = simulate([(cfg, 3, 0, None)])
     assert bare.shape == (3,)
 
 
-def test_engine_input_guards():
+def test_engine_input_guards(monkeypatch):
+    # Bad sizes, and a job too short, too long, or with an experiment's
+    # settings as its cfg, raise an InvalidParameterError (a malformed job's
+    # names its position) before any chunk of the call steps.
+    def no_chunk(*args):
+        raise AssertionError("a chunk stepped")
+
+    monkeypatch.setattr(engine, "_integrate_chunk", no_chunk)
     cfg = _cfg(Scheme.SUV_COLORED)
-    with pytest.raises(InvalidParameterError):
-        simulate_ensemble(cfg, n_traj=0)
-    with pytest.raises(InvalidParameterError):
-        simulate_ensemble(cfg, n_traj=1, decimation=0)
-    with pytest.raises(InvalidParameterError):
-        simulate_ensemble(cfg, n_traj=1, index_offset=-1)
+    good = (cfg, 3, 0, None)
+    shape = r"is not \(cfg, n_traj, index_offset, decimation or None\)"
+    cases = [
+        ([(cfg, 0, 0, 10)], None),
+        ([(cfg, 1, 0, 0)], None),
+        ([(cfg, 1, -1, 10)], None),
+        ([(cfg, 10)], rf"^job 0 {shape}: not enough values to unpack \(expected 4, got 2\)$"),
+        ([good, (cfg, 3, 0, 10, 1)], rf"^job 1 {shape}: too many values to unpack"),
+        ([good, good, (make_config("born-sweep"), 3, 0, None)],
+         "^job 2: cfg must be a TrajectoryConfig, got ExperimentConfig$"),
+    ]
+    for jobs, message in cases:
+        with pytest.raises(InvalidParameterError, match=message):
+            simulate(jobs)
 
 
 @pytest.mark.parametrize(
     "call, name",
     [
-        (lambda cfg: simulate_ensemble(cfg, 2.5), "n_traj"),
-        (lambda cfg: simulate_ensemble(cfg, True), "n_traj"),
-        (lambda cfg: simulate_ensemble(cfg, 3, index_offset=1.0), "index_offset"),
-        (lambda cfg: simulate_ensemble(cfg, 3, decimation=1.5), "decimation"),
-        (lambda cfg: simulate_ensemble(cfg, 3, decimation=True), "decimation"),
-        (lambda cfg: simulate_final_z([(cfg, 2.5, 0)]), "n_traj"),
-        (lambda cfg: simulate_final_z([(cfg, 3, 0.5)]), "index_offset"),
-        (lambda cfg: simulate_final_z([(cfg, 3, False)]), "index_offset"),
+        (lambda cfg: simulate([(cfg, 2.5, 0, 10)]), "n_traj"),
+        (lambda cfg: simulate([(cfg, True, 0, 10)]), "n_traj"),
+        (lambda cfg: simulate([(cfg, 3, 1.0, 10)]), "index_offset"),
+        (lambda cfg: simulate([(cfg, 3, 0, 1.5)]), "decimation"),
+        (lambda cfg: simulate([(cfg, 3, 0, True)]), "decimation"),
+        (lambda cfg: simulate([(cfg, 2.5, 0, None)]), "n_traj"),
+        (lambda cfg: simulate([(cfg, 3, 0.5, None)]), "index_offset"),
+        (lambda cfg: simulate([(cfg, 3, False, None)]), "index_offset"),
         (lambda cfg: simulate_paths(cfg.noise, 2.5, cfg.dt, 0, 0, 1), "n_steps"),
         (lambda cfg: derive_stream(0.5, 0), "master_seed"),
         (lambda cfg: derive_stream(0, 1.0), "group_index"),
@@ -1058,11 +1068,11 @@ def test_engine_rejects_non_integer_sizes_by_name(call, name):
 
 def test_engine_accepts_numpy_integer_sizes():
     cfg = _cfg(Scheme.SUV_COLORED)
-    want = simulate_ensemble(cfg, 3, decimation=4, index_offset=2)
-    got = simulate_ensemble(cfg, np.int64(3), decimation=np.int32(4), index_offset=np.uint8(2))
+    (want,) = simulate([(cfg, 3, 2, 4)])
+    (got,) = simulate([(cfg, np.int64(3), np.uint8(2), np.int32(4))])
     assert np.array_equal(want.mean_z, got.mean_z)
     assert np.array_equal(want.qv, got.qv)
-    want_z, got_z = simulate_final_z([(cfg, 3, 2), (cfg, np.int64(3), np.int64(2))])
+    want_z, got_z = simulate([(cfg, 3, 2, None), (cfg, np.int64(3), np.int64(2), None)])
     assert np.array_equal(want_z, got_z)
 
 
@@ -1104,7 +1114,7 @@ def test_negated_draws_from_the_mirrored_state_mirror_every_amplitude_scheme(mon
         return -_fn(model, n, rng)
 
     def run(cfg):
-        return simulate_ensemble(cfg, n_traj=40, decimation=10)
+        return simulate([(cfg, 40, 0, 10)])[0]
 
     for z0 in (0.6, 0.25):
         assert 1.0 - (1.0 - z0) == z0

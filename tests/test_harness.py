@@ -30,7 +30,7 @@ from suvsim import (
     make_config,
     parse_config_file,
     run_experiment,
-    simulate_ensemble,
+    simulate,
     simulate_paths,
 )
 from suvsim.cli import build_parser, main
@@ -192,6 +192,10 @@ def test_build_trajectory_config_fills_derived_couplings():
     override = build_trajectory_config(cfg, scheme=Scheme.SSE, seed=42, z0=0.25)
     assert override.scheme is Scheme.SSE
     assert override.seed == 42 and override.z0 == 0.25
+    # The overrides are named parameters: a misspelt one raises, where it
+    # would otherwise leave the experiment's value in place.
+    with pytest.raises(TypeError, match="z_0"):
+        build_trajectory_config(make_config("born-sweep"), z_0=0.3)
 
 
 def test_build_trajectory_config_guards_scheme_noise_pairs():
@@ -235,7 +239,7 @@ def _small_ensemble():
         scheme=Scheme.SUV_COLORED,
         seed=5,
     )
-    return simulate_ensemble(cfg, n_traj=6, decimation=5)
+    return simulate([(cfg, 6, 0, 5)])[0]
 
 
 def test_ensemble_csv_round_trips_exact_floats(tmp_path):
@@ -345,6 +349,22 @@ def test_every_experiment_preset_runs(tmp_path, experiment):
         path = tmp_path / name
         assert path.exists() and path.stat().st_size > 0
     assert (tmp_path / MANIFEST_NAME).exists()
+
+
+def test_deff_presets_refuse_a_frozen_noise_before_the_run(tmp_path, capsys):
+    # fdr-sweep and weak-equivalence set their couplings from the Deff of
+    # the configured noise, so a noise kind without one is refused when the
+    # command line is resolved, naming --noise, and the previous run's
+    # manifest stays in place.
+    manifest = tmp_path / MANIFEST_NAME
+    manifest.write_text('{"files": {}}\n')
+    for experiment in ("fdr-sweep", "weak-equivalence"):
+        for noise in ("frozen-ou", "frozen-sbm"):
+            assert main(["run", experiment, "--noise", noise, "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {experiment} sets its couplings")
+            assert err.endswith(f"does not take --noise {noise}\n")
+    assert manifest.read_text() == '{"files": {}}\n'
 
 
 def test_failed_run_leaves_no_stale_manifest(tmp_path):

@@ -15,7 +15,7 @@ from suvsim import (
     TrajectoryConfig,
     autocorrelation,
     derive_stream,
-    simulate_final_z,
+    simulate,
     simulate_paths,
     steady_samples,
 )
@@ -68,7 +68,7 @@ def test_wiener_increment_scales_draw_by_sqrt_dt():
         amps = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
         raw = _sse_em(*amps, np.array([dw]), dt, 0.5, (np.empty(1), np.empty(1)), _workspace(1))
         a, _ = _renormalize(*raw, (np.empty(1), np.empty(1)), _workspace(1))
-        assert simulate_final_z([(cfg, 1, 0)])[0][0] == a[0] * a[0]
+        assert simulate([(cfg, 1, 0, None)])[0][0] == a[0] * a[0]
 
 
 def test_ou_step_decay_factor_at_one_correlation_time():
@@ -177,7 +177,7 @@ def test_steady_samples_moments_match_invariant_laws():
     assert np.mean(ou * ou) == pytest.approx(1.0, rel=0.05)
     assert np.all(np.abs(sbm) <= 1.0)
     assert np.mean(sbm * sbm) == pytest.approx(1.0 / 3.0, rel=0.05)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="^n must be at least 1, got 0$"):
         steady_samples(NoiseModel(kind=NoiseKind.OU), 0, derive_stream(11, 2))
 
 

@@ -18,7 +18,7 @@ from suvsim import (
     born_deviation,
     collapse_statistics,
     ks_distance,
-    simulate_ensemble,
+    simulate,
 )
 
 
@@ -65,7 +65,7 @@ def test_quadratic_variation_small_case(monkeypatch):
         scheme=Scheme.SUV_COLORED,
         seed=1,
     )
-    qv = simulate_ensemble(cfg, n_traj=2, decimation=1).qv
+    qv = simulate([(cfg, 2, 0, 1)])[0].qv
     assert qv == pytest.approx([0.0, 0.05, 0.15], rel=1e-14)
     assert np.all(np.diff(qv) >= 0.0)
 
