@@ -13,8 +13,10 @@ fig1a under a frozen field for 600 steps, fig1b with 23 trajectories
 (its companion ensemble starts inside a group of 16, at index 23), and,
 with chunks at most 7 trajectories wide, born-sweep and fdr-sweep once
 more, so that chunks which share one lockstep batch among several sweep
-cells start and end inside cells, and the recorded presets once more, so
-that the reduction sees many chunk boundaries. For every run it compares
+cells start and end inside cells, and the recorded presets and
+noise-validation once more, so that the reduction sees many chunk
+boundaries (noise-validation's SBM paths start inside a group of 16, at
+index 100). For every run it compares
 the bytes of run_manifest.json and every file digest the manifest lists.
 Prints ``equal`` when nothing differs, and otherwise each file that
 differs, as ``w<workers>/<run>/<file>``.
@@ -24,8 +26,8 @@ determinism contract, which must hold across a deliberate change of
 output bits too: every file digest of a run at 1 worker equals that at 2
 workers, and every digest of a narrow-chunk run (``<run>-narrow``) equals
 that of its default-cap twin, the run of the same experiment and
-overrides (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep and
-fdr-sweep have one). Each mismatch is printed on a line of its own, as
+overrides (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep,
+fdr-sweep and noise-validation have one). Each mismatch is printed on a line of its own, as
 ``in-tree: <run>/<file> differs from <twin>/<file>``. Exits 0 when nothing
 differs and no mismatch is found, and 1 otherwise.
 
@@ -42,7 +44,7 @@ import tempfile
 
 # (run label, experiment, overrides, chunk cap): every preset at smoke size,
 # the recorded presets with one trajectory, the schemes no preset records,
-# then the sweeps and the recorded presets in narrow chunks.
+# then the sweeps, the recorded presets and noise-validation in narrow chunks.
 # A cap of None keeps the engine's default.
 RUNS = [
     ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, None),
@@ -81,6 +83,8 @@ RUNS = [
     ("fig1a-frozen-narrow", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, 7),
     ("fig1b-narrow", "fig1b", {"n_traj": 23, "T": 0.3}, 7),
     ("gksl-check-narrow", "gksl-check", {"n_traj": 100, "T": 0.3}, 7),
+    ("noise-validation-narrow", "noise-validation",
+     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, 7),
 ]
 WORKERS = (1, 2)
 MANIFEST = "run_manifest.json"

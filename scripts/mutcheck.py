@@ -3,7 +3,8 @@
     python3 scripts/mutcheck.py
 
 Each mutant is one source replacement that writes a derivation error into
-the package: a wrong coefficient, a wrong sign, a wrong law. For each, the
+the package: a wrong coefficient, a wrong sign, a wrong law, a wrong
+observable or a wrong reduction. For each, the
 script copies src/, tests/ and pyproject.toml into a temporary directory,
 applies the replacement there (its text must occur exactly once), and runs
 tier-1 with ``-x`` and without the five tests that pin each kernel bit for
@@ -50,6 +51,36 @@ MUTANTS = [
      "rng.uniform(-1.0, 1.0, n)", "rng.uniform(0.0, 1.0, n)"),
     ("effective diffusion without its factor 2", "master.py",
      "math.sqrt(2.0 * G * G * tau * second_moment)", "math.sqrt(G * G * tau * second_moment)"),
+    ("halved SSE drift", "dynamics.py",
+     "np.multiply(-gamma, v, out=v)", "np.multiply(-0.5 * gamma, v, out=v)"),
+    ("white-strat predictor without its noise term", "dynamics.py",
+     "np.add(a, ap, out=ap)\n    np.multiply(ga, dw, out=m)\n    np.add(ap, m, out=ap)\n"
+     "    np.multiply(fb, dt, out=bp)\n    np.add(b, bp, out=bp)\n    np.multiply(gb, dw, out=m)\n"
+     "    np.add(bp, m, out=bp)\n",
+     "np.add(a, ap, out=ap)\n    np.multiply(fb, dt, out=bp)\n    np.add(b, bp, out=bp)\n"),
+    ("z-scalar-colored without its clip", "dynamics.py",
+     "np.add(z, out, out=out)\n    return np.clip(out, 0.0, 1.0, out=out)",
+     "np.add(z, out, out=out)\n    return out"),
+    ("OU innovation sqrt(1 - decay)", "noise.py",
+     "math.sqrt(1.0 - decay * decay)", "math.sqrt(1.0 - decay)"),
+    ("SBM without its clamp", "noise.py",
+     "return np.clip(out, -1.0, 1.0, out=out)", "return out"),
+    ("SBM second moment 1/2", "master.py",
+     "NoiseKind.SBM: 1.0 / 3.0}", "NoiseKind.SBM: 0.5}"),
+    ("GKSL reference rate Deff^2 instead of Deff^2 / 2", "master.py",
+     "np.exp(-0.5 * Deff * Deff * rel)", "np.exp(-Deff * Deff * rel)"),
+    ("stderr without its 1 / sqrt(n)", "engine.py",
+     "return np.sqrt(var / n)", "return np.sqrt(var)"),
+    ("amplitude qv on b instead of a", "engine.py",
+     "def _amplitude_a(s, out):\n    return s[0]", "def _amplitude_a(s, out):\n    return s[1]"),
+    ("scalar qv of z instead of sqrt(z)", "engine.py",
+     "return np.sqrt(z, out=out)", "return z"),
+    ("scalar offdiag sqrt(z) (1 - z), without its second sqrt", "engine.py",
+     "    np.sqrt(t, out=t)\n", ""),
+    ("collapse to |0> at z >= 1/2", "observables.py",
+     "z >= 1.0 - eps_collapse", "z >= 0.5"),
+    ("no compensation in the fold", "observables.py",
+     "        self._comp += np.where(big, (self._acc - t) + x, (x - t) + self._acc)\n", ""),
 ]
 
 # Mutants no test can see, with the reason; listed, not run.

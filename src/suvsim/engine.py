@@ -31,25 +31,26 @@ expressions would. The one exception is a chunk whose rows step with
 different J under a white-noise scheme: its kernels form the scaled
 couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 
-Ensemble statistics are reduced in an order fixed by trajectory index:
-a chunk holds whole stream groups (an ensemble's first and last may be
-partial), and a recorded chunk sums each group's recorded z, offdiag, z^2
-and offdiag^2 and squared amplitude increments in index order as it steps,
-holding a few hundred steps at a time, and the caller folds the group sums
-in index order with compensated summation. So every output is bitwise
+Ensemble statistics are reduced in an order fixed by trajectory index
+(:mod:`suvsim.observables`): a chunk holds whole stream groups (an
+ensemble's first and last may be partial) and returns one row of sums per
+group, added in index order as it steps, and the caller folds the rows in
+group order with compensated summation. So every output is bitwise
 independent of chunk width and worker count, and byte-identical across
-repeated runs.
+repeated runs. A recorded chunk's rows hold its groups' recorded z,
+offdiag, z^2 and offdiag^2 and squared amplitude increments; noise
+validation's chunks of :func:`simulate_paths` paths give rows of lag sums.
 
 The one public entry point is :func:`simulate`, which runs all the
 ensembles of a call, recorded or final-only, on one task list:
 :func:`_tasks` cuts them into chunks of whole groups, the cells of a sweep
 sharing chunks, and :func:`_chunk` steps each chunk, deriving the streams
-of its groups, on the one fork pool of :func:`_map_in_workers`, which
-noise validation's two noise kinds share. So fig1a's two ensembles step
-side by side. A recorded chunk never records the field: a one-trajectory
-run's field is the path :func:`simulate_paths` gives at its index. The
-worker count changes no chunk width, so no output bit and no error
-message depends on it.
+of its groups, on the one fork pool of :func:`_map_in_workers`. Noise
+validation cuts its path sets with the same :func:`_tasks` onto the same
+pool. A recorded chunk never records the field: a one-trajectory run's
+field is the path :func:`simulate_paths` gives at its index. The worker
+count changes no chunk width, so no output bit and no error message
+depends on it.
 """
 from __future__ import annotations
 
@@ -84,7 +85,7 @@ from .errors import (
     check_integer,
 )
 from .noise import NoiseKind, _ou_coefficients, _ou_update, _sbm_update, steady_samples
-from .observables import CompensatedAccumulator, EnsembleSummary
+from .observables import _FOLD_ROWS, CompensatedAccumulator, EnsembleSummary, _fold_groups
 
 __all__ = ["derive_stream", "simulate", "simulate_paths"]
 
@@ -96,9 +97,6 @@ _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
 _MAX_WORKERS = 2
-# Trajectories per group: the lanes of one stream. A recorded chunk sums each
-# group's rows in index order, and the caller folds the group sums.
-_FOLD_ROWS = 16
 # Time steps per block of drawn normals and per fold of a recorded chunk's
 # held rows, so a chunk holds (_BLOCK_STEPS, m) buffers, not (n_steps, m)
 # matrices. A Philox stream's sequence and a group sum's order do not depend
@@ -297,25 +295,6 @@ def _chunk(task):
         raise SimulationError(
             f"out of memory stepping the chunk of {len(z0)} trajectories from trajectory {first}"
         ) from exc
-
-
-def _fold_groups(rows, out, lane=0):
-    """Write into ``out`` the sum of each group of _FOLD_ROWS consecutive
-    trajectories (the last axis of ``rows``, whose first trajectory is on
-    lane ``lane``, so the first and last groups may be partial), added one
-    at a time in index order. It sums 16 steps (the second-last axis) at a
-    time into a contiguous buffer, so its strided reads hit cache."""
-    head = -lane % _FOLD_ROWS  # the rows of a partial first group
-    if head:
-        _fold_groups(rows[..., :head], out[..., :1])
-        rows, out = rows[..., head:], out[..., 1:]
-    for t in range(0, rows.shape[-2], 16):
-        steps = rows[..., t : t + 16, :]
-        sums = steps[..., ::_FOLD_ROWS].copy()
-        for j in range(1, _FOLD_ROWS):
-            part = steps[..., j::_FOLD_ROWS]
-            sums[..., : part.shape[-1]] += part
-        out[..., t : t + 16, :] = sums
 
 
 def _map_in_workers(fn, tasks, consume=list):

@@ -13,19 +13,21 @@ import os
 
 import numpy as np
 
+from . import engine
 from .config import Experiment, ExperimentConfig, build_trajectory_config
 from .dynamics import Scheme, _whole_steps
-from .engine import _map_in_workers, _record_at, derive_stream, simulate, simulate_paths
+from .engine import _record_at, derive_stream, simulate, simulate_paths
 from .errors import ConfigError, InconclusiveError
 from .master import STEADY_SECOND_MOMENT, effective_diffusion, gksl_residual
 from .noise import NoiseKind, NoiseModel, autocorrelation, steady_samples
-from .observables import born_deviation, collapse_statistics, ks_distance
+from .noise import _autocovariance, _lag_sums
+from .observables import CompensatedAccumulator, born_deviation, collapse_statistics, ks_distance
 from .output import write_ensemble_csv, write_table_csv, write_trajectory_csv
 
 __all__ = ["EPS_COLLAPSE", "BORN_Z0_GRID", "FDR_RATIO_GRID", "FDR_Z0_GRID", "RUNNERS"]
 
-# Runners call the engine by the name the benchmark's tracer wraps
-# (perfbench/spans.py); it goes when that row moves to simulate.
+# The benchmark's tracer (perfbench/spans.py) wraps simulate_ensemble, which the
+# runners call, and autocorrelation, which nothing here calls, until its rows move.
 simulate_ensemble = simulate
 
 # Collapse classification threshold: z >= 1 - eps is |0>, z <= eps is |1>.
@@ -35,15 +37,8 @@ BORN_Z0_GRID = (0.1, 0.25, 0.5, 0.6, 0.75, 0.9)
 FDR_RATIO_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 FDR_Z0_GRID = (0.25, 0.5, 0.6, 0.75)
 
-_BORN_HEADER = [
-    "z0",
-    "n_traj",
-    "frac_zero",
-    "frac_one",
-    "frac_unresolved",
-    "deviation",
-    "binomial_se",
-]
+_BORN_HEADER = ["z0", "n_traj", "frac_zero", "frac_one", "frac_unresolved", "deviation",
+                "binomial_se"]
 
 
 def _born_row(z0, stats):
@@ -54,15 +49,7 @@ def _born_row(z0, stats):
     except InconclusiveError:
         deviation = None
     se = math.sqrt(z0 * (1.0 - z0) / stats.n_traj)
-    return [
-        z0,
-        stats.n_traj,
-        stats.frac_zero,
-        stats.frac_one,
-        stats.frac_unresolved,
-        deviation,
-        se,
-    ]
+    return [z0, stats.n_traj, stats.frac_zero, stats.frac_one, stats.frac_unresolved, deviation, se]
 
 
 def _recorded_jobs(cfg, *traj_cfgs):
@@ -205,24 +192,43 @@ def _fit_lags(tau: float) -> list[float]:
     return [k * 0.25 * tau for k in range(_FIT_LAGS)]
 
 
-def _noise_kind_statistics(task):
-    """Fit-grid autocovariances and steady-law KS distance of one noise kind.
+def _noise_chunk(task):
+    """Noise validation's chunk ``(model, n_steps, dt, seed, first_index, m,
+    lags, steady_stream)``: the :func:`_lag_sums` group rows of the m paths
+    from stream index first_index, and the KS distance of _STEADY_SAMPLES
+    draws from ``derive_stream(*steady_stream)``, None without a stream."""
+    model, n_steps, dt, seed, first, m, lags, steady = task
+    rows = _lag_sums(simulate_paths(model, n_steps, dt, seed, first, m), lags, first)[0]
+    if steady is None:
+        return rows, None
+    draws = steady_samples(model, _STEADY_SAMPLES, derive_stream(*steady))
+    return rows, _steady_ks(model.kind, draws)
 
-    ``task`` is ``(model, n_steps, dt, seed, first_index, n, quarter_steps,
-    steady_stream)``: ``n`` steady-state paths of ``n_steps`` steps, path i
-    of stream index first_index + i, are estimated at the
-    _FIT_LAGS lags k * quarter_steps of their grid (quarter_steps steps
-    being tau / 4), and _STEADY_SAMPLES steady draws from the stream
-    ``derive_stream(*steady_stream)`` are compared with the exact
-    stationary law. The paths' time-major blocks stream into
-    :func:`autocorrelation` as they are stepped. Returns the estimates and
-    the KS distance.
-    """
-    model, n_steps, dt, seed, first_index, n, quarter_steps, steady_stream = task
-    fields = simulate_paths(model, n_steps, dt, seed, first_index, n)
-    values = autocorrelation(fields, [k * quarter_steps for k in range(_FIT_LAGS)])
-    draws = steady_samples(model, _STEADY_SAMPLES, derive_stream(*steady_stream))
-    return values, _steady_ks(model.kind, draws)
+
+def _noise_statistics(kinds, n_steps, dt, n, quarter_steps):
+    """Per kind ``(model, seed, first_index, steady_stream)`` of ``kinds``:
+    the estimates at lags k * quarter_steps, k < _FIT_LAGS, of its n
+    steady-state paths of n_steps steps from stream index first_index, and
+    its first chunk's KS distance. The engine's :func:`_tasks` cuts each
+    kind's paths into chunks of whole groups, stepped in one pool call, and
+    the caller folds each kind's rows in group order, so no estimate
+    depends on the chunk width or the worker count."""
+    lags = [k * quarter_steps for k in range(_FIT_LAGS)]
+    folds = [CompensatedAccumulator(3 * _FIT_LAGS) for _ in kinds]
+    tasks, sinks, ks = [], [], []
+    for fold, (model, seed, first, steady) in zip(folds, kinds):
+        for ((_, m),), i, _ in engine._tasks([(model, n, first)], engine._MAX_CHUNK_WIDTH, None):
+            tasks.append((model, n_steps, dt, seed, i, m, lags, steady if i == first else None))
+            sinks.append(fold)
+
+    def consume(results):
+        for fold, (rows, distance) in zip(sinks, results):
+            fold.add_rows(rows)
+            if distance is not None:
+                ks.append(distance)
+
+    engine._map_in_workers(_noise_chunk, tasks, consume)
+    return [(_autocovariance(fold.total, lags, n, n_steps + 1), d) for fold, d in zip(folds, ks)]
 
 
 def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
@@ -232,18 +238,14 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     against its exponential target, an exponential-rate fit over lags up to
     3 tau, and a one-sample KS distance of fresh steady-state draws against
     the exact stationary law. The autocovariance is estimated once per lag
-    of the fit grid, which holds the three report lags, while the paths
-    are stepped: each worker holds a ring of the last 3 tau of steps and
-    one block of draws, never a path matrix. The two processes run
-    concurrently on the engine's workers. Raises ConfigError, before any
-    path is stepped, when tau / 4 is not a whole number of steps or
-    3 tau exceeds the horizon, and InconclusiveError, before any file is
+    of the fit grid, which holds the three report lags, while the paths are
+    stepped in chunks (:func:`_noise_statistics`). Raises ConfigError,
+    before any path is stepped, when tau / 4 is not a whole number of steps
+    or 3 tau exceeds the horizon, and InconclusiveError, before any file is
     written, when an autocovariance on the fit grid is not positive, since
     its logarithm would make the fitted rate NaN.
     """
-    n = cfg.n_traj
-    tau = cfg.tau
-    dt = cfg.dt
+    n, tau, dt = cfg.n_traj, cfg.tau, cfg.dt
     n_steps = _whole_steps(cfg.T, dt)
     models = [NoiseModel(kind=kind, tau=tau) for kind in (NoiseKind.OU, NoiseKind.SBM)]
     q = _whole_steps(0.25 * tau, dt, "tau / 4")
@@ -253,56 +255,38 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
         )
 
     seed = cfg.master_seed
-    tasks = [
-        (model, n_steps, dt, seed, i * n, n, q, (seed, 2 * n + i))
-        for i, model in enumerate(models)
-    ]
+    kinds = [(model, seed, i * n, (seed, 2 * n + i)) for i, model in enumerate(models)]
     lags = _fit_lags(tau)
-    acf_rows = []
-    rate_rows = []
-    steady_rows = []
-    for model, (values, ks) in zip(models, _map_in_workers(_noise_kind_statistics, tasks)):
+    acf_rows, rate_rows, steady_rows = [], [], []
+    for model, (values, ks) in zip(models, _noise_statistics(kinds, n_steps, dt, n, q)):
         kind = model.kind
-        variance = STEADY_SECOND_MOMENT[kind]
         for j in _REPORT_ENTRIES:
-            target = variance * math.exp(-lags[j] / tau)
-            acf_rows.append(
-                [kind.value, lags[j], values[j], target, abs(values[j] - target) / target]
-            )
+            target = STEADY_SECOND_MOMENT[kind] * math.exp(-lags[j] / tau)
+            error = abs(values[j] - target) / target
+            acf_rows.append([kind.value, lags[j], values[j], target, error])
         if not np.all(values > 0.0):
             j = int(np.argmin(values > 0.0))
             raise InconclusiveError(
                 f"{kind.value} autocovariance at lag {lags[j]:g} is {values[j]:.3g}, "
                 "not positive: no decay rate can be fitted; raise n_traj or T"
             )
-        rate = -np.polyfit(np.array(lags), np.log(values), 1)[0]
-        rate_rows.append([kind.value, rate, 1.0 / tau])
+        rate_rows.append([kind.value, -np.polyfit(np.array(lags), np.log(values), 1)[0], 1.0 / tau])
         steady_rows.append([kind.value, _STEADY_SAMPLES, ks])
-
-    write_table_csv(
-        os.path.join(outdir, "noise_autocorr.csv"),
-        ["model", "lag", "estimate", "target", "rel_error"],
-        acf_rows,
-    )
-    write_table_csv(
-        os.path.join(outdir, "noise_rates.csv"), ["model", "rate", "target"], rate_rows
-    )
-    write_table_csv(
-        os.path.join(outdir, "noise_steady.csv"),
-        ["model", "n_samples", "ks_distance"],
-        steady_rows,
-    )
-    return ["noise_autocorr.csv", "noise_rates.csv", "noise_steady.csv"]
+    tables = {
+        "noise_autocorr.csv": (["model", "lag", "estimate", "target", "rel_error"], acf_rows),
+        "noise_rates.csv": (["model", "rate", "target"], rate_rows),
+        "noise_steady.csv": (["model", "n_samples", "ks_distance"], steady_rows),
+    }
+    for name, (header, rows) in tables.items():
+        write_table_csv(os.path.join(outdir, name), header, rows)
+    return list(tables)
 
 
 def _steady_ks(kind: NoiseKind, draws: np.ndarray) -> float:
     """One-sample KS distance against the exact stationary CDF."""
     x = np.sort(draws)
     n = x.size
-    if kind.is_bounded:
-        cdf = np.clip((x + 1.0) / 2.0, 0.0, 1.0)
-    else:
-        cdf = _normal_cdf(x)
+    cdf = np.clip((x + 1.0) / 2.0, 0.0, 1.0) if kind.is_bounded else _normal_cdf(x)
     upper = np.arange(1, n + 1) / n - cdf
     lower = cdf - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))
@@ -321,9 +305,7 @@ def run_frozen_limit(cfg: ExperimentConfig, outdir: str) -> list[str]:
     (final_z,) = simulate_ensemble([(build_trajectory_config(cfg), cfg.n_traj, 0, None)])
     stats = collapse_statistics(final_z, EPS_COLLAPSE)
     rows = [[cfg.J, cfg.G] + _born_row(cfg.z0, stats)]
-    write_table_csv(
-        os.path.join(outdir, "frozen_born.csv"), ["J", "G"] + _BORN_HEADER, rows
-    )
+    write_table_csv(os.path.join(outdir, "frozen_born.csv"), ["J", "G"] + _BORN_HEADER, rows)
     return ["frozen_born.csv"]
 
 
@@ -336,9 +318,7 @@ def run_gksl_check(cfg: ExperimentConfig, outdir: str) -> list[str]:
 
     res_z, res_off = gksl_residual(summary, traj_cfg.params.Deff)
     rows = zip(summary.times, res_z, res_off)
-    write_table_csv(
-        os.path.join(outdir, "gksl_residual.csv"), ["t", "res_z", "res_offdiag"], rows
-    )
+    write_table_csv(os.path.join(outdir, "gksl_residual.csv"), ["t", "res_z", "res_offdiag"], rows)
     written.append("gksl_residual.csv")
     return written
 

@@ -20,9 +20,12 @@ frozen (constant-per-trajectory) variants of each:
 
 Initial values are drawn from the steady state. The engine
 (:mod:`suvsim.engine`) draws every field path and advances it with the
-update kernels defined here. :func:`autocorrelation` estimates the
-stationary autocovariance of paths streamed to it in time-major blocks as
-they are stepped.
+update kernels defined here. The stationary autocovariance of paths
+streamed in time-major blocks as they are stepped is reduced as every
+ensemble statistic is: :func:`_lag_sums` gives one row of per-path lag
+sums per group of 16 paths, folded in group order by a
+CompensatedAccumulator, in one process (:func:`autocorrelation`) or across
+the chunks of noise validation.
 """
 from __future__ import annotations
 
@@ -33,11 +36,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvalidParameterError, NotApplicableError, check_integer
+from .observables import _FOLD_ROWS, CompensatedAccumulator, _fold_groups
 
 __all__ = ["NoiseKind", "NoiseModel", "steady_samples", "autocorrelation"]
 
 # Time steps per window of the autocovariance estimator: the products of a
-# window, (_WINDOW_STEPS, n_traj), are formed and summed while in cache.
+# window, (_WINDOW_STEPS, n_traj), are formed and added while in cache.
 _WINDOW_STEPS = 16
 
 
@@ -138,59 +142,64 @@ def steady_samples(model: NoiseModel, n: int, rng) -> np.ndarray:
 
 def autocorrelation(blocks, lags) -> np.ndarray:
     """Stationary autocovariance estimates E[xi_t xi_(t+k)] - E[xi]^2, one
-    per lag k of ``lags``.
+    per lag k of ``lags``, averaged over trajectories and over all time
+    origins of steady-state paths sampled on a uniform grid: the
+    :func:`_lag_sums` group rows, folded in group order.
 
-    Averages over trajectories and over all time origins of steady-state
-    paths sampled on a uniform grid. The paths are streamed: the estimator
-    keeps a ring of the last max(lags) time steps plus one window of
-    _WINDOW_STEPS, and never the whole paths. Each window of absolute
-    time [a, a + _WINDOW_STEPS) adds, per lag k, the sum of x_(t-k) x_t
-    over its steps t >= k (formed in one window-sized buffer, so it stays
-    in cache), and, per step, the sum of x_t over trajectories; the lag
-    means are range sums of those step sums. Partial sums are added with
-    math.fsum. The windows are fixed by absolute time, so the estimates
-    are the same bits however the paths are split into blocks, and each
-    lag's estimate is the same whatever the other lags are.
+    ``blocks`` are the paths as time-major (steps, n_traj) arrays from
+    t = 0 (such as those of :func:`suvsim.engine.simulate_paths`), each read
+    before the next is requested. ``lags`` are whole steps 0 <= k < the
+    blocks' total step count; their type and sign are checked before any
+    block is requested. The estimates are the same bits however the paths
+    are split into blocks, and each lag's is the same whatever the others.
+    """
+    rows, n, t = _lag_sums(blocks, lags)
+    folded = CompensatedAccumulator(rows.shape[1])
+    folded.add_rows(rows)
+    return _autocovariance(folded.total, lags, n, t)
 
-    Parameters
-    ----------
-    blocks : iterable of arrays of shape (steps, n_traj)
-        Noise paths started in the steady state, as time-major blocks that
-        start at t = 0 (such as those of :func:`suvsim.engine.simulate_paths`),
-        each block read before the next is requested.
-    lags : sequence of int
-        Lags in grid steps, each 0 <= k < n_times, where n_times is the
-        blocks' total step count. Their type and sign are checked before
-        any block is requested.
+
+def _lag_sums(blocks, lags, first=0):
+    """``(rows, n, T)``: n paths of T steps, whose first has stream index
+    ``first``, reduced to one row per group of _FOLD_ROWS of them (see
+    :func:`_fold_groups`). Per lag k, a row holds the group's sums of
+    x_(t-k) x_t, of x_t over t < T - k and of x_t over t >= k.
+
+    Each path adds its lag products window by window in time order (a
+    window's products formed in one buffer, in cache, and added by a fixed
+    pairwise tree), and its range sums are its running sum less its first
+    or last k values, so they depend on its own values alone. A ring holds
+    the last max(lags) steps and a window: memory grows with n, not T.
     """
     if np.ndim(lags) != 1:
         raise InvalidParameterError(f"lags must be a sequence of steps, got {lags!r}")
     for k in lags:
-        if not isinstance(k, (int, np.integer)) or k < 0:
-            raise InvalidParameterError(f"lag must be a nonnegative whole number of steps, got {k}")
-    lags = [int(k) for k in lags]
-
-    w = _WINDOW_STEPS
-    ring = scratch = None  # allocated once the path count is known
-    step_sums = []  # sum over trajectories of x_t, per step t
-    products = [[] for _ in lags]  # per lag, each window's sum of x_(t-k) x_t
-    t = 0  # steps fed so far
+        check_integer("lag", k, 0)
+    lags = np.array(lags, dtype=int)
+    firsts = set(lags.tolist())  # step s + 1 ends a first-k sum when it is a lag
+    w, ring, t = _WINDOW_STEPS, None, 0  # t: steps fed so far
 
     def window(a, b):
-        now = ring[a % size : a % size + b - a]
-        step_sums.extend(now.sum(axis=1).tolist())
-        for k, sums in zip(lags, products):
+        for s in range(a, b):  # the running sum, keeping each first-k sum
+            np.add(total, ring[s % size], out=total)
+            if s + 1 in firsts:
+                tail[lags == s + 1] = total
+        for j, k in enumerate(lags):
             lo = max(a, k)
             if lo >= b:
                 continue
             rows = b - lo
             y = ring[lo % size : lo % size + rows]
             s = (lo - k) % size
-            head = min(rows, size - s)  # the lagged rows may wrap around the ring
+            wrap = min(rows, size - s)  # the lagged rows may wrap around the ring
             xy = scratch[:rows]
-            np.multiply(ring[s : s + head], y[:head], out=xy[:head])
-            np.multiply(ring[: rows - head], y[head:], out=xy[head:])
-            sums.append(float(xy.sum()))
+            np.multiply(ring[s : s + wrap], y[:wrap], out=xy[:wrap])
+            np.multiply(ring[: rows - wrap], y[wrap:], out=xy[wrap:])
+            while rows > 1:  # a fixed tree over the window's rows, then into prod
+                half = rows // 2
+                np.add(xy[:half], xy[rows - half : rows], out=xy[:half])
+                rows -= half
+            np.add(prod[j], xy[0], out=prod[j])
 
     for block in blocks:
         block = np.asarray(block, dtype=float)
@@ -202,15 +211,15 @@ def autocorrelation(blocks, lags) -> np.ndarray:
             n = block.shape[1]
             # a whole number of windows that holds the longest lag's history
             size = -(-(max(lags, default=0) + w) // w) * w
-            ring, scratch = np.empty((size, n)), np.empty((w, n))
+            ring, scratch, total = np.empty((size, n)), np.empty((w, n)), np.zeros(n)
+            prod, head, tail = sums = np.zeros((3, len(lags), n))
         elif block.ndim != 2 or block.shape[1] != n:
             raise InvalidParameterError(f"every block must have {n} columns, got {block.shape}")
         i = 0
         while i < len(block):  # in pieces that end at window edges
             take = min(len(block) - i, w - t % w)
             ring[t % size : t % size + take] = block[i : i + take]
-            i += take
-            t += take
+            i, t = i + take, t + take
             if t % w == 0:
                 window(t - w, t)
     if t == 0:
@@ -220,11 +229,19 @@ def autocorrelation(blocks, lags) -> np.ndarray:
     for k in lags:
         if k >= t:
             raise InvalidParameterError(f"lag must be a whole number of steps in [0, {t}), got {k}")
+    last = np.zeros(n)
+    for s in range(1, max(lags, default=0) + 1):  # the last-k sums, last step first
+        np.add(last, ring[(t - s) % size], out=last)
+        head[lags == s] = last
+    np.subtract(total, sums[1:], out=sums[1:])  # the range sums
+    rows = np.empty((3 * len(lags), (first % _FOLD_ROWS + n - 1) // _FOLD_ROWS + 1))
+    _fold_groups(sums.reshape(-1, n), rows, first % _FOLD_ROWS)
+    return rows.T, n, t
 
-    estimates = np.empty(len(lags))
-    for j, (k, sums) in enumerate(zip(lags, products)):
-        count = n * (t - k)
-        mean_x = math.fsum(step_sums[: t - k]) / count
-        mean_y = math.fsum(step_sums[k:]) / count
-        estimates[j] = math.fsum(sums) / count - mean_x * mean_y
-    return estimates
+
+def _autocovariance(total, lags, n, t) -> np.ndarray:
+    """Estimates from the folded :func:`_lag_sums` rows of n paths of t
+    steps: per lag k, the mean lag product less the two range means'
+    product, each a sum over n (t - k) pairs."""
+    prod, head, tail = np.reshape(total, (3, -1)) / (n * (t - np.array(lags, dtype=float)))
+    return prod - head * tail

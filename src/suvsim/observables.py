@@ -1,9 +1,11 @@
-"""Ensemble statistics: compensated sums, ensemble summaries, collapse
+"""Ensemble statistics: the one reduction, ensemble summaries, collapse
 counts, and distribution comparison.
 
-The engine sums trajectories in groups of 16 and folds the group sums in
-index order with Neumaier compensated summation, so results are bitwise
-independent of how the ensemble was chunked or scheduled upstream.
+Every ensemble statistic is reduced in two steps fixed by trajectory
+index: :func:`_fold_groups` sums each group of 16 in index order, and
+:class:`CompensatedAccumulator` folds the group sums in group order, so
+results are bitwise independent of how the ensemble was chunked or
+scheduled upstream.
 """
 from __future__ import annotations
 
@@ -21,6 +23,28 @@ __all__ = [
     "ks_distance",
     "born_deviation",
 ]
+
+# Trajectories per group, the lanes of one engine stream.
+_FOLD_ROWS = 16
+
+
+def _fold_groups(rows, out, lane=0):
+    """Write into ``out`` the sum of each group of _FOLD_ROWS consecutive
+    trajectories (the last axis of ``rows``, whose first trajectory is on
+    lane ``lane``, so the first and last groups may be partial), added one
+    at a time in index order. It sums 16 steps (the second-last axis) at a
+    time into a contiguous buffer, so its strided reads hit cache."""
+    head = -lane % _FOLD_ROWS  # the rows of a partial first group
+    if head:
+        _fold_groups(rows[..., :head], out[..., :1])
+        rows, out = rows[..., head:], out[..., 1:]
+    for t in range(0, rows.shape[-2], 16):
+        steps = rows[..., t : t + 16, :]
+        sums = steps[..., ::_FOLD_ROWS].copy()
+        for j in range(1, _FOLD_ROWS):
+            part = steps[..., j::_FOLD_ROWS]
+            sums[..., : part.shape[-1]] += part
+        out[..., t : t + 16, :] = sums
 
 
 class CompensatedAccumulator:

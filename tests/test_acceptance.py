@@ -30,7 +30,7 @@ from suvsim.experiments import (
     _REPORT_ENTRIES,
     EPS_COLLAPSE,
     _fit_lags,
-    _noise_kind_statistics,
+    _noise_statistics,
 )
 from suvsim.output import write_ensemble_csv
 
@@ -102,22 +102,20 @@ def test_fast_noise_ensemble_dephases_at_the_analytic_rate(criterion_report):
 def test_noise_processes_match_their_stationary_laws(criterion_report):
     # Autocovariance at lags {0, tau, 2 tau}, exponential decay rate, and
     # one-sample KS distance of steady draws, for both processes, through
-    # noise-validation's per-kind task on the engine's pool, as the
-    # experiment runs them.
+    # noise-validation's own statistics, whose chunks step on the engine's
+    # pool, as the experiment runs them.
     n, tau, dt, n_steps = 20000, 1.0, 0.005, 2000
     kinds = (
         (NoiseKind.OU, 1.0, 301, 0.03, (303, 1)),
         (NoiseKind.SBM, 1.0 / 3.0, 302, 0.05, (303, 0)),
     )
-    tasks = [
-        (NoiseModel(kind=kind, tau=tau), n_steps, dt, seed, 0, n, 50, steady)  # tau / 4 = 50 dt
-        for kind, _, seed, _, steady in kinds
-    ]
+    paths = [(NoiseModel(kind=kind, tau=tau), seed, 0, steady)
+             for kind, _, seed, _, steady in kinds]
     lags = _fit_lags(tau)
     results = {}
     steady_ks = {}
     for (kind, variance, _, acf_tol, _), (values, ks) in zip(
-        kinds, engine._map_in_workers(_noise_kind_statistics, tasks)
+        kinds, _noise_statistics(paths, n_steps, dt, n, 50)  # tau / 4 = 50 dt
     ):
         rels = []
         for j in _REPORT_ENTRIES:
@@ -250,16 +248,19 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
     failures = []
 
     cfg = _traj(Scheme.SUV_COLORED, seed=2024, T=0.1)
+    paths = [(NoiseModel(kind=NoiseKind.SBM, tau=0.02), 2024, 5, (2024, 9))]  # from lane 5
     runs = []
     for width in (1, 13, engine._MAX_CHUNK_WIDTH):  # the default width last
         monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", width)
-        runs.append((simulate([(cfg, 60, 0, 10)])[0], *simulate([(cfg, 60, 0, None)])))
-    ref, ref_z = runs[0]
+        ((acf, _),) = _noise_statistics(paths, 100, 1e-3, 60, 5)
+        runs.append((simulate([(cfg, 60, 0, 10)])[0], *simulate([(cfg, 60, 0, None)]), acf))
+    ref, ref_z, ref_acf = runs[0]
     if not all(
         np.array_equal(ref_z, final_z)
         and np.array_equal(ref.mean_z, s.mean_z)
         and np.array_equal(ref.qv, s.qv)
-        for s, final_z in runs[1:]
+        and np.array_equal(ref_acf, acf)
+        for s, final_z, acf in runs[1:]
     ):
         failures.append("chunk invariance")
 

@@ -985,6 +985,24 @@ def test_engine_qv_matches_observables_reconstruction():
         assert np.array_equal(res.mean_z, mean_z), (kind, n_steps)
 
 
+def test_scalar_schemes_record_the_observables_of_their_amplitude_twins():
+    # z-scalar-colored and z-scalar-white step z alone, and record the mean
+    # z, the mean offdiag sqrt(z) sqrt(1 - z) and the qv of sqrt(z) that
+    # suv-colored and white-strat record from their amplitudes, within the
+    # schemes' discretization differences: each bound is 5 to 10 times the
+    # difference measured at this configuration (J = Deff^2 = 2).
+    bounds = {  # max |mean_z|, max |mean_offdiag| and qv's relative error
+        (Scheme.Z_COLORED, Scheme.SUV_COLORED): (5e-7, 2e-6, 2e-5),
+        (Scheme.Z_WHITE, Scheme.WHITE_STRAT): (1e-3, 5e-3, 2e-2),
+    }
+    for schemes, (z_tol, off_tol, qv_tol) in bounds.items():
+        jobs = [(_cfg(s, T=0.5, seed=3, Deff=math.sqrt(2.0)), 64, 0, 10) for s in schemes]
+        scalar, twin = simulate(jobs)
+        assert np.abs(scalar.mean_z - twin.mean_z).max() <= z_tol, schemes
+        assert np.abs(scalar.mean_offdiag - twin.mean_offdiag).max() <= off_tol, schemes
+        assert scalar.qv == pytest.approx(twin.qv, rel=qv_tol, abs=0), schemes
+
+
 def test_stderr_matches_sample_formula():
     cfg = _cfg(Scheme.SSE, kind=NoiseKind.NONE, T=0.05)
     n = 50

@@ -424,21 +424,27 @@ def test_noise_validation_checks_its_lag_grid_before_simulating(tmp_path, monkey
 
 def test_noise_validation_estimates_each_fit_lag_once(tmp_path, monkeypatch):
     # The report lags 0, tau and 2 tau sit on the 13-lag fit grid, so each
-    # noise kind takes one estimate of the whole grid. At one worker both
-    # kinds run in the caller, where the counter sees them.
+    # noise kind sums its chunk's lag products over the whole grid once,
+    # and the caller forms one estimate of the whole grid from the folded
+    # sums. At one worker both kinds' chunks run in the caller, where the
+    # counter sees them.
     import suvsim.experiments as experiments
 
     calls = []
 
-    def counted(paths, lags, _fn=experiments.autocorrelation):
-        calls.append(list(lags))
-        return _fn(paths, lags)
+    def counted(fn):
+        def call(*args):
+            calls.append((fn.__name__, list(args[1])))
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(experiments, "autocorrelation", counted)
+    for fn in (experiments._lag_sums, experiments._autocovariance):
+        monkeypatch.setattr(experiments, fn.__name__, counted(fn))
     monkeypatch.setattr(engine, "_MAX_WORKERS", 1)
     run_experiment(make_config("noise-validation", _SMOKE_OVERRIDES[Experiment.NOISE_VALIDATION],
                                output_dir=str(tmp_path)))
-    assert calls == [[25 * k for k in range(13)]] * 2  # tau / 4 = 25 dt
+    grid = [25 * k for k in range(13)]  # tau / 4 = 25 dt
+    assert calls == [("_lag_sums", grid)] * 2 + [("_autocovariance", grid)] * 2
 
 
 def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):

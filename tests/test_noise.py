@@ -21,7 +21,7 @@ from suvsim import (
 )
 from suvsim.dynamics import _renormalize, _sse_em, _workspace
 from suvsim.engine import _BLOCK_STEPS, _field
-from suvsim.experiments import _normal_cdf, _noise_kind_statistics, _steady_ks
+from suvsim.experiments import _noise_statistics, _normal_cdf, _steady_ks
 from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
@@ -226,6 +226,8 @@ def test_autocorrelation_validates_lag_and_shape():
         autocorrelation([np.zeros((10, 0))], [0])  # no path
     with pytest.raises(InvalidParameterError):
         autocorrelation(paths, [-1])
+    with pytest.raises(InvalidParameterError, match="^lag must be an integer, got True$"):
+        autocorrelation(paths, [True])  # a bool is no number of steps
     with pytest.raises(InvalidParameterError, match="lags must be a sequence of steps, got 3"):
         autocorrelation(paths, 3)
     assert autocorrelation(paths, [9]).tolist() == [0.0]
@@ -290,17 +292,20 @@ def test_streamed_blocks_give_the_bits_of_the_path_matrix():
     assert np.array_equal(autocorrelation(blocks, lags), expect)
 
 
-def test_noise_kind_statistics_stream_the_estimates_of_the_path_matrix():
-    # noise-validation's per-kind task never builds the path matrix, and
-    # still gives, bit for bit, the estimates of autocorrelation on the
-    # matrix of the same simulate_paths range, for both evolving kinds.
-    for kind in (NoiseKind.OU, NoiseKind.SBM):
-        model = NoiseModel(kind=kind, tau=0.5)
-        values, ks = _noise_kind_statistics((model, 300, 0.01, 35, 10, 50, 13, (35, 0)))
-        paths = path_matrix(simulate_paths(model, 300, 0.01, 35, 10, 50))
+def test_noise_statistics_give_the_estimates_of_the_path_matrix():
+    # noise-validation's chunks never build the path matrix, and still give,
+    # bit for bit, the estimates of autocorrelation on the matrix of the same
+    # simulate_paths range, for both evolving kinds: from a group edge, the
+    # two sum the same groups of 16 paths. Each kind's KS distance is that
+    # of its own steady stream's draws.
+    models = [NoiseModel(kind=kind, tau=0.5) for kind in (NoiseKind.OU, NoiseKind.SBM)]
+    kinds = [(model, 35, 32, (35, i)) for i, model in enumerate(models)]
+    stats = _noise_statistics(kinds, 300, 0.01, 50, 13)
+    for (model, *_, steady), (values, ks) in zip(kinds, stats):
+        paths = path_matrix(simulate_paths(model, 300, 0.01, 35, 32, 50))
         assert np.array_equal(values, autocorrelation([paths.T], [13 * k for k in range(13)]))
-        draws = steady_samples(model, 100000, derive_stream(35, 0))
-        assert ks == _steady_ks(kind, draws)
+        draws = steady_samples(model, 100000, derive_stream(*steady))
+        assert ks == _steady_ks(model.kind, draws)
 
 
 def test_normal_cdf_is_bit_for_bit_the_scalar_erf_loop():
