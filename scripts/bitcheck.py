@@ -10,14 +10,15 @@ writes the trajectory dumps, the four schemes that no preset records
 (unnormalized-suv and z-scalar-colored in fig1a, white-strat and
 z-scalar-white in gksl-check) at smoke size and with one trajectory,
 fig1a under a frozen field for 600 steps, fig1b with 23 trajectories
-(its companion ensemble starts inside a group of 16, at index 23), and,
-with chunks at most 7 trajectories wide, born-sweep and fdr-sweep once
-more, so that chunks which share one lockstep batch among several sweep
-cells start and end inside cells, and the recorded presets and
-noise-validation once more, so that the reduction sees many chunk
-boundaries (noise-validation's SBM paths start inside a group of 16, at
-index 100). For every run it compares
-the bytes of run_manifest.json and every file digest the manifest lists.
+(its companion ensemble starts inside a group of 16, at index 23),
+fdr-sweep under white-strat (so a white-noise kernel steps rows that
+differ in J), and, with chunks at most 7 trajectories wide, born-sweep
+and both fdr-sweeps once more, so that chunks which share one lockstep
+batch among several sweep cells start and end inside cells, and the
+recorded presets and noise-validation once more, so that the reduction
+sees many chunk boundaries (noise-validation's SBM paths start inside a
+group of 16, at index 100). For every run it compares the bytes of
+run_manifest.json and every file digest the manifest lists.
 Prints ``equal`` when nothing differs, and otherwise each file that
 differs, as ``w<workers>/<run>/<file>``.
 
@@ -27,7 +28,8 @@ output bits too: every file digest of a run at 1 worker equals that at 2
 workers, and every digest of a narrow-chunk run (``<run>-narrow``) equals
 that of its default-cap twin, the run of the same experiment and
 overrides (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep,
-fdr-sweep and noise-validation have one). Each mismatch is printed on a line of its own, as
+fdr-sweep, fdr-sweep-strat and noise-validation have one). Each mismatch
+is printed on a line of its own, as
 ``in-tree: <run>/<file> differs from <twin>/<file>``. Exits 0 when nothing
 differs and no mismatch is found, and 1 otherwise.
 
@@ -77,8 +79,11 @@ RUNS = [
     ("gksl-check-z", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-white"}, None),
     ("gksl-check-z-single", "gksl-check",
      {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-white"}, None),
+    # The sweep's cells differ in J, so its shared chunks step a per-row J.
+    ("fdr-sweep-strat", "fdr-sweep", {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, None),
     ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, 7),
     ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, 7),
+    ("fdr-sweep-strat-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, 7),
     ("fig1a-narrow", "fig1a", {"n_traj": 100, "T": 0.3}, 7),
     ("fig1a-frozen-narrow", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, 7),
     ("fig1b-narrow", "fig1b", {"n_traj": 23, "T": 0.3}, 7),

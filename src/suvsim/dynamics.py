@@ -191,11 +191,11 @@ def _whole_steps(T: float, dt: float, name: str = "T") -> int:
 # ---------------------------------------------------------------------------
 # Step kernels. Amplitudes, z, xi and dW are arrays with one entry per
 # trajectory; couplings and dt are scalars, except that J may also be such
-# an array, for a chunk whose rows differ in J. A kernel writes its result
-# through ``out`` (an (a, b) pair, or one array for z) and keeps its
+# an array, for a chunk whose rows differ in J, or for the white-noise
+# kernels its _white_couplings, formed once per chunk. A kernel writes its
+# result through ``out`` (an (a, b) pair, or one array for z) and keeps its
 # intermediates in ``ws``, scratch vectors shaped like the state (see
-# _workspace), so a step allocates no arrays, bar the scaled couplings that
-# the white-noise kernels form from a per-row J. ``out`` and ``ws`` overlap
+# _workspace), so a step allocates no arrays. ``out`` and ``ws`` overlap
 # neither the inputs nor each other. Each in-place sequence performs the
 # floating-point operations of the expression in its comment, in Python's
 # left-to-right order, so its bits are those of that expression.
@@ -230,18 +230,19 @@ def _sigma3(a, b, out, t):
 
 def _suv_rate(a, b, gx, J, out, ws):
     # ka = 0.5 * (1.0 - m) * r * a, kb = -0.5 * (1.0 + m) * r * b with
-    # r = J * m + gx (gx = G * xi); uses ws[0:2].
+    # r = J * m + gx (gx = G * xi); uses ws[0:2]. The factors are formed as
+    # 0.5 - 0.5 * m and -0.5 - 0.5 * m with the same bits: near unit norm,
+    # |m| is 0 or at least 2^-55, so each halving is exact.
     ka, kb = out
     m, r = ws[0], ws[1]
     _sigma3(a, b, m, r)
     np.multiply(J, m, out=r)
     np.add(r, gx, out=r)
-    np.subtract(1.0, m, out=ka)
-    np.multiply(0.5, ka, out=ka)
+    np.multiply(0.5, m, out=m)
+    np.subtract(0.5, m, out=ka)
     np.multiply(ka, r, out=ka)
     np.multiply(ka, a, out=ka)
-    np.add(1.0, m, out=kb)
-    np.multiply(-0.5, kb, out=kb)
+    np.subtract(-0.5, m, out=kb)
     np.multiply(kb, r, out=kb)
     np.multiply(kb, b, out=kb)
     return out
@@ -249,7 +250,8 @@ def _suv_rate(a, b, gx, J, out, ws):
 
 def _unnormalized_rate(a, b, gx, J, out, ws):
     # ka = r * a, kb = -r * b with r = 0.5 * (J * m + gx) and
-    # m = (a * a - b * b) / (a * a + b * b); uses ws[0:2].
+    # m = (a * a - b * b) / (a * a + b * b); uses ws[0:2]. Folded into dt the
+    # 0.5 is exact only while J * m + gx stays normal, which no bound ensures.
     ka, kb = out
     m, r = ws[0], ws[1]
     np.multiply(a, a, out=m)
@@ -299,7 +301,8 @@ def _unnormalized_heun(a, b, xi, dt, J, G, out, ws):
 def _sse_em(a, b, dw, dt, gamma, out, ws):
     # a + 0.5 * (-gamma * (1.0 - m) ** 2 * dt + c * (1.0 - m) * dw) * a,
     # b + 0.5 * (-gamma * (1.0 + m) ** 2 * dt - c * (1.0 + m) * dw) * b
-    # with c = 2.0 * sqrt(gamma); uses ws[0:3].
+    # with c = 2.0 * sqrt(gamma); uses ws[0:3]. Folded into dt and c the 0.5
+    # is exact only while gamma * u * u stays normal, which no bound ensures.
     m, u, v = ws[0:3]
     oa, ob = out
     c = 2.0 * math.sqrt(gamma)
@@ -318,17 +321,24 @@ def _sse_em(a, b, dw, dt, gamma, out, ws):
     return out
 
 
+def _white_couplings(J):
+    """(0.5 J, -0.5 J, 2 J), the couplings the white-noise kernels multiply
+    by, formed from J, or J itself when it is already this triple."""
+    return J if type(J) is tuple else (0.5 * J, -0.5 * J, 2.0 * J)
+
+
 def _white_terms(a, b, m, J, deff, out, u, w):
     # Drift fa = 0.5 * J * m * (1.0 - m) * a, fb = -0.5 * J * m * (1.0 + m) * b
     # and diffusion ga = 0.5 * deff * (1.0 - m) * a, gb = -0.5 * deff * (1.0 + m) * b
     # into out = (fa, fb, ga, gb); leaves u = 1.0 - m and w = 1.0 + m.
     fa, fb, ga, gb = out
+    half, neg_half, _ = _white_couplings(J)
     np.subtract(1.0, m, out=u)
     np.add(1.0, m, out=w)
-    np.multiply(0.5 * J, m, out=fa)
+    np.multiply(half, m, out=fa)
     np.multiply(fa, u, out=fa)
     np.multiply(fa, a, out=fa)
-    np.multiply(-0.5 * J, m, out=fb)
+    np.multiply(neg_half, m, out=fb)
     np.multiply(fb, w, out=fb)
     np.multiply(fb, b, out=fb)
     np.multiply(0.5 * deff, u, out=ga)
@@ -429,7 +439,7 @@ def _z_colored_heun(z, xi, dt, J, G, out, ws):
 def _z_white_terms(z, J, deff, f, g, u, t):
     # f = 2.0 * J * z * (1.0 - z) * (2.0 * z - 1.0), g = 2.0 * deff * z * (1.0 - z)
     np.subtract(1.0, z, out=u)
-    np.multiply(2.0 * J, z, out=f)
+    np.multiply(_white_couplings(J)[2], z, out=f)
     np.multiply(f, u, out=f)
     np.multiply(2.0, z, out=t)
     np.subtract(t, 1.0, out=t)

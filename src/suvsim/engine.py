@@ -12,14 +12,14 @@ order fixed by scheme and noise kind:
   16 standard normals per step for evolving kinds;
 * Wiener-driven schemes: 16 standard normals per step (scaled by sqrt(dt)).
 
-The per-step normals are drawn in time-major blocks of a few hundred steps
-as the step loop reaches them, and a chunk copies the lanes it holds into
-one (block, m) buffer, so each step reads its draws as one contiguous row.
-The contract relies on one property of the streams: each is keyed on
-(seed, group), drawn from its start, and yields the same sequence however
-its draws are split into calls, so neither the block length nor the cut
-of the chunks changes an output bit. :func:`_field` is the one setup of a
-field's draws and advance, for the chunks and for :func:`simulate_paths`.
+Each stream draws its per-step normals a few hundred steps at a time, into
+its own contiguous part of one group-major slab, and each step gathers its
+slice of the slab into one contiguous row. The contract relies on one
+property of the streams: each is keyed on (seed, group), drawn from its
+start, and yields the same sequence however its draws are split into
+calls, so neither the block length nor the cut of the chunks changes an
+output bit. :func:`_field` is the one setup of a field's draws and advance,
+for the chunks and for :func:`simulate_paths`.
 
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk. The step loop allocates no arrays: once per chunk it sets up
@@ -27,9 +27,7 @@ a workspace of scratch vectors that the kernels compute in, and two state
 buffers that the state alternates between, each step reading one and
 writing the other (the field xi is advanced in place). The kernels perform
 the same floating-point operations, in the same order, as plain array
-expressions would. The one exception is a chunk whose rows step with
-different J under a white-noise scheme: its kernels form the scaled
-couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
+expressions would.
 
 Ensemble statistics are reduced in an order fixed by trajectory index
 (:mod:`suvsim.observables`): a chunk holds whole stream groups (an
@@ -59,7 +57,7 @@ import os
 import threading
 import time
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -71,6 +69,7 @@ from .dynamics import (
     _sse_em,
     _suv_heun,
     _unnormalized_heun,
+    _white_couplings,
     _white_ito_em,
     _white_strat_heun,
     _workspace,
@@ -117,18 +116,17 @@ def derive_stream(master_seed: int, group_index: int) -> np.random.Generator:
 
 
 def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, n: int):
-    """Steady-state noise paths, time-major: an iterator over the (1, n) row
-    at t = 0, then blocks of at most _BLOCK_STEPS steps, n_steps rows in all.
+    """Steady-state noise paths, time-major: an iterator over n_steps + 1
+    (1, n) blocks, one per grid point from t = 0.
 
     Column r is the path of stream index i = first_index + r (lane i % 16 of
     group i // 16), drawn and advanced by :func:`_field` as the field of a
     colored ensemble is: a pure function of seed, i, model, dt and n_steps,
     whatever other paths run alongside it, and the field of a one-trajectory
-    colored run at index_offset i. Each step writes the advanced field over
-    the normals it read, and the blocks are views of buffers that later
-    blocks overwrite, so a consumer reads (or copies) each block before it
-    asks for the next. Frozen kinds yield constant rows. The arguments are
-    checked, and the steady-state values drawn, at the call.
+    colored run at index_offset i. Each block is a view of the field that
+    the next step advances in place (a frozen kind's never changes), so a
+    consumer reads (or copies) each block before it asks for the next. The
+    arguments are checked, and the steady-state values drawn, at the call.
     """
     if model.kind is NoiseKind.NONE:
         raise NotApplicableError("cannot simulate paths for noise kind 'none'")
@@ -138,22 +136,14 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     if not dt > 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
     ws = tuple(_aligned_rows(2, n))
-    xi, blocks, advance = _field(model, dt, seed, first_index, n, n_steps, ws)
+    xi, rows, advance = _field(model, dt, seed, first_index, n, n_steps, ws)
 
     def paths():
-        yield xi[None]
-        if advance is None:
-            if n_steps:
-                yield np.broadcast_to(xi, (n_steps, n))
-            return
-        # The advanced field overwrites the normals it consumed: both updates
-        # read their normals before they write ``out``.
-        for block in blocks:
-            prev = xi
-            for normals in block:
-                advance(prev, normals, normals)
-                prev = normals
-            np.copyto(xi, prev)  # the next block overwrites this one
+        block = xi[None]
+        yield block
+        for normals in rows:
+            if advance is not None:
+                advance(normals)
             yield block
 
     return paths()
@@ -448,58 +438,63 @@ _SCHEMES = {
 }
 
 
-def _spread(streams, lane, out, draw):
-    """Write into ``out`` (..., m) the lanes of ``draw(stream)``, an array
-    (..., _FOLD_ROWS) drawn once per group stream in order: column c takes
-    lane (lane + c) % _FOLD_ROWS of stream (lane + c) // _FOLD_ROWS."""
-    m = out.shape[-1]
-    for col, g in zip(range(-lane, m, _FOLD_ROWS), streams):
-        lo = max(col, 0)
-        out[..., lo : col + _FOLD_ROWS] = draw(g)[..., lo - col : m - col]
+def _padded_row(groups, lane):
+    """An uninitialized row of ``groups`` runs of _FOLD_ROWS lanes, one per
+    group stream, whose element ``lane`` starts on a 64-byte cache line."""
+    return _aligned_rows(1, groups * _FOLD_ROWS + 8)[0][-lane % 8 :][: groups * _FOLD_ROWS]
 
 
-def _stream_normals(streams, lane, m, n_steps: int):
-    """Yield standard normals for ``n_steps`` steps in time-major (width, m)
-    blocks, width at most ``_BLOCK_STEPS``, each group stream drawing
-    (width, _FOLD_ROWS) in one call (see :func:`_spread`). The blocks are
-    views of one buffer that the next block overwrites, so a consumer uses
-    (or copies) each block before asking for the next."""
-    buf = _aligned_rows(min(n_steps, _BLOCK_STEPS), m)
-    tile = np.empty((buf.shape[0], _FOLD_ROWS))
+def _stream_normals(streams, lane, m, n_steps: int, scale=None):
+    """Yield the standard normals (times ``scale``, if given) of ``n_steps``
+    steps, one m-wide row per step whose column c is lane (lane + c) % 16
+    of stream (lane + c) // 16. Per block of at most _BLOCK_STEPS steps,
+    each stream draws its (steps, 16) part of a group-major slab in one
+    call, and each step gathers its slice of the slab into one
+    :func:`_padded_row`, which the next step overwrites, so a consumer uses
+    (or copies) each row before asking for the next."""
+    groups, width = len(streams), min(n_steps, _BLOCK_STEPS)
+    slab = _aligned_rows(groups, width * _FOLD_ROWS).reshape(groups, width, _FOLD_ROWS)
+    row = _padded_row(groups, lane)
+    gather, draws = row.reshape(-1, _FOLD_ROWS), row[lane : lane + m]
     for start in range(0, n_steps, _BLOCK_STEPS):
-        block = buf[: min(_BLOCK_STEPS, n_steps - start)]
-        _spread(streams, lane, block, lambda g: g.standard_normal(out=tile[: len(block)]))
-        yield block
+        steps = min(_BLOCK_STEPS, n_steps - start)
+        for g, part in zip(streams, slab[:, :steps]):
+            g.standard_normal(out=part)
+            if scale is not None:
+                np.multiply(part, scale, out=part)
+        for s in range(steps):
+            np.copyto(gather, slab[:, s])
+            yield draws
 
 
 def _field(model, dt, seed, first, m, n_steps, ws):
-    """``(xi, blocks, advance)``: the draws of the m trajectories from stream
+    """``(xi, rows, advance)``: the draws of the m trajectories from stream
     index ``first`` on, from the streams of the groups they touch.
 
     For a field ``model``, each stream draws _FOLD_ROWS steady-state values,
-    whose lanes go into ``xi`` (uniform on [-1, 1] for bounded kinds,
+    whose lanes make up ``xi`` (uniform on [-1, 1] for bounded kinds,
     N(0, 1) otherwise), then, if the kind evolves, the normals of the
-    :func:`_stream_normals` blocks. ``advance(xi, normals, out)`` writes the
-    next field into ``out`` (``xi`` or ``normals``) through the scratch
-    vectors ``ws``, looking the update kernels up in this module's globals
-    on every call. A frozen field draws nothing more: ``advance`` is None
-    and one empty block spans every step. With ``model`` None (a
-    Wiener-driven scheme), ``xi`` and ``advance`` are None and the blocks
-    are the normals.
+    :func:`_stream_normals` rows. ``advance(normals)`` steps ``xi`` in place
+    through the scratch vectors ``ws``, looking the update kernels up in
+    this module's globals on every call. A frozen field draws nothing more:
+    ``advance`` is None and ``rows`` yields None for each of the n_steps.
+    With ``model`` None (a Wiener-driven scheme), ``xi`` and ``advance``
+    are None and the rows are the Wiener increments sqrt(dt) n.
     """
     g0, lane = divmod(int(first), _FOLD_ROWS)
     streams = [derive_stream(seed, g0 + g) for g in range((lane + m - 1) // _FOLD_ROWS + 1)]
     if model is None:
-        return None, _stream_normals(streams, lane, m, n_steps), None
-    xi = _aligned_rows(1, m)[0]
-    _spread(streams, lane, xi, lambda g: steady_samples(model, _FOLD_ROWS, g))
+        return None, _stream_normals(streams, lane, m, n_steps, math.sqrt(dt)), None
+    row = _padded_row(len(streams), lane)
+    row.reshape(-1, _FOLD_ROWS)[:] = [steady_samples(model, _FOLD_ROWS, g) for g in streams]
+    xi = row[lane : lane + m]
     if model.kind.is_frozen:
-        return xi, (np.empty((n_steps, 0)),), None
+        return xi, repeat(None, n_steps), None
     if model.kind is NoiseKind.OU:
         decay, sigma = _ou_coefficients(dt, model.tau)
-        advance = lambda x, n, out: _ou_update(x, decay, sigma, n, out, ws)  # noqa: E731
+        advance = lambda n: _ou_update(xi, decay, sigma, n, xi, ws)  # noqa: E731
     else:
-        advance = lambda x, n, out: _sbm_update(x, dt, model.tau, n, out, ws)  # noqa: E731
+        advance = lambda n: _sbm_update(xi, dt, model.tau, n, xi, ws)  # noqa: E731
     return xi, _stream_normals(streams, lane, m, n_steps), advance
 
 
@@ -523,16 +518,16 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
     """
     scheme = cfg.scheme
     step, amplitude, observe = _SCHEMES[scheme]
-    p = cfg.params if J is None else replace(cfg.params, J=J)
-    dt = cfg.dt
-    n_steps = cfg.n_steps
+    p = cfg.params
+    if J is not None:  # the white kernels' scaled couplings, formed once
+        p = replace(p, J=_white_couplings(J) if scheme.uses_deff else J)
+    dt, n_steps = cfg.dt, cfg.n_steps
     m, lane = len(z0), first_index % _FOLD_ROWS
 
     ws = _workspace(m)
     colored = scheme.uses_colored_noise
     noise = cfg.noise if colored else None
-    xi, blocks, advance = _field(noise, dt, cfg.seed, first_index, m, n_steps, ws)
-    sqrt_dt = math.sqrt(dt)
+    xi, rows, advance = _field(noise, dt, cfg.seed, first_index, m, n_steps, ws)
 
     # The state alternates between two buffers: a step reads one and writes
     # the other, so the previous amplitude stays intact for the increment.
@@ -561,34 +556,29 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
         observe(state, *obs[:, 0], ws)
         pos, done = 1, 0  # grid points held, and folded
 
-    k = 0  # steps taken, across blocks
+    k = 0  # steps taken
     try:
-        for block in blocks:
-            if not colored:
-                block *= sqrt_dt  # dW = sqrt(dt) n
-            for draws in block:
-                step(state, xi if colored else draws, dt, p, spare, raw, ws)
-                state, spare = spare, state
-                if advance is not None:
-                    advance(xi, draws, xi)
-                k += 1
-                if sums is not None:
-                    new_alpha = amplitude(state, alpha_spare)
-                    delta = np.subtract(new_alpha, alpha, out=ws[0])
-                    np.multiply(delta, delta, out=dq[(k - 1) % _BLOCK_STEPS])
-                    alpha, alpha_spare = new_alpha, alpha
-                    if record_at[k]:
-                        observe(state, *obs[:, pos], ws)
-                        pos += 1
-                    # A frozen field is one block of n_steps rows, so the
-                    # folds follow the step count, not the draw blocks.
-                    if k % _BLOCK_STEPS == 0 or k == n_steps:
-                        first = (k - 1) // _BLOCK_STEPS * _BLOCK_STEPS
-                        _fold_groups(dq[: k - first], increments[first:k], lane)
-                        rec = obs[:, :pos]
-                        _fold_groups(rec, grid[:2, done : done + pos], lane)
-                        _fold_groups(np.square(rec, out=rec), grid[2:, done : done + pos], lane)
-                        pos, done = 0, done + pos
+        for draws in rows:
+            step(state, xi if colored else draws, dt, p, spare, raw, ws)
+            state, spare = spare, state
+            if advance is not None:
+                advance(draws)
+            k += 1
+            if sums is not None:
+                new_alpha = amplitude(state, alpha_spare)
+                delta = np.subtract(new_alpha, alpha, out=ws[0])
+                np.multiply(delta, delta, out=dq[(k - 1) % _BLOCK_STEPS])
+                alpha, alpha_spare = new_alpha, alpha
+                if record_at[k]:
+                    observe(state, *obs[:, pos], ws)
+                    pos += 1
+                if k % _BLOCK_STEPS == 0 or k == n_steps:
+                    first = (k - 1) // _BLOCK_STEPS * _BLOCK_STEPS
+                    _fold_groups(dq[: k - first], increments[first:k], lane)
+                    rec = obs[:, :pos]
+                    _fold_groups(rec, grid[:2, done : done + pos], lane)
+                    _fold_groups(np.square(rec, out=rec), grid[2:, done : done + pos], lane)
+                    pos, done = 0, done + pos
     except IntegratorInstabilityError as exc:
         raise IntegratorInstabilityError(
             f"trajectory {first_index + exc.row}, step {k + 1}: {exc}"

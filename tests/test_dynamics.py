@@ -455,6 +455,21 @@ def test_trajectory_config_warns_on_unresolved_correlation_time():
 # otherwise; the in-place kernels must reproduce them bit for bit.
 
 
+def _ref_suv_rate(a, b, xi, J, G):
+    m = a * a - b * b
+    r = J * m + G * xi
+    return 0.5 * (1.0 - m) * r * a, -0.5 * (1.0 + m) * r * b
+
+
+def _ref_suv_step(a, b, xi, dt, J, G):
+    """One Heun step of the colored pair, then the rescale to unit norm."""
+    ka, kb = _ref_suv_rate(a, b, xi, J, G)
+    ka2, kb2 = _ref_suv_rate(a + dt * ka, b + dt * kb, xi, J, G)
+    a, b = a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
+    nrm = np.sqrt(a * a + b * b)
+    return a / nrm, b / nrm
+
+
 def _ref_unnormalized_rate(a, b, xi, J, G):
     nrm2 = a * a + b * b
     m = (a * a - b * b) / nrm2
@@ -522,6 +537,30 @@ def test_kernels_match_allocating_expressions_bit_for_bit():
     assert np.array_equal(ka, ref_ka) and np.array_equal(kb, ref_kb)
     k = _z_colored_rate(z0, G * xi, J, np.empty(n), np.empty(n))
     assert np.array_equal(k, _ref_z_colored_rate(z0, xi, J, G))
+    # _suv_heun and _renormalize, two alternating steps as the engine takes
+    # them, and the rates alone, over states near |1>, near |0>, at
+    # z ~ 1e-300 and in between, with J = 0 on some rows (a per-row J, as a
+    # shared chunk passes it) and fields down to the subnormal range, where
+    # a reordering of the factors 0.5 (1 - m) and -0.5 (1 + m) would show.
+    z0 = np.array([1e-12, 1.0 - 1e-12, 1e-300, 0.3, 0.5, 0.7, 0.9, 1e-300, 0.5, 2e-8])
+    a, b = np.sqrt(z0), np.sqrt(1.0 - z0)
+    xi = np.array([0.7, -1.3, 5e-324, 1e-310, -2.2e-308, 0.4, -0.9, 1e-320, 1.1, -3e-315])
+    J = np.array([2.0, 0.0, 0.0, 0.0, 0.0, -3.0, 2.0, 0.0, 0.0, 1.0])
+    dt, G = 1e-2, 1.3
+    n = len(z0)
+    ws = _workspace(n)
+    raw, buffers = (np.empty(n), np.empty(n)), [(np.empty(n), np.empty(n)) for _ in range(2)]
+    state, expected = (a, b), (a, b)
+    for k in range(2):
+        state = _renormalize(*_suv_heun(*state, xi, dt, J, G, raw, ws), buffers[k], ws)
+        expected = _ref_suv_step(*expected, xi, dt, J, G)
+        for got, want in zip(state, expected):
+            assert np.array_equal(got, want), k
+    ka, kb = _suv_rate(a, b, G * xi, J, (np.empty(n), np.empty(n)), ws)
+    ref_ka, ref_kb = _ref_suv_rate(a, b, xi, J, G)
+    assert np.array_equal(ka, ref_ka) and np.array_equal(kb, ref_kb)
+    rates = np.concatenate((ka, kb))
+    assert np.count_nonzero((rates != 0.0) & (np.abs(rates) < 2.0**-1022)) >= 4  # subnormal
 
 
 def test_step_vectors_start_on_cache_lines():
@@ -532,6 +571,13 @@ def test_step_vectors_start_on_cache_lines():
         assert rows.shape == (n, m)
         assert all(row.ctypes.data % 64 == 0 and row.flags.c_contiguous for row in rows)
     assert all(v.ctypes.data % 64 == 0 for v in _workspace(999))
+    # So do the field and the m-wide row of each step's draws, whatever lane
+    # of its group the chunk's first trajectory reads.
+    for lane in range(16):
+        for model in (None, NoiseModel(kind=NoiseKind.OU)):
+            xi, rows, _ = engine._field(model, 0.01, 3, 16 + lane, 37, 2, _workspace(37))
+            vectors = [next(rows)] + ([xi] if model else [])
+            assert all(v.ctypes.data % 64 == 0 and v.shape == (37,) for v in vectors), lane
 
 
 def _ref_defect(a, b):

@@ -1125,8 +1125,8 @@ def test_negated_draws_from_the_mirrored_state_mirror_every_amplitude_scheme(mon
     ]
 
     def negated_normals(*args, _fn=engine._stream_normals):
-        for block in _fn(*args):
-            yield np.negative(block, out=block)
+        for row in _fn(*args):
+            yield np.negative(row, out=row)
 
     def negated_steady(model, n, rng, _fn=engine.steady_samples):
         return -_fn(model, n, rng)

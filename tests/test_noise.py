@@ -145,22 +145,24 @@ def test_sample_steady_state_distributions():
     # Each group stream's first 16 draws are its lanes' steady-state initial
     # values: uniform on [-1, 1] for SBM kinds, standard normal for OU kinds.
     frozen = NoiseModel(kind=NoiseKind.FROZEN_SBM)
-    xs, blocks, advance = _field(frozen, 0.1, 2024, 0, 500, 10, None)
-    assert advance is None and [b.shape for b in blocks] == [(10, 0)]
+    xs, rows, advance = _field(frozen, 0.1, 2024, 0, 500, 10, None)
+    assert advance is None and list(rows) == [None] * 10  # no draw, but every step
     assert np.all(np.abs(xs) <= 1.0)
     assert xs[7] == lane_draws(2024, 7, 0, "uniform")[0]
     assert xs[499] == lane_draws(2024, 499, 0, "uniform")[0]
-    # An evolving kind then draws its per-step normals in time-major blocks
-    # whose column r continues lane r of its group stream: two full blocks
-    # and a partial one, over a partial first group (from lane 5), a whole
-    # one and a partial last one. Blocks share one buffer, so each is
-    # copied before the next is drawn.
+    # An evolving kind then draws its per-step normals into a group-major
+    # slab, a block of steps at a time, and gathers one m-wide row per
+    # step whose column r continues lane r of its group stream: two full
+    # blocks and a 7-step tail, over a partial first group (from lane 5), a
+    # whole one and a partial last one. The rows are views of one buffer,
+    # so each is copied before the next is gathered.
     n_steps = 2 * _BLOCK_STEPS + 7
     m = 2 * 16 + 7
-    ou, blocks, _ = _field(NoiseModel(kind=NoiseKind.OU), 0.1, 5, 5, m, n_steps, _workspace(m))
-    blocks = [b.copy() for b in blocks]
-    assert [b.shape for b in blocks] == [(_BLOCK_STEPS, m), (_BLOCK_STEPS, m), (7, m)]
-    normals = np.concatenate(blocks, axis=0)
+    ou, rows, _ = _field(NoiseModel(kind=NoiseKind.OU), 0.1, 5, 5, m, n_steps, _workspace(m))
+    seen = [(row.shape, row.ctypes.data, row.copy()) for row in rows]
+    assert {(shape, at) for shape, at, _ in seen} == {((m,), seen[0][1])}  # one buffer
+    normals = np.array([row for *_, row in seen])
+    assert normals.shape == (n_steps, m)
     for r in range(m):
         steady, lane = lane_draws(5, 5 + r, n_steps, "normal")
         assert ou[r] == steady
