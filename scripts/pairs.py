@@ -1,12 +1,13 @@
 """Compare the benchmark's end-to-end metrics with another revision, in pairs.
 
-    python3 scripts/pairs.py REV [--workload W] [--pairs 10] [--seconds 30]
+    python3 scripts/pairs.py REV [--workload W]
 
 Exports REV with ``git archive`` into a temporary directory (removed again
 afterwards), then runs each tree's own ``perfbench/run.py --trace 0`` on the
-same workload and seed (SEED) in alternating pairs: REV (the base) and this
-working tree (the change), with the side that runs first swapped from one
-pair to the next, so a drift of the host's speed falls on both sides alike.
+same workload, seed (SEED) and run length (BENCHMARK.json's run_seconds)
+in PAIRS alternating pairs: REV (the base) and this working tree (the
+change), with the side that runs first swapped from one pair to the next,
+so a drift of the host's speed falls on both sides alike.
 Without ``--workload``, every workload of BENCHMARK.json runs, one after
 another.
 
@@ -32,6 +33,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # The master seed of every run, on both sides.
 SEED = 5
+# Pairs per workload: the fewest that a claimed gain is judged on.
+PAIRS = 10
 
 
 def export(rev: str, dest: str) -> bool:
@@ -88,11 +91,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev")
     parser.add_argument("--workload")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
@@ -103,9 +102,9 @@ def main(argv: list[str]) -> int:
         trees = {"base": os.path.join(tmp, "rev"), "change": ROOT}
         for workload in workloads:
             results = {"base": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                    result = run(trees[side], workload, args.seconds)
+                    result = run(trees[side], workload, bench["run_seconds"])
                     if result is None or not result.get("correct") or result.get("failed"):
                         bad += 1
                         print(f"{workload}: pair {i + 1}, {side}: incorrect or failed run: "

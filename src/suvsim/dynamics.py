@@ -191,11 +191,11 @@ def _whole_steps(T: float, dt: float, name: str = "T") -> int:
 # ---------------------------------------------------------------------------
 # Step kernels. Amplitudes, z, xi and dW are arrays with one entry per
 # trajectory; couplings and dt are scalars, except that J may also be such
-# an array, for a chunk whose rows differ in J, or for the white-noise
-# kernels its _white_couplings, formed once per chunk. A kernel writes its
-# result through ``out`` (an (a, b) pair, or one array for z) and keeps its
+# an array, for a chunk whose rows differ in J. A kernel writes its result
+# through ``out`` (an (a, b) pair, or one array for z) and keeps its
 # intermediates in ``ws``, scratch vectors shaped like the state (see
-# _workspace), so a step allocates no arrays. ``out`` and ``ws`` overlap
+# _workspace), so a step allocates no arrays, bar the scaled couplings that
+# the white-noise kernels form from a per-row J. ``out`` and ``ws`` overlap
 # neither the inputs nor each other. Each in-place sequence performs the
 # floating-point operations of the expression in its comment, in Python's
 # left-to-right order, so its bits are those of that expression.
@@ -321,24 +321,17 @@ def _sse_em(a, b, dw, dt, gamma, out, ws):
     return out
 
 
-def _white_couplings(J):
-    """(0.5 J, -0.5 J, 2 J), the couplings the white-noise kernels multiply
-    by, formed from J, or J itself when it is already this triple."""
-    return J if type(J) is tuple else (0.5 * J, -0.5 * J, 2.0 * J)
-
-
 def _white_terms(a, b, m, J, deff, out, u, w):
     # Drift fa = 0.5 * J * m * (1.0 - m) * a, fb = -0.5 * J * m * (1.0 + m) * b
     # and diffusion ga = 0.5 * deff * (1.0 - m) * a, gb = -0.5 * deff * (1.0 + m) * b
     # into out = (fa, fb, ga, gb); leaves u = 1.0 - m and w = 1.0 + m.
     fa, fb, ga, gb = out
-    half, neg_half, _ = _white_couplings(J)
     np.subtract(1.0, m, out=u)
     np.add(1.0, m, out=w)
-    np.multiply(half, m, out=fa)
+    np.multiply(0.5 * J, m, out=fa)
     np.multiply(fa, u, out=fa)
     np.multiply(fa, a, out=fa)
-    np.multiply(neg_half, m, out=fb)
+    np.multiply(-0.5 * J, m, out=fb)
     np.multiply(fb, w, out=fb)
     np.multiply(fb, b, out=fb)
     np.multiply(0.5 * deff, u, out=ga)
@@ -439,7 +432,7 @@ def _z_colored_heun(z, xi, dt, J, G, out, ws):
 def _z_white_terms(z, J, deff, f, g, u, t):
     # f = 2.0 * J * z * (1.0 - z) * (2.0 * z - 1.0), g = 2.0 * deff * z * (1.0 - z)
     np.subtract(1.0, z, out=u)
-    np.multiply(_white_couplings(J)[2], z, out=f)
+    np.multiply(2.0 * J, z, out=f)
     np.multiply(f, u, out=f)
     np.multiply(2.0, z, out=t)
     np.subtract(t, 1.0, out=t)

@@ -27,7 +27,9 @@ a workspace of scratch vectors that the kernels compute in, and two state
 buffers that the state alternates between, each step reading one and
 writing the other (the field xi is advanced in place). The kernels perform
 the same floating-point operations, in the same order, as plain array
-expressions would.
+expressions would. The one exception is a chunk whose rows step with
+different J under a white-noise scheme: its kernels form the scaled
+couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
 
 Ensemble statistics are reduced in an order fixed by trajectory index
 (:mod:`suvsim.observables`): a chunk holds whole stream groups (an
@@ -69,7 +71,6 @@ from .dynamics import (
     _sse_em,
     _suv_heun,
     _unnormalized_heun,
-    _white_couplings,
     _white_ito_em,
     _white_strat_heun,
     _workspace,
@@ -518,9 +519,7 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
     """
     scheme = cfg.scheme
     step, amplitude, observe = _SCHEMES[scheme]
-    p = cfg.params
-    if J is not None:  # the white kernels' scaled couplings, formed once
-        p = replace(p, J=_white_couplings(J) if scheme.uses_deff else J)
+    p = cfg.params if J is None else replace(cfg.params, J=J)
     dt, n_steps = cfg.dt, cfg.n_steps
     m, lane = len(z0), first_index % _FOLD_ROWS
 
