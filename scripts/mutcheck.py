@@ -11,12 +11,14 @@ tier-1 with ``-x`` and without the five tests that pin each kernel bit for
 bit to a copy of its own expression: an error written into both copies
 passes those pins, so only a physics test can catch it. Test files run
 cheapest first, so a killed mutant stops early. The unmutated copy runs
-first and must pass.
+first and must pass, and pytest must collect every pin in it: pytest
+ignores an unknown ``--deselect`` id, so a renamed pin would otherwise
+run, and could kill mutants, unnoticed.
 
 Prints one line per mutant, ``killed`` with the test that caught it, or
 ``SURVIVED``, then the mutants that are listed but not run, with the
-reason. Exits 0 when every
-mutant is killed, 1 when one survives, and 2 when the unmutated copy fails
+reason. Exits 0 when every mutant is killed, 1 when one survives, and 2
+when the unmutated copy fails or does not collect a pin (named on stderr)
 or a run cannot complete. Not part of tier-1: with every mutant killed it
 takes a few minutes on two cores.
 """
@@ -42,7 +44,7 @@ MUTANTS = [
     ("halved z-scalar-white diffusion", "dynamics.py",
      "np.multiply(2.0 * deff, z, out=g)", "np.multiply(1.0 * deff, z, out=g)"),
     ("first-order Heun corrector (the rate at the start, twice)", "dynamics.py",
-     "oa, ob = rate(ap, bp, gx, J, out, ws)", "oa, ob = rate(a, b, gx, J, out, ws)"),
+     "rate(p, gx, J, out, ws)", "rate(s, gx, J, out, ws)"),
     ("OU decay exp(-2 dt / tau)", "noise.py",
      "decay = math.exp(-dt / tau)", "decay = math.exp(-2.0 * dt / tau)"),
     ("SBM diffusion (1 - xi^2) / (2 tau)", "noise.py",
@@ -54,10 +56,7 @@ MUTANTS = [
     ("halved SSE drift", "dynamics.py",
      "np.multiply(-gamma, v, out=v)", "np.multiply(-0.5 * gamma, v, out=v)"),
     ("white-strat predictor without its noise term", "dynamics.py",
-     "np.add(a, ap, out=ap)\n    np.multiply(ga, dw, out=m)\n    np.add(ap, m, out=ap)\n"
-     "    np.multiply(fb, dt, out=bp)\n    np.add(b, bp, out=bp)\n    np.multiply(gb, dw, out=m)\n"
-     "    np.add(bp, m, out=bp)\n",
-     "np.add(a, ap, out=ap)\n    np.multiply(fb, dt, out=bp)\n    np.add(b, bp, out=bp)\n"),
+     "    np.multiply(g, dw, out=u)\n    np.add(p, u, out=p)\n", ""),
     ("z-scalar-colored without its clip", "dynamics.py",
      "np.add(z, out, out=out)\n    return np.clip(out, 0.0, 1.0, out=out)",
      "np.add(z, out, out=out)\n    return out"),
@@ -132,16 +131,33 @@ def mutate(tree: str, filename: str, text: str, replacement: str) -> None:
         fh.write(source.replace(text, replacement))
 
 
+def run_pytest(tree: str, *args: str) -> subprocess.CompletedProcess | None:
+    """Run pytest over TEST_FILES in ``tree`` with its own package; None on
+    a timeout."""
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args, *TEST_FILES]
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    try:
+        return subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def uncollected_pins(tree: str) -> list[str] | None:
+    """The PINS that pytest does not collect in ``tree``, or None when the
+    collection fails."""
+    done = run_pytest(tree, "--collect-only")
+    if done is None or done.returncode != 0:
+        return None
+    collected = {line.split("[")[0] for line in done.stdout.splitlines()}
+    return [pin for pin in PINS if pin not in collected]
+
+
 def run_tests(tree: str) -> tuple[int, str]:
     """Tier-1 minus the pins in ``tree``, stopping at the first failure:
     pytest's exit code and the first failing test (empty if none)."""
-    args = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TEST_FILES]
-    args += [f"--deselect={test}" for test in PINS]
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    try:
-        done = subprocess.run(args, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+    done = run_pytest(tree, "-x", *(f"--deselect={test}" for test in PINS))
+    if done is None:
         return -1, ""
     failed = [line.split(" ")[1] for line in done.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
@@ -156,6 +172,14 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="mutcheck-") as tmp:
         base = os.path.join(tmp, "base")
         copy_tree(base)
+        missing = uncollected_pins(base)
+        if missing is None:
+            print("pytest cannot collect the unmutated copy's tests", file=sys.stderr)
+            return 2
+        for pin in missing:
+            print(f"pin not collected in the unmutated copy: {pin}", file=sys.stderr)
+        if missing:
+            return 2
         code, failed = run_tests(base)
         if code != 0:
             print(f"the unmutated copy fails (pytest exit {code}): {failed}", file=sys.stderr)

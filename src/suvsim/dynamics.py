@@ -35,9 +35,9 @@ schemes renormalize after every step; the correction is a pure rescaling
 and does not affect observables. Pointer states |0> and |1> are exact
 fixed points of every scheme for every noise value.
 
-The step kernels below act on arrays with one entry per trajectory and
-write in place into caller-owned buffers; the ensemble engine is their only
-caller.
+The step kernels below act on arrays with one entry per trajectory, an
+amplitude state being one array of two rows, a and b, and write in place
+into caller-owned buffers; the ensemble engine is their only caller.
 """
 from __future__ import annotations
 
@@ -189,24 +189,37 @@ def _whole_steps(T: float, dt: float, name: str = "T") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Step kernels. Amplitudes, z, xi and dW are arrays with one entry per
-# trajectory; couplings and dt are scalars, except that J may also be such
-# an array, for a chunk whose rows differ in J. A kernel writes its result
-# through ``out`` (an (a, b) pair, or one array for z) and keeps its
-# intermediates in ``ws``, scratch vectors shaped like the state (see
-# _workspace), so a step allocates no arrays, bar the scaled couplings that
-# the white-noise kernels form from a per-row J. ``out`` and ``ws`` overlap
-# neither the inputs nor each other. Each in-place sequence performs the
-# floating-point operations of the expression in its comment, in Python's
-# left-to-right order, so its bits are those of that expression.
+# Step kernels. An amplitude state is one pair: an array of two rows, a and
+# b, with one entry per trajectory. z, xi and dW are vectors of such
+# entries, and couplings and dt scalars, except that J may also be such a
+# vector, for a chunk whose trajectories differ in J. sigma3 = diag(1, -1)
+# is the column _S3, so u = _S3 - m holds 1 - m and -1 - m and each
+# (sigma3 - m) term is one operation on both rows. Row b keeps the bits of
+# its expression in 1 + m, as negation is exact and rounding sign-symmetric:
+# -1 - m is -(1 + m), (-x) * y is -(x * y) and v + (-w) is v - w. (Where
+# 1 + m is an exact zero, -1 - m is +0, not -0, but then b is nonzero, and
+# the zero's sign is lost where it is added to b.) So signs come from u or
+# the module columns, never from a per-call temporary such as c * _S3. A
+# kernel writes its result through ``out`` (a pair, or one vector for z) and
+# keeps its intermediates in the rows of ``ws`` (see _workspace), so a step
+# allocates no arrays, bar the scaled coupling (0.5 J, or 2 J for the
+# z-track) that the white-noise kernels form from a per-row J. ``out`` and
+# ``ws`` overlap neither the inputs nor each other. Each in-place sequence
+# performs the floating-point operations of the expression in its comment,
+# in Python's left-to-right order, so its bits are those of that expression.
 
-# Scratch vectors of the largest kernel, _white_strat_heun.
-_SCRATCH = 13
+# Scratch rows of the largest kernel, _white_strat_heun.
+_SCRATCH = 11
+
+# sigma3 and sigma3 / 2 as columns over the rows (a, b).
+_S3 = np.array([[1.0], [-1.0]])
+_HALF_S3 = np.array([[0.5], [-0.5]])
 
 
 def _workspace(m):
-    """Scratch vectors for any step kernel, or _renormalize, over m trajectories."""
-    return tuple(_aligned_rows(_SCRATCH, m))
+    """Scratch rows for any step kernel, or _renormalize, over m
+    trajectories: ws[i] is a vector and ws[i:i + 2] a pair."""
+    return _aligned_rows(_SCRATCH, m)
 
 
 def _aligned_rows(n, m):
@@ -221,183 +234,139 @@ def _aligned_rows(n, m):
     return raw[first : first + n * stride].reshape(n, stride)[:, :m]
 
 
-def _sigma3(a, b, out, t):
-    # m = a * a - b * b
-    np.multiply(a, a, out=out)
-    np.multiply(b, b, out=t)
-    return np.subtract(out, t, out=out)
+def _sigma3(s, out, sq):
+    # m = a * a - b * b, through the scratch pair sq
+    np.multiply(s, s, out=sq)
+    return np.subtract(sq[0], sq[1], out=out)
 
 
-def _suv_rate(a, b, gx, J, out, ws):
-    # ka = 0.5 * (1.0 - m) * r * a, kb = -0.5 * (1.0 + m) * r * b with
-    # r = J * m + gx (gx = G * xi); uses ws[0:2]. The factors are formed as
-    # 0.5 - 0.5 * m and -0.5 - 0.5 * m with the same bits: near unit norm,
-    # |m| is 0 or at least 2^-55, so each halving is exact.
-    ka, kb = out
+def _suv_rate(s, gx, J, out, ws):
+    # 0.5 * (sigma3 - m) * r * s, rows 0.5 * (1.0 - m) * r * a and
+    # -0.5 * (1.0 + m) * r * b, with r = J * m + gx (gx = G * xi); uses
+    # ws[0:2]. The factors are formed as _HALF_S3 - 0.5 * m with the same
+    # bits: near unit norm, |m| is 0 or at least 2^-55, so each halving is
+    # exact.
     m, r = ws[0], ws[1]
-    _sigma3(a, b, m, r)
+    _sigma3(s, m, out)
     np.multiply(J, m, out=r)
     np.add(r, gx, out=r)
     np.multiply(0.5, m, out=m)
-    np.subtract(0.5, m, out=ka)
-    np.multiply(ka, r, out=ka)
-    np.multiply(ka, a, out=ka)
-    np.subtract(-0.5, m, out=kb)
-    np.multiply(kb, r, out=kb)
-    np.multiply(kb, b, out=kb)
-    return out
+    np.subtract(_HALF_S3, m, out=out)
+    np.multiply(out, r, out=out)
+    return np.multiply(out, s, out=out)
 
 
-def _unnormalized_rate(a, b, gx, J, out, ws):
-    # ka = r * a, kb = -r * b with r = 0.5 * (J * m + gx) and
+def _unnormalized_rate(s, gx, J, out, ws):
+    # sigma3 * r * s, rows r * a and -r * b, with r = 0.5 * (J * m + gx) and
     # m = (a * a - b * b) / (a * a + b * b); uses ws[0:2]. Folded into dt the
     # 0.5 is exact only while J * m + gx stays normal, which no bound ensures.
-    ka, kb = out
     m, r = ws[0], ws[1]
-    np.multiply(a, a, out=m)
-    np.multiply(b, b, out=r)
-    np.add(m, r, out=ka)
-    np.subtract(m, r, out=m)
-    np.divide(m, ka, out=m)
+    np.multiply(s, s, out=out)
+    np.add(out[0], out[1], out=r)
+    np.subtract(out[0], out[1], out=m)
+    np.divide(m, r, out=m)
     np.multiply(J, m, out=r)
     np.add(r, gx, out=r)
     np.multiply(0.5, r, out=r)
-    np.multiply(r, a, out=ka)
-    np.negative(r, out=kb)
-    np.multiply(kb, b, out=kb)
-    return out
+    np.multiply(_S3, r, out=out)
+    return np.multiply(out, s, out=out)
 
 
-def _pair_heun(rate, a, b, xi, dt, J, G, out, ws):
-    # a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2), where (ka2, kb2)
-    # is the rate at (a + dt * ka, b + dt * kb); G * xi is formed once for
-    # both stages. Uses ws[0:7].
-    gx, ka, kb, ap, bp = ws[2:7]
+def _pair_heun(rate, s, xi, dt, J, G, out, ws):
+    # s + 0.5 * dt * (k + k2), where k2 is the rate at s + dt * k; G * xi is
+    # formed once for both stages. Uses ws[0:7].
+    gx, k, p = ws[2], ws[3:5], ws[5:7]
     np.multiply(G, xi, out=gx)
-    rate(a, b, gx, J, (ka, kb), ws)
-    np.multiply(dt, ka, out=ap)
-    np.add(a, ap, out=ap)
-    np.multiply(dt, kb, out=bp)
-    np.add(b, bp, out=bp)
-    oa, ob = rate(ap, bp, gx, J, out, ws)
-    h = 0.5 * dt
-    np.add(ka, oa, out=oa)
-    np.multiply(h, oa, out=oa)
-    np.add(a, oa, out=oa)
-    np.add(kb, ob, out=ob)
-    np.multiply(h, ob, out=ob)
-    np.add(b, ob, out=ob)
-    return out
+    rate(s, gx, J, k, ws)
+    np.multiply(dt, k, out=p)
+    np.add(s, p, out=p)
+    rate(p, gx, J, out, ws)
+    np.add(k, out, out=out)
+    np.multiply(0.5 * dt, out, out=out)
+    return np.add(s, out, out=out)
 
 
-def _suv_heun(a, b, xi, dt, J, G, out, ws):
-    return _pair_heun(_suv_rate, a, b, xi, dt, J, G, out, ws)
+def _suv_heun(s, xi, dt, J, G, out, ws):
+    return _pair_heun(_suv_rate, s, xi, dt, J, G, out, ws)
 
 
-def _unnormalized_heun(a, b, xi, dt, J, G, out, ws):
-    return _pair_heun(_unnormalized_rate, a, b, xi, dt, J, G, out, ws)
+def _unnormalized_heun(s, xi, dt, J, G, out, ws):
+    return _pair_heun(_unnormalized_rate, s, xi, dt, J, G, out, ws)
 
 
-def _sse_em(a, b, dw, dt, gamma, out, ws):
-    # a + 0.5 * (-gamma * (1.0 - m) ** 2 * dt + c * (1.0 - m) * dw) * a,
-    # b + 0.5 * (-gamma * (1.0 + m) ** 2 * dt - c * (1.0 + m) * dw) * b
-    # with c = 2.0 * sqrt(gamma); uses ws[0:3]. Folded into dt and c the 0.5
-    # is exact only while gamma * u * u stays normal, which no bound ensures.
-    m, u, v = ws[0:3]
-    oa, ob = out
+def _sse_em(s, dw, dt, gamma, out, ws):
+    # s + 0.5 * (-gamma * u ** 2 * dt + c * u * dw) * s with u = sigma3 - m
+    # and c = 2.0 * sqrt(gamma); uses ws[0:3], and builds the increment v in
+    # out. Folded into dt and c the 0.5 is exact only while gamma * u * u
+    # stays normal, which no bound ensures.
+    m, u, v = ws[0], ws[1:3], out
     c = 2.0 * math.sqrt(gamma)
-    _sigma3(a, b, m, u)
-    for y, shift, combine, o in ((a, np.subtract, np.add, oa), (b, np.add, np.subtract, ob)):
-        shift(1.0, m, out=u)
-        np.multiply(u, u, out=v)
-        np.multiply(-gamma, v, out=v)
-        np.multiply(v, dt, out=v)
-        np.multiply(c, u, out=u)
-        np.multiply(u, dw, out=u)
-        combine(v, u, out=v)
-        np.multiply(0.5, v, out=v)
-        np.multiply(v, y, out=v)
-        np.add(y, v, out=o)
-    return out
+    np.subtract(_S3, _sigma3(s, m, v), out=u)
+    np.multiply(u, u, out=v)
+    np.multiply(-gamma, v, out=v)
+    np.multiply(v, dt, out=v)
+    np.multiply(c, u, out=u)
+    np.multiply(u, dw, out=u)
+    np.add(v, u, out=v)
+    np.multiply(0.5, v, out=v)
+    np.multiply(v, s, out=v)
+    return np.add(s, v, out=out)
 
 
-def _white_terms(a, b, m, J, deff, out, u, w):
-    # Drift fa = 0.5 * J * m * (1.0 - m) * a, fb = -0.5 * J * m * (1.0 + m) * b
-    # and diffusion ga = 0.5 * deff * (1.0 - m) * a, gb = -0.5 * deff * (1.0 + m) * b
-    # into out = (fa, fb, ga, gb); leaves u = 1.0 - m and w = 1.0 + m.
-    fa, fb, ga, gb = out
-    np.subtract(1.0, m, out=u)
-    np.add(1.0, m, out=w)
-    np.multiply(0.5 * J, m, out=fa)
-    np.multiply(fa, u, out=fa)
-    np.multiply(fa, a, out=fa)
-    np.multiply(-0.5 * J, m, out=fb)
-    np.multiply(fb, w, out=fb)
-    np.multiply(fb, b, out=fb)
-    np.multiply(0.5 * deff, u, out=ga)
-    np.multiply(ga, a, out=ga)
-    np.multiply(-0.5 * deff, w, out=gb)
-    np.multiply(gb, b, out=gb)
-    return out
+def _white_terms(s, m, J, deff, f, g, u):
+    # Drift f = 0.5 * J * m * u * s and diffusion g = 0.5 * deff * u * s with
+    # u = sigma3 - m, whose rows are 0.5 * J * m * (1.0 - m) * a,
+    # -0.5 * J * m * (1.0 + m) * b, 0.5 * deff * (1.0 - m) * a and
+    # -0.5 * deff * (1.0 + m) * b. Leaves u, and 0.5 * J * m in m.
+    np.subtract(_S3, m, out=u)
+    np.multiply(0.5 * J, m, out=m)
+    np.multiply(m, u, out=f)
+    np.multiply(f, s, out=f)
+    np.multiply(0.5 * deff, u, out=g)
+    np.multiply(g, s, out=g)
 
 
-def _white_strat_heun(a, b, dw, dt, J, deff, out, ws):
-    # ap = a + fa * dt + ga * dw (bp likewise), the terms at (ap, bp) marked 2,
-    # a + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2) (b likewise);
-    # uses ws[0:13].
-    m, u, w, fa, fb, ga, gb, ap, bp, fa2, fb2, ga2, gb2 = ws[:13]
-    oa, ob = out
-    _white_terms(a, b, _sigma3(a, b, m, u), J, deff, (fa, fb, ga, gb), u, w)
-    np.multiply(fa, dt, out=ap)
-    np.add(a, ap, out=ap)
-    np.multiply(ga, dw, out=m)
-    np.add(ap, m, out=ap)
-    np.multiply(fb, dt, out=bp)
-    np.add(b, bp, out=bp)
-    np.multiply(gb, dw, out=m)
-    np.add(bp, m, out=bp)
-    _white_terms(ap, bp, _sigma3(ap, bp, m, u), J, deff, (fa2, fb2, ga2, gb2), u, w)
-    h = 0.5 * dt
+def _white_strat_heun(s, dw, dt, J, deff, out, ws):
+    # p = s + f * dt + g * dw, the terms at p marked 2, then
+    # s + 0.5 * dt * (f + f2) + 0.5 * dw * (g + g2); uses ws[0:11] and holds
+    # f2 in out.
+    m, u, f, g, p, g2 = ws[0], ws[1:3], ws[3:5], ws[5:7], ws[7:9], ws[9:11]
+    _white_terms(s, _sigma3(s, m, f), J, deff, f, g, u)
+    np.multiply(f, dt, out=p)
+    np.add(s, p, out=p)
+    np.multiply(g, dw, out=u)
+    np.add(p, u, out=p)
+    _white_terms(p, _sigma3(p, m, out), J, deff, out, g2, u)
     np.multiply(0.5, dw, out=m)
-    np.add(fa, fa2, out=fa)
-    np.multiply(h, fa, out=oa)
-    np.add(a, oa, out=oa)
-    np.add(ga, ga2, out=ga)
-    np.multiply(m, ga, out=ga)
-    np.add(oa, ga, out=oa)
-    np.add(fb, fb2, out=fb)
-    np.multiply(h, fb, out=ob)
-    np.add(b, ob, out=ob)
-    np.add(gb, gb2, out=gb)
-    np.multiply(m, gb, out=gb)
-    np.add(ob, gb, out=ob)
-    return out
+    np.add(f, out, out=f)
+    np.multiply(0.5 * dt, f, out=out)
+    np.add(s, out, out=out)
+    np.add(g, g2, out=g)
+    np.multiply(m, g, out=g)
+    return np.add(out, g, out=out)
 
 
-def _white_ito_em(a, b, dw, dt, J, deff, out, ws):
+def _white_ito_em(s, dw, dt, J, deff, out, ws):
     # Stratonovich-to-Ito conversion drift, with <sigma3^2> = 1 on a qubit:
-    # ca = c * (0.5 * (1.0 - m) ** 2 - var) * a,
-    # cb = c * (0.5 * (1.0 + m) ** 2 - var) * b,
-    # c = 0.25 * deff * deff, var = 1.0 - m * m; then
-    # a + (fa + ca) * dt + ga * dw (b likewise). Uses ws[0:8].
-    m, u, w, fa, fb, ga, gb, var = ws[:8]
-    oa, ob = out
-    _white_terms(a, b, _sigma3(a, b, m, u), J, deff, (fa, fb, ga, gb), u, w)
-    c = 0.25 * deff * deff
+    # cs = c * (0.5 * u ** 2 - var) * s, whose rows hold (1.0 - m) ** 2 and
+    # (1.0 + m) ** 2, with c = 0.25 * deff * deff and var = 1.0 - m * m; then
+    # s + (f + cs) * dt + g * dw. Uses ws[0:8].
+    m, var, u, f, g = ws[0], ws[1], ws[2:4], ws[4:6], ws[6:8]
+    _sigma3(s, m, f)
     np.multiply(m, m, out=var)
     np.subtract(1.0, var, out=var)
-    for y, s, f, g, o in ((a, u, fa, ga, oa), (b, w, fb, gb, ob)):
-        np.multiply(s, s, out=o)
-        np.multiply(0.5, o, out=o)
-        np.subtract(o, var, out=o)
-        np.multiply(c, o, out=o)
-        np.multiply(o, y, out=o)
-        np.add(f, o, out=f)
-        np.multiply(f, dt, out=f)
-        np.add(y, f, out=o)
-        np.multiply(g, dw, out=g)
-        np.add(o, g, out=o)
-    return out
+    _white_terms(s, m, J, deff, f, g, u)
+    c = 0.25 * deff * deff
+    np.multiply(u, u, out=out)
+    np.multiply(0.5, out, out=out)
+    np.subtract(out, var, out=out)
+    np.multiply(c, out, out=out)
+    np.multiply(out, s, out=out)
+    np.add(f, out, out=f)
+    np.multiply(f, dt, out=f)
+    np.add(s, f, out=out)
+    np.multiply(g, dw, out=g)
+    return np.add(out, g, out=out)
 
 
 def _z_colored_rate(z, gx, J, out, t):
@@ -462,9 +431,9 @@ def _z_white_heun(z, dw, dt, J, deff, out, ws):
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _renormalize(a, b, out, ws):
-    """Rescale amplitudes to unit norm into ``out``, raising if the state
-    degenerated; uses ws[0:2].
+def _renormalize(s, out, ws):
+    """Rescale the amplitude pair s to unit norm into ``out``, raising if the
+    state degenerated; uses ws[0].
 
     The defect |a'^2 + b'^2 - 1| is checked only when the smallest squared
     norm n = a^2 + b^2 is below 2^-1022, the smallest normal double, since
@@ -477,21 +446,19 @@ def _renormalize(a, b, out, ws):
     their squares u (plus 2^-1074) and their sum u: the defect is at most
     10u + O(u^2), about 1.1e-15.
     """
-    nrm2, t = ws[0], ws[1]
-    np.multiply(a, a, out=nrm2)
-    np.multiply(b, b, out=t)
-    np.add(nrm2, t, out=nrm2)
+    nrm2 = ws[0]
+    np.multiply(s, s, out=out)
+    np.add(out[0], out[1], out=nrm2)
     # min propagates NaN, so one pair of reductions catches NaN, inf and zero.
     lowest = nrm2.min()
     if not (lowest > 0.0 and nrm2.max() < math.inf):
         bad = ~np.isfinite(nrm2) | (nrm2 <= 0.0)
         raise IntegratorInstabilityError("non-finite or zero-norm state", row=int(np.argmax(bad)))
     np.sqrt(nrm2, out=nrm2)
-    oa, ob = out
-    np.divide(a, nrm2, out=oa)
-    np.divide(b, nrm2, out=ob)
+    np.divide(s, nrm2, out=out)
     if lowest < 2.0**-1022:
-        defect = np.abs(oa * oa + ob * ob - 1.0)
+        sq = out * out
+        defect = np.abs(sq[0] + sq[1] - 1.0)
         if defect.max() > NORM_ENFORCED_TOL:
             raise IntegratorInstabilityError(
                 f"norm defect {defect.max():.3g} after renormalization exceeds {NORM_ENFORCED_TOL}",

@@ -23,13 +23,17 @@ for the chunks and for :func:`simulate_paths`.
 
 Each scheme is one entry of a (step, amplitude, observe) table, looked up
 once per chunk. The step loop allocates no arrays: once per chunk it sets up
-a workspace of scratch vectors that the kernels compute in, and two state
-buffers that the state alternates between, each step reading one and
-writing the other (the field xi is advanced in place). The kernels perform
-the same floating-point operations, in the same order, as plain array
-expressions would. The one exception is a chunk whose rows step with
-different J under a white-noise scheme: its kernels form the scaled
-couplings 0.5 J, -0.5 J or 2 J as temporary vectors on every call.
+a workspace of scratch rows that the kernels compute in, and a state and
+its spare, each step reading one and writing the other (the field xi is
+advanced in place). An amplitude state is one (2, m) array with rows a
+and b, as is each scratch pair, so every kernel applies sigma3 - m to
+both rows in one call (see the kernel comment in :mod:`suvsim.dynamics`
+for why row b keeps its bits). The kernels perform the same
+floating-point operations, in the same order, as plain array expressions
+would. The one exception is a chunk whose rows step with different J
+under a white-noise scheme: its amplitude kernels form the scaled
+coupling 0.5 J, and z-scalar-white 2 J, as a temporary vector on every
+call.
 
 Ensemble statistics are reduced in an order fixed by trajectory index
 (:mod:`suvsim.observables`): a chunk holds whole stream groups (an
@@ -136,7 +140,7 @@ def simulate_paths(model, n_steps: int, dt: float, seed: int, first_index: int, 
     check_integer("n", n, 1)
     if not dt > 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    ws = tuple(_aligned_rows(2, n))
+    ws = _aligned_rows(2, n)
     xi, rows, advance = _field(model, dt, seed, first_index, n, n_steps, ws)
 
     def paths():
@@ -347,41 +351,40 @@ def _stderr(s1: np.ndarray, s2: np.ndarray, n: int) -> np.ndarray | None:
     return np.sqrt(var / n)
 
 
-# Scheme table: step(state, drive, dt, params, out, raw, ws) advances an
-# (a, b) amplitude pair, or z for scalar schemes, by one step driven by xi
-# (colored schemes) or dW into the state buffer ``out``, through the scratch
-# pair ``raw`` (the step before renormalization) and the workspace ``ws``;
-# amplitude(state, out) feeds the quadratic variation; observe(state, z,
-# offdiag, ws) writes the observables. Steps look the kernels up in this
-# module's globals per call.
+# Scheme table: step(state, drive, dt, params, out, raw, ws) advances a
+# (2, m) amplitude state with rows a and b, or z for scalar schemes, by one
+# step driven by xi (colored schemes) or dW into the state buffer ``out``,
+# through the scratch pair ``raw`` (the step before renormalization) and
+# the workspace ``ws``; amplitude(state, out) feeds the quadratic
+# variation; observe(state, obs, ws) writes z and offdiag into the rows of
+# the (2, m) pair ``obs``. Steps look the kernels up in this module's
+# globals per call.
 
 
 def _step_suv(s, xi, dt, p, out, raw, ws):
-    return _renormalize(*_suv_heun(*s, xi, dt, p.J, p.G, raw, ws), out, ws)
+    return _renormalize(_suv_heun(s, xi, dt, p.J, p.G, raw, ws), out, ws)
 
 
 def _step_unnormalized(s, xi, dt, p, out, raw, ws):
     # An overflow surfaces as the named error below, not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        a, b = _unnormalized_heun(*s, xi, dt, p.J, p.G, out, ws)
-    t = ws[0]
-    if not (np.abs(a, out=t).max() < math.inf and np.abs(b, out=t).max() < math.inf):
-        finite = np.isfinite(a) & np.isfinite(b)
-        row = int(np.argmin(finite))
+        _unnormalized_heun(s, xi, dt, p.J, p.G, out, ws)
+    if not np.abs(out, out=ws[0:2]).max() < math.inf:
+        row = int(np.argmin(np.isfinite(out).all(axis=0)))
         raise IntegratorInstabilityError("unnormalized amplitudes overflowed", row=row)
     return out
 
 
 def _step_sse(s, dw, dt, p, out, raw, ws):
-    return _renormalize(*_sse_em(*s, dw, dt, p.gamma, raw, ws), out, ws)
+    return _renormalize(_sse_em(s, dw, dt, p.gamma, raw, ws), out, ws)
 
 
 def _step_white_strat(s, dw, dt, p, out, raw, ws):
-    return _renormalize(*_white_strat_heun(*s, dw, dt, p.J, p.Deff, raw, ws), out, ws)
+    return _renormalize(_white_strat_heun(s, dw, dt, p.J, p.Deff, raw, ws), out, ws)
 
 
 def _step_white_ito(s, dw, dt, p, out, raw, ws):
-    return _renormalize(*_white_ito_em(*s, dw, dt, p.J, p.Deff, raw, ws), out, ws)
+    return _renormalize(_white_ito_em(s, dw, dt, p.J, p.Deff, raw, ws), out, ws)
 
 
 def _step_z_colored(z, xi, dt, p, out, raw, ws):
@@ -400,26 +403,23 @@ def _amplitude_z(z, out):
     return np.sqrt(z, out=out)
 
 
-def _observe_normalized(s, z, off, ws):
-    a, b = s
-    np.multiply(a, a, out=z)
-    np.multiply(a, b, out=off)
+def _observe_normalized(s, obs, ws):
+    # a * a, a * b
+    np.multiply(s[0], s, out=obs)
 
 
-def _observe_unnormalized(s, z, off, ws):
-    # a * a / nrm2, a * b / nrm2 with nrm2 = a * a + b * b
-    a, b = s
+def _observe_unnormalized(s, obs, ws):
+    # (a * a, a * b) / nrm2 with nrm2 = a * a + b * b
     nrm2 = ws[0]
-    np.multiply(a, a, out=z)
-    np.multiply(b, b, out=off)
-    np.add(z, off, out=nrm2)
-    np.divide(z, nrm2, out=z)
-    np.multiply(a, b, out=off)
-    np.divide(off, nrm2, out=off)
+    np.multiply(s, s, out=obs)
+    np.add(obs[0], obs[1], out=nrm2)
+    np.multiply(s[0], s[1], out=obs[1])
+    np.divide(obs, nrm2, out=obs)
 
 
-def _observe_z(s, z, off, ws):
+def _observe_z(s, obs, ws):
     # s, sqrt(s) * sqrt(1.0 - s)
+    z, off = obs
     t = ws[0]
     np.copyto(z, s)
     np.sqrt(s, out=off)
@@ -530,14 +530,15 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
 
     # The state alternates between two buffers: a step reads one and writes
     # the other, so the previous amplitude stays intact for the increment.
+    # An amplitude state, its spare and the scratch pair are (2, m) arrays.
     if scheme.is_scalar:
         state, spare = _aligned_rows(2, m)
         np.copyto(state, z0)
         raw = None
     else:
-        a, b, *vectors = _aligned_rows(6, m)
-        state = (np.sqrt(z0, out=a), np.sqrt(1.0 - z0, out=b))
-        spare, raw = tuple(vectors[:2]), tuple(vectors[2:])
+        state, spare, raw = _aligned_rows(6, m).reshape(3, 2, m)
+        state[0], state[1] = z0, 1.0 - z0
+        np.sqrt(state, out=state)
 
     sums = None
     if record_at is not None:  # the grid always starts at t = 0
@@ -552,7 +553,7 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
         dq = _aligned_rows(min(n_steps, _BLOCK_STEPS), m)
         alpha, alpha_spare = _aligned_rows(2, m)
         alpha = amplitude(state, alpha)
-        observe(state, *obs[:, 0], ws)
+        observe(state, obs[:, 0], ws)
         pos, done = 1, 0  # grid points held, and folded
 
     k = 0  # steps taken
@@ -569,7 +570,7 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
                 np.multiply(delta, delta, out=dq[(k - 1) % _BLOCK_STEPS])
                 alpha, alpha_spare = new_alpha, alpha
                 if record_at[k]:
-                    observe(state, *obs[:, pos], ws)
+                    observe(state, obs[:, pos], ws)
                     pos += 1
                 if k % _BLOCK_STEPS == 0 or k == n_steps:
                     first = (k - 1) // _BLOCK_STEPS * _BLOCK_STEPS
@@ -585,6 +586,6 @@ def _integrate_chunk(cfg, z0, record_at, first_index, J):
 
     if sums is not None:
         return sums
-    final_z = np.empty(m)
-    observe(state, final_z, ws[1], ws)
-    return final_z
+    final = np.empty((2, m))  # z, offdiag
+    observe(state, final, ws)
+    return final[0]

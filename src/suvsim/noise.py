@@ -110,13 +110,13 @@ def _ou_update(xi, decay, sigma, normals, out, ws):
 def _sbm_update(xi, dt, tau, normals, out, ws):
     """One Euler-Maruyama SBM step with boundary clamp into ``out``, which
     may be ``xi`` itself; vectorized over trajectories, uses ws[0:2]:
-    clip(xi - xi * r + sqrt(clip(1.0 - xi * xi, 0.0, None) * r) * normals,
+    clip(xi - xi * r + sqrt(maximum(1.0 - xi * xi, 0.0) * r) * normals,
     -1.0, 1.0) with r = dt / tau."""
     ratio = dt / tau
     s, t = ws[0], ws[1]
     np.multiply(xi, xi, out=s)
     np.subtract(1.0, s, out=s)
-    np.clip(s, 0.0, None, out=s)
+    np.maximum(s, 0.0, out=s)
     np.multiply(s, ratio, out=s)
     np.sqrt(s, out=s)
     np.multiply(s, normals, out=s)

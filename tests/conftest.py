@@ -74,12 +74,12 @@ def overflow_steps(cfg, indices):
     together, each with the bits of a run of its own."""
     n, p = len(indices), cfg.params
     xi = np.array([lane_draws(cfg.seed, i, 0, "normal")[0] for i in indices])
-    a, b = np.full(n, math.sqrt(cfg.z0)), np.full(n, math.sqrt(1.0 - cfg.z0))
+    s = np.array([np.full(n, math.sqrt(cfg.z0)), np.full(n, math.sqrt(1.0 - cfg.z0))])
     ws, steps = _workspace(n), np.zeros(n, dtype=int)
     for k in range(1, cfg.n_steps + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b = _unnormalized_heun(a, b, xi, cfg.dt, p.J, p.G, (np.empty(n), np.empty(n)), ws)
-        steps[(steps == 0) & ~(np.isfinite(a) & np.isfinite(b))] = k
+            s = _unnormalized_heun(s, xi, cfg.dt, p.J, p.G, np.empty((2, n)), ws)
+        steps[(steps == 0) & ~np.isfinite(s).all(axis=0)] = k
         if steps.all():
             break
     return {i: int(k) for i, k in zip(indices, steps) if k}

@@ -289,25 +289,25 @@ def test_reproducibility_and_consistency_properties(criterion_report, tmp_path, 
     # step kernels with one trajectory (J = 2, G = 1), each step writing
     # into fresh buffers.
     def pair():
-        return np.empty(1), np.empty(1)
+        return np.empty((2, 1))
 
-    def suv(a, b, xi):
-        raw = _suv_heun(a, b, xi, 1e-3, 2.0, 1.0, pair(), _workspace(1))
-        return _renormalize(*raw, pair(), _workspace(1))
+    def suv(s, xi):
+        raw = _suv_heun(s, xi, 1e-3, 2.0, 1.0, pair(), _workspace(1))
+        return _renormalize(raw, pair(), _workspace(1))
 
-    a, b = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
+    s = start = np.array([[math.sqrt(0.6)], [math.sqrt(0.4)]])
     worst_defect = 0.0
     for _ in range(500):
-        a, b = suv(a, b, 0.8)
+        a, b = s = suv(s, 0.8)
         worst_defect = max(worst_defect, abs(a[0] * a[0] + b[0] * b[0] - 1.0))
     if worst_defect > 1e-9:
         failures.append("norm preservation")
 
-    an = au = np.array([math.sqrt(0.6)])
-    bn = bu = np.array([math.sqrt(0.4)])
+    sn = su = start
     for _ in range(1000):
-        an, bn = suv(an, bn, 0.5)
-        au, bu = _unnormalized_heun(au, bu, 0.5, 1e-3, 2.0, 1.0, pair(), _workspace(1))
+        sn = suv(sn, 0.5)
+        su = _unnormalized_heun(su, 0.5, 1e-3, 2.0, 1.0, pair(), _workspace(1))
+    (an, _), (au, bu) = sn, su
     if abs(an[0] * an[0] - au[0] * au[0] / (au[0] * au[0] + bu[0] * bu[0])) > 1e-7:
         failures.append("normalized/unnormalized consistency")
 

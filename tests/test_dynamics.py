@@ -1,7 +1,8 @@
 """Tests of the step kernels and the trajectory configuration: fixed
 points, arithmetic, guards, cross-checks. Kernels act on arrays with one
-entry per trajectory and write into caller-owned buffers; most of these
-tests use length-1 arrays and fresh buffers."""
+entry per trajectory, an amplitude state being one (2, n) array with rows
+a and b, and write into caller-owned buffers; most of these tests use one
+trajectory and fresh buffers."""
 import dataclasses
 import math
 
@@ -45,24 +46,24 @@ P = PhysicsParams(J=2.0, G=1.0)
 
 
 def _amps(z):
-    """Length-1 amplitude arrays of the normalized state with weight z on |0>."""
-    return np.array([math.sqrt(z)]), np.array([math.sqrt(1.0 - z)])
+    """The (2, 1) amplitude state of the normalized state with weight z on |0>."""
+    return np.array([[math.sqrt(z)], [math.sqrt(1.0 - z)]])
 
 
 def _fresh(kernel, *args):
     """Call a kernel with new output buffers and workspace sized like its
     first argument; the z kernels write one array, the others a pair."""
-    n = len(args[0])
-    out = np.empty(n) if kernel in (_z_colored_heun, _z_white_heun) else (np.empty(n), np.empty(n))
+    n = np.shape(args[0])[-1]
+    out = np.empty(n) if kernel in (_z_colored_heun, _z_white_heun) else np.empty((2, n))
     return kernel(*args, out, _workspace(n))
 
 
-def _norm(pair):
-    return _fresh(_renormalize, *pair)
+def _norm(s):
+    return _fresh(_renormalize, s)
 
 
-def _suv(a, b, xi, dt, p=P):
-    return _norm(_fresh(_suv_heun, a, b, xi, dt, p.J, p.G))
+def _suv(s, xi, dt, p=P):
+    return _norm(_fresh(_suv_heun, s, xi, dt, p.J, p.G))
 
 
 def test_physics_params_validation():
@@ -92,8 +93,8 @@ def test_generator_matrix_values_and_zero_expectation():
     # At z = 0.6, xi = 0.5, J = 2, G = 1: m = 0.2, J m + G xi = 0.9, so the
     # generator is diag(0.36, -0.54) and the amplitude drift is
     # 0.36 * sqrt(0.6) = 0.2788548009269340.
-    a, b = _amps(0.6)
-    ka, kb = _fresh(_suv_rate, a, b, P.G * 0.5, P.J)
+    a, b = s = _amps(0.6)
+    ka, kb = _fresh(_suv_rate, s, P.G * 0.5, P.J)
     assert ka[0] == pytest.approx(0.36 * a[0], rel=1e-14)
     assert kb[0] == pytest.approx(-0.54 * b[0], rel=1e-14)
     assert abs(ka[0] - 0.27885480092693403) < 5e-16
@@ -106,13 +107,13 @@ def test_pointer_states_are_fixed_points_of_every_scheme():
     dw = math.sqrt(dt) * 1.3
     deff = math.sqrt(2.0)
     for z0 in (0.0, 1.0):
-        a, b = _amps(z0)
+        s = _amps(z0)
         z = np.array([z0])
         for out in (
-            _suv(a, b, 0.7, dt),
-            _norm(_fresh(_sse_em, a, b, dw, dt, 0.5)),
-            _norm(_fresh(_white_strat_heun, a, b, dw, dt, 2.0, deff)),
-            _norm(_fresh(_white_ito_em, a, b, dw, dt, 2.0, deff)),
+            _suv(s, 0.7, dt),
+            _norm(_fresh(_sse_em, s, dw, dt, 0.5)),
+            _norm(_fresh(_white_strat_heun, s, dw, dt, 2.0, deff)),
+            _norm(_fresh(_white_ito_em, s, dw, dt, 2.0, deff)),
         ):
             assert out[0][0] ** 2 == z0
         assert _fresh(_z_colored_heun, z, 0.7, dt, 2.0, 1.0)[0] == z0
@@ -121,16 +122,16 @@ def test_pointer_states_are_fixed_points_of_every_scheme():
 
 def test_balanced_state_with_zero_field_is_stationary():
     # At z = 1/2, m = 0, so with xi = 0 the whole generator vanishes.
-    a, b = _amps(0.5)
-    out_a, _ = _suv(a, b, 0.0, 1e-3)
+    a, _ = s = _amps(0.5)
+    out_a, _ = _suv(s, 0.0, 1e-3)
     assert out_a[0] * out_a[0] == a[0] * a[0]
 
 
 def test_suv_drift_direction_follows_field_sign():
-    a, b = _amps(0.6)
-    up, _ = _suv(a, b, 0.0, 1e-3)  # J m > 0 pushes z up
+    a, _ = s = _amps(0.6)
+    up, _ = _suv(s, 0.0, 1e-3)  # J m > 0 pushes z up
     assert up[0] ** 2 > a[0] ** 2
-    down, _ = _suv(a, b, -3.0, 1e-3)  # strong negative field wins
+    down, _ = _suv(s, -3.0, 1e-3)  # strong negative field wins
     assert down[0] ** 2 < a[0] ** 2
 
 
@@ -148,14 +149,15 @@ def test_suv_step_matches_two_stage_heun_arithmetic():
     a = a0 + 0.5 * dt * (ka + ka2)
     b = b0 + 0.5 * dt * (kb + kb2)
     nrm = math.sqrt(a * a + b * b)
-    out_a, out_b = _suv(*_amps(0.6), xi, dt)
+    out_a, out_b = _suv(_amps(0.6), xi, dt)
     assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
 
 def test_suv_step_keeps_norm_tight_along_a_path():
-    a, b = _amps(0.6)
+    s = _amps(0.6)
     for _ in range(2000):
-        a, b = _suv(a, b, 0.8, 1e-3)
+        s = _suv(s, 0.8, 1e-3)
+    a, b = s
     assert abs(a[0] * a[0] + b[0] * b[0] - 1.0) <= 1e-9
     assert 0.6 < a[0] * a[0] <= 1.0
 
@@ -169,7 +171,7 @@ def test_sse_step_matches_euler_maruyama_arithmetic():
     db = 0.5 * (-gamma * (1.0 + m) ** 2 * dt - 2.0 * math.sqrt(gamma) * (1.0 + m) * dw) * b0
     a, b = a0 + da, b0 + db
     nrm = math.sqrt(a * a + b * b)
-    out_a, out_b = _norm(_fresh(_sse_em, *_amps(0.6), np.array([dw]), dt, gamma))
+    out_a, out_b = _norm(_fresh(_sse_em, _amps(0.6), np.array([dw]), dt, gamma))
     assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
 
@@ -214,7 +216,7 @@ def test_white_steps_match_their_kernels():
     a = a0 + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2)
     b = b0 + 0.5 * dt * (fb + fb2) + 0.5 * dw * (gb + gb2)
     nrm = math.sqrt(a * a + b * b)
-    out_a, out_b = _norm(_fresh(_white_strat_heun, *_amps(0.6), np.array([dw]), dt, J, deff))
+    out_a, out_b = _norm(_fresh(_white_strat_heun, _amps(0.6), np.array([dw]), dt, J, deff))
     assert out_a[0] == a / nrm and out_b[0] == b / nrm
 
     c = 0.25 * deff * deff
@@ -224,7 +226,7 @@ def test_white_steps_match_their_kernels():
     ai = a0 + (fa + ca) * dt + ga * dw
     bi = b0 + (fb + cb) * dt + gb * dw
     nrmi = math.sqrt(ai * ai + bi * bi)
-    outi_a, outi_b = _norm(_fresh(_white_ito_em, *_amps(0.6), np.array([dw]), dt, J, deff))
+    outi_a, outi_b = _norm(_fresh(_white_ito_em, _amps(0.6), np.array([dw]), dt, J, deff))
     assert outi_a[0] == ai / nrmi and outi_b[0] == bi / nrmi
 
 
@@ -234,8 +236,8 @@ def test_ito_conversion_drift_is_identity_at_balanced_state():
     # O(dt^1.5) corrector terms: the gap shrinks 8x when dt shrinks 4x.
     def gap(dt):
         dw = np.array([math.sqrt(dt) * 0.9])
-        zs = _norm(_fresh(_white_strat_heun, *_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
-        zi = _norm(_fresh(_white_ito_em, *_amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
+        zs = _norm(_fresh(_white_strat_heun, _amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
+        zi = _norm(_fresh(_white_ito_em, _amps(0.5), dw, dt, 0.0, 1.0))[0][0] ** 2
         return abs(zs - zi)
 
     g1, g2 = gap(1e-4), gap(2.5e-5)
@@ -245,11 +247,11 @@ def test_ito_conversion_drift_is_identity_at_balanced_state():
 
 def test_unnormalized_norm_growth_tracks_generator_expectation():
     # Delta N = 2 dt <Ghat> + O(dt^2), with <Ghat> = (1/2)(J m + G xi) m.
-    a, b = _amps(0.6)
+    a, b = s = _amps(0.6)
     dt, xi = 1e-4, 0.5
     m = a[0] * a[0] - b[0] * b[0]
     ghat = 0.5 * (P.J * m + P.G * xi) * m
-    out_a, out_b = _fresh(_unnormalized_heun, a, b, xi, dt, P.J, P.G)
+    out_a, out_b = _fresh(_unnormalized_heun, s, xi, dt, P.J, P.G)
     dn = out_a[0] * out_a[0] + out_b[0] * out_b[0] - 1.0
     assert abs(dn - 2.0 * dt * ghat) < 2.0 * dt * dt
 
@@ -257,10 +259,11 @@ def test_unnormalized_norm_growth_tracks_generator_expectation():
 def test_unnormalized_and_normalized_schemes_agree_after_projection():
     # The two schemes differ by a pure rescaling; projecting the
     # unnormalized state back to the sphere reproduces the normalized z.
-    an, bn = au, bu = _amps(0.6)
+    sn = su = _amps(0.6)
     for _ in range(1000):
-        an, bn = _suv(an, bn, 0.5, 1e-3)
-        au, bu = _fresh(_unnormalized_heun, au, bu, 0.5, 1e-3, P.J, P.G)
+        sn = _suv(sn, 0.5, 1e-3)
+        su = _fresh(_unnormalized_heun, su, 0.5, 1e-3, P.J, P.G)
+    (an, bn), (au, bu) = sn, su
     norm2 = au[0] * au[0] + bu[0] * bu[0]
     assert norm2 > 1.5  # the norm really grew
     assert abs(an[0] * an[0] - au[0] * au[0] / norm2) < 1e-7
@@ -320,14 +323,14 @@ def test_scalar_z_track_matches_amplitude_dynamics():
     # dz/dt = 2 z (1-z)[J(2z-1) + G xi] is the exact z-image of the
     # amplitude pair; the two Heun discretizations agree to O(dt^2) per
     # step and stay within 1e-6 over a thousand steps.
-    a, b = _amps(0.6)
+    s = _amps(0.6)
     z = np.array([0.6])
-    one_step = abs(_suv(a, b, 0.5, 1e-3)[0][0] ** 2 - _fresh(_z_colored_heun, z, 0.5, 1e-3, P.J, P.G)[0])
+    one_step = abs(_suv(s, 0.5, 1e-3)[0][0] ** 2 - _fresh(_z_colored_heun, z, 0.5, 1e-3, P.J, P.G)[0])
     assert one_step < 1e-10
     for _ in range(1000):
-        a, b = _suv(a, b, 0.5, 1e-3)
+        s = _suv(s, 0.5, 1e-3)
         z = _fresh(_z_colored_heun, z, 0.5, 1e-3, P.J, P.G)
-    assert abs(a[0] * a[0] - z[0]) < 1e-6
+    assert abs(s[0][0] * s[0][0] - z[0]) < 1e-6
 
 
 @pytest.mark.parametrize("scheme", [Scheme.SUV_COLORED, Scheme.Z_COLORED], ids=lambda s: s.value)
@@ -373,14 +376,14 @@ def test_white_schemes_converge_at_their_strong_order_on_the_exact_logistic(sche
     errors = []
     for per in (64, 32, 16, 8):  # fine steps per coarse step
         z = np.full(n, z0)
-        a, b = np.sqrt(z), np.sqrt(1.0 - z)
+        s = np.sqrt((z, 1.0 - z))
         for d in dw.reshape(-1, per, n).sum(axis=1):
             if kernel is None:
                 z = _fresh(_z_white_heun, z, d, per * h, 0.0, deff)
             else:
-                a, b = _norm(_fresh(kernel, a, b, d, per * h, 0.0, deff))
+                s = _norm(_fresh(kernel, s, d, per * h, 0.0, deff))
         if kernel is not None:
-            z = a * a
+            z = s[0] * s[0]
         errors.append(math.sqrt(np.mean((z - exact) ** 2)))
     ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
     assert all(low <= r <= high for r in ratios), ratios
@@ -461,13 +464,10 @@ def _ref_suv_rate(a, b, xi, J, G):
     return 0.5 * (1.0 - m) * r * a, -0.5 * (1.0 + m) * r * b
 
 
-def _ref_suv_step(a, b, xi, dt, J, G):
-    """One Heun step of the colored pair, then the rescale to unit norm."""
+def _ref_suv_heun(a, b, xi, dt, J, G):
     ka, kb = _ref_suv_rate(a, b, xi, J, G)
     ka2, kb2 = _ref_suv_rate(a + dt * ka, b + dt * kb, xi, J, G)
-    a, b = a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
-    nrm = np.sqrt(a * a + b * b)
-    return a / nrm, b / nrm
+    return a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
 
 
 def _ref_unnormalized_rate(a, b, xi, J, G):
@@ -481,6 +481,11 @@ def _ref_unnormalized_heun(a, b, xi, dt, J, G):
     ka, kb = _ref_unnormalized_rate(a, b, xi, J, G)
     ka2, kb2 = _ref_unnormalized_rate(a + dt * ka, b + dt * kb, xi, J, G)
     return a + 0.5 * dt * (ka + ka2), b + 0.5 * dt * (kb + kb2)
+
+
+def _ref_renormalize(a, b):
+    nrm = np.sqrt(a * a + b * b)
+    return a / nrm, b / nrm
 
 
 def _ref_z_colored_rate(z, xi, J, G):
@@ -502,6 +507,44 @@ def _ref_z_white_heun(z, dw, dt, J, deff):
     return np.clip(z + 0.5 * dt * (f1 + f2) + 0.5 * dw * (g1 + g2), 0.0, 1.0)
 
 
+def _ref_sse_em(a, b, dw, dt, gamma):
+    m = a * a - b * b
+    c = 2.0 * math.sqrt(gamma)
+    return (
+        a + 0.5 * (-gamma * (1.0 - m) ** 2 * dt + c * (1.0 - m) * dw) * a,
+        b + 0.5 * (-gamma * (1.0 + m) ** 2 * dt - c * (1.0 + m) * dw) * b,
+    )
+
+
+def _ref_white_terms(a, b, J, deff):
+    m = a * a - b * b
+    return (
+        0.5 * J * m * (1.0 - m) * a,
+        -0.5 * J * m * (1.0 + m) * b,
+        0.5 * deff * (1.0 - m) * a,
+        -0.5 * deff * (1.0 + m) * b,
+    )
+
+
+def _ref_white_strat_heun(a, b, dw, dt, J, deff):
+    fa, fb, ga, gb = _ref_white_terms(a, b, J, deff)
+    ap, bp = a + fa * dt + ga * dw, b + fb * dt + gb * dw
+    fa2, fb2, ga2, gb2 = _ref_white_terms(ap, bp, J, deff)
+    return (
+        a + 0.5 * dt * (fa + fa2) + 0.5 * dw * (ga + ga2),
+        b + 0.5 * dt * (fb + fb2) + 0.5 * dw * (gb + gb2),
+    )
+
+
+def _ref_white_ito_em(a, b, dw, dt, J, deff):
+    fa, fb, ga, gb = _ref_white_terms(a, b, J, deff)
+    m = a * a - b * b
+    c, var = 0.25 * deff * deff, 1.0 - m * m
+    ca = c * (0.5 * (1.0 - m) ** 2 - var) * a
+    cb = c * (0.5 * (1.0 + m) ** 2 - var) * b
+    return a + (fa + ca) * dt + ga * dw, b + (fb + cb) * dt + gb * dw
+
+
 def test_kernels_match_allocating_expressions_bit_for_bit():
     # Eight trajectories with distinct states (unnormalized amplitudes for
     # the unnormalized scheme) and drives, two consecutive steps through two
@@ -510,53 +553,67 @@ def test_kernels_match_allocating_expressions_bit_for_bit():
     rng = np.random.default_rng(8)
     n = 8
     z0 = rng.uniform(0.05, 0.95, n)
-    amps = (rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, n))
+    amps = np.array((rng.uniform(0.2, 1.5, n), rng.uniform(0.2, 1.5, n)))
     xi = rng.standard_normal(n)
     dw = math.sqrt(1e-2) * rng.standard_normal(n)
     dt, J, G, deff = 1e-2, 2.0, 1.3, math.sqrt(2.0)
     cases = (
         (_unnormalized_heun, _ref_unnormalized_heun, amps, (xi, dt, J, G)),
-        (_z_colored_heun, _ref_z_colored_heun, (z0,), (xi, dt, J, G)),
-        (_z_white_heun, _ref_z_white_heun, (z0,), (dw, dt, J, deff)),
+        (_z_colored_heun, _ref_z_colored_heun, z0, (xi, dt, J, G)),
+        (_z_white_heun, _ref_z_white_heun, z0, (dw, dt, J, deff)),
     )
     ws = _workspace(n)
     for kernel, reference, state, drive in cases:
-        pair = len(state) == 2
-        buffers = [(np.empty(n), np.empty(n)) if pair else np.empty(n) for _ in range(2)]
+        buffers = [np.empty(state.shape) for _ in range(2)]
         expected = state
         for k in range(2):
-            out = kernel(*state, *drive, buffers[k], ws)
-            state = out if pair else (out,)
-            expected = reference(*expected, *drive)
-            expected = expected if pair else (expected,)
-            for got, want in zip(state, expected):
-                assert np.array_equal(got, want), (kernel.__name__, k)
+            state = kernel(state, *drive, buffers[k], ws)
+            expected = np.array(reference(*expected, *drive) if state.ndim == 2
+                                else reference(expected, *drive))
+            assert np.array_equal(state, expected), (kernel.__name__, k)
     # The rates alone, where a reordering is not hidden by the small dt.
-    ka, kb = _unnormalized_rate(*amps, G * xi, J, (np.empty(n), np.empty(n)), ws)
+    ka, kb = _unnormalized_rate(amps, G * xi, J, np.empty((2, n)), ws)
     ref_ka, ref_kb = _ref_unnormalized_rate(*amps, xi, J, G)
     assert np.array_equal(ka, ref_ka) and np.array_equal(kb, ref_kb)
     k = _z_colored_rate(z0, G * xi, J, np.empty(n), np.empty(n))
     assert np.array_equal(k, _ref_z_colored_rate(z0, xi, J, G))
-    # _suv_heun and _renormalize, two alternating steps as the engine takes
-    # them, and the rates alone, over states near |1>, near |0>, at
-    # z ~ 1e-300 and in between, with J = 0 on some rows (a per-row J, as a
-    # shared chunk passes it) and fields down to the subnormal range, where
-    # a reordering of the factors 0.5 (1 - m) and -0.5 (1 + m) would show.
+    # _suv_heun, _sse_em, _white_strat_heun and _white_ito_em, each followed
+    # by _renormalize, two alternating steps as the engine takes them, and
+    # the colored rates alone, over states near |1>, near |0>, at
+    # z ~ 1e-300 (where m rounds to -1, so 1 + m is an exact zero) and at
+    # z = 0.5 (where m is 0), with J = 0 on some rows (a per-row J, as a
+    # shared chunk passes it) and fields and Wiener increments down to the
+    # subnormal range, where a reordering of the factors 0.5 (1 - m) and
+    # -0.5 (1 + m), or a sign of row b taken from anywhere but sigma3 - m,
+    # would show. A unit step hides no reordering of a drift below the
+    # state's last bit, as dt = 1e-2 can.
     z0 = np.array([1e-12, 1.0 - 1e-12, 1e-300, 0.3, 0.5, 0.7, 0.9, 1e-300, 0.5, 2e-8])
-    a, b = np.sqrt(z0), np.sqrt(1.0 - z0)
+    a, b = s = np.sqrt((z0, 1.0 - z0))
+    assert a[2] * a[2] - b[2] * b[2] == -1.0 and a[4] * a[4] - b[4] * b[4] == 0.0
     xi = np.array([0.7, -1.3, 5e-324, 1e-310, -2.2e-308, 0.4, -0.9, 1e-320, 1.1, -3e-315])
+    noise = np.array([0.7, -1.3, -5e-324, 1e-310, 2.2e-308, -0.4, 0.9, 3e-320, -1.1, 4e-315])
     J = np.array([2.0, 0.0, 0.0, 0.0, 0.0, -3.0, 2.0, 0.0, 0.0, 1.0])
-    dt, G = 1e-2, 1.3
+    G, gamma = 1.3, 0.5
     n = len(z0)
     ws = _workspace(n)
-    raw, buffers = (np.empty(n), np.empty(n)), [(np.empty(n), np.empty(n)) for _ in range(2)]
-    state, expected = (a, b), (a, b)
-    for k in range(2):
-        state = _renormalize(*_suv_heun(*state, xi, dt, J, G, raw, ws), buffers[k], ws)
-        expected = _ref_suv_step(*expected, xi, dt, J, G)
-        for got, want in zip(state, expected):
-            assert np.array_equal(got, want), k
-    ka, kb = _suv_rate(a, b, G * xi, J, (np.empty(n), np.empty(n)), ws)
+    for dt in (1e-2, 1.0):
+        dw = math.sqrt(dt) * noise
+        cases = (
+            (_suv_heun, _ref_suv_heun, (xi, dt, J, G)),
+            (_sse_em, _ref_sse_em, (dw, dt, gamma)),
+            (_white_strat_heun, _ref_white_strat_heun, (dw, dt, J, deff)),
+            (_white_ito_em, _ref_white_ito_em, (dw, dt, J, deff)),
+        )
+        for kernel, reference, drive in cases:
+            raw, buffers = np.empty((2, n)), [np.empty((2, n)) for _ in range(2)]
+            state, expected = s, s
+            for k in range(2):
+                kernel(state, *drive, raw, ws)
+                want = reference(*expected, *drive)
+                assert np.array_equal(raw, want), (kernel.__name__, dt, k)
+                state, expected = _renormalize(raw, buffers[k], ws), _ref_renormalize(*want)
+                assert np.array_equal(state, expected), (kernel.__name__, dt, k)
+    ka, kb = _suv_rate(s, G * xi, J, np.empty((2, n)), ws)
     ref_ka, ref_kb = _ref_suv_rate(a, b, xi, J, G)
     assert np.array_equal(ka, ref_ka) and np.array_equal(kb, ref_kb)
     rates = np.concatenate((ka, kb))
@@ -594,7 +651,7 @@ def test_renormalize_rejects_degenerate_rows_by_name():
         a, b = good.copy(), rest.copy()
         a[row], b[row] = bad_a, bad_b
         with pytest.raises(IntegratorInstabilityError) as info:
-            _norm((a, b))
+            _norm(np.array((a, b)))
         assert str(info.value) == "non-finite or zero-norm state"
         assert info.value.row == row
     # A subnormal squared norm survives the first guard but leaves a large
@@ -604,7 +661,7 @@ def test_renormalize_rejects_degenerate_rows_by_name():
         a[2], b[2] = bad_a, bad_b
         defect = _ref_defect(a, b)
         with pytest.raises(IntegratorInstabilityError) as info:
-            _norm((a, b))
+            _norm(np.array((a, b)))
         assert str(info.value) == (
             f"norm defect {np.max(defect):.3g} after renormalization exceeds 1e-09"
         )
@@ -628,5 +685,5 @@ def test_renormalize_defect_stays_within_its_docstring_bound():
     keep = (nrm2 >= 2.0**-1022) & (nrm2 < math.inf)
     a, b = a[keep], b[keep]
     assert a.size > size // 2 and np.count_nonzero(b * b < 2.0**-1022) > size // 8
-    oa, ob = _norm((a, b))
+    oa, ob = _norm(np.array((a, b)))
     assert np.max(np.abs(oa * oa + ob * ob - 1.0)) <= 11 * 2.0**-53

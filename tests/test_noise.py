@@ -65,9 +65,9 @@ def test_wiener_increment_scales_draw_by_sqrt_dt():
             seed=3,
         )
         dw = math.sqrt(dt) * derive_stream(3, 0).standard_normal()
-        amps = np.array([math.sqrt(0.6)]), np.array([math.sqrt(0.4)])
-        raw = _sse_em(*amps, np.array([dw]), dt, 0.5, (np.empty(1), np.empty(1)), _workspace(1))
-        a, _ = _renormalize(*raw, (np.empty(1), np.empty(1)), _workspace(1))
+        amps = np.array([[math.sqrt(0.6)], [math.sqrt(0.4)]])
+        raw = _sse_em(amps, np.array([dw]), dt, 0.5, np.empty((2, 1)), _workspace(1))
+        a, _ = _renormalize(raw, np.empty((2, 1)), _workspace(1))
         assert simulate([(cfg, 1, 0, None)])[0][0] == a[0] * a[0]
 
 
