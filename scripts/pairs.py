@@ -14,8 +14,9 @@ another.
 Only the last line of each run's standard output is read: run.py's JSON
 result. This script measures nothing itself. Per workload and end-to-end
 metric of BENCHMARK.json it prints the base's median and quartiles, the
-change's median, the relative change of the medians, and the pairs in
-which the change was better, in the metric's own direction. Exits 0 when
+change's median, the relative change of the medians, the pairs in which
+the change was better, in the metric's own direction, and a verdict
+(:func:`compare`): gain, unresolved, worse or no change. Exits 0 when
 every run was correct and none failed, 1 when one was not (each such run
 is named on standard error), and 2 when REV cannot be exported.
 """
@@ -68,6 +69,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def compare(pairs: list[tuple[float, float]], lower: bool, bound: float) -> tuple:
+    """``(q1, median, q3, change median, pairs won, verdict)`` of one
+    metric's (base, change) pairs: the base's median and quartiles, the
+    change's median, the pairs in which the change was better, and the
+    verdict, which takes the bound as a fraction of the base's median.
+    It is ``gain`` when the change is better in at least nine tenths of
+    the pairs and its median better by more than the base's interquartile
+    distance; else ``unresolved`` when that distance exceeds the bound;
+    else ``worse`` when the change's median is worse by more than the
+    bound; else ``no change``."""
+    q1, base, q3 = quartiles([b for b, _ in pairs])
+    change = statistics.median(c for _, c in pairs)
+    won = sum(c < b if lower else c > b for b, c in pairs)
+    better = base - change if lower else change - base
+    if 10 * won >= 9 * len(pairs) and better > q3 - q1:
+        word = "gain"
+    elif q3 - q1 > bound * abs(base):
+        word = "unresolved"
+    elif -better > bound * abs(base):
+        word = "worse"
+    else:
+        word = "no change"
+    return q1, base, q3, change, won, word
+
+
 def report(workload: str, metrics: list[dict], results: dict[str, list]) -> None:
     """Print one line per end-to-end metric of the workload's pairs, from
     the pairs in which both sides reported it."""
@@ -79,12 +105,10 @@ def report(workload: str, metrics: list[dict], results: dict[str, list]) -> None
         if not pairs:
             print(f"{workload:16} {name:12} not reported")
             continue
-        q1, base_median, q3 = quartiles([b for b, _ in pairs])
-        change_median = statistics.median(c for _, c in pairs)
-        won = sum(c < b if lower else c > b for b, c in pairs)
+        q1, base_median, q3, change_median, won, word = compare(pairs, lower, metric["bound"])
         relative = (change_median - base_median) / base_median if base_median else float("nan")
         print(f"{workload:16} {name:12} base {base_median:.4g} [{q1:.4g}, {q3:.4g}]  "
-              f"change {change_median:.4g}  {relative:+.1%}  better in {won}/{len(pairs)}")
+              f"change {change_median:.4g}  {relative:+.1%}  better in {won}/{len(pairs)}  {word}")
 
 
 def main(argv: list[str]) -> int:

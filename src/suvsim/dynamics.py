@@ -143,6 +143,8 @@ class TrajectoryConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:  # else a worker's stream derivation fails naming master_seed
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.scheme.uses_colored_noise and self.noise.kind is NoiseKind.NONE:
             raise ConfigError(
                 f"scheme {self.scheme.value!r} is driven by a colored field and needs a "

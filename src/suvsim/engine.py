@@ -49,17 +49,22 @@ The one public entry point is :func:`simulate`, which runs all the
 ensembles of a call, recorded or final-only, on one task list:
 :func:`_tasks` cuts them into chunks of whole groups, the cells of a sweep
 sharing chunks, and :func:`_chunk` steps each chunk, deriving the streams
-of its groups, on the one fork pool of :func:`_map_in_workers`. Noise
-validation cuts its path sets with the same :func:`_tasks` onto the same
-pool. A recorded chunk never records the field: a one-trajectory run's
-field is the path :func:`simulate_paths` gives at its index. The worker
-count changes no chunk width, so no output bit and no error message
-depends on it.
+of its groups, on the W workers that :func:`_map_in_workers` forks for
+the call: each worker steps every W-th chunk and sends each result
+through a pipe of its own, and the caller reads them back in task order.
+Noise validation cuts its path sets with the same :func:`_tasks` onto the
+same workers. A recorded chunk never records the field: a one-trajectory
+run's field is the path :func:`simulate_paths` gives at its index. The
+worker count changes no chunk width, so no output bit and no error
+message depends on it.
 """
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -101,6 +106,8 @@ _MAX_CHUNK_WIDTH = 10_000
 _CHUNK_ELEMENT_BUDGET = 20_000_000
 # Independent units of work run on at most this many forked worker processes.
 _MAX_WORKERS = 2
+# True in a forked worker of _map_in_workers, whose own calls run in-process.
+_in_worker = False
 # Time steps per block of drawn normals and per fold of a recorded chunk's
 # held rows, so a chunk holds (_BLOCK_STEPS, m) buffers, not (n_steps, m)
 # matrices. A Philox stream's sequence and a group sum's order do not depend
@@ -296,44 +303,101 @@ def _map_in_workers(fn, tasks, consume=list):
     """``consume(results)``, where ``results`` iterates over ``fn(task)`` for
     every task, in task order; the default returns the results as a list.
 
-    The tasks run on min(_MAX_WORKERS, usable cores, tasks) forked worker
-    processes, or in the calling process when that is below 2 or the
-    caller is itself a daemonic worker. ``results`` yields each result as
-    soon as it and every earlier one have arrived, so ``consume`` can fold
-    one while later tasks run; it runs in the calling process. ``fn`` must
-    be a module-level function, and tasks and results must pickle. The
-    pool is created and joined inside the call; when tasks fail, the error
+    The tasks run on W = min(_MAX_WORKERS, usable cores, tasks) worker
+    processes forked for the call, or in the calling process when W is
+    below 2, or the caller is itself one of these workers or a daemonic
+    ``multiprocessing`` process. Worker w steps tasks w, w + W, w + 2W, ...
+    and pickles ``(ok, result or exception)`` into a pipe of its own after
+    each; it stops after its first failure. The caller reads task i from
+    worker i mod W, so ``results`` yields each result as soon as it and
+    every earlier one have arrived, and ``consume``, which runs in the
+    calling process, can fold one while later tasks run. Results must
+    pickle; ``fn`` need not, since the workers are forked. The error
     raised is that of the first failing task in task order, the one a
-    serial run raises, once the running tasks finish; queued ones are
-    cancelled, as they are when ``consume`` raises or returns early. A
-    worker that ends abruptly (killed by the OOM killer, say) raises a
-    SimulationError; a killed caller's workers exit (:func:`_exit_with_parent`).
+    serial run raises. Once ``consume`` returns or raises, or a task
+    fails, the workers still running are killed, and every worker is
+    reaped before the call returns. A worker that ends abruptly (killed by
+    the OOM killer, say) raises a SimulationError, as does a result or an
+    exception that cannot be pickled, naming its task; a killed caller's
+    workers exit (:func:`_exit_with_parent`).
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
-    if workers >= 2:
-        import multiprocessing  # costs import time, so only when it is used
+    mp = sys.modules.get("multiprocessing")  # imported by any daemonic caller
+    if workers < 2 or _in_worker or (mp is not None and mp.current_process().daemon):
+        return consume(map(fn, tasks))
+    caller, pids, pipes = os.getpid(), [], []
+    try:
+        for w in range(workers):
+            fd, out = os.pipe()
+            pipes.append(open(fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(fn, tasks, w, workers, out, pipes, caller)
+            finally:  # in the caller: a worker leaves through _serve's os._exit
+                os.close(out)
+            pids.append(pid)
+        return consume(_results(pipes, len(tasks)))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
-        if not multiprocessing.current_process().daemon:  # daemons have no children
-            from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=context, initializer=_exit_with_parent,
-                                     initargs=(os.getpid(),)) as pool:
+def _serve(fn, tasks, w, workers, out, pipes, caller):
+    """The life of forked worker w of :func:`_map_in_workers`: step tasks
+    w, w + W, ... (W = ``workers``), writing each one's pickled ``(ok,
+    result or exception)`` to the pipe ``out``, until the first failure.
+    It closes the read ends it inherited and always leaves through
+    os._exit, so it never returns into the caller's code."""
+    global _in_worker
+    try:
+        _in_worker = True
+        for pipe in pipes:
+            os.close(pipe.fileno())
+        _exit_with_parent(caller)
+        with open(out, "wb") as sink:
+            for i in range(w, len(tasks), workers):
                 try:
-                    # map yields in task order, so the first error raised is
-                    # the first failing task's, whichever worker failed first.
-                    return consume(pool.map(fn, tasks))
-                except BrokenProcessPool as exc:
-                    raise SimulationError("a worker process ended abruptly") from exc
-                finally:
-                    pool.shutdown(cancel_futures=True)
-    return consume(map(fn, tasks))
+                    ok, value = True, fn(tasks[i])
+                except Exception as exc:
+                    ok, value = False, exc
+                try:
+                    data = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
+                except Exception as exc:
+                    what = "result of" if ok else f"{type(value).__name__} raised by"
+                    error = SimulationError(f"the {what} task {i} cannot be pickled: {exc}")
+                    ok, data = False, pickle.dumps((False, error))
+                sink.write(data)
+                sink.flush()
+                if not ok:
+                    break
+                del value, data  # not held while the next task steps
+    finally:
+        os._exit(0)
+
+
+def _results(pipes, n):
+    """The n results of :func:`_map_in_workers`' workers, task i read from
+    ``pipes[i % len(pipes)]``: each is yielded and dropped before the next
+    is read; a failed task's exception is raised."""
+    for i in range(n):
+        try:
+            ok, value = pickle.load(pipes[i % len(pipes)])
+        except (EOFError, pickle.UnpicklingError):  # nothing more, or a truncated pickle
+            raise SimulationError("a worker process ended abruptly") from None
+        if not ok:
+            raise value
+        yield value
+        del value
 
 
 def _exit_with_parent(parent):
-    """Pool worker initializer: a daemon thread ends the worker, idle or
-    busy, once its parent ``parent`` is gone. No thread runs in the caller."""
+    """Worker set-up: a daemon thread ends the worker, idle or busy, once
+    its parent ``parent`` is gone. No thread runs in the caller."""
     def watch():
         while os.getppid() == parent:
             time.sleep(0.25)

@@ -1,6 +1,8 @@
 """Shared test fixtures and the acceptance-criteria terminal report."""
+import glob
 import math
-import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -23,15 +25,27 @@ def criterion_report():
     return _record_criterion
 
 
+def child_pids():
+    """Pids of this process's child processes, zombies included, as the
+    kernel lists them per thread in /proc/<pid>/task/<tid>/children: the
+    workers the engine forks, which multiprocessing does not track, as well
+    as multiprocessing's and subprocess's children."""
+    pids = []
+    for path in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
+        with open(path, encoding="ascii") as fh:
+            pids += map(int, fh.read().split())
+    return pids
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_the_test():
-    """Fail any test after which a multiprocessing child, such as a pool
-    worker that was never joined, is still running; the child is stopped."""
+    """Fail any test after which a child process, such as a worker that was
+    never reaped, is still there; the child is killed and reaped."""
     yield
-    children = multiprocessing.active_children()
-    for child in children:
-        child.terminate()
-        child.join()
+    children = child_pids()
+    for pid in children:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
     assert not children, f"child processes outlived the test: {children}"
 
 

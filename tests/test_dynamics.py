@@ -439,6 +439,9 @@ def test_trajectory_config_validations(tmp_path):
     for seed in (1.5, True, np.float64(3.0)):  # a bool would fail only in the stream derivation
         with pytest.raises(ConfigError, match="seed must be an integer"):
             _config(seed=seed)
+    for seed in (-3, np.int64(-3)):  # refused here, not in a chunk's stream derivation
+        with pytest.raises(ConfigError, match="^seed must be nonnegative, got -3$"):
+            _config(seed=seed)
     # A numpy integer seed is stored as an int, as ExperimentConfig does.
     numpy_seed = _config(seed=np.int64(3), T=0.05)
     assert type(numpy_seed.seed) is int and numpy_seed == _config(seed=3, T=0.05)

@@ -9,12 +9,13 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import first_overflow, lane_draws, overflow_steps, path_matrix
+from conftest import child_pids, first_overflow, lane_draws, overflow_steps, path_matrix
 
 import suvsim.engine as engine
 import suvsim.experiments as experiments
@@ -574,7 +575,7 @@ def test_no_worker_outlives_the_call(monkeypatch):
     monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 2)
     cfg = _cfg(Scheme.SUV_COLORED)
     simulate([(cfg, 48, 0, None)])  # three chunks of one group each
-    assert multiprocessing.active_children() == []
+    assert child_pids() == []
 
     def failing(cfg, z0, record_at, first_index, J):
         if first_index == 0:
@@ -586,7 +587,7 @@ def test_no_worker_outlives_the_call(monkeypatch):
     monkeypatch.setattr(engine, "_integrate_chunk", failing)
     with pytest.raises(IntegratorInstabilityError, match="^trajectory 16, step 1: failed$"):
         simulate([(cfg, 48, 0, None)])
-    assert multiprocessing.active_children() == []
+    assert child_pids() == []
 
 
 def _run_in_daemon(jobs):
@@ -704,7 +705,7 @@ def _slow_square(i):
 def test_pool_stops_when_its_consumer_stops(monkeypatch):
     # A consumer that raises after the first result (as noise-validation
     # does on an unfittable rate) or returns early gets no more results:
-    # the queued tasks are cancelled and no worker outlives the call.
+    # the workers are killed at once and none outlives the call.
     monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
     seen = []
 
@@ -716,12 +717,46 @@ def test_pool_stops_when_its_consumer_stops(monkeypatch):
     with pytest.raises(ValueError, match="stop"):
         engine._map_in_workers(_slow_square, list(range(40)), stop_at_first)
     assert seen == [0]
-    assert multiprocessing.active_children() == []
+    assert child_pids() == []
     started = time.monotonic()
     assert engine._map_in_workers(_slow_square, list(range(40)), next) == 0
     assert time.monotonic() - started < 1.0  # 39 slow tasks would take 2 s on 2 workers
-    assert multiprocessing.active_children() == []
+    assert child_pids() == []
     assert engine._map_in_workers(_slow_square, [3, 1, 2]) == [9, 1, 4]
+
+
+def _fail_first(i):
+    if i == 0:
+        raise ValueError("task 0 failed")
+    time.sleep(30)
+    return i
+
+
+def _unpicklable(i):
+    if i == 1:
+        return threading.Lock()
+    if i == 2:
+        raise ValueError(threading.Lock())
+    return i
+
+
+def test_a_failing_task_stops_every_worker_at_once(monkeypatch):
+    # The first failure is raised as soon as it arrives, and the worker
+    # still stepping a 30 s task is killed, not waited for. A result or an
+    # exception that cannot be pickled raises a SimulationError naming its
+    # task (tasks 1 and 3 step on the second worker).
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="^task 0 failed$"):
+        engine._map_in_workers(_fail_first, [0, 1])
+    assert time.monotonic() - started < 10.0
+    assert child_pids() == []
+    with pytest.raises(SimulationError, match="^the result of task 1 cannot be pickled: "):
+        engine._map_in_workers(_unpicklable, [0, 1, 0, 0])
+    with pytest.raises(SimulationError,
+                       match="^the ValueError raised by task 3 cannot be pickled: "):
+        engine._map_in_workers(_unpicklable, [0, 0, 0, 2])
+    assert child_pids() == []
 
 
 _KILLED_WORKER = """
@@ -759,17 +794,24 @@ def test_a_killed_worker_raises_instead_of_hanging():
 
 
 _KILLED_CALLER = """
-import multiprocessing, time
+import glob, time
 from suvsim.engine import _map_in_workers
+
+
+def task(i):
+    time.sleep(60 if i else 0)  # each worker is busy when the caller is killed
+    return i
 
 
 def consume(results):
     next(results)
-    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
-    time.sleep(60)  # killed here, its workers idle on the pool's queue
+    for path in glob.glob("/proc/self/task/*/children"):
+        print(open(path).read().strip(), end=" ")
+    print(flush=True)
+    time.sleep(60)  # killed here
 
 
-_map_in_workers(abs, list(range(4)), consume)
+_map_in_workers(task, list(range(4)), consume)
 """
 
 
@@ -784,8 +826,8 @@ def _alive(pid):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
 def test_no_worker_outlives_a_killed_caller():
-    # A caller killed with SIGKILL cannot shut its pool down; its workers
-    # notice that their parent is gone and exit within seconds.
+    # A caller killed with SIGKILL cannot kill its workers; they notice, in
+    # the middle of a task, that their parent is gone and exit within seconds.
     src = os.path.dirname(os.path.dirname(engine.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     caller = subprocess.Popen([sys.executable, "-c", _KILLED_CALLER], env=env,
@@ -806,6 +848,44 @@ def test_no_worker_outlives_a_killed_caller():
         caller.stdout.close()
         for pid in filter(_alive, workers):
             os.kill(pid, signal.SIGKILL)
+
+
+_FRESH_CALLER = """
+import sys, threading
+import suvsim.engine as engine
+from suvsim import NoiseKind, NoiseModel, PhysicsParams, Scheme, TrajectoryConfig, simulate
+
+steps, map_in_workers = [], engine._map_in_workers
+
+
+def spy(fn, tasks, consume):
+    def counted(results):
+        for result in results:
+            steps.append((len(tasks), threading.active_count()))
+            yield result
+
+    return map_in_workers(fn, tasks, lambda results: consume(counted(results)))
+
+
+engine._map_in_workers = spy
+cfg = TrajectoryConfig(params=PhysicsParams(J=2.0, G=1.0), noise=NoiseModel(NoiseKind.OU, 1.0),
+                       dt=1e-3, T=0.02, z0=0.6, scheme=Scheme.SUV_COLORED, seed=3)
+simulate([(cfg, 20, 0, 5), (cfg, 20, 20, 5)])
+print(steps, [name for name in ("multiprocessing", "concurrent.futures") if name in sys.modules])
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_workers_cost_the_caller_no_thread_and_no_pool_import():
+    # In a fresh interpreter, two recorded jobs step one chunk each on two
+    # workers. The caller runs no thread of its own while it folds them, and
+    # imports neither multiprocessing nor concurrent.futures.
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _FRESH_CALLER], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[0] == "[(2, 1), (2, 1)] []"
 
 
 def test_final_only_chunks_do_not_narrow_with_the_horizon(monkeypatch):
