@@ -17,7 +17,10 @@ and both fdr-sweeps once more, so that chunks which share one lockstep
 batch among several sweep cells start and end inside cells, and the
 recorded presets and noise-validation once more, so that the reduction
 sees many chunk boundaries (noise-validation's SBM paths start inside a
-group of 16, at index 100). For every run it compares the bytes of
+group of 16, at index 100), and, with every worker result sent in pieces
+of one row each, fig1b with 23 trajectories, born-sweep and
+noise-validation once more, so that the caller folds and collects
+results piece by piece. For every run it compares the bytes of
 run_manifest.json and every file digest the manifest lists.
 Prints ``equal`` when nothing differs, and otherwise each file that
 differs, as ``w<workers>/<run>/<file>``.
@@ -25,9 +28,10 @@ differs, as ``w<workers>/<run>/<file>``.
 It then checks, within this working tree's outputs alone, the
 determinism contract, which must hold across a deliberate change of
 output bits too: every file digest of a run at 1 worker equals that at 2
-workers, and every digest of a narrow-chunk run (``<run>-narrow``) equals
-that of its default-cap twin, the run of the same experiment and
-overrides (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep,
+workers, and every digest of a narrow-chunk run (``<run>-narrow``) or a
+one-row-piece run (``<run>-pieces``) equals that of its default twin, the
+run of the same experiment and overrides under the engine's default
+settings (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep,
 fdr-sweep, fdr-sweep-strat and noise-validation have one). Each mismatch
 is printed on a line of its own, as
 ``in-tree: <run>/<file> differs from <twin>/<file>``. Exits 0 when nothing
@@ -44,52 +48,62 @@ import subprocess
 import sys
 import tempfile
 
-# (run label, experiment, overrides, chunk cap): every preset at smoke size,
-# the recorded presets with one trajectory, the schemes no preset records,
-# then the sweeps, the recorded presets and noise-validation in narrow chunks.
-# A cap of None keeps the engine's default.
+# Engine settings of the twins: chunks at most 7 trajectories wide, and a
+# worker result sent in pieces of one row each.
+NARROW = {"_MAX_CHUNK_WIDTH": 7}
+PIECES = {"_PIECE_BYTES": 1}
+# (run label, experiment, overrides, engine settings): every preset at smoke
+# size, the recorded presets with one trajectory, the schemes no preset
+# records, then the sweeps, the recorded presets and noise-validation in
+# narrow chunks, and a recorded run, a sweep and noise-validation in
+# one-row pieces. Empty settings keep the engine's defaults.
 RUNS = [
-    ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, None),
-    ("fig1b", "fig1b", {"n_traj": 100, "T": 0.3}, None),
-    ("born-sweep", "born-sweep", {"n_traj": 50, "T": 0.5}, None),
-    ("fdr-sweep", "fdr-sweep", {"n_traj": 20, "T": 0.5}, None),
-    ("weak-equivalence", "weak-equivalence", {"n_traj": 100, "T": 0.2}, None),
+    ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, {}),
+    ("fig1b", "fig1b", {"n_traj": 100, "T": 0.3}, {}),
+    ("born-sweep", "born-sweep", {"n_traj": 50, "T": 0.5}, {}),
+    ("fdr-sweep", "fdr-sweep", {"n_traj": 20, "T": 0.5}, {}),
+    ("weak-equivalence", "weak-equivalence", {"n_traj": 100, "T": 0.2}, {}),
     # dt must divide the rate fit's lag grid (multiples of tau / 4).
     ("noise-validation", "noise-validation",
-     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, None),
-    ("frozen-limit", "frozen-limit", {"n_traj": 100, "T": 1.0}, None),
-    ("gksl-check", "gksl-check", {"n_traj": 100, "T": 0.3}, None),
-    ("fig1a-single", "fig1a", {"n_traj": 1, "T": 0.3}, None),
-    ("fig1b-single", "fig1b", {"n_traj": 1, "T": 0.3}, None),
-    ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}, None),
-    ("fig1a-unnormalized", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "unnormalized-suv"}, None),
+     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, {}),
+    ("frozen-limit", "frozen-limit", {"n_traj": 100, "T": 1.0}, {}),
+    ("gksl-check", "gksl-check", {"n_traj": 100, "T": 0.3}, {}),
+    ("fig1a-single", "fig1a", {"n_traj": 1, "T": 0.3}, {}),
+    ("fig1b-single", "fig1b", {"n_traj": 1, "T": 0.3}, {}),
+    ("gksl-check-single", "gksl-check", {"n_traj": 1, "T": 0.3}, {}),
+    ("fig1a-unnormalized", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "unnormalized-suv"}, {}),
     ("fig1a-unnormalized-single", "fig1a",
-     {"n_traj": 1, "T": 0.3, "scheme": "unnormalized-suv"}, None),
-    ("fig1a-z", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-colored"}, None),
-    ("fig1a-z-single", "fig1a", {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-colored"}, None),
+     {"n_traj": 1, "T": 0.3, "scheme": "unnormalized-suv"}, {}),
+    ("fig1a-z", "fig1a", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-colored"}, {}),
+    ("fig1a-z-single", "fig1a", {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-colored"}, {}),
     # A frozen field is one draw block of every step; 600 steps cross two
     # of the recorded chunks' fold points.
-    ("fig1a-frozen", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, None),
+    ("fig1a-frozen", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, {}),
     # The twin of fig1b-narrow: 23 trajectories, so the companion ensemble
     # starts mid-group.
-    ("fig1b-23", "fig1b", {"n_traj": 23, "T": 0.3}, None),
-    ("gksl-check-strat", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "white-strat"}, None),
+    ("fig1b-23", "fig1b", {"n_traj": 23, "T": 0.3}, {}),
+    ("gksl-check-strat", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "white-strat"}, {}),
     ("gksl-check-strat-single", "gksl-check",
-     {"n_traj": 1, "T": 0.3, "scheme": "white-strat"}, None),
-    ("gksl-check-z", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-white"}, None),
+     {"n_traj": 1, "T": 0.3, "scheme": "white-strat"}, {}),
+    ("gksl-check-z", "gksl-check", {"n_traj": 100, "T": 0.3, "scheme": "z-scalar-white"}, {}),
     ("gksl-check-z-single", "gksl-check",
-     {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-white"}, None),
+     {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-white"}, {}),
     # The sweep's cells differ in J, so its shared chunks step a per-row J.
-    ("fdr-sweep-strat", "fdr-sweep", {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, None),
-    ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, 7),
-    ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, 7),
-    ("fdr-sweep-strat-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, 7),
-    ("fig1a-narrow", "fig1a", {"n_traj": 100, "T": 0.3}, 7),
-    ("fig1a-frozen-narrow", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, 7),
-    ("fig1b-narrow", "fig1b", {"n_traj": 23, "T": 0.3}, 7),
-    ("gksl-check-narrow", "gksl-check", {"n_traj": 100, "T": 0.3}, 7),
+    ("fdr-sweep-strat", "fdr-sweep", {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, {}),
+    ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, NARROW),
+    ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, NARROW),
+    ("fdr-sweep-strat-narrow", "fdr-sweep",
+     {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, NARROW),
+    ("fig1a-narrow", "fig1a", {"n_traj": 100, "T": 0.3}, NARROW),
+    ("fig1a-frozen-narrow", "fig1a", {"n_traj": 100, "T": 0.6, "noise": "frozen-ou"}, NARROW),
+    ("fig1b-narrow", "fig1b", {"n_traj": 23, "T": 0.3}, NARROW),
+    ("gksl-check-narrow", "gksl-check", {"n_traj": 100, "T": 0.3}, NARROW),
     ("noise-validation-narrow", "noise-validation",
-     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, 7),
+     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, NARROW),
+    ("fig1b-23-pieces", "fig1b", {"n_traj": 23, "T": 0.3}, PIECES),
+    ("born-sweep-pieces", "born-sweep", {"n_traj": 50, "T": 0.5}, PIECES),
+    ("noise-validation-pieces", "noise-validation",
+     {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, PIECES),
 ]
 WORKERS = (1, 2)
 MANIFEST = "run_manifest.json"
@@ -101,11 +115,11 @@ import json, os, sys
 import suvsim.engine as engine
 from suvsim import make_config, run_experiment
 runs, workers = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-default_cap = engine._MAX_CHUNK_WIDTH
+defaults = {name: getattr(engine, name, None) for *_, settings in runs for name in settings}
 for w in workers:
     engine._MAX_WORKERS = w
-    for label, experiment, overrides, cap in runs:
-        engine._MAX_CHUNK_WIDTH = cap or default_cap
+    for label, experiment, overrides, settings in runs:
+        vars(engine).update(defaults, **settings)
         run_experiment(make_config(experiment, overrides, output_dir=os.path.join(f"w{w}", label)))
 """
 
@@ -146,13 +160,15 @@ def _digests(out: str, run: str) -> dict[str, str]:
 
 def invariance(out: str) -> list[str]:
     """Files of one output tree that differ where the determinism contract
-    says they must not: a run at 1 worker and at more, and a narrow-chunk
-    run and its default-cap twin of the same experiment and overrides."""
+    says they must not: a run at 1 worker and at more, and a run under
+    engine settings (narrow chunks, one-row pieces) and its default twin of
+    the same experiment and overrides."""
     pairs = [(os.path.join(f"w{WORKERS[0]}", label), os.path.join(f"w{w}", label))
              for label, *_ in RUNS for w in WORKERS[1:]]
-    for label, experiment, overrides, cap in RUNS:
+    for label, experiment, overrides, settings in RUNS:
         pairs += [(os.path.join(f"w{w}", twin), os.path.join(f"w{w}", label))
-                  for twin, e, o, c in RUNS if cap and not c and (e, o) == (experiment, overrides)
+                  for twin, e, o, t in RUNS
+                  if settings and not t and (e, o) == (experiment, overrides)
                   for w in WORKERS]
     mismatches = []
     for twin, run in pairs:

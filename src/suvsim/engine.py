@@ -51,12 +51,13 @@ ensembles of a call, recorded or final-only, on one task list:
 sharing chunks, and :func:`_chunk` steps each chunk, deriving the streams
 of its groups, on the W workers that :func:`_map_in_workers` forks for
 the call: each worker steps every W-th chunk and sends each result
-through a pipe of its own, and the caller reads them back in task order.
-Noise validation cuts its path sets with the same :func:`_tasks` onto the
-same workers. A recorded chunk never records the field: a one-trajectory
-run's field is the path :func:`simulate_paths` gives at its index. The
-worker count changes no chunk width, so no output bit and no error
-message depends on it.
+through a pipe of its own, in pieces of at most _PIECE_BYTES, and the
+caller reads the pieces back in task order and folds each as it arrives,
+so it never holds a whole chunk's group sums. Noise validation cuts its
+path sets with the same :func:`_tasks` onto the same workers. A recorded
+chunk never records the field: a one-trajectory run's field is the path
+:func:`simulate_paths` gives at its index. The worker count changes no
+chunk width, so no output bit and no error message depends on it.
 """
 from __future__ import annotations
 
@@ -108,6 +109,9 @@ _CHUNK_ELEMENT_BUDGET = 20_000_000
 _MAX_WORKERS = 2
 # True in a forked worker of _map_in_workers, whose own calls run in-process.
 _in_worker = False
+# A worker's ndarray result goes to the caller in blocks of rows of at most
+# this many bytes (one Linux pipe buffer), and at least one row each.
+_PIECE_BYTES = 64 * 1024
 # Time steps per block of drawn normals and per fold of a recorded chunk's
 # held rows, so a chunk holds (_BLOCK_STEPS, m) buffers, not (n_steps, m)
 # matrices. A Philox stream's sequence and a group sum's order do not depend
@@ -178,7 +182,8 @@ def simulate(jobs) -> list:
     Consecutive final-only jobs that :func:`_continues` joins (the cells of
     a sweep) share lockstep chunks. :func:`_tasks` cuts every job into
     chunks, all stepped in one :func:`_map_in_workers` call whose consumer
-    folds each recorded chunk into its job's sums as it arrives. A malformed
+    folds each piece of a recorded chunk's group sums into its job's sums
+    as it arrives, and collects the pieces of final z. A malformed
     job raises an InvalidParameterError naming its position before any
     chunk steps. The IntegratorInstabilityError raised is the first failing
     chunk's in job and index order, as in a serial run; a shared chunk's
@@ -216,11 +221,10 @@ def simulate(jobs) -> list:
             tasks.append(task)
             takers.append(take)
 
-    def consume(results):  # each chunk's result as it arrives, in task order
-        take = iter(takers)
-        for result in results:
-            next(take)(result)
-            del result  # not held while the next chunk steps
+    def consume(pieces):  # each chunk's pieces as they arrive, in task order
+        for i, piece in pieces:
+            takers[i](piece)
+            del piece  # no view of a result is held while the next chunk steps
 
     _map_in_workers(_chunk, tasks, consume)
     out = []
@@ -300,32 +304,36 @@ def _chunk(task):
 
 
 def _map_in_workers(fn, tasks, consume=list):
-    """``consume(results)``, where ``results`` iterates over ``fn(task)`` for
-    every task, in task order; the default returns the results as a list.
+    """``consume(pieces)``, where ``pieces`` iterates over ``(i, piece)``
+    pairs, the :func:`_pieces` of ``fn(tasks[i])`` for every task i, in task
+    order; the default returns the pairs as a list.
 
     The tasks run on W = min(_MAX_WORKERS, usable cores, tasks) worker
     processes forked for the call, or in the calling process when W is
     below 2, or the caller is itself one of these workers or a daemonic
-    ``multiprocessing`` process. Worker w steps tasks w, w + W, w + 2W, ...
-    and pickles ``(ok, result or exception)`` into a pipe of its own after
-    each; it stops after its first failure. The caller reads task i from
-    worker i mod W, so ``results`` yields each result as soon as it and
-    every earlier one have arrived, and ``consume``, which runs in the
-    calling process, can fold one while later tasks run. Results must
-    pickle; ``fn`` need not, since the workers are forked. The error
-    raised is that of the first failing task in task order, the one a
-    serial run raises. Once ``consume`` returns or raises, or a task
-    fails, the workers still running are killed, and every worker is
-    reaped before the call returns. A worker that ends abruptly (killed by
-    the OOM killer, say) raises a SimulationError, as does a result or an
-    exception that cannot be pickled, naming its task; a killed caller's
-    workers exit (:func:`_exit_with_parent`).
+    ``multiprocessing`` process, which yields the same pieces. Worker w
+    steps tasks w, w + W, w + 2W, ... and pickles each piece of a result,
+    as ``(ok, more, piece or exception)``, into a pipe of its own; it stops
+    after its first failure. The caller reads task i from worker i mod W,
+    so ``pieces`` yields each piece as soon as it and every earlier one
+    have arrived, and ``consume``, which runs in the calling process, folds
+    one while later tasks run and holds no whole result. A worker starts
+    its next task once all but a pipe buffer of its last result has been
+    read. Results must pickle; ``fn`` need not, since the workers are
+    forked. The error raised is that of the first failing task in task
+    order, the one a serial run raises. Once ``consume`` returns or
+    raises, or a task fails, the workers still running are killed, and
+    every worker is reaped before the call returns. A worker that ends
+    abruptly (killed by the OOM killer, say), before a piece or inside
+    one, raises a SimulationError, as does a result or an exception that
+    cannot be pickled, naming its task; a killed caller's workers exit
+    (:func:`_exit_with_parent`).
     """
     affinity = getattr(os, "sched_getaffinity", None)
     workers = min(_MAX_WORKERS, len(affinity(0)), len(tasks)) if affinity else 1
     mp = sys.modules.get("multiprocessing")  # imported by any daemonic caller
     if workers < 2 or _in_worker or (mp is not None and mp.current_process().daemon):
-        return consume(map(fn, tasks))
+        return consume(_in_process(fn, tasks))
     caller, pids, pipes = os.getpid(), [], []
     try:
         for w in range(workers):
@@ -347,12 +355,32 @@ def _map_in_workers(fn, tasks, consume=list):
             pipe.close()
 
 
+def _pieces(result):
+    """An ndarray ``result`` of more than _PIECE_BYTES cut along its first
+    axis into blocks of at most _PIECE_BYTES, and at least one row, as a
+    list of views; any other result as the list of itself."""
+    if not isinstance(result, np.ndarray) or result.ndim == 0 or result.nbytes <= _PIECE_BYTES:
+        return [result]
+    rows = max(1, _PIECE_BYTES * len(result) // result.nbytes)
+    return [result[k : k + rows] for k in range(0, len(result), rows)]
+
+
+def _in_process(fn, tasks):
+    """The ``(i, piece)`` pairs of :func:`_map_in_workers`, stepped in the
+    calling process: each result, and every view of it, is dropped before
+    the next task steps."""
+    for i, task in enumerate(tasks):
+        for piece in _pieces(fn(task)):
+            yield i, piece
+        del piece
+
+
 def _serve(fn, tasks, w, workers, out, pipes, caller):
     """The life of forked worker w of :func:`_map_in_workers`: step tasks
-    w, w + W, ... (W = ``workers``), writing each one's pickled ``(ok,
-    result or exception)`` to the pipe ``out``, until the first failure.
-    It closes the read ends it inherited and always leaves through
-    os._exit, so it never returns into the caller's code."""
+    w, w + W, ... (W = ``workers``), writing each piece of a result as a
+    pickled ``(ok, more, piece or exception)`` to the pipe ``out``, until
+    the first failure. It closes the read ends it inherited and always
+    leaves through os._exit, so it never returns into the caller's code."""
     global _in_worker
     try:
         _in_worker = True
@@ -362,37 +390,41 @@ def _serve(fn, tasks, w, workers, out, pipes, caller):
         with open(out, "wb") as sink:
             for i in range(w, len(tasks), workers):
                 try:
-                    ok, value = True, fn(tasks[i])
+                    ok, pieces = True, _pieces(fn(tasks[i]))
                 except Exception as exc:
-                    ok, value = False, exc
-                try:
-                    data = pickle.dumps((ok, value), pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:
-                    what = "result of" if ok else f"{type(value).__name__} raised by"
-                    error = SimulationError(f"the {what} task {i} cannot be pickled: {exc}")
-                    ok, data = False, pickle.dumps((False, error))
-                sink.write(data)
-                sink.flush()
-                if not ok:
-                    break
-                del value, data  # not held while the next task steps
+                    ok, pieces = False, [exc]
+                for k, piece in enumerate(pieces, 1):
+                    try:
+                        data = pickle.dumps((ok, k < len(pieces), piece), pickle.HIGHEST_PROTOCOL)
+                    except Exception as exc:
+                        what = "result of" if ok else f"{type(piece).__name__} raised by"
+                        error = SimulationError(f"the {what} task {i} cannot be pickled: {exc}")
+                        ok, data = False, pickle.dumps((False, False, error))
+                    sink.write(data)
+                    sink.flush()
+                    if not ok:
+                        return
+                del pieces, piece, data  # not held while the next task steps
     finally:
         os._exit(0)
 
 
 def _results(pipes, n):
-    """The n results of :func:`_map_in_workers`' workers, task i read from
-    ``pipes[i % len(pipes)]``: each is yielded and dropped before the next
-    is read; a failed task's exception is raised."""
+    """The pieces of the n results of :func:`_map_in_workers`' workers, as
+    ``(i, piece)`` pairs, task i read from ``pipes[i % len(pipes)]``: each
+    is yielded and dropped before the next is read; a failed task's
+    exception is raised."""
     for i in range(n):
-        try:
-            ok, value = pickle.load(pipes[i % len(pipes)])
-        except (EOFError, pickle.UnpicklingError):  # nothing more, or a truncated pickle
-            raise SimulationError("a worker process ended abruptly") from None
-        if not ok:
-            raise value
-        yield value
-        del value
+        pipe, more = pipes[i % len(pipes)], True
+        while more:
+            try:
+                ok, more, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # nothing more, or a truncated pickle
+                raise SimulationError("a worker process ended abruptly") from None
+            if not ok:
+                raise value
+            yield i, value
+            del value
 
 
 def _exit_with_parent(parent):

@@ -221,9 +221,9 @@ def _noise_statistics(kinds, n_steps, dt, n, quarter_steps):
             tasks.append((model, n_steps, dt, seed, i, m, lags, steady if i == first else None))
             sinks.append(fold)
 
-    def consume(results):
-        for fold, (rows, distance) in zip(sinks, results):
-            fold.add_rows(rows)
+    def consume(pieces):  # a chunk's (rows, distance) is one piece
+        for i, (rows, distance) in pieces:
+            sinks[i].add_rows(rows)
             if distance is not None:
                 ks.append(distance)
 

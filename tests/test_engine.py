@@ -697,32 +697,99 @@ def test_recorded_chunks_are_folded_as_they_arrive(monkeypatch):
     assert peak < 6 * sums
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_the_caller_holds_a_piece_of_a_recorded_chunk_not_the_chunk(monkeypatch):
+    # At 2 workers each of the two chunks returns 1.0 MB of group sums
+    # (178 groups x 704 columns), which reach the caller in pieces of at
+    # most _PIECE_BYTES and are folded one piece at a time, so the caller's
+    # traced peak stays a few pieces, far below one chunk's sums.
+    cfg = _cfg(Scheme.SUV_COLORED, kind=NoiseKind.OU, T=0.5)
+    monkeypatch.setattr(engine, "_MAX_CHUNK_WIDTH", 178 * 16)
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    engine._map_in_workers(abs, [0, 1])  # the pool's first imports are not the fold's
+    sums = 178 * (4 * (cfg.n_steps // 10 + 1) + cfg.n_steps) * 8
+    assert sums > 1_000_000
+    tracemalloc.start()
+    try:
+        simulate([(cfg, 2 * 178 * 16, 0, 10)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * engine._PIECE_BYTES < sums / 3
+
+
+def _rows(k):
+    return np.full((k, 100), float(k)) if isinstance(k, int) else k
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_results_arrive_as_pieces_of_whole_rows_in_task_order(monkeypatch, workers):
+    # An array result is cut along its first axis into blocks of at most
+    # _PIECE_BYTES (here 81 rows of 800 B), any other result is one piece,
+    # and the pieces arrive in task order, in the caller as in workers.
+    monkeypatch.setattr(engine, "_MAX_WORKERS", workers)
+    got = engine._map_in_workers(_rows, [200, 0, "x", 81, 1])
+    assert [(i, getattr(p, "shape", p)) for i, p in got] == [
+        (0, (81, 100)), (0, (81, 100)), (0, (38, 100)), (1, (0, 100)), (2, "x"),
+        (3, (81, 100)), (4, (1, 100)),
+    ]
+    assert np.array_equal(np.concatenate([p for i, p in got if i == 0]), _rows(200))
+
+
+class _ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(0)
+
+
+def _dies_at_second_piece(i):
+    return np.array([i, _ExitWhenPickled()], dtype=object)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable cores")
+def test_a_worker_that_dies_between_two_pieces_raises(monkeypatch):
+    # Each result is two one-row pieces, and a worker ends while it pickles
+    # its second: the caller gets task 0's first piece, then a
+    # SimulationError, and no worker outlives the call.
+    monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
+    monkeypatch.setattr(engine, "_PIECE_BYTES", 8)
+    seen = []
+
+    def consume(pieces):
+        for i, piece in pieces:
+            seen.append((i, list(piece)))
+
+    with pytest.raises(SimulationError, match="^a worker process ended abruptly$"):
+        engine._map_in_workers(_dies_at_second_piece, [0, 1], consume)
+    assert seen == [(0, [0])]
+    assert child_pids() == []
+
+
 def _slow_square(i):
     time.sleep(0.1 if i else 0.0)
     return i * i
 
 
 def test_pool_stops_when_its_consumer_stops(monkeypatch):
-    # A consumer that raises after the first result (as noise-validation
-    # does on an unfittable rate) or returns early gets no more results:
+    # A consumer that raises after the first piece (as noise-validation
+    # does on an unfittable rate) or returns early gets no more pieces:
     # the workers are killed at once and none outlives the call.
     monkeypatch.setattr(engine, "_MAX_WORKERS", 2)
     seen = []
 
-    def stop_at_first(results):
-        for result in results:
-            seen.append(result)
+    def stop_at_first(pieces):
+        for piece in pieces:
+            seen.append(piece)
             raise ValueError("stop")
 
     with pytest.raises(ValueError, match="stop"):
         engine._map_in_workers(_slow_square, list(range(40)), stop_at_first)
-    assert seen == [0]
+    assert seen == [(0, 0)]
     assert child_pids() == []
     started = time.monotonic()
-    assert engine._map_in_workers(_slow_square, list(range(40)), next) == 0
+    assert engine._map_in_workers(_slow_square, list(range(40)), next) == (0, 0)
     assert time.monotonic() - started < 1.0  # 39 slow tasks would take 2 s on 2 workers
     assert child_pids() == []
-    assert engine._map_in_workers(_slow_square, [3, 1, 2]) == [9, 1, 4]
+    assert engine._map_in_workers(_slow_square, [3, 1, 2]) == [(0, 9), (1, 1), (2, 4)]
 
 
 def _fail_first(i):
