@@ -12,16 +12,18 @@ z-scalar-white in gksl-check) at smoke size and with one trajectory,
 fig1a under a frozen field for 600 steps, fig1b with 23 trajectories
 (its companion ensemble starts inside a group of 16, at index 23),
 fdr-sweep under white-strat (so a white-noise kernel steps rows that
-differ in J), and, with chunks at most 7 trajectories wide, born-sweep
-and both fdr-sweeps once more, so that chunks which share one lockstep
-batch among several sweep cells start and end inside cells, and the
+differ in J), fig1a with 1600 trajectories (100 groups of 16 per
+ensemble, so each chunk folds 100 group rows), and, with chunks at most
+7 trajectories wide, born-sweep and both fdr-sweeps once more, so that
+chunks which share one lockstep batch among several sweep cells start
+and end inside cells, and the
 recorded presets and noise-validation once more, so that the reduction
 sees many chunk boundaries (noise-validation's SBM paths start inside a
 group of 16, at index 100), and, with every worker result sent in pieces
-of one row each, fig1b with 23 trajectories, born-sweep and
-noise-validation once more, so that the caller folds and collects
-results piece by piece. For every run it compares the bytes of
-run_manifest.json and every file digest the manifest lists.
+of one row each, fig1b with 23 trajectories, born-sweep, fig1a with 1600
+trajectories and noise-validation once more, so that the caller folds
+and collects results piece by piece. For every run it compares the bytes
+of run_manifest.json and every file digest the manifest lists.
 Prints ``equal`` when nothing differs, and otherwise each file that
 differs, as ``w<workers>/<run>/<file>``.
 
@@ -31,11 +33,17 @@ output bits too: every file digest of a run at 1 worker equals that at 2
 workers, and every digest of a narrow-chunk run (``<run>-narrow``) or a
 one-row-piece run (``<run>-pieces``) equals that of its default twin, the
 run of the same experiment and overrides under the engine's default
-settings (fig1a, fig1a-frozen, fig1b-23, gksl-check, born-sweep,
-fdr-sweep, fdr-sweep-strat and noise-validation have one). Each mismatch
-is printed on a line of its own, as
-``in-tree: <run>/<file> differs from <twin>/<file>``. Exits 0 when nothing
-differs and no mismatch is found, and 1 otherwise.
+settings (fig1a, fig1a-frozen, fig1a-1600, fig1b-23, gksl-check,
+born-sweep, fdr-sweep, fdr-sweep-strat and noise-validation have one).
+The same pairs must also fold the same rows in the same order: the runner
+hashes every row the calling process adds to a CompensatedAccumulator, in
+fold order, since a compensated fold of group rows gives the same bits in
+almost any order (reversing each chunk's 100 rows in fig1a-1600 moved
+none of its 848 folded sums), so the output files alone cannot show a
+change of fold order. Each mismatch is printed on a line of its own, as
+``in-tree: <run>/<file> differs from <twin>/<file>`` or ``in-tree: <run>
+folds other rows, or in another order, than <twin>``. Exits 0 when
+nothing differs and no mismatch is found, and 1 otherwise.
 
 Needs only git and the package's own dependencies. Horizons are short, so
 the whole check takes well under a minute on two cores.
@@ -54,9 +62,10 @@ NARROW = {"_MAX_CHUNK_WIDTH": 7}
 PIECES = {"_PIECE_BYTES": 1}
 # (run label, experiment, overrides, engine settings): every preset at smoke
 # size, the recorded presets with one trajectory, the schemes no preset
-# records, then the sweeps, the recorded presets and noise-validation in
-# narrow chunks, and a recorded run, a sweep and noise-validation in
-# one-row pieces. Empty settings keep the engine's defaults.
+# records, fig1a at 1600 trajectories, then the sweeps, the recorded
+# presets and noise-validation in narrow chunks, and two recorded runs, a
+# sweep and noise-validation in one-row pieces. Empty settings keep the
+# engine's defaults.
 RUNS = [
     ("fig1a", "fig1a", {"n_traj": 100, "T": 0.3}, {}),
     ("fig1b", "fig1b", {"n_traj": 100, "T": 0.3}, {}),
@@ -90,6 +99,9 @@ RUNS = [
      {"n_traj": 1, "T": 0.3, "scheme": "z-scalar-white"}, {}),
     # The sweep's cells differ in J, so its shared chunks step a per-row J.
     ("fdr-sweep-strat", "fdr-sweep", {"n_traj": 20, "T": 0.5, "scheme": "white-strat"}, {}),
+    # 100 groups of 16 per ensemble: in its one-row-piece twin each chunk
+    # arrives in 100 pieces.
+    ("fig1a-1600", "fig1a", {"n_traj": 1600, "T": 0.3}, {}),
     ("born-sweep-narrow", "born-sweep", {"n_traj": 50, "T": 0.5}, NARROW),
     ("fdr-sweep-narrow", "fdr-sweep", {"n_traj": 20, "T": 0.5}, NARROW),
     ("fdr-sweep-strat-narrow", "fdr-sweep",
@@ -102,25 +114,40 @@ RUNS = [
      {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, NARROW),
     ("fig1b-23-pieces", "fig1b", {"n_traj": 23, "T": 0.3}, PIECES),
     ("born-sweep-pieces", "born-sweep", {"n_traj": 50, "T": 0.5}, PIECES),
+    ("fig1a-1600-pieces", "fig1a", {"n_traj": 1600, "T": 0.3}, PIECES),
     ("noise-validation-pieces", "noise-validation",
      {"n_traj": 100, "tau": 0.5, "T": 2.0, "dt": 0.005}, PIECES),
 ]
 WORKERS = (1, 2)
 MANIFEST = "run_manifest.json"
+FOLDS = "folds.json"
 
 # Runs RUNS (argv[1], as JSON) at every worker count into the current
-# directory, so both trees' manifests record the same relative output_dir.
+# directory, so both trees' manifests record the same relative output_dir,
+# and writes FOLDS there: per run, the sha256 of every row that the calling
+# process folded into a CompensatedAccumulator, in fold order.
 _RUNNER = """
-import json, os, sys
+import hashlib, json, os, sys
+import numpy as np
 import suvsim.engine as engine
-from suvsim import make_config, run_experiment
+from suvsim import CompensatedAccumulator, make_config, run_experiment
 runs, workers = json.loads(sys.argv[1]), json.loads(sys.argv[2])
 defaults = {name: getattr(engine, name, None) for *_, settings in runs for name in settings}
+add = CompensatedAccumulator.add
+def traced(self, row):
+    fold.update(np.asarray(row, dtype=float).tobytes())
+    add(self, row)
+CompensatedAccumulator.add = traced
+folds = {}
 for w in workers:
     engine._MAX_WORKERS = w
     for label, experiment, overrides, settings in runs:
         vars(engine).update(defaults, **settings)
-        run_experiment(make_config(experiment, overrides, output_dir=os.path.join(f"w{w}", label)))
+        run, fold = os.path.join(f"w{w}", label), hashlib.sha256()
+        run_experiment(make_config(experiment, overrides, output_dir=run))
+        folds[run] = fold.hexdigest()
+with open(sys.argv[3], "w") as fh:
+    json.dump(folds, fh)
 """
 
 
@@ -128,7 +155,7 @@ def run_tree(src: str, outdir: str) -> bool:
     """Run RUNS on the package under ``src`` into outdir; True on success."""
     os.makedirs(outdir)
     env = dict(os.environ, PYTHONPATH=src)
-    args = [sys.executable, "-c", _RUNNER, json.dumps(RUNS), json.dumps(WORKERS)]
+    args = [sys.executable, "-c", _RUNNER, json.dumps(RUNS), json.dumps(WORKERS), FOLDS]
     return subprocess.run(args, cwd=outdir, env=env).returncode == 0
 
 
@@ -159,10 +186,10 @@ def _digests(out: str, run: str) -> dict[str, str]:
 
 
 def invariance(out: str) -> list[str]:
-    """Files of one output tree that differ where the determinism contract
-    says they must not: a run at 1 worker and at more, and a run under
-    engine settings (narrow chunks, one-row pieces) and its default twin of
-    the same experiment and overrides."""
+    """Files, and folded row sequences, of one output tree that differ where
+    the determinism contract says they must not: a run at 1 worker and at
+    more, and a run under engine settings (narrow chunks, one-row pieces)
+    and its default twin of the same experiment and overrides."""
     pairs = [(os.path.join(f"w{WORKERS[0]}", label), os.path.join(f"w{w}", label))
              for label, *_ in RUNS for w in WORKERS[1:]]
     for label, experiment, overrides, settings in RUNS:
@@ -170,12 +197,16 @@ def invariance(out: str) -> list[str]:
                   for twin, e, o, t in RUNS
                   if settings and not t and (e, o) == (experiment, overrides)
                   for w in WORKERS]
+    with open(os.path.join(out, FOLDS), encoding="utf-8") as fh:
+        folds = json.load(fh)
     mismatches = []
     for twin, run in pairs:
         want, got = _digests(out, twin), _digests(out, run)
         for name in sorted(want.keys() | got.keys()):
             if want.get(name) != got.get(name):
                 mismatches.append(f"in-tree: {run}/{name} differs from {twin}/{name}")
+        if folds[twin] != folds[run]:
+            mismatches.append(f"in-tree: {run} folds other rows, or in another order, than {twin}")
     return mismatches
 
 

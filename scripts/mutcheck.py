@@ -4,7 +4,7 @@
 
 Each mutant is one source replacement that writes a derivation error into
 the package: a wrong coefficient, a wrong sign, a wrong law, a wrong
-observable or a wrong reduction. For each, the
+observable, a wrong reduction or a wrong fit. For each, the
 script copies src/, tests/ and pyproject.toml into a temporary directory,
 applies the replacement there (its text must occur exactly once), and runs
 tier-1 with ``-x`` and without the five tests that pin each kernel bit for
@@ -80,6 +80,8 @@ MUTANTS = [
      "z >= 1.0 - eps_collapse", "z >= 0.5"),
     ("no compensation in the fold", "observables.py",
      "        self._comp += np.where(big, (self._acc - t) + x, (x - t) + self._acc)\n", ""),
+    ("decay-rate fit with its lags left uncentred", "experiments.py",
+     "dx = x - x.mean()", "dx = x"),
 ]
 
 # Mutants no test can see, with the reason; listed, not run.

@@ -270,7 +270,7 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
                 f"{kind.value} autocovariance at lag {lags[j]:g} is {values[j]:.3g}, "
                 "not positive: no decay rate can be fitted; raise n_traj or T"
             )
-        rate_rows.append([kind.value, -np.polyfit(np.array(lags), np.log(values), 1)[0], 1.0 / tau])
+        rate_rows.append([kind.value, -_slope(lags, np.log(values)), 1.0 / tau])
         steady_rows.append([kind.value, _STEADY_SAMPLES, ks])
     tables = {
         "noise_autocorr.csv": (["model", "lag", "estimate", "target", "rel_error"], acf_rows),
@@ -280,6 +280,16 @@ def run_noise_validation(cfg: ExperimentConfig, outdir: str) -> list[str]:
     for name, (header, rows) in tables.items():
         write_table_csv(os.path.join(outdir, name), header, rows)
     return list(tables)
+
+
+def _slope(x, y) -> float:
+    """The least-squares slope of y against x, in closed form about the
+    means: sum((x - mean x) (y - mean y)) / sum((x - mean x)^2), with
+    elementwise operations and pairwise sums only, so the caller never
+    loads BLAS or LAPACK, as np.polyfit's lstsq would."""
+    x = np.asarray(x)
+    dx = x - x.mean()
+    return float(np.sum(dx * (y - y.mean())) / np.sum(dx * dx))
 
 
 def _steady_ks(kind: NoiseKind, draws: np.ndarray) -> float:

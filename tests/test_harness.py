@@ -3,7 +3,9 @@ the command-line entry point."""
 import csv
 import json
 import math
+import os
 import re
+import sys
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -445,6 +447,28 @@ def test_noise_validation_estimates_each_fit_lag_once(tmp_path, monkeypatch):
                                output_dir=str(tmp_path)))
     grid = [25 * k for k in range(13)]  # tau / 4 = 25 dt
     assert calls == [("_lag_sums", grid)] * 2 + [("_autocovariance", grid)] * 2
+
+
+def test_noise_validation_makes_no_linear_algebra_call_in_the_caller(tmp_path):
+    # The rate fit is a closed-form slope, so the calling process never
+    # enters numpy.linalg, whose first LAPACK call (np.polyfit's lstsq)
+    # costs a fresh process over a MiB. Forked workers inherit the hook,
+    # so it records only the calls made in the caller's own pid.
+    caller, calls = os.getpid(), []
+    linalg = os.path.join("numpy", "linalg", "")
+
+    def hook(frame, event, arg):
+        if event == "call" and linalg in frame.f_code.co_filename and os.getpid() == caller:
+            calls.append(frame.f_code.co_name)
+
+    cfg = make_config("noise-validation", _SMOKE_OVERRIDES[Experiment.NOISE_VALIDATION],
+                      output_dir=str(tmp_path))
+    sys.setprofile(hook)
+    try:
+        run_experiment(cfg)
+    finally:
+        sys.setprofile(None)
+    assert calls == []
 
 
 def test_every_cli_configuration_runs_or_raises_simulation_error(tmp_path):

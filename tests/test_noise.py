@@ -6,6 +6,8 @@ import pytest
 from conftest import lane_draws, path_matrix
 
 from suvsim import (
+    EXPERIMENT_DEFAULTS,
+    Experiment,
     InvalidParameterError,
     NoiseKind,
     NoiseModel,
@@ -21,7 +23,7 @@ from suvsim import (
 )
 from suvsim.dynamics import _renormalize, _sse_em, _workspace
 from suvsim.engine import _BLOCK_STEPS, _field
-from suvsim.experiments import _noise_statistics, _normal_cdf, _steady_ks
+from suvsim.experiments import _fit_lags, _noise_statistics, _normal_cdf, _slope, _steady_ks
 from suvsim.noise import _ou_coefficients, _ou_update, _sbm_update
 
 
@@ -308,6 +310,26 @@ def test_noise_statistics_give_the_estimates_of_the_path_matrix():
         assert np.array_equal(values, autocorrelation([paths.T], [13 * k for k in range(13)]))
         draws = steady_samples(model, 100000, derive_stream(*steady))
         assert ks == _steady_ks(model.kind, draws)
+
+
+def test_rate_fit_is_the_least_squares_slope_of_polyfit():
+    # noise-validation's decay rate is a closed-form least-squares slope of
+    # the log autocovariance on the fit grid. It gives np.polyfit's slope,
+    # up to rounding: on an exact exponential at the preset's 13 lags, and
+    # on seeded noisy decays at short, smoke and preset correlation times.
+    def agree(lags, y):
+        want = np.polyfit(lags, y, 1)[0]
+        return abs(_slope(lags, y) - want) <= 1e-14 * abs(want)
+
+    tau = EXPERIMENT_DEFAULTS[Experiment.NOISE_VALIDATION]["tau"]
+    lags = np.array(_fit_lags(tau))
+    assert agree(lags, np.log(np.exp(-lags / tau) / 3.0))
+    rng = np.random.default_rng(37)
+    for tau in (0.01, 0.5, 1.0):
+        lags = np.array(_fit_lags(tau))
+        for _ in range(200):
+            noise = 1.0 + 0.05 * rng.standard_normal(len(lags))
+            assert agree(lags, np.log(np.exp(-lags / tau) * noise / 3.0))
 
 
 def test_normal_cdf_is_bit_for_bit_the_scalar_erf_loop():
